@@ -10,7 +10,8 @@ class SingularityError(ArithmeticError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterative solver detects a growing objective.
+    """Raised when an iterative solver detects a growing objective or an
+    iterate or residual that has left the finite range.
 
     Carries the objective trace recorded up to the failing iteration so the
     caller can inspect what happened.

@@ -5,6 +5,19 @@ inner product conjugates the second argument on complex grids), and the
 adjoints are exact transposes of the discrete forward maps, not separate
 discretizations.  ``dot_test`` is the ground-truth check and runs over every
 constructed operator in the test suite.
+
+``LinearMap.normal(x)`` applies the normal operator ``A* A`` that every
+variational solver spends its time in.  Operators with a fused form run it in
+one pass: the mask multiplies by its 0/1 keep raster instead of gathering and
+scattering, convolution multiplies the spectrum by ``|k^|^2`` between one
+forward and one inverse FFT, and the gradient applies the Neumann Laplacian
+stencil directly.  A composition ``B after C`` runs ``C* (B* B) (C x)`` with
+the outer part's fused normal, so mask after blur costs two real FFT pairs
+and no gather.  Every other operator falls back to ``adjoint(apply(x))``.
+
+Shape, field and finiteness checks run once, at the outermost public call:
+compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
+Real kernels use ``rfft2``/``irfft2``; complex ones keep ``fft2``.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ class LinearMap:
         range_shape: shape of valid inputs to ``adjoint``.
         apply_fn: forward action.
         adjoint_fn: adjoint action, the exact transpose of ``apply_fn``.
+        normal_fn: optional fused ``A* A``; omitted means ``adjoint(apply)``.
         domain_complex / range_complex: field of each side; real operators
             reject complex input rather than silently discarding phase.
     """
@@ -60,6 +74,7 @@ class LinearMap:
         apply_fn: Callable[[np.ndarray], np.ndarray],
         adjoint_fn: Callable[[np.ndarray], np.ndarray],
         *,
+        normal_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         domain_complex: bool = False,
         range_complex: bool = False,
         name: str = "linear_map",
@@ -68,6 +83,7 @@ class LinearMap:
         self.range_shape = tuple(int(s) for s in range_shape)
         self._apply = apply_fn
         self._adjoint = adjoint_fn
+        self._normal_fn = normal_fn
         self.domain_complex = bool(domain_complex)
         self.range_complex = bool(range_complex)
         self.name = name
@@ -93,6 +109,22 @@ class LinearMap:
 
     def adjoint(self, y) -> np.ndarray:
         return self._adjoint(self._coerce(y, self.range_shape, self.range_complex, "range"))
+
+    def _normal(self, x) -> np.ndarray:
+        """Unchecked ``A* A x``, for compositions that validated already."""
+        if self._normal_fn is None:
+            return self._adjoint(self._apply(x))
+        return self._normal_fn(x)
+
+    def normal(self, x) -> np.ndarray:
+        """``A* A x`` with the domain input validated once.
+
+        Runs the fused normal when the operator has one; otherwise it is
+        ``adjoint(apply(x))`` through the public methods.
+        """
+        if self._normal_fn is None:
+            return self.adjoint(self.apply(x))
+        return self._normal_fn(self._coerce(x, self.domain_shape, self.domain_complex, "domain"))
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         return op_compose(self, other)
@@ -202,6 +234,7 @@ def op_mask(mask: Mask, *, complex_field: bool = False) -> LinearMap:
     """Extract kept entries as a vector; adjoint scatters back with zeros."""
     h, w = mask.shape
     idx = mask.indices
+    keep = mask.to_bool()
 
     def forward(x):
         return x.ravel()[idx].copy()
@@ -216,6 +249,7 @@ def op_mask(mask: Mask, *, complex_field: bool = False) -> LinearMap:
         (mask.count,),
         forward,
         backward,
+        normal_fn=lambda x: np.where(keep, x, 0.0),
         domain_complex=complex_field,
         range_complex=complex_field,
         name="mask",
@@ -280,59 +314,42 @@ def op_convolve(kernel, mode: str = "circular", domain_shape=None) -> LinearMap:
     if not np.all(np.isfinite(ker.real)) or not np.all(np.isfinite(np.imag(ker))):
         raise ValidationError("op_convolve kernel must be finite")
     is_complex = np.iscomplexobj(ker)
+    # real kernels keep to the half spectrum; irfft2 needs the grid back
+    fft, ifft = (np.fft.fft2, np.fft.ifft2) if is_complex else (np.fft.rfft2, np.fft.irfft2)
 
     if mode == "circular":
         if domain_shape is not None and tuple(domain_shape) != ker.shape:
             raise ValidationError("circular convolution requires kernel on the domain grid")
-        khat = np.fft.fft2(ker)
-        khat_conj = np.conj(khat)
-
-        def forward(x):
-            out = np.fft.ifft2(np.fft.fft2(x) * khat)
-            return out if is_complex else out.real
-
-        def backward(y):
-            out = np.fft.ifft2(np.fft.fft2(y) * khat_conj)
-            return out if is_complex else out.real
-
-        return LinearMap(
-            ker.shape,
-            ker.shape,
-            forward,
-            backward,
-            domain_complex=is_complex,
-            range_complex=is_complex,
-            name="convolve_circular",
-        )
-
-    if mode == "zeropad-linear":
+        domain = grid = ker.shape
+        name = "convolve_circular"
+    elif mode == "zeropad-linear":
         if domain_shape is None:
             raise ValidationError("zeropad-linear convolution needs an explicit domain_shape")
-        h, w = int(domain_shape[0]), int(domain_shape[1])
-        kh, kw = ker.shape
-        ph, pw = h + kh - 1, w + kw - 1
-        khat = np.fft.fft2(ker, s=(ph, pw))
-        khat_conj = np.conj(khat)
+        domain = (int(domain_shape[0]), int(domain_shape[1]))
+        grid = (domain[0] + ker.shape[0] - 1, domain[1] + ker.shape[1] - 1)
+        name = "convolve_linear"
+    else:
+        raise ValidationError(f"unknown convolution mode {mode!r}")
+    h, w = domain
+    khat = fft(ker, s=grid)
+    khat_conj = np.conj(khat)
+    power = khat.real**2 + khat.imag**2
 
-        def forward(x):
-            out = np.fft.ifft2(np.fft.fft2(x, s=(ph, pw)) * khat)
-            return out if is_complex else out.real
+    def filtered(x, weights):
+        spectrum = fft(x, s=grid)
+        spectrum *= weights
+        return ifft(spectrum, s=grid)
 
-        def backward(y):
-            out = np.fft.ifft2(np.fft.fft2(y) * khat_conj)[:h, :w]
-            return out if is_complex else out.real
-
-        return LinearMap(
-            (h, w),
-            (ph, pw),
-            forward,
-            backward,
-            domain_complex=is_complex,
-            range_complex=is_complex,
-            name="convolve_linear",
-        )
-
-    raise ValidationError(f"unknown convolution mode {mode!r}")
+    return LinearMap(
+        domain,
+        grid,
+        lambda x: filtered(x, khat),
+        lambda y: filtered(y, khat_conj)[:h, :w],
+        normal_fn=lambda x: filtered(x, power)[:h, :w],
+        domain_complex=is_complex,
+        range_complex=is_complex,
+        name=name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +358,10 @@ def op_convolve(kernel, mode: str = "circular", domain_shape=None) -> LinearMap:
 
 
 def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """outer after inner; shapes and fields must chain."""
+    """outer after inner; shapes and fields must chain.
+
+    The parts run unchecked: the composite validates its own input once.
+    """
     if inner.range_shape != outer.domain_shape:
         raise ValidationError(
             f"cannot compose: inner range {inner.range_shape} vs outer domain {outer.domain_shape}"
@@ -351,8 +371,9 @@ def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
     return LinearMap(
         inner.domain_shape,
         outer.range_shape,
-        lambda x: outer.apply(inner.apply(x)),
-        lambda y: inner.adjoint(outer.adjoint(y)),
+        lambda x: outer._apply(inner._apply(x)),
+        lambda y: inner._adjoint(outer._adjoint(y)),
+        normal_fn=lambda x: inner._adjoint(outer._normal(inner._apply(x))),
         domain_complex=inner.domain_complex,
         range_complex=outer.range_complex,
         name=f"{outer.name}*{inner.name}",
@@ -427,19 +448,25 @@ def op_grad(shape) -> LinearMap:
         g[1, : h - 1, :] = x[1:, :] - x[: h - 1, :]
         return g
 
-    def backward(g):
+    def scatter(gx, gy):
+        # transpose of the differences on their live (h, w-1) and (h-1, w) parts
         out = np.zeros((h, w), dtype=np.float64)
-        gx = g[0]
-        gy = g[1]
         if w > 1:
-            out[:, 1:] += gx[:, : w - 1]
-            out[:, : w - 1] -= gx[:, : w - 1]
+            out[:, 1:] += gx
+            out[:, : w - 1] -= gx
         if h > 1:
-            out[1:, :] += gy[: h - 1, :]
-            out[: h - 1, :] -= gy[: h - 1, :]
+            out[1:, :] += gy
+            out[: h - 1, :] -= gy
         return out
 
-    return LinearMap((h, w), (2, h, w), forward, backward, name="grad")
+    def backward(g):
+        return scatter(g[0, :, : w - 1], g[1, : h - 1, :])
+
+    def normal(x):
+        # the Neumann Laplacian stencil, with no (2, h, w) temporary
+        return scatter(x[:, 1:] - x[:, : w - 1], x[1:, :] - x[: h - 1, :])
+
+    return LinearMap((h, w), (2, h, w), forward, backward, normal_fn=normal, name="grad")
 
 
 # ---------------------------------------------------------------------------
@@ -551,20 +578,10 @@ def _project_view(data: np.ndarray, theta: float, n_detectors: int, pitch: float
     return bilinear_values(data, xs, ys).sum(axis=1)
 
 
-def _backproject_view(shape, values: np.ndarray, theta: float, pitch: float) -> np.ndarray:
-    """Exact transpose of ``_project_view`` for one view."""
-    h, w = shape
-    xs, ys = _ray_points(theta, shape, values.size, pitch)
-    indices, weights = _bilinear_stencil(shape, xs, ys)
-    out = np.zeros(h * w, dtype=np.float64)
-    spread = np.broadcast_to(values[:, None], xs.shape).ravel()
-    for idx, wgt in zip(indices, weights):
-        out += np.bincount(idx.ravel(), weights=spread * wgt.ravel(), minlength=h * w)
-    return out.reshape(h, w)
-
-
-# Cache per-view stencils only while the whole geometry stays under ~100 MB;
-# larger geometries recompute per apply instead of exhausting memory.
+# Cache per-view stencils only while the whole geometry stays under ~130 MB;
+# larger geometries recompute per apply instead of exhausting memory.  The
+# indices stay int64: gather and bincount would otherwise cast an int32 table
+# to a fresh table-sized temporary on every apply.
 _RADON_CACHE_BUDGET = 1 << 21
 
 
@@ -589,7 +606,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     def view_stencil(a: int):
         xs, ys = _ray_points(angles[a], (h, w), n_det, pitch)
         indices, weights = _bilinear_stencil((h, w), xs, ys)
-        return np.stack(indices).astype(np.int32), np.stack(weights)
+        return np.stack(indices), np.stack(weights)
 
     def full_stencil():
         # one gather/scatter table for all views: (4, n_angles * n_det, span)

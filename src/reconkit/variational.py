@@ -89,6 +89,9 @@ class Objective:
     def reg_adjoint(self, v: np.ndarray) -> np.ndarray:
         return v if self.reg_op is None else self.reg_op.adjoint(v)
 
+    def reg_normal(self, f: np.ndarray) -> np.ndarray:
+        return f if self.reg_op is None else self.reg_op.normal(f)
+
 
 @dataclass
 class SolveReport:
@@ -128,8 +131,31 @@ def grad_objective_quadratic(obj: Objective, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     grad = 2.0 * obj.forward.adjoint(obj.forward.apply(f) - obj.data)
     if obj.lam > 0:
-        grad = grad + 2.0 * obj.lam * obj.reg_adjoint(obj.reg_apply(f))
+        grad = grad + 2.0 * obj.lam * obj.reg_normal(f)
     return grad
+
+
+def _normal_equations(obj: Objective, weight: float) -> Callable:
+    """``x -> (H* H + weight L* L) x`` through both operators' fused normals."""
+
+    def apply(x):
+        out = obj.forward.normal(x)
+        if weight > 0:
+            out = out + weight * obj.reg_normal(x)
+        return out
+
+    return apply
+
+
+def _check_finite(trace: list, where: str, *values) -> None:
+    """Stop a solver whose iterate or residual has left the finite range.
+
+    Operators validate only at their public boundary, so an overflowed
+    iterate would otherwise surface as an input error at the next apply.
+    """
+    for value in values:
+        if not np.all(np.isfinite(value)):
+            raise DivergenceError(f"{where}: non-finite iterate or residual", trace=np.asarray(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +182,12 @@ def _power_max_eig(apply_normal: Callable, shape, iters: int = 50, seed=0) -> fl
 
 
 def _lipschitz_quadratic(obj: Objective, seed=0, iters: int = 50) -> float:
-    def normal(f):
-        out = obj.forward.adjoint(obj.forward.apply(f))
-        if obj.lam > 0:
-            out = out + obj.lam * obj.reg_adjoint(obj.reg_apply(f))
-        return out
-
+    normal = _normal_equations(obj, obj.lam)
     return 2.0 * _power_max_eig(normal, obj.forward.domain_shape, iters, seed)
 
 
 def _lipschitz_data(forward: LinearMap, seed=0, iters: int = 50) -> float:
-    normal = lambda f: forward.adjoint(forward.apply(f))
-    return _power_max_eig(normal, forward.domain_shape, iters, seed)
+    return _power_max_eig(forward.normal, forward.domain_shape, iters, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +234,10 @@ def gradient_descent(
         if project_nonneg:
             f = np.maximum(f, 0.0)
         iterations += 1
+        where = f"gradient descent iteration {iterations}"
+        _check_finite(obj_trace, where, f)
         current = objective_value(obj, f)
+        _check_finite(obj_trace, where, current)
         obj_trace.append(current)
         grad_trace.append(float(np.linalg.norm(grad.ravel())))
         if current > prev:
@@ -256,12 +279,19 @@ def gradient_descent(
 # ---------------------------------------------------------------------------
 
 
-def _cg_quadratic(apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: int, tol: float):
-    """Plain CG for SPD (or consistent PSD) systems; returns (x, it, converged)."""
+def _cg_quadratic(
+    apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: int, tol: float, trace=()
+):
+    """Plain CG for SPD (or consistent PSD) systems; returns (x, it, converged).
+
+    ``trace`` is the caller's objective trace, carried by a DivergenceError
+    when the residual leaves the finite range.
+    """
     x = x0.copy()
     r = b - apply_a(x)
     p = r.copy()
     rs = float(np.vdot(r, r).real)
+    _check_finite(trace, "conjugate gradients start", rs)
     bnorm = max(float(np.linalg.norm(b.ravel())), 1e-300)
     it = 0
     converged = np.sqrt(rs) <= tol * bnorm
@@ -275,6 +305,7 @@ def _cg_quadratic(apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: in
         r = r - alpha * ap
         rs_new = float(np.vdot(r, r).real)
         it += 1
+        _check_finite(trace, f"conjugate gradients iteration {it}", rs_new, x)
         if np.sqrt(rs_new) <= tol * bnorm:
             converged = True
             rs = rs_new
@@ -302,12 +333,7 @@ def conjugate_gradient_normal(
     if f.shape != obj.forward.domain_shape:
         raise ValidationError("f0 shape does not match the operator domain")
 
-    def apply_a(x):
-        out = obj.forward.adjoint(obj.forward.apply(x))
-        if obj.lam > 0:
-            out = out + obj.lam * obj.reg_adjoint(obj.reg_apply(x))
-        return out
-
+    apply_a = _normal_equations(obj, obj.lam)
     b = obj.forward.adjoint(obj.data)
     bnorm = max(float(np.linalg.norm(b.ravel())), 1e-300)
 
@@ -316,6 +342,7 @@ def conjugate_gradient_normal(
     rs = float(np.vdot(r, r).real)
     obj_trace: list[float] = []
     res_trace: list[float] = []
+    _check_finite(obj_trace, "conjugate gradients start", rs)
     converged = np.sqrt(rs) <= tol * bnorm
     iterations = 0
     while not converged and iterations < max_iter:
@@ -328,6 +355,7 @@ def conjugate_gradient_normal(
         r = r - alpha * ap
         rs_new = float(np.vdot(r, r).real)
         iterations += 1
+        _check_finite(obj_trace, f"conjugate gradients iteration {iterations}", rs_new, f)
         obj_trace.append(objective_value(obj, f))
         res_trace.append(float(np.sqrt(rs_new)))
         if np.sqrt(rs_new) <= tol * bnorm:
@@ -552,8 +580,13 @@ def ista(
     iterations = 0
     for _ in range(max_iter):
         point = y if accelerate else f
-        grad = obj.forward.adjoint(obj.forward.apply(point) - obj.data)
-        f_new = prox_apply(spec, point - gamma * grad, gamma)
+        where = f"{'fista' if accelerate else 'ista'} iteration {iterations + 1}"
+        _check_finite(obj_trace, where, point)
+        resid = obj.forward.apply(point) - obj.data
+        _check_finite(obj_trace, where, resid)
+        descent = point - gamma * obj.forward.adjoint(resid)
+        _check_finite(obj_trace, where, descent)
+        f_new = prox_apply(spec, descent, gamma)
         if accelerate:
             t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             y = f_new + ((t - 1.0) / t_new) * (f_new - f)
@@ -625,9 +658,7 @@ def admm(
         spec = ProxSpec("student", lam=1.0, r=obj.student_r)
     prox_step = obj.lam / rho
 
-    def apply_a(x):
-        return obj.forward.adjoint(obj.forward.apply(x)) + rho * obj.reg_adjoint(obj.reg_apply(x))
-
+    apply_a = _normal_equations(obj, rho)
     hg = obj.forward.adjoint(obj.data)
     lf = obj.reg_apply(f)
     u = lf.copy()
@@ -639,10 +670,12 @@ def admm(
     iterations = 0
     for _ in range(max_iter):
         rhs = hg + rho * obj.reg_adjoint(u - alpha)
-        f, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol)
+        f, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol, obj_trace)
         lf = obj.reg_apply(f)
+        shifted = lf + alpha
+        _check_finite(obj_trace, f"admm iteration {iterations + 1}", shifted)
         u_prev = u
-        u = prox_apply(spec, lf + alpha, prox_step)
+        u = prox_apply(spec, shifted, prox_step)
         alpha = alpha + lf - u
         iterations += 1
         primal = float(np.linalg.norm((lf - u).ravel()))

@@ -230,6 +230,24 @@ class TestReconstruct:
         assert len(diag["objective_trace"]) >= 5
         assert "diagnostic" in capsys.readouterr().err
 
+    def test_overflowing_step_exits_3_not_config_error(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--seed", "1", "--out", str(sim)]) == 0
+        rec = tmp_path / "rec"
+        code = main(
+            [
+                "reconstruct", "--data", str(sim), "--out", str(rec),
+                "--solver", "gd", "--lam", "0.1", "--step", "1e150",
+            ]
+        )
+        assert code == 3
+        diag = json.loads((rec / "diagnostic.json").read_text())
+        assert diag["error"] == "DivergenceError"
+        assert "non-finite" in diag["message"]
+        assert all(np.isfinite(diag["objective_trace"]))
+        err = capsys.readouterr().err
+        assert "diagnostic" in err and "config error" not in err
+
 
 class TestStudyCommands:
     def test_compress_study_keeping_everything_is_lossless(self, tmp_path):

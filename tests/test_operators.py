@@ -33,6 +33,8 @@ from reconkit import (
     transform_haar,
     uniform_stream,
 )
+from reconkit.cli import _selftest_cases
+from reconkit.operators import _random_field
 
 EXACT = 1e-10  # operators whose adjoint is an exact transpose by construction
 FFTTOL = 1e-6  # operators that route through the FFT
@@ -332,6 +334,85 @@ class TestCompose:
     def test_field_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             op_compose(op_identity((4, 4)), op_dft2((4, 4)))
+
+
+def _normal_cases():
+    cases = _selftest_cases()
+    for shape in [(7, 9), (1, 16), (16, 1)]:
+        n = shape[0] * shape[1]
+        kernel = normal_stream(n, 1.0, 400 + n).reshape(shape)
+        label = f"{shape[0]}x{shape[1]}"
+        cases.append((f"grad_{label}", op_grad(shape), EXACT))
+        cases.append((f"convolve_circular_{label}", op_convolve(kernel), FFTTOL))
+        mask = Mask.random(shape, 0.5, seed=410 + n)
+        cases.append((f"mask_convolve_{label}", op_mask(mask) @ op_convolve(kernel), FFTTOL))
+    return cases
+
+
+NORMAL_CASES = _normal_cases()
+
+
+@pytest.mark.parametrize("name,op,tol", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
+class TestNormal:
+    def test_matches_adjoint_of_apply(self, name, op, tol):
+        for trial in range(3):
+            x = _random_field(op.domain_shape, op.domain_complex, 420 + trial)
+            want = op.adjoint(op.apply(x))
+            got = op.normal(x)
+            assert got.shape == op.domain_shape
+            scale = max(float(np.linalg.norm(want.ravel())), 1e-300)
+            assert float(np.linalg.norm((got - want).ravel())) <= 1e-12 * scale
+
+    def test_self_adjoint(self, name, op, tol):
+        for trial in range(10):
+            x = _random_field(op.domain_shape, op.domain_complex, 430 + 2 * trial)
+            y = _random_field(op.domain_shape, op.domain_complex, 431 + 2 * trial)
+            lhs = np.vdot(y.ravel(), op.normal(x).ravel())
+            rhs = np.vdot(op.normal(y).ravel(), x.ravel())
+            assert abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1e-300)
+
+
+class TestValidateOnce:
+    """A composite checks its input at the outermost call, not inside its parts."""
+
+    shape = (12, 10)
+
+    @pytest.fixture
+    def blur(self):
+        mask = Mask.random(self.shape, 0.5, seed=440)
+        return op_mask(mask) @ op_convolve(embed_kernel(gaussian_kernel(3, 1.0), self.shape))
+
+    def _calls(self, blur):
+        return {
+            "apply": (blur.apply, blur.domain_shape),
+            "adjoint": (blur.adjoint, blur.range_shape),
+            "normal": (blur.normal, blur.domain_shape),
+        }
+
+    @pytest.mark.parametrize("side", ["apply", "adjoint", "normal"])
+    def test_wrong_input_raises_validation_error(self, blur, side):
+        call, shape = self._calls(blur)[side]
+        wrong_shape = np.zeros(shape[:-1] + (shape[-1] + 1,))
+        complex_input = np.zeros(shape, dtype=complex)
+        nonfinite = np.zeros(shape)
+        nonfinite.flat[3] = np.nan
+        for bad in (wrong_shape, complex_input, nonfinite):
+            with pytest.raises(ValidationError, match=r"^mask\*convolve_circular: "):
+                call(bad)
+
+    @pytest.mark.parametrize("side", ["apply", "adjoint", "normal"])
+    def test_one_check_per_call(self, blur, side, monkeypatch):
+        checked = []
+        original = LinearMap._coerce
+
+        def counting(self, *args):
+            checked.append(self.name)
+            return original(self, *args)
+
+        monkeypatch.setattr(LinearMap, "_coerce", counting)
+        call, shape = self._calls(blur)[side]
+        call(np.ones(shape))
+        assert checked == ["mask*convolve_circular"]
 
 
 class TestMatrixAdapter:
