@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -59,6 +60,7 @@ from .phantoms import (
 from .variational import (
     Objective,
     ProxSpec,
+    SolveReport,
     admm,
     conjugate_gradient_normal,
     gradient_descent,
@@ -106,7 +108,7 @@ class GeometryConfig:
 
 @dataclass
 class SolverConfig:
-    kind: str = "cg_tikhonov"  # cg_tikhonov | gd | ista | fista | admm_tv | admm_l1
+    kind: str = "cg_tikhonov"  # a key of _SOLVERS
     lam: float = 0.1
     lambdas: list | None = None
     rho: float = 1.0
@@ -276,7 +278,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"degradation.blur {cfg.degradation.blur!r} is not supported")
     if not 0.0 < cfg.degradation.mask_fraction <= 1.0:
         raise ConfigError("degradation.mask_fraction must lie in (0, 1]")
-    if cfg.solver.kind not in ("cg_tikhonov", "gd", "ista", "fista", "admm_tv", "admm_l1"):
+    if cfg.solver.kind not in _SOLVERS:
         raise ConfigError(f"solver.kind {cfg.solver.kind!r} is not supported")
     if cfg.solver.lam < 0:
         raise ConfigError("solver.lam must be >= 0")
@@ -356,45 +358,53 @@ def _emit_image(out_dir: str, name: str, data, windows: dict) -> list[str]:
     return paths + [base + ".pgm"]
 
 
-def _build_reconstructor(cfg: ExperimentConfig, forward, data, shape):
-    """Map solver.kind onto an Objective and a solver call; returns run(lam)."""
-    kind = cfg.solver.kind
-    sol = cfg.solver
+def _cg_tikhonov(cfg: ExperimentConfig, forward, data, shape, lam: float) -> SolveReport:
+    obj = Objective(forward, data, "quadratic", lam, reg_op=op_grad(shape))
+    return conjugate_gradient_normal(obj, max_iter=cfg.solver.max_iter, tol=cfg.solver.tol)
 
-    def run(lam: float) -> np.ndarray:
-        if kind == "cg_tikhonov":
-            obj = Objective(forward, data, "quadratic", lam, reg_op=op_grad(shape))
-            return conjugate_gradient_normal(obj, max_iter=sol.max_iter, tol=sol.tol).final
-        if kind == "gd":
-            obj = Objective(forward, data, "quadratic", lam, reg_op=op_grad(shape))
-            return gradient_descent(
-                obj,
-                step="auto" if sol.step is None else sol.step,
-                max_iter=sol.max_iter,
-                tol=sol.tol,
-                power_seed=cfg.power_seed(),
-            ).final
-        if kind in ("ista", "fista"):
-            obj = Objective(forward, data, "abs", lam)
-            return ista(
-                obj,
-                accelerate=(kind == "fista"),
-                max_iter=sol.max_iter,
-                tol=sol.tol,
-                power_seed=cfg.power_seed(),
-            ).final
-        reg = op_grad(shape) if kind == "admm_tv" else None
-        obj = Objective(forward, data, "abs", lam, reg_op=reg)
-        return admm(
-            obj,
-            rho=sol.rho,
-            max_iter=sol.max_iter,
-            tol_primal=sol.tol,
-            tol_dual=sol.tol,
-            inner_iter=sol.inner_iter,
-        ).final
 
-    return run
+def _gd(cfg: ExperimentConfig, forward, data, shape, lam: float) -> SolveReport:
+    obj = Objective(forward, data, "quadratic", lam, reg_op=op_grad(shape))
+    return gradient_descent(
+        obj,
+        step="auto" if cfg.solver.step is None else cfg.solver.step,
+        max_iter=cfg.solver.max_iter,
+        tol=cfg.solver.tol,
+        power_seed=cfg.power_seed(),
+    )
+
+
+def _ista(cfg: ExperimentConfig, forward, data, shape, lam: float, *, accelerate) -> SolveReport:
+    return ista(
+        Objective(forward, data, "abs", lam),
+        accelerate=accelerate,
+        max_iter=cfg.solver.max_iter,
+        tol=cfg.solver.tol,
+        power_seed=cfg.power_seed(),
+    )
+
+
+def _admm(cfg: ExperimentConfig, forward, data, shape, lam: float, *, tv) -> SolveReport:
+    return admm(
+        Objective(forward, data, "abs", lam, reg_op=op_grad(shape) if tv else None),
+        rho=cfg.solver.rho,
+        max_iter=cfg.solver.max_iter,
+        tol_primal=cfg.solver.tol,
+        tol_dual=cfg.solver.tol,
+        inner_iter=cfg.solver.inner_iter,
+    )
+
+
+# solver.kind -> solve(cfg, forward, data, image shape, lam); the config check,
+# the --solver choices and every command that solves read this one table
+_SOLVERS = {
+    "cg_tikhonov": _cg_tikhonov,
+    "gd": _gd,
+    "ista": functools.partial(_ista, accelerate=False),
+    "fista": functools.partial(_ista, accelerate=True),
+    "admm_tv": functools.partial(_admm, tv=True),
+    "admm_l1": functools.partial(_admm, tv=False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +466,8 @@ def cmd_reconstruct(args) -> int:
     forward = op_compose(
         op_mask(mask), op_convolve(embed_kernel(kernel, truth.shape), "circular")
     )
-    run = _build_reconstructor(cfg, forward, measurements, truth.shape)
-    recon = run(cfg.solver.lam)
+    report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
+    recon = report.final
 
     windows: dict = {}
     outputs = _emit_image(cfg.out_dir, "recon", recon, windows)
@@ -465,11 +475,22 @@ def cmd_reconstruct(args) -> int:
     write_csv(
         metrics,
         ["metric", "value"],
-        [("snr_db", snr_db(truth, recon)), ("lam", cfg.solver.lam), ("solver", cfg.solver.kind)],
+        [
+            ("snr_db", snr_db(truth, recon)),
+            ("lam", cfg.solver.lam),
+            ("solver", cfg.solver.kind),
+            ("iterations", report.iterations),
+            ("converged", report.converged),
+        ],
     )
     outputs.append(metrics)
-    outputs.append(_manifest(cfg, "reconstruct", outputs, {"windows": windows}))
-    print(f"reconstruct: {cfg.solver.kind} lam={cfg.solver.lam:g} snr={snr_db(truth, recon):.2f} dB")
+    solve = {"windows": windows, "iterations": report.iterations, "converged": report.converged}
+    outputs.append(_manifest(cfg, "reconstruct", outputs, solve))
+    status = "converged" if report.converged else "did not converge"
+    print(
+        f"reconstruct: {cfg.solver.kind} lam={cfg.solver.lam:g} snr={snr_db(truth, recon):.2f} dB, "
+        f"{report.iterations} iterations, {status}"
+    )
     return 0
 
 
@@ -498,12 +519,14 @@ def cmd_compare_l2_l1(args) -> int:
     truth, kernel, data = _simulate(cfg)
     lambdas = cfg.solver.lambdas or [0.003, 0.01, 0.03, 0.1, 0.3]
 
-    quad_cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, kind="cg_tikhonov"))
-    tv_cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, kind="admm_tv"))
-    run_l2 = _build_reconstructor(quad_cfg, data.op, data.measurements, truth.data.shape)
-    run_l1 = _build_reconstructor(tv_cfg, data.op, data.measurements, truth.data.shape)
-    sweep_l2 = lambda_sweep(run_l2, truth.data, lambdas)
-    sweep_l1 = lambda_sweep(run_l1, truth.data, lambdas)
+    def sweep(kind):
+        def run(lam):
+            return _SOLVERS[kind](cfg, data.op, data.measurements, truth.data.shape, lam).final
+
+        return lambda_sweep(run, truth.data, lambdas)
+
+    sweep_l2 = sweep("cg_tikhonov")
+    sweep_l1 = sweep("admm_tv")
 
     rows = [("l2_grad", lam, snr) for lam, snr in sweep_l2.rows]
     rows += [("l1_tv", lam, snr) for lam, snr in sweep_l1.rows]
@@ -524,8 +547,8 @@ def cmd_compare_l2_l1(args) -> int:
     windows: dict = {}
     outputs = [metrics, summary]
     outputs += _emit_image(cfg.out_dir, "truth", truth.data, windows)
-    outputs += _emit_image(cfg.out_dir, "recon_l2", run_l2(sweep_l2.best_lambda), windows)
-    outputs += _emit_image(cfg.out_dir, "recon_l1", run_l1(sweep_l1.best_lambda), windows)
+    outputs += _emit_image(cfg.out_dir, "recon_l2", sweep_l2.best_estimate, windows)
+    outputs += _emit_image(cfg.out_dir, "recon_l1", sweep_l1.best_estimate, windows)
     outputs.append(_manifest(cfg, "compare-l2-l1", outputs, {"windows": windows, "gap_db": gap}))
     print(
         f"compare-l2-l1: l2 best {sweep_l2.best_snr:.2f} dB (lam={sweep_l2.best_lambda:g}), "
@@ -553,21 +576,8 @@ def cmd_fbp_vs_tv(args) -> int:
     sino = analytic_sinogram(SHEPP_LOGAN, geom, size)
 
     fbp_img = fbp(sino, out_shape=(size, size))
-    obj = Objective(
-        op_radon(geom, (size, size)),
-        sino.data,
-        "abs",
-        cfg.solver.lam,
-        reg_op=op_grad((size, size)),
-    )
-    tv = admm(
-        obj,
-        rho=cfg.solver.rho,
-        max_iter=cfg.solver.max_iter,
-        tol_primal=cfg.solver.tol,
-        tol_dual=cfg.solver.tol,
-        inner_iter=cfg.solver.inner_iter,
-    )
+    radon_op = op_radon(geom, (size, size))
+    tv = _SOLVERS["admm_tv"](cfg, radon_op, sino.data, (size, size), cfg.solver.lam)
     snr_fbp = snr_db(truth.data, fbp_img.data)
     snr_tv = snr_db(truth.data, tv.final)
 
@@ -582,7 +592,9 @@ def cmd_fbp_vs_tv(args) -> int:
         [("fbp", snr_fbp), ("tv_admm", snr_tv)],
     )
     outputs.append(metrics)
-    outputs.append(_manifest(cfg, "fbp-vs-tv", outputs, {"windows": windows}))
+    # iterations and converged stay out of metrics.csv, whose rows are all SNRs
+    solve = {"windows": windows, "iterations": tv.iterations, "converged": tv.converged}
+    outputs.append(_manifest(cfg, "fbp-vs-tv", outputs, solve))
     print(
         f"fbp-vs-tv: {cfg.geometry.n_angles} views, fbp {snr_fbp:.2f} dB, "
         f"tv {snr_tv:.2f} dB"
@@ -718,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("reconstruct", help="solve for the image behind measurements")
     _add_common(p)
     p.add_argument("--data", help="directory holding simulate outputs (default: out dir)")
-    p.add_argument("--solver", choices=["cg_tikhonov", "gd", "ista", "fista", "admm_tv", "admm_l1"])
+    p.add_argument("--solver", choices=list(_SOLVERS))
     p.add_argument("--lam", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .grids import GridImage, as_array, bilinear_values
+from .grids import GridImage, as_array
 from .operators import Mask, Sinogram
 
 __all__ = ["RampFilter", "ramp_filter", "fbp", "wiener_deconvolve", "zerofill_ifft"]

@@ -148,15 +148,14 @@ def idft2(spec) -> ComplexGrid:
 # ---------------------------------------------------------------------------
 
 
-def bilinear_values(data: np.ndarray, xs, ys) -> np.ndarray:
-    """Vectorized bilinear lookup with a zero boundary.
+def _bilinear_stencil(shape, xs, ys):
+    """Corner indices and weights of the bilinear stencil at each sample.
 
-    ``xs`` indexes columns and ``ys`` rows; queries outside
-    [0, W-1] x [0, H-1] return 0.
+    The one bilinear stencil: lookups gather through it, and the ray
+    transform's adjoint scatters through it, so that adjoint is the exact
+    transpose by construction.  Out-of-grid samples get zero weight.
     """
-    h, w = data.shape
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    h, w = shape
     inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
@@ -166,10 +165,23 @@ def bilinear_values(data: np.ndarray, xs, ys) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
-    top = (1.0 - fx) * data[y0, x0] + fx * data[y0, x1]
-    bot = (1.0 - fx) * data[y1, x0] + fx * data[y1, x1]
-    vals = (1.0 - fy) * top + fy * bot
-    return np.where(inside, vals, 0.0)
+    corners = ((1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy)
+    weights = tuple(np.where(inside, c, 0.0) for c in corners)
+    indices = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
+    return indices, weights
+
+
+def bilinear_values(data: np.ndarray, xs, ys) -> np.ndarray:
+    """Vectorized bilinear lookup with a zero boundary.
+
+    ``xs`` indexes columns and ``ys`` rows; queries outside
+    [0, W-1] x [0, H-1] return 0.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    indices, weights = _bilinear_stencil(data.shape, xs, ys)
+    flat = data.ravel()
+    return sum(wgt * flat[idx] for idx, wgt in zip(indices, weights))
 
 
 def bilinear_sample(img, x, y):

@@ -28,7 +28,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .grids import GridImage, _seed_value, as_array, bilinear_values, normal_stream, uniform_stream
+from .grids import (
+    GridImage,
+    _bilinear_stencil,
+    _seed_value,
+    as_array,
+    bilinear_values,
+    normal_stream,
+    uniform_stream,
+)
 
 __all__ = [
     "LinearMap",
@@ -543,33 +551,6 @@ def _ray_points(theta: float, shape, n_detectors: int, pitch: float):
     xs = cx + offs[:, None] * cos_t - ts[None, :] * sin_t
     ys = cy + offs[:, None] * sin_t + ts[None, :] * cos_t
     return xs, ys
-
-
-def _bilinear_stencil(shape, xs, ys):
-    """Corner indices and weights of the bilinear stencil at each sample.
-
-    Shared by the forward gather and the adjoint scatter so the adjoint is
-    the exact transpose by construction.  Out-of-grid samples get zero weight.
-    """
-    h, w = shape
-    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc).astype(np.int64), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(np.int64), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-    zero = np.where(inside, 1.0, 0.0)
-    weights = (
-        zero * (1.0 - fx) * (1.0 - fy),
-        zero * fx * (1.0 - fy),
-        zero * (1.0 - fx) * fy,
-        zero * fx * fy,
-    )
-    indices = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
-    return indices, weights
 
 
 def _project_view(data: np.ndarray, theta: float, n_detectors: int, pitch: float) -> np.ndarray:

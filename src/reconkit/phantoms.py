@@ -41,7 +41,6 @@ __all__ = [
     "gaussian_kernel",
     "snr_db",
     "mse",
-    "Metric",
     "compressibility_study",
     "SparseInstance",
     "sparse_recovery_instance",
@@ -304,16 +303,6 @@ def degrade(img: GridImage, blur_kernel, mask: Mask, sigma: float, seed) -> Degr
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Metric:
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("snr_db", "mse"):
-            raise ValidationError(f"unknown metric kind {self.kind!r}")
 
 
 def snr_db(truth, estimate) -> float:

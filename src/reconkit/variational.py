@@ -10,6 +10,14 @@ Objective conventions, fixed once for the whole package:
 ``lam`` plays the role of the noise variance when the penalty comes from a
 probabilistic model; the package exposes the single knob and documents the
 mapping rather than both.
+
+``_cg_quadratic`` is the one CG loop: ``conjugate_gradient_normal`` runs it
+with a callback that records the traces, and ADMM's f-step runs it.
+``_iterate`` is the one loop of gradient descent, ISTA/FISTA and ADMM, each a
+step function with its own stop rule; it keeps the traces and builds the
+``SolveReport``.  Steps reuse the residual ``H f - g`` (and ADMM its ``L f``)
+for the objective, so gradient descent and plain ISTA apply ``H`` once per
+iteration.
 """
 
 from __future__ import annotations
@@ -107,21 +115,20 @@ class SolveReport:
 
 def objective_value(obj: Objective, f) -> float:
     f = np.asarray(f, dtype=np.float64)
-    resid = obj.data - obj.forward.apply(f)
+    return _objective(obj, f, obj.forward.apply(f) - obj.data)
+
+
+def _objective(obj: Objective, f: np.ndarray, resid: np.ndarray, lf=None) -> float:
+    """``objective_value`` from the residual ``H f - g`` (and ``L f``) already at hand."""
     fid2 = float(np.vdot(resid, resid).real)
+    if obj.penalty == "indicator_nonneg":
+        return np.inf if np.any(f < 0) else 0.5 * fid2
+    lf = obj.reg_apply(f) if lf is None else lf
     if obj.penalty == "quadratic":
-        lf = obj.reg_apply(f)
         return fid2 + obj.lam * float(np.vdot(lf, lf).real)
     if obj.penalty == "abs":
-        lf = obj.reg_apply(f)
         return 0.5 * fid2 + obj.lam * float(np.sum(np.abs(lf)))
-    if obj.penalty == "student":
-        lf = obj.reg_apply(f)
-        return 0.5 * fid2 + obj.lam * (obj.student_r + 0.5) * float(np.sum(np.log1p(lf**2)))
-    # indicator_nonneg
-    if np.any(f < 0):
-        return np.inf
-    return 0.5 * fid2
+    return 0.5 * fid2 + obj.lam * (obj.student_r + 0.5) * float(np.sum(np.log1p(lf**2)))
 
 
 def grad_objective_quadratic(obj: Objective, f) -> np.ndarray:
@@ -129,7 +136,11 @@ def grad_objective_quadratic(obj: Objective, f) -> np.ndarray:
     if obj.penalty != "quadratic":
         raise ValidationError("grad_objective_quadratic requires the quadratic penalty")
     f = np.asarray(f, dtype=np.float64)
-    grad = 2.0 * obj.forward.adjoint(obj.forward.apply(f) - obj.data)
+    return _quadratic_gradient(obj, f, obj.forward.apply(f) - obj.data)
+
+
+def _quadratic_gradient(obj: Objective, f: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    grad = 2.0 * obj.forward.adjoint(resid)
     if obj.lam > 0:
         grad = grad + 2.0 * obj.lam * obj.reg_normal(f)
     return grad
@@ -156,6 +167,51 @@ def _check_finite(trace: list, where: str, *values) -> None:
     for value in values:
         if not np.all(np.isfinite(value)):
             raise DivergenceError(f"{where}: non-finite iterate or residual", trace=np.asarray(trace))
+
+
+# ---------------------------------------------------------------------------
+# The solver loop
+# ---------------------------------------------------------------------------
+
+
+def _start(obj: Objective, f0) -> np.ndarray:
+    """The checked start point: zeros, or a float64 copy of ``f0``."""
+    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(f0, dtype=np.float64)
+    if f.shape != obj.forward.domain_shape:
+        raise ValidationError("f0 shape does not match the operator domain")
+    return f
+
+
+def _settled(prev: float, current: float, tol: float) -> bool:
+    """Stop rule of gradient descent and ISTA: a small relative objective change."""
+    return abs(current - prev) <= tol * max(abs(prev), 1e-300)
+
+
+def _iterate(f: np.ndarray, step: Callable, max_iter: int, label: str, config: dict) -> SolveReport:
+    """Run ``step`` from ``f`` until its stop rule holds or ``max_iter`` runs out.
+
+    ``step(f, trace, where)`` does one iteration and returns ``(f, objective,
+    residual, converged)``.  It hands ``trace`` (the objective values so far)
+    and ``where`` to ``_check_finite`` before a non-finite value can reach an
+    operator, so a divergence names its iteration and carries the trace.
+    """
+    objective: list[float] = []
+    residual: list[float] = []
+    converged = False
+    iterations = 0
+    while not converged and iterations < max_iter:
+        iterations += 1
+        f, value, res, converged = step(f, objective, f"{label} iteration {iterations}")
+        objective.append(value)
+        residual.append(res)
+    return SolveReport(
+        final=f,
+        objective_trace=np.asarray(objective),
+        residual_trace=np.asarray(residual),
+        iterations=iterations,
+        converged=converged,
+        config=config,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +267,7 @@ def gradient_descent(
     """
     if obj.penalty != "quadratic":
         raise ValidationError("gradient_descent handles the quadratic penalty")
-    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(f0, dtype=np.float64)
-    if f.shape != obj.forward.domain_shape:
-        raise ValidationError("f0 shape does not match the operator domain")
+    f = _start(obj, f0)
     if step == "auto":
         lip = _lipschitz_quadratic(obj, seed=power_seed)
         gamma = 0.9 / lip if lip > 0 else 1.0
@@ -222,56 +276,41 @@ def gradient_descent(
         if not (gamma > 0 and np.isfinite(gamma)):
             raise ValidationError("step must be positive and finite")
 
-    obj_trace: list[float] = []
-    grad_trace: list[float] = []
-    prev = objective_value(obj, f)
+    resid = obj.forward.apply(f) - obj.data
+    prev = _objective(obj, f, resid)
     rises = 0
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        grad = grad_objective_quadratic(obj, f)
+
+    def descend(f, trace, where):
+        nonlocal resid, prev, rises
+        grad = _quadratic_gradient(obj, f, resid)
         f = f - gamma * grad
         if project_nonneg:
             f = np.maximum(f, 0.0)
-        iterations += 1
-        where = f"gradient descent iteration {iterations}"
-        _check_finite(obj_trace, where, f)
-        current = objective_value(obj, f)
-        _check_finite(obj_trace, where, current)
-        obj_trace.append(current)
-        grad_trace.append(float(np.linalg.norm(grad.ravel())))
-        if current > prev:
-            rises += 1
-            if rises >= 5:
-                raise DivergenceError(
-                    f"objective grew for 5 consecutive iterations (step {gamma:.3e})",
-                    trace=np.asarray(obj_trace),
-                )
-        else:
-            rises = 0
-        if abs(current - prev) <= tol * max(abs(prev), 1e-300):
-            converged = True
-            prev = current
-            break
+        _check_finite(trace, where, f)
+        resid = obj.forward.apply(f) - obj.data
+        current = _objective(obj, f, resid)
+        _check_finite(trace, where, current)
+        rises = rises + 1 if current > prev else 0
+        if rises >= 5:
+            raise DivergenceError(
+                f"objective grew for 5 consecutive iterations (step {gamma:.3e})",
+                trace=np.asarray(trace + [current]),
+            )
+        converged = _settled(prev, current, tol)
         prev = current
+        return f, current, float(np.linalg.norm(grad.ravel())), converged
 
-    return SolveReport(
-        final=f,
-        objective_trace=np.asarray(obj_trace),
-        residual_trace=np.asarray(grad_trace),
-        iterations=iterations,
-        converged=converged,
-        config={
-            "solver": "gradient_descent",
-            "step": "auto" if step == "auto" else gamma,
-            "gamma": gamma,
-            "max_iter": max_iter,
-            "tol": tol,
-            "project_nonneg": project_nonneg,
-            "power_seed": _seed_value(power_seed),
-            "lam": obj.lam,
-        },
-    )
+    config = {
+        "solver": "gradient_descent",
+        "step": "auto" if step == "auto" else gamma,
+        "gamma": gamma,
+        "max_iter": max_iter,
+        "tol": tol,
+        "project_nonneg": project_nonneg,
+        "power_seed": _seed_value(power_seed),
+        "lam": obj.lam,
+    }
+    return _iterate(f, descend, max_iter, "gradient descent", config)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +319,14 @@ def gradient_descent(
 
 
 def _cg_quadratic(
-    apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: int, tol: float, trace=()
+    apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: int, tol: float, trace=(), callback=None
 ):
     """Plain CG for SPD (or consistent PSD) systems; returns (x, it, converged).
 
-    ``trace`` is the caller's objective trace, carried by a DivergenceError
-    when the residual leaves the finite range.
+    Stops once the residual norm is at most ``tol * ||b||``.  ``trace`` is
+    the caller's objective trace, carried by a DivergenceError when the
+    residual leaves the finite range.  ``callback(x, residual_norm)`` runs
+    after every iteration's guard and before its stop test.
     """
     x = x0.copy()
     r = b - apply_a(x)
@@ -294,7 +335,7 @@ def _cg_quadratic(
     _check_finite(trace, "conjugate gradients start", rs)
     bnorm = max(float(np.linalg.norm(b.ravel())), 1e-300)
     it = 0
-    converged = np.sqrt(rs) <= tol * bnorm
+    converged = bool(np.sqrt(rs) <= tol * bnorm)
     while not converged and it < max_iter:
         ap = apply_a(p)
         pap = float(np.vdot(p, ap).real)
@@ -306,9 +347,10 @@ def _cg_quadratic(
         rs_new = float(np.vdot(r, r).real)
         it += 1
         _check_finite(trace, f"conjugate gradients iteration {it}", rs_new, x)
+        if callback is not None:
+            callback(x, np.sqrt(rs_new))
         if np.sqrt(rs_new) <= tol * bnorm:
             converged = True
-            rs = rs_new
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
@@ -326,44 +368,23 @@ def conjugate_gradient_normal(
     On a singular but consistent system the iterates stay in the affine space
     f0 + range(H* H), so the limit keeps the null-space component of the
     start; that behavior is load-bearing for the null-space demonstration.
+    Each iteration's objective costs one forward apply: the fused normal
+    operator never forms ``H p``, so there is no ``H f`` to update instead.
     """
     if obj.penalty != "quadratic":
         raise ValidationError("conjugate_gradient_normal handles the quadratic penalty")
-    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(f0, dtype=np.float64)
-    if f.shape != obj.forward.domain_shape:
-        raise ValidationError("f0 shape does not match the operator domain")
-
-    apply_a = _normal_equations(obj, obj.lam)
-    b = obj.forward.adjoint(obj.data)
-    bnorm = max(float(np.linalg.norm(b.ravel())), 1e-300)
-
-    r = b - apply_a(f)
-    p = r.copy()
-    rs = float(np.vdot(r, r).real)
+    f = _start(obj, f0)
     obj_trace: list[float] = []
     res_trace: list[float] = []
-    _check_finite(obj_trace, "conjugate gradients start", rs)
-    converged = np.sqrt(rs) <= tol * bnorm
-    iterations = 0
-    while not converged and iterations < max_iter:
-        ap = apply_a(p)
-        pap = float(np.vdot(p, ap).real)
-        if pap <= 0.0:
-            raise BreakdownError("conjugate gradients hit a non-positive curvature direction")
-        alpha = rs / pap
-        f = f + alpha * p
-        r = r - alpha * ap
-        rs_new = float(np.vdot(r, r).real)
-        iterations += 1
-        _check_finite(obj_trace, f"conjugate gradients iteration {iterations}", rs_new, f)
-        obj_trace.append(objective_value(obj, f))
-        res_trace.append(float(np.sqrt(rs_new)))
-        if np.sqrt(rs_new) <= tol * bnorm:
-            converged = True
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
 
+    def record(x, residual_norm):
+        obj_trace.append(objective_value(obj, x))
+        res_trace.append(float(residual_norm))
+
+    b = obj.forward.adjoint(obj.data)
+    f, iterations, converged = _cg_quadratic(
+        _normal_equations(obj, obj.lam), b, f, max_iter, tol, obj_trace, record
+    )
     return SolveReport(
         final=f,
         objective_trace=np.asarray(obj_trace),
@@ -563,60 +584,46 @@ def ista(
         raise ValidationError("ista handles the abs penalty")
     if obj.reg_op is not None:
         raise ValidationError("ista requires reg_op = identity (pass None)")
-    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(f0, dtype=np.float64)
-    if f.shape != obj.forward.domain_shape:
-        raise ValidationError("f0 shape does not match the operator domain")
+    f = _start(obj, f0)
     lip = _lipschitz_data(obj.forward, seed=power_seed)
     gamma = 0.9 / lip if lip > 0 else 1.0
     spec = ProxSpec("abs", lam=obj.lam)
 
+    # plain ISTA takes its gradient at f, where the objective already applied H
+    resid = obj.forward.apply(f) - obj.data
+    prev = _objective(obj, f, resid)
     y = f.copy()
-    f_prev = f.copy()
     t = 1.0
-    obj_trace: list[float] = []
-    step_trace: list[float] = []
-    prev = objective_value(obj, f)
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
+
+    def proximal_step(f, trace, where):
+        nonlocal resid, prev, y, t
         point = y if accelerate else f
-        where = f"{'fista' if accelerate else 'ista'} iteration {iterations + 1}"
-        _check_finite(obj_trace, where, point)
-        resid = obj.forward.apply(point) - obj.data
-        _check_finite(obj_trace, where, resid)
+        _check_finite(trace, where, point)
+        if accelerate:
+            resid = obj.forward.apply(point) - obj.data
+        _check_finite(trace, where, resid)
         descent = point - gamma * obj.forward.adjoint(resid)
-        _check_finite(obj_trace, where, descent)
+        _check_finite(trace, where, descent)
         f_new = prox_apply(spec, descent, gamma)
         if accelerate:
             t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             y = f_new + ((t - 1.0) / t_new) * (f_new - f)
             t = t_new
-        f_prev = f
-        f = f_new
-        iterations += 1
-        current = objective_value(obj, f)
-        obj_trace.append(current)
-        step_trace.append(float(np.linalg.norm((f - f_prev).ravel())))
-        if abs(current - prev) <= tol * max(abs(prev), 1e-300):
-            converged = True
-            break
+        resid = obj.forward.apply(f_new) - obj.data
+        current = _objective(obj, f_new, resid)
+        converged = _settled(prev, current, tol)
         prev = current
+        return f_new, current, float(np.linalg.norm((f_new - f).ravel())), converged
 
-    return SolveReport(
-        final=f,
-        objective_trace=np.asarray(obj_trace),
-        residual_trace=np.asarray(step_trace),
-        iterations=iterations,
-        converged=converged,
-        config={
-            "solver": "fista" if accelerate else "ista",
-            "gamma": gamma,
-            "max_iter": max_iter,
-            "tol": tol,
-            "power_seed": _seed_value(power_seed),
-            "lam": obj.lam,
-        },
-    )
+    config = {
+        "solver": "fista" if accelerate else "ista",
+        "gamma": gamma,
+        "max_iter": max_iter,
+        "tol": tol,
+        "power_seed": _seed_value(power_seed),
+        "lam": obj.lam,
+    }
+    return _iterate(f, proximal_step, max_iter, config["solver"], config)
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +653,7 @@ def admm(
         raise ValidationError("admm handles abs, quadratic, or student penalties")
     if not (rho > 0 and np.isfinite(rho)):
         raise ValidationError("rho must be positive and finite")
-    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(f0, dtype=np.float64)
-    if f.shape != obj.forward.domain_shape:
-        raise ValidationError("f0 shape does not match the operator domain")
+    f = _start(obj, f0)
 
     if obj.penalty == "abs":
         spec = ProxSpec("abs", lam=1.0)
@@ -660,50 +665,36 @@ def admm(
 
     apply_a = _normal_equations(obj, rho)
     hg = obj.forward.adjoint(obj.data)
-    lf = obj.reg_apply(f)
-    u = lf.copy()
+    u = obj.reg_apply(f).copy()
     alpha = np.zeros_like(u)
 
-    obj_trace: list[float] = []
-    primal_trace: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
+    def split_step(f, trace, where):
+        nonlocal u, alpha
         rhs = hg + rho * obj.reg_adjoint(u - alpha)
-        f, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol, obj_trace)
+        f, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol, trace)
         lf = obj.reg_apply(f)
         shifted = lf + alpha
-        _check_finite(obj_trace, f"admm iteration {iterations + 1}", shifted)
+        _check_finite(trace, where, shifted)
         u_prev = u
         u = prox_apply(spec, shifted, prox_step)
         alpha = alpha + lf - u
-        iterations += 1
         primal = float(np.linalg.norm((lf - u).ravel()))
         dual = rho * float(np.linalg.norm(obj.reg_adjoint(u - u_prev).ravel()))
-        obj_trace.append(objective_value(obj, f))
-        primal_trace.append(primal)
-        if primal <= tol_primal and dual <= tol_dual:
-            converged = True
-            break
+        value = _objective(obj, f, obj.forward.apply(f) - obj.data, lf)
+        return f, value, primal, primal <= tol_primal and dual <= tol_dual
 
-    return SolveReport(
-        final=f,
-        objective_trace=np.asarray(obj_trace),
-        residual_trace=np.asarray(primal_trace),
-        iterations=iterations,
-        converged=converged,
-        config={
-            "solver": "admm",
-            "rho": rho,
-            "max_iter": max_iter,
-            "tol_primal": tol_primal,
-            "tol_dual": tol_dual,
-            "inner_iter": inner_iter,
-            "inner_tol": inner_tol,
-            "lam": obj.lam,
-            "penalty": obj.penalty,
-        },
-    )
+    config = {
+        "solver": "admm",
+        "rho": rho,
+        "max_iter": max_iter,
+        "tol_primal": tol_primal,
+        "tol_dual": tol_dual,
+        "inner_iter": inner_iter,
+        "inner_tol": inner_tol,
+        "lam": obj.lam,
+        "penalty": obj.penalty,
+    }
+    return _iterate(f, split_step, max_iter, "admm", config)
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +707,7 @@ class SweepResult:
     rows: list
     best_lambda: float
     best_snr: float
+    best_estimate: np.ndarray
 
 
 def lambda_sweep(
@@ -726,7 +718,8 @@ def lambda_sweep(
     """Run a solver at each weight and score against the ground truth.
 
     ``run`` maps a weight to a reconstruction; determinism is inherited from
-    the callable (seed it).  Returns the per-weight SNR table and the argmax.
+    the callable (seed it).  Returns the per-weight SNR table, the argmax
+    (the first weight on a tie) and the reconstruction it produced.
     """
     lams = [float(l) for l in lambdas]
     if not lams:
@@ -735,8 +728,12 @@ def lambda_sweep(
         if not (lam >= 0 and np.isfinite(lam)):
             raise ValidationError("sweep weights must be finite and >= 0")
     rows = []
+    best = None  # (lam, snr, estimate); a tie keeps the earlier weight
     for lam in lams:
         estimate = run(lam)
-        rows.append((lam, snr_db(truth, estimate)))
-    best_lambda, best_snr = max(rows, key=lambda row: row[1])
-    return SweepResult(rows=rows, best_lambda=best_lambda, best_snr=best_snr)
+        snr = snr_db(truth, estimate)
+        rows.append((lam, snr))
+        if best is None or snr > best[1]:
+            best = (lam, snr, estimate)
+    lam, snr, estimate = best
+    return SweepResult(rows=rows, best_lambda=lam, best_snr=snr, best_estimate=estimate)

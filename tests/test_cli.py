@@ -249,6 +249,50 @@ class TestReconstruct:
         assert "diagnostic" in err and "config error" not in err
 
 
+    @pytest.mark.parametrize(
+        "rho, iterations, converged",
+        [
+            ("1e-300", 200, False),  # runs out of iterations far from the data
+            ("1e300", 1, True),  # the stop test holds at once, at f = 0
+        ],
+    )
+    def test_extreme_rho_reports_iterations_and_convergence(
+        self, tmp_path, rho, iterations, converged
+    ):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        rec = tmp_path / "rec"
+        code = main(
+            [
+                "reconstruct", "--data", str(sim), "--out", str(rec),
+                "--solver", "admm_tv", "--lam", "0.1", "--rho", rho,
+            ]
+        )
+        assert code == 0
+        rows = dict(
+            line.split(",") for line in (rec / "metrics.csv").read_text().splitlines()[1:]
+        )
+        manifest = json.loads((rec / "manifest.json").read_text())
+        assert rows["iterations"] == str(iterations)
+        assert rows["converged"] == ("true" if converged else "false")
+        assert manifest["iterations"] == iterations
+        assert manifest["converged"] is converged
+
+
+class TestFbpVsTv:
+    def test_manifest_reports_the_solve_and_metrics_only_snrs(self, tmp_path):
+        out = tmp_path / "fvt"
+        code = main(
+            ["fbp-vs-tv", "--size", "32", "--angles", "8", "--max-iter", "3", "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["iterations"] == 3
+        assert manifest["converged"] is False
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["fbp", "tv_admm"]
+
+
 class TestStudyCommands:
     def test_compress_study_keeping_everything_is_lossless(self, tmp_path):
         out = tmp_path / "cs"

@@ -14,7 +14,6 @@ from reconkit import (
     EllipsePhantom,
     GridImage,
     Mask,
-    Metric,
     RadonGeometry,
     ValidationError,
     airy_psf,
@@ -225,11 +224,6 @@ class TestMetrics:
             snr_db(np.zeros(3), np.zeros(4))
         with pytest.raises(ValidationError):
             mse(np.zeros(3), np.zeros((3, 1)))
-
-    def test_metric_kind_validated(self):
-        Metric("snr_db", 12.0)
-        with pytest.raises(ValidationError):
-            Metric("psnr", 12.0)
 
 
 class TestCompressibility:

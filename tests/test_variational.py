@@ -153,6 +153,31 @@ class TestGradientDescent:
             gradient_descent(obj, step=-1.0)
 
 
+class TestForwardApplyCount:
+    @pytest.mark.parametrize(
+        "solve, penalty",
+        [
+            (lambda obj: gradient_descent(obj, max_iter=20, tol=0.0), "quadratic"),
+            (lambda obj: ista(obj, max_iter=20, tol=0.0), "abs"),
+        ],
+        ids=["gradient_descent", "ista"],
+    )
+    def test_one_forward_apply_per_iteration(self, solve, penalty):
+        # the gradient reuses the residual H f - g of the previous objective
+        h, g = dense_instance(12, 10, 130)
+        applies = []
+
+        def forward(x):
+            applies.append(1)
+            return h @ x
+
+        counting = LinearMap((10,), (12,), forward, lambda y: h.T @ y, name="counting")
+        rep = solve(Objective(forward=counting, data=g, penalty=penalty, lam=0.1))
+        assert rep.iterations == 20
+        power_iterations, start_objective = 50, 1
+        assert len(applies) == power_iterations + start_objective + rep.iterations
+
+
 class TestConjugateGradient:
     def test_matches_dense_solve(self):
         h, g = dense_instance(32, 32, 120, ridge=2.0)
@@ -532,6 +557,28 @@ class TestLambdaSweep:
         b = lambda_sweep(run, img.data, [0.01, 0.1])
         assert a.best_lambda == b.best_lambda
         assert all(ra == rb for ra, rb in zip(a.rows, b.rows))
+
+    def test_best_estimate_is_the_best_weights_reconstruction(self):
+        img = shepp_logan(32)
+        deg = degrade(img, gaussian_kernel(5, 1.0), Mask.random((32, 32), 0.5, seed=21), 0.1, 22)
+        grad = op_grad((32, 32))
+
+        def run(lam):
+            obj = Objective(
+                forward=deg.op, data=deg.measurements, penalty="quadratic",
+                lam=lam, reg_op=grad,
+            )
+            return conjugate_gradient_normal(obj, max_iter=100, tol=1e-8).final
+
+        res = lambda_sweep(run, img.data, [0.001, 0.03, 1.0])
+        assert res.best_lambda == 0.03
+        assert np.array_equal(res.best_estimate, run(res.best_lambda))
+
+    def test_tie_keeps_the_first_weight(self):
+        estimates = {0.1: np.zeros(2), 0.2: np.zeros(2), 0.3: np.full(2, 5.0)}
+        res = lambda_sweep(lambda lam: estimates[lam], np.ones(2), [0.1, 0.2, 0.3])
+        assert res.best_lambda == 0.1
+        assert res.best_estimate is estimates[0.1]
 
     def test_interior_weight_beats_endpoints(self):
         img = shepp_logan(32)
