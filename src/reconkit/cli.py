@@ -7,6 +7,14 @@ configuration, the seeds it used, and the package version into
 ``manifest.json`` in the output directory, and writes canonical float
 rasters (see ``reconkit.io``) next to PGM previews and CSV metric tables.
 
+Each choice is declared once, and the parser, the config check and the
+commands read it there: ``_COMMANDS`` (subcommand -> help and its flags beyond
+``--config``/``--out``/``--seed``; the handler of ``a-b`` is ``cmd_a_b``),
+``_FLAGS`` (flag -> the config path it overrides, or ``None`` for a flag the
+command reads itself, and its argparse options), and ``_SOLVERS``, ``_BLURS``
+and ``_TRANSFORMS`` (the kinds behind ``--solver``, ``--blur`` and
+``--transform``).  ``_write_outputs`` writes every command's files.
+
 Exit codes: 0 on success, 2 for a malformed configuration, 3 for a numerical
 failure (a diagnostic trace is written and its path printed).
 
@@ -88,7 +96,7 @@ class PhantomConfig:
 
 @dataclass
 class DegradationConfig:
-    blur: str = "gaussian"  # gaussian | airy | none
+    blur: str = "gaussian"  # a key of _BLURS
     blur_size: int = 5
     blur_sigma: float = 1.0
     airy_cutoff: float = 0.2
@@ -125,7 +133,7 @@ class ExperimentConfig:
     degradation: DegradationConfig = field(default_factory=DegradationConfig)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    transform: str = "haar"  # haar | dct8 | dft | all
+    transform: str = "haar"  # a name in _TRANSFORMS, or "all"
     keep_fractions: list = field(default_factory=lambda: [0.01, 0.05, 0.1, 0.25])
     levels: int = 4
     out_dir: str = "out"
@@ -142,9 +150,6 @@ class ExperimentConfig:
     def power_seed(self) -> int:
         s = self.solver.power_seed
         return self.seed * 1000 + 3 if s is None else s
-
-
-_PRIMITIVES = (int, float, str, bool)
 
 
 def _coerce(value, typ, path):
@@ -235,46 +240,12 @@ def load_config(args, base: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-_FLAG_PATHS = {
-    "size": ("phantom", "size"),
-    "mask_fraction": ("degradation", "mask_fraction"),
-    "snr_db": ("degradation", "noise_snr_db"),
-    "sigma": ("degradation", "noise_sigma"),
-    "blur": ("degradation", "blur"),
-    "angles": ("geometry", "n_angles"),
-    "solver": ("solver", "kind"),
-    "lam": ("solver", "lam"),
-    "lambdas": ("solver", "lambdas"),
-    "rho": ("solver", "rho"),
-    "max_iter": ("solver", "max_iter"),
-    "step": ("solver", "step"),
-    "transform": ("transform",),
-    "fractions": ("keep_fractions",),
-    "levels": ("levels",),
-    "out": ("out_dir",),
-    "seed": ("seed",),
-}
-
-
-def _flag_patch(args) -> dict:
-    patch: dict = {}
-    for flag, path in _FLAG_PATHS.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        node = patch
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
-    return patch
-
-
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.phantom.kind != "shepp_logan":
         raise ConfigError(f"phantom.kind {cfg.phantom.kind!r} is not supported")
     if cfg.phantom.size < 32:
         raise ConfigError("phantom.size must be >= 32")
-    if cfg.degradation.blur not in ("gaussian", "airy", "none"):
+    if cfg.degradation.blur not in _BLURS:
         raise ConfigError(f"degradation.blur {cfg.degradation.blur!r} is not supported")
     if not 0.0 < cfg.degradation.mask_fraction <= 1.0:
         raise ConfigError("degradation.mask_fraction must lie in (0, 1]")
@@ -284,7 +255,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("solver.lam must be >= 0")
     if cfg.solver.step is not None and not cfg.solver.step > 0:
         raise ConfigError("solver.step must be > 0 when given")
-    if cfg.transform not in ("haar", "dct8", "dft", "all"):
+    if cfg.transform not in (*_TRANSFORMS, "all"):
         raise ConfigError(f"transform {cfg.transform!r} is not supported")
     for fr in cfg.keep_fractions:
         if not isinstance(fr, (int, float)) or not 0.0 < float(fr) <= 1.0:
@@ -296,19 +267,21 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _blur_kernel(cfg: ExperimentConfig) -> np.ndarray:
-    deg = cfg.degradation
-    if deg.blur == "gaussian":
-        return gaussian_kernel(deg.blur_size, deg.blur_sigma)
-    if deg.blur == "airy":
-        return airy_psf(deg.blur_size, deg.airy_cutoff).data
-    return np.array([[1.0]])
+# degradation.blur -> kernel builder from the degradation section
+_BLURS = {
+    "gaussian": lambda deg: gaussian_kernel(deg.blur_size, deg.blur_sigma),
+    "airy": lambda deg: airy_psf(deg.blur_size, deg.airy_cutoff).data,
+    "none": lambda deg: np.array([[1.0]]),
+}
+
+# the transforms compress-study tabulates; "all" runs each in this order
+_TRANSFORMS = ("haar", "dct8", "dft")
 
 
 def _simulate(cfg: ExperimentConfig):
     """Phantom, blur, mask, and noise per the config; returns truth and data."""
     truth = shepp_logan(cfg.phantom.size)
-    kernel = _blur_kernel(cfg)
+    kernel = _BLURS[cfg.degradation.blur](cfg.degradation)
     mask = Mask.random(truth.data.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
     if cfg.degradation.noise_sigma is not None:
         sigma = float(cfg.degradation.noise_sigma)
@@ -326,36 +299,41 @@ def _simulate(cfg: ExperimentConfig):
     return truth, kernel, data
 
 
-def _seed_block(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "mask_seed": cfg.mask_seed(),
-        "noise_seed": cfg.noise_seed(),
-        "power_seed": cfg.power_seed(),
-    }
+def _write_outputs(cfg: ExperimentConfig, command: str, images=(), tables=(), extra=None):
+    """Write a command's files into ``cfg.out_dir``, then its manifest.
 
-
-def _manifest(cfg: ExperimentConfig, command: str, outputs: list[str], extra: dict | None = None):
+    ``images`` holds ``(name, array)`` rasters; each 2-D one also gets a PGM
+    preview and a ``windows`` entry with its display range.  ``tables`` holds
+    ``(file name, header, rows)`` CSV tables.  ``extra`` adds manifest keys.
+    """
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    outputs: list[str] = []
+    windows: dict = {}
+    for name, data in images:
+        base = os.path.join(cfg.out_dir, name)
+        outputs += write_raster(base, data)
+        if np.ndim(data) == 2:
+            windows[name] = list(write_pgm(base + ".pgm", data))
+            outputs.append(base + ".pgm")
+    for name, header, rows in tables:
+        write_csv(os.path.join(cfg.out_dir, name), header, rows)
+        outputs.append(name)
     payload = {
         "command": command,
         "version": __version__,
         "config": config_to_dict(cfg),
-        "seeds": _seed_block(cfg),
+        "seeds": {
+            "seed": cfg.seed,
+            "mask_seed": cfg.mask_seed(),
+            "noise_seed": cfg.noise_seed(),
+            "power_seed": cfg.power_seed(),
+        },
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    if extra:
-        payload.update(extra)
-    path = os.path.join(cfg.out_dir, "manifest.json")
-    write_manifest(path, payload)
-    return path
-
-
-def _emit_image(out_dir: str, name: str, data, windows: dict) -> list[str]:
-    base = os.path.join(out_dir, name)
-    paths = write_raster(base, data)
-    lo, hi = write_pgm(base + ".pgm", np.atleast_2d(np.asarray(data)))
-    windows[name] = [lo, hi]
-    return paths + [base + ".pgm"]
+    if windows:
+        payload["windows"] = windows
+    payload.update(extra or {})
+    write_manifest(os.path.join(cfg.out_dir, "manifest.json"), payload)
 
 
 def _cg_tikhonov(cfg: ExperimentConfig, forward, data, shape, lam: float) -> SolveReport:
@@ -414,38 +392,32 @@ _SOLVERS = {
 
 def cmd_phantom(args) -> int:
     cfg = load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     truth = shepp_logan(cfg.phantom.size)
-    windows: dict = {}
-    outputs = _emit_image(cfg.out_dir, "phantom", truth.data, windows)
-    outputs.append(_manifest(cfg, "phantom", outputs, {"windows": windows}))
+    _write_outputs(cfg, "phantom", images=[("phantom", truth.data)])
     print(f"phantom: wrote {cfg.phantom.size}x{cfg.phantom.size} head phantom to {cfg.out_dir}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     truth, kernel, data = _simulate(cfg)
-    windows: dict = {}
-    outputs = []
-    outputs += _emit_image(cfg.out_dir, "truth", truth.data, windows)
-    outputs += _emit_image(cfg.out_dir, "kernel", kernel, windows)
-    outputs += _emit_image(cfg.out_dir, "mask", data.mask.to_bool().astype(np.float64), windows)
-    outputs += write_raster(os.path.join(cfg.out_dir, "measurements"), data.measurements)
-    metrics = os.path.join(cfg.out_dir, "metrics.csv")
-    write_csv(
-        metrics,
-        ["metric", "value"],
-        [
-            ("measurement_snr_db", data.measurement_snr_db),
-            ("noise_sigma", data.sigma),
-            ("kept_entries", data.mask.count),
-        ],
-    )
-    outputs.append(metrics)
-    outputs.append(
-        _manifest(cfg, "simulate", outputs, {"windows": windows, "noise_sigma": data.sigma})
+    images = [
+        ("truth", truth.data),
+        ("kernel", kernel),
+        ("mask", data.mask.to_bool().astype(np.float64)),
+        ("measurements", data.measurements),
+    ]
+    rows = [
+        ("measurement_snr_db", data.measurement_snr_db),
+        ("noise_sigma", data.sigma),
+        ("kept_entries", data.mask.count),
+    ]
+    _write_outputs(
+        cfg,
+        "simulate",
+        images=images,
+        tables=[("metrics.csv", ["metric", "value"], rows)],
+        extra={"noise_sigma": data.sigma},
     )
     print(
         f"simulate: {data.mask.count} measurements at "
@@ -461,34 +433,30 @@ def cmd_reconstruct(args) -> int:
     kernel = read_raster(os.path.join(data_dir, "kernel"))
     mask = Mask.from_bool(read_raster(os.path.join(data_dir, "mask")) > 0.5)
     measurements = read_raster(os.path.join(data_dir, "measurements")).ravel()
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     forward = op_compose(
         op_mask(mask), op_convolve(embed_kernel(kernel, truth.shape), "circular")
     )
     report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
     recon = report.final
-
-    windows: dict = {}
-    outputs = _emit_image(cfg.out_dir, "recon", recon, windows)
-    metrics = os.path.join(cfg.out_dir, "metrics.csv")
-    write_csv(
-        metrics,
-        ["metric", "value"],
-        [
-            ("snr_db", snr_db(truth, recon)),
-            ("lam", cfg.solver.lam),
-            ("solver", cfg.solver.kind),
-            ("iterations", report.iterations),
-            ("converged", report.converged),
-        ],
+    snr = snr_db(truth, recon)
+    rows = [
+        ("snr_db", snr),
+        ("lam", cfg.solver.lam),
+        ("solver", cfg.solver.kind),
+        ("iterations", report.iterations),
+        ("converged", report.converged),
+    ]
+    _write_outputs(
+        cfg,
+        "reconstruct",
+        images=[("recon", recon)],
+        tables=[("metrics.csv", ["metric", "value"], rows)],
+        extra={"iterations": report.iterations, "converged": report.converged},
     )
-    outputs.append(metrics)
-    solve = {"windows": windows, "iterations": report.iterations, "converged": report.converged}
-    outputs.append(_manifest(cfg, "reconstruct", outputs, solve))
     status = "converged" if report.converged else "did not converge"
     print(
-        f"reconstruct: {cfg.solver.kind} lam={cfg.solver.lam:g} snr={snr_db(truth, recon):.2f} dB, "
+        f"reconstruct: {cfg.solver.kind} lam={cfg.solver.lam:g} snr={snr:.2f} dB, "
         f"{report.iterations} iterations, {status}"
     )
     return 0
@@ -498,16 +466,14 @@ def cmd_compress_study(args) -> int:
     from .phantoms import compressibility_study
 
     cfg = load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     img = shepp_logan(cfg.phantom.size)
-    names = ["haar", "dct8", "dft"] if cfg.transform == "all" else [cfg.transform]
+    names = _TRANSFORMS if cfg.transform == "all" else [cfg.transform]
     rows = []
     for name in names:
         for fr, snr in compressibility_study(img, name, cfg.keep_fractions, cfg.levels):
             rows.append((name, fr, snr))
-    metrics = os.path.join(cfg.out_dir, "metrics.csv")
-    write_csv(metrics, ["transform", "keep_fraction", "snr_db"], rows)
-    _manifest(cfg, "compress-study", [metrics])
+    header = ["transform", "keep_fraction", "snr_db"]
+    _write_outputs(cfg, "compress-study", tables=[("metrics.csv", header, rows)])
     for name, fr, snr in rows:
         print(f"compress-study: {name} keep={fr:g} snr={snr:.2f} dB")
     return 0
@@ -515,7 +481,6 @@ def cmd_compress_study(args) -> int:
 
 def cmd_compare_l2_l1(args) -> int:
     cfg = load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     truth, kernel, data = _simulate(cfg)
     lambdas = cfg.solver.lambdas or [0.003, 0.01, 0.03, 0.1, 0.3]
 
@@ -530,26 +495,26 @@ def cmd_compare_l2_l1(args) -> int:
 
     rows = [("l2_grad", lam, snr) for lam, snr in sweep_l2.rows]
     rows += [("l1_tv", lam, snr) for lam, snr in sweep_l1.rows]
-    metrics = os.path.join(cfg.out_dir, "metrics.csv")
-    write_csv(metrics, ["solver", "lambda", "snr_db"], rows)
-    summary = os.path.join(cfg.out_dir, "summary.csv")
     gap = sweep_l1.best_snr - sweep_l2.best_snr
-    write_csv(
-        summary,
-        ["solver", "best_lambda", "best_snr_db"],
-        [
-            ("l2_grad", sweep_l2.best_lambda, sweep_l2.best_snr),
-            ("l1_tv", sweep_l1.best_lambda, sweep_l1.best_snr),
-            ("gap_db", "", gap),
+    summary = [
+        ("l2_grad", sweep_l2.best_lambda, sweep_l2.best_snr),
+        ("l1_tv", sweep_l1.best_lambda, sweep_l1.best_snr),
+        ("gap_db", "", gap),
+    ]
+    _write_outputs(
+        cfg,
+        "compare-l2-l1",
+        images=[
+            ("truth", truth.data),
+            ("recon_l2", sweep_l2.best_estimate),
+            ("recon_l1", sweep_l1.best_estimate),
         ],
+        tables=[
+            ("metrics.csv", ["solver", "lambda", "snr_db"], rows),
+            ("summary.csv", ["solver", "best_lambda", "best_snr_db"], summary),
+        ],
+        extra={"gap_db": gap},
     )
-
-    windows: dict = {}
-    outputs = [metrics, summary]
-    outputs += _emit_image(cfg.out_dir, "truth", truth.data, windows)
-    outputs += _emit_image(cfg.out_dir, "recon_l2", sweep_l2.best_estimate, windows)
-    outputs += _emit_image(cfg.out_dir, "recon_l1", sweep_l1.best_estimate, windows)
-    outputs.append(_manifest(cfg, "compare-l2-l1", outputs, {"windows": windows, "gap_db": gap}))
     print(
         f"compare-l2-l1: l2 best {sweep_l2.best_snr:.2f} dB (lam={sweep_l2.best_lambda:g}), "
         f"l1 best {sweep_l1.best_snr:.2f} dB (lam={sweep_l1.best_lambda:g}), gap {gap:.2f} dB"
@@ -568,7 +533,6 @@ _FBP_VS_TV_BASE = {
 
 def cmd_fbp_vs_tv(args) -> int:
     cfg = load_config(args, base=_FBP_VS_TV_BASE)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     size = cfg.phantom.size
     n_det = cfg.geometry.n_detectors or size
     geom = RadonGeometry(cfg.geometry.n_angles, n_det, cfg.geometry.detector_pitch)
@@ -581,20 +545,14 @@ def cmd_fbp_vs_tv(args) -> int:
     snr_fbp = snr_db(truth.data, fbp_img.data)
     snr_tv = snr_db(truth.data, tv.final)
 
-    windows: dict = {}
-    outputs = _emit_image(cfg.out_dir, "truth", truth.data, windows)
-    outputs += _emit_image(cfg.out_dir, "recon_fbp", fbp_img.data, windows)
-    outputs += _emit_image(cfg.out_dir, "recon_tv", tv.final, windows)
-    metrics = os.path.join(cfg.out_dir, "metrics.csv")
-    write_csv(
-        metrics,
-        ["method", "snr_db"],
-        [("fbp", snr_fbp), ("tv_admm", snr_tv)],
+    _write_outputs(
+        cfg,
+        "fbp-vs-tv",
+        images=[("truth", truth.data), ("recon_fbp", fbp_img.data), ("recon_tv", tv.final)],
+        tables=[("metrics.csv", ["method", "snr_db"], [("fbp", snr_fbp), ("tv_admm", snr_tv)])],
+        # iterations and converged stay out of metrics.csv, whose rows are all SNRs
+        extra={"iterations": tv.iterations, "converged": tv.converged},
     )
-    outputs.append(metrics)
-    # iterations and converged stay out of metrics.csv, whose rows are all SNRs
-    solve = {"windows": windows, "iterations": tv.iterations, "converged": tv.converged}
-    outputs.append(_manifest(cfg, "fbp-vs-tv", outputs, solve))
     print(
         f"fbp-vs-tv: {cfg.geometry.n_angles} views, fbp {snr_fbp:.2f} dB, "
         f"tv {snr_tv:.2f} dB"
@@ -611,34 +569,32 @@ def cmd_nullspace_demo(args) -> int:
         sol_s = "(" + ", ".join(f"{v:7.4f}" for v in sol) + ")"
         print(f"{init_s:15s} {sol_s:27s} {sse:.6f}")
     if getattr(args, "out", None):
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        metrics = os.path.join(cfg.out_dir, "metrics.csv")
+        header = ["run", "f0_1", "f0_2", "f0_3", "f_1", "f_2", "f_3", "sse"]
         rows = [
             (i, *report.inits[i], *report.solutions[i], report.sse[i])
             for i in range(len(report.sse))
         ]
-        write_csv(
-            metrics,
-            ["run", "f0_1", "f0_2", "f0_3", "f_1", "f_2", "f_3", "sse"],
-            rows,
-        )
-        _manifest(cfg, "nullspace-demo", [metrics])
+        _write_outputs(cfg, "nullspace-demo", tables=[("metrics.csv", header, rows)])
     return 0
 
 
 def _selftest_cases():
+    """Every operator kind as ``(name, operator, dot-test tolerance)``.
+
+    ``selftest``, the operator dot-test acceptance gate and the normal-operator
+    tests all read this one list.
+    """
     from .grids import normal_stream
 
     shape = (16, 16)
     kernel = embed_kernel(gaussian_kernel(5, 1.0), shape)
-    weights_c = (
-        normal_stream(256, 1.0, 11).reshape(shape) + 1j * normal_stream(256, 1.0, 12).reshape(shape)
-    )
+    w_real, w_other, w_imag = (normal_stream(256, 1.0, s).reshape(shape) for s in (10, 11, 12))
     mask = Mask.random(shape, 0.3, seed=3)
     cases = [
         ("mask", op_mask(mask), 1e-10),
-        ("multiply_real", op_multiply(normal_stream(256, 1.0, 10).reshape(shape)), 1e-10),
-        ("multiply_complex", op_multiply(weights_c), 1e-10),
+        ("multiply_real", op_multiply(w_real), 1e-10),
+        ("multiply_complex", op_multiply(w_other + 1j * w_imag), 1e-10),
+        ("multiply_real_plus_imag", op_multiply(w_real + 1j * w_imag), 1e-10),
         ("convolve_circular", op_convolve(kernel, "circular"), 1e-6),
         (
             "convolve_linear",
@@ -648,42 +604,51 @@ def _selftest_cases():
         ("grad", op_grad(shape), 1e-10),
         ("dft2", op_dft2(shape), 1e-6),
         ("radon", op_radon(RadonGeometry(12, 16), shape), 1e-6),
+        ("radon_24", op_radon(RadonGeometry(30, 33, 0.7), (24, 24)), 1e-6),
+        ("radon_32", op_radon(RadonGeometry(45, 24, 1.3), (32, 32)), 1e-6),
         ("mask_dft2", op_compose(op_mask(mask, complex_field=True), op_dft2(shape)), 1e-6),
         ("mask_convolve", op_compose(op_mask(mask), op_convolve(kernel, "circular")), 1e-6),
     ]
+    compositions = [
+        lambda m, c, w: op_compose(op_mask(m), op_convolve(c)),
+        lambda m, c, w: op_compose(op_convolve(c), op_multiply(w)),
+        lambda m, c, w: op_compose(op_mask(m, complex_field=True), op_dft2(shape)),
+        lambda m, c, w: op_compose(op_multiply(w), op_convolve(c)),
+        lambda m, c, w: op_compose(op_compose(op_mask(m), op_convolve(c)), op_multiply(w)),
+    ]
+    for k, build in enumerate(compositions):
+        m_k = Mask.random(shape, 0.2 + 0.1 * k, seed=70 + k)
+        c_k = embed_kernel(gaussian_kernel(3 + 2 * (k % 2), 0.5 + 0.3 * k), shape)
+        w_k = normal_stream(256, 1.0, 80 + k).reshape(shape) + 0.1
+        cases.append((f"compose_{k}", build(m_k, c_k, w_k), 1e-6))
     return cases
 
 
-def cmd_selftest(args) -> int:
-    failures = []
+def _selftest_checks():
+    """Yield ``(name, passed, line)`` for each selftest check."""
     for name, op, tol in _selftest_cases():
         err = dot_test(op, trials=25, seed=100)
-        status = "ok" if err <= tol else "FAIL"
-        print(f"selftest: {status} dot_test[{name}] err={err:.3e} tol={tol:.0e}")
-        if err > tol:
-            failures.append(name)
+        yield name, err <= tol, f"dot_test[{name}] err={err:.3e} tol={tol:.0e}"
 
     img = shepp_logan(64)
     fsc = fourier_slice_check(img, np.pi / 6)
-    status = "ok" if fsc < 3e-2 else "FAIL"
-    print(f"selftest: {status} fourier_slice err={fsc:.3e} tol=3e-02")
-    if fsc >= 3e-2:
-        failures.append("fourier_slice")
+    yield "fourier_slice", fsc < 3e-2, f"fourier_slice err={fsc:.3e} tol=3e-02"
 
     x = np.linspace(-2, 2, 9)
     soft = prox_apply(ProxSpec("abs", lam=1.0), x, 0.5)
     manual = np.sign(x) * np.maximum(np.abs(x) - 0.5, 0.0)
-    ok = np.allclose(soft, manual, atol=1e-12)
-    print(f"selftest: {'ok' if ok else 'FAIL'} prox_abs")
-    if not ok:
-        failures.append("prox_abs")
+    yield "prox_abs", np.allclose(soft, manual, atol=1e-12), "prox_abs"
 
     rt = idft2(dft2(img)).data.real
-    ok = np.allclose(rt, img.data, atol=1e-10)
-    print(f"selftest: {'ok' if ok else 'FAIL'} dft_roundtrip")
-    if not ok:
-        failures.append("dft_roundtrip")
+    yield "dft_roundtrip", np.allclose(rt, img.data, atol=1e-10), "dft_roundtrip"
 
+
+def cmd_selftest(args) -> int:
+    failures = []
+    for name, passed, line in _selftest_checks():
+        print(f"selftest: {'ok' if passed else 'FAIL'} {line}")
+        if not passed:
+            failures.append(name)
     if failures:
         print(f"selftest: {len(failures)} failure(s): {', '.join(failures)}", file=sys.stderr)
         return 3
@@ -703,73 +668,85 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="experiment seed (default 0)")
+# flag -> (config path it overrides, argparse options); a None path marks a
+# flag the command reads itself.  The argparse dest is the flag's name with
+# dashes turned into underscores.
+_FLAGS = {
+    "--config": (None, {"help": "JSON config file; flags override its values"}),
+    "--out": (("out_dir",), {"help": "output directory"}),
+    "--seed": (("seed",), {"type": int, "help": "experiment seed (default 0)"}),
+    "--data": (None, {"help": "directory holding simulate outputs (default: out dir)"}),
+    "--size": (("phantom", "size"), {"type": int}),
+    "--mask-fraction": (("degradation", "mask_fraction"), {"type": float}),
+    "--snr-db": (("degradation", "noise_snr_db"), {"type": float}),
+    "--sigma": (("degradation", "noise_sigma"), {"type": float}),
+    "--blur": (("degradation", "blur"), {"choices": list(_BLURS)}),
+    "--angles": (("geometry", "n_angles"), {"type": int}),
+    "--solver": (("solver", "kind"), {"choices": list(_SOLVERS)}),
+    "--lam": (("solver", "lam"), {"type": float}),
+    "--lambdas": (("solver", "lambdas"), {"type": _float_list}),
+    "--rho": (("solver", "rho"), {"type": float}),
+    "--max-iter": (("solver", "max_iter"), {"type": int}),
+    "--step": (
+        ("solver", "step"),
+        {"type": float, "help": "fixed gradient-descent step (default: auto)"},
+    ),
+    "--transform": (("transform",), {"choices": [*_TRANSFORMS, "all"]}),
+    "--fractions": (("keep_fractions",), {"type": _float_list}),
+    "--levels": (("levels",), {"type": int}),
+}
+
+# subcommand -> (help, the flags it takes beyond --config, --out and --seed).
+# The handler of "name-x" is cmd_name_x, looked up when the parser is built
+# so that a wrapper installed on this module runs in its place.
+_COMMANDS = {
+    "phantom": ("render the head phantom", ("--size",)),
+    "simulate": (
+        "blur + mask + noise measurements",
+        ("--size", "--mask-fraction", "--snr-db", "--sigma", "--blur"),
+    ),
+    "reconstruct": (
+        "solve for the image behind measurements",
+        ("--data", "--solver", "--lam", "--rho", "--max-iter", "--step"),
+    ),
+    "compress-study": (
+        "transform-domain compressibility table",
+        ("--size", "--transform", "--fractions", "--levels"),
+    ),
+    "compare-l2-l1": (
+        "smooth vs sparse regularization, swept",
+        ("--size", "--mask-fraction", "--snr-db", "--lambdas", "--max-iter"),
+    ),
+    "fbp-vs-tv": (
+        "few-view tomography: direct vs variational",
+        ("--size", "--angles", "--lam", "--max-iter"),
+    ),
+    "nullspace-demo": ("one system, three equally good answers", ()),
+    "selftest": ("adjoint and invariant spot checks", ()),
+}
+
+
+def _flag_patch(args) -> dict:
+    patch: dict = {}
+    for flag, (path, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None or value is None:
+            continue
+        node = patch
+        for part in path[:-1]:
+            node = node.setdefault(part, {})
+        node[path[-1]] = value
+    return patch
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reconkit", description=__doc__.split("\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("phantom", help="render the head phantom")
-    _add_common(p)
-    p.add_argument("--size", type=int)
-    p.set_defaults(fn=cmd_phantom)
-
-    p = subs.add_parser("simulate", help="blur + mask + noise measurements")
-    _add_common(p)
-    p.add_argument("--size", type=int)
-    p.add_argument("--mask-fraction", dest="mask_fraction", type=float)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--blur", choices=["gaussian", "airy", "none"])
-    p.set_defaults(fn=cmd_simulate)
-
-    p = subs.add_parser("reconstruct", help="solve for the image behind measurements")
-    _add_common(p)
-    p.add_argument("--data", help="directory holding simulate outputs (default: out dir)")
-    p.add_argument("--solver", choices=list(_SOLVERS))
-    p.add_argument("--lam", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--step", type=float, help="fixed gradient-descent step (default: auto)")
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = subs.add_parser("compress-study", help="transform-domain compressibility table")
-    _add_common(p)
-    p.add_argument("--size", type=int)
-    p.add_argument("--transform", choices=["haar", "dct8", "dft", "all"])
-    p.add_argument("--fractions", dest="fractions", type=_float_list)
-    p.add_argument("--levels", type=int)
-    p.set_defaults(fn=cmd_compress_study)
-
-    p = subs.add_parser("compare-l2-l1", help="smooth vs sparse regularization, swept")
-    _add_common(p)
-    p.add_argument("--size", type=int)
-    p.add_argument("--mask-fraction", dest="mask_fraction", type=float)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--lambdas", type=_float_list)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(fn=cmd_compare_l2_l1)
-
-    p = subs.add_parser("fbp-vs-tv", help="few-view tomography: direct vs variational")
-    _add_common(p)
-    p.add_argument("--size", type=int)
-    p.add_argument("--angles", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(fn=cmd_fbp_vs_tv)
-
-    p = subs.add_parser("nullspace-demo", help="one system, three equally good answers")
-    _add_common(p)
-    p.set_defaults(fn=cmd_nullspace_demo)
-
-    p = subs.add_parser("selftest", help="adjoint and invariant spot checks")
-    _add_common(p)
-    p.set_defaults(fn=cmd_selftest)
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for flag in ("--config", "--out", "--seed", *flags):
+            sub.add_argument(flag, **_FLAGS[flag][1])
+        sub.set_defaults(fn=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 
@@ -778,10 +755,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, BreakdownError, SingularityError) as exc:

@@ -245,7 +245,7 @@ def op_mask(mask: Mask, *, complex_field: bool = False) -> LinearMap:
     keep = mask.to_bool()
 
     def forward(x):
-        return x.ravel()[idx].copy()
+        return x.ravel()[idx]
 
     def backward(y):
         out = np.zeros(h * w, dtype=np.complex128 if complex_field else np.float64)
@@ -599,28 +599,27 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
 
     merged = n_angles * n_det * span <= _RADON_CACHE_BUDGET
 
+    def blocks():
+        # (rows of the flattened sinogram, indices, weights): the whole cached
+        # table as one block under the budget, else one rebuilt view at a time
+        if merged:
+            yield (slice(None), *full_stencil())
+            return
+        for a in range(n_angles):
+            yield (slice(a * n_det, (a + 1) * n_det), *view_stencil(a))
+
     def forward(x):
         flat = x.ravel()
-        if merged:
-            idx, wgt = full_stencil()
-            vals = np.einsum("cks,cks->k", wgt, flat[idx])
-            return vals.reshape(n_angles, n_det)
-        out = np.empty((n_angles, n_det), dtype=np.float64)
-        for a in range(n_angles):
-            idx, wgt = view_stencil(a)
-            out[a] = np.einsum("cds,cds->d", wgt, flat[idx])
-        return out
+        out = np.empty(n_angles * n_det, dtype=np.float64)
+        for rows, idx, wgt in blocks():
+            out[rows] = np.einsum("cks,cks->k", wgt, flat[idx])
+        return out.reshape(n_angles, n_det)
 
     def backward(y):
-        if merged:
-            idx, wgt = full_stencil()
-            contrib = wgt * y.reshape(-1)[None, :, None]
-            out = np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=h * w)
-            return out.reshape(h, w)
+        rays = y.reshape(-1)
         out = np.zeros(h * w, dtype=np.float64)
-        for a in range(n_angles):
-            idx, wgt = view_stencil(a)
-            contrib = wgt * y[a][None, :, None]
+        for rows, idx, wgt in blocks():
+            contrib = wgt * rays[rows][None, :, None]
             out += np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=h * w)
         return out.reshape(h, w)
 

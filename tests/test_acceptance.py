@@ -15,7 +15,6 @@ import pytest
 from reconkit import (
     SHEPP_LOGAN,
     GridImage,
-    Mask,
     Objective,
     RadonGeometry,
     admm,
@@ -26,18 +25,11 @@ from reconkit import (
     embed_kernel,
     fbp,
     fourier_slice_check,
-    gaussian_kernel,
     ista,
     nullspace_demo,
     objective_value,
-    op_compose,
     op_convolve,
-    op_dft2,
-    op_grad,
-    op_mask,
     op_matrix,
-    op_multiply,
-    op_radon,
     radon,
     shepp_logan,
     snr_db,
@@ -46,7 +38,7 @@ from reconkit import (
     transform_haar,
     wiener_deconvolve,
 )
-from reconkit.cli import main
+from reconkit.cli import _selftest_cases, main
 from reconkit.grids import normal_stream
 
 
@@ -94,36 +86,7 @@ def test_gate_01_nullspace_reproduction():
 
 def test_gate_02_operator_dot_tests():
     """Every shipped operator passes <Ax,y>=<x,A*y> over 100 seeded trials."""
-    shape = (16, 16)
-    kern = embed_kernel(gaussian_kernel(5, 1.0), shape)
-    w_real = normal_stream(256, 1.0, 10).reshape(shape)
-    w_cplx = w_real + 1j * normal_stream(256, 1.0, 12).reshape(shape)
-    mask = Mask.random(shape, 0.3, seed=3)
-    cases = [
-        ("mask", op_mask(mask), 1e-10),
-        ("multiply_real", op_multiply(w_real), 1e-10),
-        ("multiply_complex", op_multiply(w_cplx), 1e-10),
-        ("grad", op_grad(shape), 1e-10),
-        ("convolve_circular", op_convolve(kern), 1e-6),
-        ("convolve_linear",
-         op_convolve(gaussian_kernel(5, 1.0), "zeropad-linear", domain_shape=shape), 1e-6),
-        ("radon_16", op_radon(RadonGeometry(12, 16), (16, 16)), 1e-6),
-        ("radon_24", op_radon(RadonGeometry(30, 33, 0.7), (24, 24)), 1e-6),
-        ("radon_32", op_radon(RadonGeometry(45, 24, 1.3), (32, 32)), 1e-6),
-    ]
-    for k in range(5):
-        m_k = Mask.random(shape, 0.2 + 0.1 * k, seed=70 + k)
-        small = gaussian_kernel(3 + 2 * (k % 2), 0.5 + 0.3 * k)
-        k_k = embed_kernel(small, shape)
-        w_k = normal_stream(256, 1.0, 80 + k).reshape(shape) + 0.1
-        pool = [
-            op_compose(op_mask(m_k), op_convolve(k_k)),
-            op_compose(op_convolve(k_k), op_multiply(w_k)),
-            op_compose(op_mask(m_k, complex_field=True), op_dft2(shape)),
-            op_compose(op_multiply(w_k), op_convolve(k_k)),
-            op_compose(op_compose(op_mask(m_k), op_convolve(k_k)), op_multiply(w_k)),
-        ]
-        cases.append((f"compose_{k}", pool[k], 1e-6))
+    cases = _selftest_cases()
     with Timer() as t:
         results = [(name, dot_test(op, trials=100, seed=200), tol) for name, op, tol in cases]
     worst = max(err / tol for _, err, tol in results)

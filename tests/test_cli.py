@@ -12,11 +12,15 @@ import pytest
 
 from reconkit import __version__
 from reconkit.cli import (
+    _COMMANDS,
+    _FLAGS,
     ConfigError,
     ExperimentConfig,
     SolverConfig,
+    build_parser,
     config_from_dict,
     config_to_dict,
+    load_config,
     main,
 )
 from reconkit.io import read_raster, write_csv, write_pgm, write_raster
@@ -345,3 +349,62 @@ class TestParser:
         a = ExperimentConfig(solver=SolverConfig(kind="gd", step=2.0))
         b = config_from_dict(config_to_dict(a))
         assert b.solver.step == 2.0 and a == b
+
+
+# every flag that overrides a config field: the config path it overrides, and
+# a valid, non-default value as typed and as parsed
+FLAG_VALUES = {
+    "--out": (("out_dir",), "elsewhere", "elsewhere"),
+    "--seed": (("seed",), "5", 5),
+    "--size": (("phantom", "size"), "96", 96),
+    "--mask-fraction": (("degradation", "mask_fraction"), "0.25", 0.25),
+    "--snr-db": (("degradation", "noise_snr_db"), "12.5", 12.5),
+    "--sigma": (("degradation", "noise_sigma"), "0.03", 0.03),
+    "--blur": (("degradation", "blur"), "airy", "airy"),
+    "--angles": (("geometry", "n_angles"), "17", 17),
+    "--solver": (("solver", "kind"), "fista", "fista"),
+    "--lam": (("solver", "lam"), "0.7", 0.7),
+    "--lambdas": (("solver", "lambdas"), "0.5,2", [0.5, 2.0]),
+    "--rho": (("solver", "rho"), "3.5", 3.5),
+    "--max-iter": (("solver", "max_iter"), "9", 9),
+    "--step": (("solver", "step"), "0.125", 0.125),
+    "--transform": (("transform",), "dft", "dft"),
+    "--fractions": (("keep_fractions",), "0.2,0.3", [0.2, 0.3]),
+    "--levels": (("levels",), "3", 3),
+}
+
+FLAG_CASES = [
+    (command, flag)
+    for command, (_, flags) in _COMMANDS.items()
+    for flag in ("--out", "--seed", *flags)
+    if _FLAGS[flag][0] is not None
+]
+
+
+def _at(tree, path):
+    for part in path:
+        tree = tree[part]
+    return tree
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command,flag", FLAG_CASES, ids=[c + f for c, f in FLAG_CASES])
+    def test_flag_lands_at_its_config_path(self, command, flag):
+        path, text, value = FLAG_VALUES[flag]
+        cfg = load_config(build_parser().parse_args([command, flag, text]))
+        assert _at(config_to_dict(cfg), path) == value
+        assert _at(config_to_dict(ExperimentConfig()), path) != value
+
+    def test_every_path_flag_is_covered_and_declared(self):
+        path_flags = {flag for flag, (path, _) in _FLAGS.items() if path is not None}
+        assert set(FLAG_VALUES) == path_flags
+        assert {flag for _, flag in FLAG_CASES} == path_flags
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["phantom", "--lam", "1"], ["selftest", "--size", "64"], ["simulate", "--solver", "gd"]],
+    )
+    def test_undeclared_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
+        assert err.value.code == 2
