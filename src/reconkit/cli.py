@@ -15,8 +15,9 @@ command reads itself, and its argparse options), and ``_SOLVERS``, ``_BLURS``
 and ``_TRANSFORMS`` (the kinds behind ``--solver``, ``--blur`` and
 ``--transform``).  ``_write_outputs`` writes every command's files.
 
-Exit codes: 0 on success, 2 for a malformed configuration, 3 for a numerical
-failure (a diagnostic trace is written and its path printed).
+Exit codes: 0 on success, 2 for a malformed configuration or missing input
+data, 3 for a numerical failure (a diagnostic trace is written to the output
+directory and its path printed).
 
 Seeds: ``--seed`` sets the experiment seed (default 0).  Component streams
 derive from it as seed * 1000 + {1: mask, 2: noise, 3: power iteration}
@@ -429,10 +430,15 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = load_config(args)
     data_dir = args.data if getattr(args, "data", None) else cfg.out_dir
-    truth = read_raster(os.path.join(data_dir, "truth"))
-    kernel = read_raster(os.path.join(data_dir, "kernel"))
-    mask = Mask.from_bool(read_raster(os.path.join(data_dir, "mask")) > 0.5)
-    measurements = read_raster(os.path.join(data_dir, "measurements")).ravel()
+    if not os.path.isdir(data_dir):
+        raise ConfigError(f"data directory not found: {data_dir}")
+    try:
+        truth = read_raster(os.path.join(data_dir, "truth"))
+        kernel = read_raster(os.path.join(data_dir, "kernel"))
+        mask = Mask.from_bool(read_raster(os.path.join(data_dir, "mask")) > 0.5)
+        measurements = read_raster(os.path.join(data_dir, "measurements")).ravel()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"data raster not found: {exc.filename}") from exc
 
     forward = op_compose(
         op_mask(mask), op_convolve(embed_kernel(kernel, truth.shape), "circular")
@@ -759,7 +765,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, BreakdownError, SingularityError) as exc:
-        out_dir = getattr(args, "out", None) or "."
+        # every command that solves loads its config first, so this resolves
+        # again to the out_dir its outputs would have gone to
+        out_dir = load_config(args).out_dir
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "diagnostic.json")
         payload = {"error": type(exc).__name__, "message": str(exc)}

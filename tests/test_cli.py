@@ -252,6 +252,28 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert "diagnostic" in err and "config error" not in err
 
+    def test_diagnostic_goes_to_the_config_file_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--size", "32", "--seed", "1", "--out", "sim"]) == 0
+        (tmp_path / "c.json").write_text(
+            json.dumps({"out_dir": "cfgout", "solver": {"kind": "gd", "step": 1e150}})
+        )
+        assert main(["reconstruct", "--data", "sim", "--config", "c.json"]) == 3
+        diag = json.loads((tmp_path / "cfgout" / "diagnostic.json").read_text())
+        assert diag["error"] == "DivergenceError"
+        assert not (tmp_path / "diagnostic.json").exists()
+
+    def test_missing_data_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        assert main(["reconstruct", "--data", str(tmp_path / "nowhere"), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: data directory not found")
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        (sim / "mask.f32.txt").unlink()
+        assert main(["reconstruct", "--data", str(sim), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data raster not found") and "mask.f32.txt" in err
+
 
     @pytest.mark.parametrize(
         "rho, iterations, converged",

@@ -5,8 +5,12 @@ oracle; the adjoint needs no oracle because the dot test pins it to the
 forward to machine precision.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reconkit import (
     Ellipse,
@@ -25,7 +29,7 @@ from reconkit import (
     shepp_logan,
 )
 from reconkit import operators
-from reconkit.grids import normal_stream
+from reconkit.grids import _bilinear_stencil, normal_stream
 
 DISK = EllipsePhantom((Ellipse(0.0, 0.0, 0.6, 0.6, 0.0, 1.0),))
 
@@ -166,6 +170,49 @@ class TestAdjointPairing:
         want = cached.adjoint(y)
         assert np.linalg.norm(per_view.adjoint(y) - want) <= 1e-12 * np.linalg.norm(want)
         assert dot_test(per_view, trials=100, seed=13) < 1e-6
+
+
+def _stencil_matrix(geom, shape):
+    """The ray transform as a dense matrix, scattered from the bilinear stencil."""
+    h, w = shape
+    mat = np.zeros((geom.n_angles, geom.n_detectors, h * w))
+    rays = np.arange(geom.n_detectors)[:, None]
+    for a, theta in enumerate(geom.angles):
+        xs, ys = operators._ray_points(theta, shape, geom.n_detectors, geom.detector_pitch)
+        for idx, wgt in zip(*_bilinear_stencil(shape, xs, ys)):
+            np.add.at(mat[a], (np.broadcast_to(rays, idx.shape), idx), wgt)
+    return mat.reshape(-1, h * w)
+
+
+def _dense(op, size):
+    return np.stack([op.apply(e.reshape(op.domain_shape)).ravel() for e in np.eye(size)], axis=1)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    h=st.integers(2, 11),
+    w=st.integers(2, 11),
+    n_det=st.integers(1, 17),
+    pitch=st.floats(0.3, 2.5),
+    n_angles=st.integers(1, 40),
+)
+@example(h=2, w=9, n_det=5, pitch=0.7, n_angles=13)
+@example(h=9, w=2, n_det=12, pitch=1.0, n_angles=40)
+@example(h=2, w=2, n_det=2, pitch=2.5, n_angles=4)  # every ray misses the image
+def test_generated_geometries_pair_and_match_the_stencil(h, w, n_det, pitch, n_angles):
+    # generated shapes include 2xN, Nx2 and odd sizes, and detector counts
+    # that differ from the image size
+    geom, shape = RadonGeometry(n_angles, n_det, detector_pitch=pitch), (h, w)
+    cached = op_radon(geom, shape)
+    with mock.patch.object(operators, "_RADON_CACHE_BUDGET", 0):
+        per_view = op_radon(geom, shape)
+    assert dot_test(cached, trials=20, seed=5) < 1e-6
+    assert dot_test(per_view, trials=20, seed=5) < 1e-6
+    x = normal_stream(h * w, 1.0, 31).reshape(shape)
+    assert np.array_equal(per_view.apply(x), cached.apply(x))
+    want = _stencil_matrix(geom, shape)
+    got = _dense(cached, h * w)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestFourierSlice:
