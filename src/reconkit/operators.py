@@ -8,12 +8,13 @@ constructed operator in the test suite.
 
 ``LinearMap.normal(x)`` applies the normal operator ``A* A`` that every
 variational solver spends its time in.  Operators with a fused form run it in
-one pass: the mask multiplies by its 0/1 keep raster instead of gathering and
-scattering, convolution multiplies the spectrum by ``|k^|^2`` between one
-forward and one inverse FFT, and the gradient applies the Neumann Laplacian
-stencil directly.  A composition ``B after C`` runs ``C* (B* B) (C x)`` with
-the outer part's fused normal, so mask after blur costs two real FFT pairs
-and no gather.  Every other operator falls back to ``adjoint(apply(x))``.
+one pass: the mask ANDs the input's bits with its all-ones-or-zero keep raster
+instead of gathering and scattering, convolution multiplies the spectrum by
+``|k^|^2`` between one forward and one inverse FFT, and the gradient applies
+the Neumann Laplacian stencil directly.  A composition ``B after C`` runs
+``C* (B* B) (C x)`` with the outer part's fused normal, so mask after blur
+costs two real FFT pairs and no gather.  Every other operator falls back to
+``adjoint(apply(x))``.
 
 Shape, field and finiteness checks run once, at the outermost public call:
 compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
@@ -242,22 +243,30 @@ def op_mask(mask: Mask, *, complex_field: bool = False) -> LinearMap:
     """Extract kept entries as a vector; adjoint scatters back with zeros."""
     h, w = mask.shape
     idx = mask.indices
-    keep = mask.to_bool()
+    dtype = np.complex128 if complex_field else np.float64
+    # -1 (all bits set) where kept, 0 elsewhere, once per 64-bit word of x
+    bits = np.repeat(-mask.to_bool().astype(np.int8), 2 if complex_field else 1, axis=1)
 
     def forward(x):
         return x.ravel()[idx]
 
     def backward(y):
-        out = np.zeros(h * w, dtype=np.complex128 if complex_field else np.float64)
+        out = np.zeros(h * w, dtype=dtype)
         out[idx] = y
         return out.reshape(h, w)
+
+    def normal(x):
+        # the AND keeps kept entries exactly (-0.0 included) and makes the
+        # rest +0.0: np.where(keep, x, 0.0) bit for bit, in one integer pass
+        words = np.ascontiguousarray(x, dtype=dtype).view(np.int64)
+        return (words & bits).view(dtype)
 
     return LinearMap(
         (h, w),
         (mask.count,),
         forward,
         backward,
-        normal_fn=lambda x: np.where(keep, x, 0.0),
+        normal_fn=normal,
         domain_complex=complex_field,
         range_complex=complex_field,
         name="mask",

@@ -15,9 +15,11 @@ mapping rather than both.
 with a callback that records the traces, and ADMM's f-step runs it.
 ``_iterate`` is the one loop of gradient descent, ISTA/FISTA and ADMM, each a
 step function with its own stop rule; it keeps the traces and builds the
-``SolveReport``.  Steps reuse the residual ``H f - g`` (and ADMM its ``L f``)
-for the objective, so gradient descent and plain ISTA apply ``H`` once per
-iteration.
+``SolveReport``.  Steps reuse the residual ``H f - g`` for the objective, so
+gradient descent and ISTA/FISTA apply ``H`` once per iteration: FISTA forms
+the residual at its momentum point from the last two by linearity.  ADMM's
+objective costs no apply: its misfit follows from the f-step's final CG
+residual and the ``L f`` it already holds.
 """
 
 from __future__ import annotations
@@ -115,17 +117,20 @@ class SolveReport:
 
 def objective_value(obj: Objective, f) -> float:
     f = np.asarray(f, dtype=np.float64)
-    return _objective(obj, f, obj.forward.apply(f) - obj.data)
+    return _objective(obj, f, _sqnorm(obj.forward.apply(f) - obj.data))
 
 
-def _objective(obj: Objective, f: np.ndarray, resid: np.ndarray, lf=None) -> float:
-    """``objective_value`` from the residual ``H f - g`` (and ``L f``) already at hand."""
-    fid2 = float(np.vdot(resid, resid).real)
+def _sqnorm(x: np.ndarray) -> float:
+    return float(np.vdot(x, x).real)
+
+
+def _objective(obj: Objective, f: np.ndarray, fid2: float, lf=None) -> float:
+    """``objective_value`` from the squared misfit ``||H f - g||^2`` (and ``L f``) at hand."""
     if obj.penalty == "indicator_nonneg":
         return np.inf if np.any(f < 0) else 0.5 * fid2
     lf = obj.reg_apply(f) if lf is None else lf
     if obj.penalty == "quadratic":
-        return fid2 + obj.lam * float(np.vdot(lf, lf).real)
+        return fid2 + obj.lam * _sqnorm(lf)
     if obj.penalty == "abs":
         return 0.5 * fid2 + obj.lam * float(np.sum(np.abs(lf)))
     return 0.5 * fid2 + obj.lam * (obj.student_r + 0.5) * float(np.sum(np.log1p(lf**2)))
@@ -277,7 +282,7 @@ def gradient_descent(
             raise ValidationError("step must be positive and finite")
 
     resid = obj.forward.apply(f) - obj.data
-    prev = _objective(obj, f, resid)
+    prev = _objective(obj, f, _sqnorm(resid))
     rises = 0
 
     def descend(f, trace, where):
@@ -288,7 +293,7 @@ def gradient_descent(
             f = np.maximum(f, 0.0)
         _check_finite(trace, where, f)
         resid = obj.forward.apply(f) - obj.data
-        current = _objective(obj, f, resid)
+        current = _objective(obj, f, _sqnorm(resid))
         _check_finite(trace, where, current)
         rises = rises + 1 if current > prev else 0
         if rises >= 5:
@@ -321,17 +326,19 @@ def gradient_descent(
 def _cg_quadratic(
     apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: int, tol: float, trace=(), callback=None
 ):
-    """Plain CG for SPD (or consistent PSD) systems; returns (x, it, converged).
+    """Plain CG for SPD (or consistent PSD) systems; returns (x, r, it, converged).
 
-    Stops once the residual norm is at most ``tol * ||b||``.  ``trace`` is
-    the caller's objective trace, carried by a DivergenceError when the
-    residual leaves the finite range.  ``callback(x, residual_norm)`` runs
+    Stops once the residual norm is at most ``tol * ||b||``.  ``r`` is the
+    final residual ``b - A x`` of the recurrence, so a caller has ``A x =
+    b - r`` without another apply.  ``trace`` is the caller's objective
+    trace, carried by a DivergenceError when the residual leaves the finite
+    range.  ``callback(x, residual_norm)`` runs
     after every iteration's guard and before its stop test.
     """
     x = x0.copy()
     r = b - apply_a(x)
     p = r.copy()
-    rs = float(np.vdot(r, r).real)
+    rs = _sqnorm(r)
     _check_finite(trace, "conjugate gradients start", rs)
     bnorm = max(float(np.linalg.norm(b.ravel())), 1e-300)
     it = 0
@@ -344,7 +351,7 @@ def _cg_quadratic(
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.vdot(r, r).real)
+        rs_new = _sqnorm(r)
         it += 1
         _check_finite(trace, f"conjugate gradients iteration {it}", rs_new, x)
         if callback is not None:
@@ -354,7 +361,7 @@ def _cg_quadratic(
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x, it, converged
+    return x, r, it, converged
 
 
 def conjugate_gradient_normal(
@@ -368,8 +375,7 @@ def conjugate_gradient_normal(
     On a singular but consistent system the iterates stay in the affine space
     f0 + range(H* H), so the limit keeps the null-space component of the
     start; that behavior is load-bearing for the null-space demonstration.
-    Each iteration's objective costs one forward apply: the fused normal
-    operator never forms ``H p``, so there is no ``H f`` to update instead.
+    Each iteration's objective costs one forward apply.
     """
     if obj.penalty != "quadratic":
         raise ValidationError("conjugate_gradient_normal handles the quadratic penalty")
@@ -382,7 +388,7 @@ def conjugate_gradient_normal(
         res_trace.append(float(residual_norm))
 
     b = obj.forward.adjoint(obj.data)
-    f, iterations, converged = _cg_quadratic(
+    f, _, iterations, converged = _cg_quadratic(
         _normal_equations(obj, obj.lam), b, f, max_iter, tol, obj_trace, record
     )
     return SolveReport(
@@ -589,28 +595,30 @@ def ista(
     gamma = 0.9 / lip if lip > 0 else 1.0
     spec = ProxSpec("abs", lam=obj.lam)
 
-    # plain ISTA takes its gradient at f, where the objective already applied H
+    # the gradient point's residual H y - g comes from the objective's applies:
+    # y = f for plain ISTA, and FISTA's y = f_k + beta (f_k - f_{k-1}) has
+    # H y - g = r_k + beta (r_k - r_{k-1}) by linearity
     resid = obj.forward.apply(f) - obj.data
-    prev = _objective(obj, f, resid)
-    y = f.copy()
+    prev = _objective(obj, f, _sqnorm(resid))
+    y, resid_y = f, resid
     t = 1.0
 
     def proximal_step(f, trace, where):
-        nonlocal resid, prev, y, t
-        point = y if accelerate else f
-        _check_finite(trace, where, point)
-        if accelerate:
-            resid = obj.forward.apply(point) - obj.data
-        _check_finite(trace, where, resid)
-        descent = point - gamma * obj.forward.adjoint(resid)
+        nonlocal resid, prev, y, resid_y, t
+        point, point_resid = (y, resid_y) if accelerate else (f, resid)
+        _check_finite(trace, where, point, point_resid)
+        descent = point - gamma * obj.forward.adjoint(point_resid)
         _check_finite(trace, where, descent)
         f_new = prox_apply(spec, descent, gamma)
+        resid_new = obj.forward.apply(f_new) - obj.data
         if accelerate:
             t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            y = f_new + ((t - 1.0) / t_new) * (f_new - f)
+            beta = (t - 1.0) / t_new
+            y = f_new + beta * (f_new - f)
+            resid_y = resid_new + beta * (resid_new - resid)
             t = t_new
-        resid = obj.forward.apply(f_new) - obj.data
-        current = _objective(obj, f_new, resid)
+        resid = resid_new
+        current = _objective(obj, f_new, _sqnorm(resid))
         converged = _settled(prev, current, tol)
         prev = current
         return f_new, current, float(np.linalg.norm((f_new - f).ravel())), converged
@@ -665,13 +673,14 @@ def admm(
 
     apply_a = _normal_equations(obj, rho)
     hg = obj.forward.adjoint(obj.data)
+    gg = _sqnorm(obj.data)
     u = obj.reg_apply(f).copy()
     alpha = np.zeros_like(u)
 
     def split_step(f, trace, where):
         nonlocal u, alpha
         rhs = hg + rho * obj.reg_adjoint(u - alpha)
-        f, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol, trace)
+        f, r, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol, trace)
         lf = obj.reg_apply(f)
         shifted = lf + alpha
         _check_finite(trace, where, shifted)
@@ -680,7 +689,10 @@ def admm(
         alpha = alpha + lf - u
         primal = float(np.linalg.norm((lf - u).ravel()))
         dual = rho * float(np.linalg.norm(obj.reg_adjoint(u - u_prev).ravel()))
-        value = _objective(obj, f, obj.forward.apply(f) - obj.data, lf)
+        # H* H f = (rhs - r) - rho L* L f, so the misfit needs no forward apply;
+        # its roundoff grows with rho ||L f||^2 (1e-11 relative at rho = 1e6)
+        fid2 = float(np.vdot(f, rhs - r)) - rho * _sqnorm(lf) - 2.0 * float(np.vdot(f, hg)) + gg
+        value = _objective(obj, f, fid2, lf)
         return f, value, primal, primal <= tol_primal and dual <= tol_dual
 
     config = {

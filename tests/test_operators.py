@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reconkit import (
     GridImage,
@@ -128,6 +130,46 @@ class TestMask:
     def test_dot_complex(self):
         op = op_mask(Mask.random((8, 8), 0.5, seed=4), complex_field=True)
         assert dot_test(op, trials=100, seed=2) < EXACT
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_normal_is_where_bit_for_bit(self, complex_field):
+        keep = uniform_stream(63, 6).reshape(7, 9) < 0.5
+        assert_normal_is_where(keep, complex_field, seed=40)
+
+
+def assert_normal_is_where(keep, complex_field, seed):
+    """The fused mask normal equals ``np.where(keep, x, 0.0)``, zero signs included."""
+    n = keep.size
+    x = np.zeros(keep.shape, dtype=np.complex128 if complex_field else np.float64)
+    x.real = normal_stream(n, 1.0, seed).reshape(keep.shape)
+    x.real.flat[::3] = -0.0  # signed zeros on kept and dropped entries alike
+    if complex_field:
+        x.imag = normal_stream(n, 1.0, seed + 1).reshape(keep.shape)
+        x.imag.flat[1::3] = -0.0
+    got = op_mask(Mask.from_bool(keep), complex_field=complex_field).normal(x)
+    want = np.where(keep, x, 0.0)
+    assert got.dtype == want.dtype
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(got), part(want))
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    fraction=st.floats(0.0, 1.0),
+    pick=st.integers(0, 143),
+    complex_field=st.booleans(),
+)
+@example(h=1, w=12, fraction=1.0, pick=0, complex_field=False)  # all kept
+@example(h=12, w=1, fraction=0.0, pick=5, complex_field=True)  # one kept
+@example(h=1, w=1, fraction=0.0, pick=0, complex_field=False)
+def test_generated_mask_normals_are_where_bit_for_bit(h, w, fraction, pick, complex_field):
+    # shapes from 1xN to Nx1; ``pick`` keeps one entry so the mask is never empty
+    keep = uniform_stream(h * w, 7).reshape(h, w) < fraction
+    keep.flat[pick % keep.size] = True
+    assert_normal_is_where(keep, complex_field, seed=41)
 
 
 class TestMultiply:

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from reconkit import (
+    SHEPP_LOGAN,
     BreakdownError,
     DivergenceError,
     LinearMap,
     Mask,
     Objective,
     ProxSpec,
+    RadonGeometry,
     ValidationError,
     admm,
+    analytic_sinogram,
     conjugate_gradient_normal,
     degrade,
     gaussian_kernel,
@@ -31,6 +34,7 @@ from reconkit import (
     op_grad,
     op_identity,
     op_matrix,
+    op_radon,
     prox_apply,
     shepp_logan,
     snr_db,
@@ -159,8 +163,9 @@ class TestForwardApplyCount:
         [
             (lambda obj: gradient_descent(obj, max_iter=20, tol=0.0), "quadratic"),
             (lambda obj: ista(obj, max_iter=20, tol=0.0), "abs"),
+            (lambda obj: ista(obj, accelerate=True, max_iter=20, tol=0.0), "abs"),
         ],
-        ids=["gradient_descent", "ista"],
+        ids=["gradient_descent", "ista", "fista"],
     )
     def test_one_forward_apply_per_iteration(self, solve, penalty):
         # the gradient reuses the residual H f - g of the previous objective
@@ -176,6 +181,23 @@ class TestForwardApplyCount:
         assert rep.iterations == 20
         power_iterations, start_objective = 50, 1
         assert len(applies) == power_iterations + start_objective + rep.iterations
+
+    def test_admm_objective_costs_no_apply(self):
+        # no fused normal, so every CG apply of H* H + rho I is counted: one
+        # for the start residual and one per inner iteration, and nothing for
+        # the objective, which comes from the f-step's final CG residual
+        h, g = dense_instance(12, 10, 131)
+        applies = []
+
+        def forward(x):
+            applies.append(1)
+            return h @ x
+
+        counting = LinearMap((10,), (12,), forward, lambda y: h.T @ y, name="counting")
+        obj = Objective(forward=counting, data=g, penalty="abs", lam=0.1)
+        rep = admm(obj, max_iter=7, inner_iter=3, inner_tol=0.0, tol_primal=0.0, tol_dual=0.0)
+        assert rep.iterations == 7
+        assert len(applies) == 7 * (1 + 3)
 
 
 class TestConjugateGradient:
@@ -366,6 +388,25 @@ class TestIsta:
         with pytest.raises(ValidationError):
             ista(l1)
 
+    def test_fista_matches_a_textbook_fista(self):
+        # the reference applies H at the momentum point every iteration
+        h, g = dense_instance(12, 20, 135)
+        lam = 0.1 * float(np.max(np.abs(h.T @ g)))
+        rep = ista(
+            Objective(forward=op_matrix(h), data=g, penalty="abs", lam=lam),
+            accelerate=True, max_iter=150, tol=0.0,
+        )
+        gamma = rep.config["gamma"]
+        f = np.zeros(20)
+        y, t = f, 1.0
+        for _ in range(150):
+            u = y - gamma * (h.T @ (h @ y - g))
+            f_new = np.sign(u) * np.maximum(np.abs(u) - gamma * lam, 0.0)
+            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = f_new + ((t - 1.0) / t_new) * (f_new - f)
+            f, t = f_new, t_new
+        assert np.linalg.norm(rep.final - f) <= 1e-12 * np.linalg.norm(f)
+
 
 class TestSolutionStructure:
     def test_min_norm_solution_lies_in_adjoint_range(self):
@@ -479,6 +520,48 @@ class TestAdmm:
         quad = Objective(forward=op_identity((3,)), data=np.zeros(3))
         with pytest.raises(ValidationError):
             admm(quad, rho=0.0)
+
+
+def deblur_objective(penalty, lam):
+    img = shepp_logan(32)
+    deg = degrade(img, gaussian_kernel(5, 1.0), Mask.random((32, 32), 0.5, seed=21), 0.1, 22)
+    return Objective(
+        forward=deg.op, data=deg.measurements, penalty=penalty, lam=lam, reg_op=op_grad((32, 32))
+    )
+
+
+def fewview_objective():
+    # noiseless data fit almost exactly: the misfit is a small difference of
+    # large inner products, the worst case for the apply-free objective
+    geom = RadonGeometry(30, 32)
+    return Objective(
+        forward=op_radon(geom, (32, 32)), data=analytic_sinogram(SHEPP_LOGAN, geom, 32).data,
+        penalty="abs", lam=0.5, reg_op=op_grad((32, 32)),
+    )
+
+
+class TestAdmmObjectiveTrace:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: deblur_objective("abs", 0.05),
+            fewview_objective,
+            lambda: deblur_objective("quadratic", 0.5),
+            lambda: deblur_objective("student", 0.05),
+        ],
+        ids=["abs_deblur", "abs_fewview", "quadratic_deblur", "student_deblur"],
+    )
+    def test_last_entry_matches_objective_value(self, make):
+        obj = make()
+        rep = admm(obj, rho=2.0, max_iter=30, inner_iter=10)
+        want = objective_value(obj, rep.final)
+        assert abs(rep.objective_trace[-1] - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("rho", [1e-300, 1e300])
+    @pytest.mark.parametrize("penalty", ["abs", "quadratic"])
+    def test_trace_stays_finite_at_extreme_rho(self, penalty, rho):
+        rep = admm(deblur_objective(penalty, 0.05), rho=rho, max_iter=10, inner_iter=5)
+        assert np.all(np.isfinite(rep.objective_trace))
 
 
 class TestFormulationEquivalences:
