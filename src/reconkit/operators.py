@@ -18,7 +18,13 @@ costs two real FFT pairs and no gather.  Every other operator falls back to
 
 Shape, field and finiteness checks run once, at the outermost public call:
 compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
-Real kernels use ``rfft2``/``irfft2``; complex ones keep ``fft2``.
+
+The gradient and the convolution are bound by memory traffic, not
+arithmetic.  The gradient differences the flat raster with contiguous
+strides.  A convolution transforms one spectrum in place per call (the half
+spectrum for real kernels) by the per-axis passes of numpy's own
+``rfft2``/``irfft2`` or ``fft2``/``ifft2``, so its results are theirs bit for
+bit.  No operator keeps scratch buffers, so every ``LinearMap`` is reentrant.
 """
 
 from __future__ import annotations
@@ -201,7 +207,9 @@ class Mask:
             raise ValidationError("Mask must keep at least one entry")
         if idx.min() < 0 or idx.max() >= h * w:
             raise ValidationError("Mask indices out of range")
-        if np.unique(idx).size != idx.size:
+        seen = np.zeros(h * w, dtype=bool)
+        seen[idx] = True
+        if np.count_nonzero(seen) != idx.size:
             raise ValidationError("Mask indices must be unique")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "shape", (h, w))
@@ -331,8 +339,6 @@ def op_convolve(kernel, mode: str = "circular", domain_shape=None) -> LinearMap:
     if not np.all(np.isfinite(ker.real)) or not np.all(np.isfinite(np.imag(ker))):
         raise ValidationError("op_convolve kernel must be finite")
     is_complex = np.iscomplexobj(ker)
-    # real kernels keep to the half spectrum; irfft2 needs the grid back
-    fft, ifft = (np.fft.fft2, np.fft.ifft2) if is_complex else (np.fft.rfft2, np.fft.irfft2)
 
     if mode == "circular":
         if domain_shape is not None and tuple(domain_shape) != ker.shape:
@@ -348,14 +354,29 @@ def op_convolve(kernel, mode: str = "circular", domain_shape=None) -> LinearMap:
     else:
         raise ValidationError(f"unknown convolution mode {mode!r}")
     h, w = domain
-    khat = fft(ker, s=grid)
+    khat = np.fft.fft2(ker, s=grid) if is_complex else np.fft.rfft2(ker, s=grid)
     khat_conj = np.conj(khat)
     power = khat.real**2 + khat.imag**2
 
     def filtered(x, weights):
-        spectrum = fft(x, s=grid)
+        # one spectrum, transformed in place axis by axis in the order of
+        # numpy's fft2/ifft2 (rfft2/irfft2 for real kernels), which makes the
+        # result theirs bit for bit
+        if x.shape != grid:
+            padded = np.zeros(grid, dtype=x.dtype)
+            padded[:h, :w] = x
+            x = padded
+        if is_complex:
+            spectrum = np.fft.fft(x, axis=1)
+            np.fft.fft(spectrum, axis=0, out=spectrum)
+            spectrum *= weights
+            np.fft.ifft(spectrum, axis=1, out=spectrum)
+            return np.fft.ifft(spectrum, axis=0, out=spectrum)
+        spectrum = np.fft.rfft(x, axis=1)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum *= weights
-        return ifft(spectrum, s=grid)
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        return np.fft.irfft(spectrum, n=grid[1], axis=1)
 
     return LinearMap(
         domain,
@@ -453,35 +474,47 @@ def op_grad(shape) -> LinearMap:
     """Forward differences with a clamped last row/column.
 
     Channel 0 holds horizontal differences, channel 1 vertical ones; the
-    adjoint is the matching negative divergence (exact transpose).
+    adjoint is the matching negative divergence (exact transpose).  All three
+    paths run on the flat row-major raster, where both differences are
+    contiguous: the horizontal one is ``flat[1:] - flat[:-1]`` with its
+    row-end entries ``[w-1::w]`` set to 0.
     """
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise ValidationError("op_grad needs a positive (height, width)")
+    n = h * w
 
     def forward(x):
-        g = np.zeros((2, h, w), dtype=np.float64)
-        g[0, :, : w - 1] = x[:, 1:] - x[:, : w - 1]
-        g[1, : h - 1, :] = x[1:, :] - x[: h - 1, :]
-        return g
+        flat = x.ravel()
+        g = np.zeros((2, n), dtype=np.float64)
+        np.subtract(flat[1:], flat[:-1], out=g[0, :-1])
+        g[0, w - 1 :: w] = 0.0  # row ends: those differences cross rows
+        np.subtract(flat[w:], flat[: n - w], out=g[1, : n - w])
+        return g.reshape(2, h, w)
 
     def scatter(gx, gy):
-        # transpose of the differences on their live (h, w-1) and (h-1, w) parts
-        out = np.zeros((h, w), dtype=np.float64)
+        # transpose of the flat differences, gx with its row ends zeroed; from
+        # zeros in the per-pixel order ((0 + left) - right) + up - down
+        out = np.zeros(n, dtype=np.float64)
         if w > 1:
-            out[:, 1:] += gx
-            out[:, : w - 1] -= gx
+            out[1:] += gx
+            out[:-1] -= gx
         if h > 1:
-            out[1:, :] += gy
-            out[: h - 1, :] -= gy
-        return out
+            out[w:] += gy
+            out[: n - w] -= gy
+        return out.reshape(h, w)
 
     def backward(g):
-        return scatter(g[0, :, : w - 1], g[1, : h - 1, :])
+        gx = g[0].ravel()[:-1].copy()
+        gx[w - 1 :: w] = 0.0
+        return scatter(gx, g[1].ravel()[: n - w])
 
     def normal(x):
         # the Neumann Laplacian stencil, with no (2, h, w) temporary
-        return scatter(x[:, 1:] - x[:, : w - 1], x[1:, :] - x[: h - 1, :])
+        flat = x.ravel()
+        gx = flat[1:] - flat[:-1]
+        gx[w - 1 :: w] = 0.0
+        return scatter(gx, flat[w:] - flat[: n - w])
 
     return LinearMap((h, w), (2, h, w), forward, backward, normal_fn=normal, name="grad")
 

@@ -238,6 +238,9 @@ def _power_max_eig(apply_normal: Callable, shape, iters: int = 50, seed=0) -> fl
         top = float(np.linalg.norm(w.ravel()))
         if top == 0.0:
             return 0.0
+        if not np.isfinite(top):
+            # an overflow here would surface as an input error at the next apply
+            raise DivergenceError("power iteration: the normal operator overflowed")
         v = w / top
     return top
 
@@ -686,6 +689,7 @@ def admm(
         _check_finite(trace, where, shifted)
         u_prev = u
         u = prox_apply(spec, shifted, prox_step)
+        _check_finite(trace, where, u)
         alpha = alpha + lf - u
         primal = float(np.linalg.norm((lf - u).ravel()))
         dual = rho * float(np.linalg.norm(obj.reg_adjoint(u - u_prev).ravel()))

@@ -113,6 +113,10 @@ class TestMask:
         with pytest.raises(ValidationError):
             Mask.random((4, 4), 0.0, seed=1)
 
+    def test_duplicates_raise_wherever_they_sit(self):
+        with pytest.raises(ValidationError, match="Mask indices must be unique"):
+            Mask(np.array([7, 2, 11, 2]), (3, 4))
+
     def test_op_mask_gathers(self):
         data = np.arange(16, dtype=float).reshape(4, 4)
         mask = Mask(np.array([1, 5, 10]), (4, 4))
@@ -170,6 +174,24 @@ def test_generated_mask_normals_are_where_bit_for_bit(h, w, fraction, pick, comp
     keep = uniform_stream(h * w, 7).reshape(h, w) < fraction
     keep.flat[pick % keep.size] = True
     assert_normal_is_where(keep, complex_field, seed=41)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    picks=st.lists(st.integers(0, 255), min_size=1, max_size=40),
+)
+@example(h=2, w=2, picks=[3, 0, 2, 1])  # every entry once
+@example(h=1, w=1, picks=[0, 0])
+def test_generated_mask_uniqueness_verdicts(h, w, picks):
+    # the marked-raster check agrees with np.unique on in-range indices
+    idx = np.array(picks) % (h * w)
+    if np.unique(idx).size == idx.size:
+        assert Mask(idx, (h, w)).count == idx.size
+    else:
+        with pytest.raises(ValidationError, match="Mask indices must be unique"):
+            Mask(idx, (h, w))
 
 
 class TestMultiply:
@@ -322,6 +344,125 @@ class TestGrad:
         dense = dense_matrix(op)
         y = normal_stream(32, 1.0, 341).reshape(2, 4, 4)
         assert np.allclose(op.adjoint(y).ravel(), dense.T @ y.ravel(), atol=1e-12)
+
+
+def reference_grad(h, w):
+    """(apply, adjoint, normal) of op_grad as strided 2D slices, the oracle."""
+
+    def forward(x):
+        g = np.zeros((2, h, w))
+        g[0, :, : w - 1] = x[:, 1:] - x[:, : w - 1]
+        g[1, : h - 1, :] = x[1:, :] - x[: h - 1, :]
+        return g
+
+    def scatter(gx, gy):
+        out = np.zeros((h, w))
+        if w > 1:
+            out[:, 1:] += gx
+            out[:, : w - 1] -= gx
+        if h > 1:
+            out[1:, :] += gy
+            out[: h - 1, :] -= gy
+        return out
+
+    return (
+        forward,
+        lambda g: scatter(g[0, :, : w - 1], g[1, : h - 1, :]),
+        lambda x: scatter(x[:, 1:] - x[:, : w - 1], x[1:, :] - x[: h - 1, :]),
+    )
+
+
+def reference_convolve(kernel, grid, domain):
+    """(apply, adjoint, normal) of op_convolve through numpy's 2D transforms."""
+    h, w = domain
+    if np.iscomplexobj(kernel):
+        fft, ifft = np.fft.fft2, np.fft.ifft2
+    else:
+        fft, ifft = np.fft.rfft2, np.fft.irfft2
+    khat = fft(kernel, s=grid)
+    power = khat.real**2 + khat.imag**2
+
+    def filtered(x, weights):
+        spectrum = fft(x, s=grid)
+        spectrum *= weights
+        return ifft(spectrum, s=grid)
+
+    return (
+        lambda x: filtered(x, khat),
+        lambda y: filtered(y, np.conj(khat))[:h, :w],
+        lambda x: filtered(x, power)[:h, :w],
+    )
+
+
+def signed_field(shape, is_complex, seed):
+    """A random field with +0.0 and -0.0 entries mixed in."""
+    x = _random_field(shape, is_complex, seed)
+    for part in (x.real, x.imag) if is_complex else (x,):
+        part.flat[::3] = -0.0
+        part.flat[1::5] = 0.0
+    return x
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(got), part(want))
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def assert_matches_reference(op, reference, seed):
+    """apply, adjoint and normal equal the oracle bit for bit, inputs untouched."""
+    x = signed_field(op.domain_shape, op.domain_complex, seed)
+    y = signed_field(op.range_shape, op.range_complex, seed + 1)
+    for method, oracle, arg in zip((op.apply, op.adjoint, op.normal), reference, (x, y, x)):
+        before = arg.copy()
+        assert_bit_equal(method(arg), oracle(before))
+        assert_bit_equal(arg, before)
+
+
+def convolve_case(shape, complex_kernel, mode, seed):
+    """(op_convolve, its oracle) for a random kernel; zeropad kernels are 3x2."""
+    kshape = shape if mode == "circular" else (3, 2)
+    kernel = _random_field(kshape, complex_kernel, seed)
+    op = op_convolve(kernel, mode, domain_shape=shape)
+    return op, reference_convolve(kernel, op.range_shape, shape)
+
+
+STENCIL_SHAPES = [(1, 1), (1, 7), (7, 1), (9, 7), (128, 128)]
+
+
+class TestBitExactStencils:
+    """The flat-raster gradient and in-place convolution match the 2D forms."""
+
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=str)
+    def test_grad(self, shape):
+        assert_matches_reference(op_grad(shape), reference_grad(*shape), seed=360)
+
+    @pytest.mark.parametrize("mode", ["circular", "zeropad-linear"])
+    @pytest.mark.parametrize("complex_kernel", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=str)
+    def test_convolve(self, shape, complex_kernel, mode):
+        op, reference = convolve_case(shape, complex_kernel, mode, seed=361)
+        assert_matches_reference(op, reference, seed=362)
+
+    def test_zeropad_with_a_1x1_kernel_needs_no_padding(self):
+        kernel = np.array([[-1.5]])
+        op = op_convolve(kernel, "zeropad-linear", domain_shape=(5, 4))
+        assert op.range_shape == op.domain_shape
+        assert_matches_reference(op, reference_convolve(kernel, (5, 4), (5, 4)), seed=363)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    h=st.integers(1, 20),
+    w=st.integers(1, 20),
+    complex_kernel=st.booleans(),
+    mode=st.sampled_from(["circular", "zeropad-linear"]),
+)
+def test_generated_stencils_are_bit_exact(h, w, complex_kernel, mode):
+    assert_matches_reference(op_grad((h, w)), reference_grad(h, w), seed=364)
+    op, reference = convolve_case((h, w), complex_kernel, mode, seed=365)
+    assert_matches_reference(op, reference, seed=366)
 
 
 class TestDft2Operator:

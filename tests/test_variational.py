@@ -34,6 +34,7 @@ from reconkit import (
     op_grad,
     op_identity,
     op_matrix,
+    op_multiply,
     op_radon,
     prox_apply,
     shepp_logan,
@@ -406,6 +407,32 @@ class TestIsta:
             y = f_new + ((t - 1.0) / t_new) * (f_new - f)
             f, t = f_new, t_new
         assert np.linalg.norm(rep.final - f) <= 1e-12 * np.linalg.norm(f)
+
+
+class TestNumericalFailuresAreDivergences:
+    """Overflow inside a solver raises DivergenceError, never an input error."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("reg", ["grad", "identity"])
+    def test_admm_prox_overflow(self, reg):
+        # the student prox weight lam / rho overflows its cubic at rho = 1e-300
+        g = normal_stream(64, 1.0, 412).reshape(8, 8)
+        reg_op = op_grad((8, 8)) if reg == "grad" else None
+        obj = Objective(op_identity((8, 8)), g, "student", 1.0, reg_op=reg_op)
+        with pytest.raises(DivergenceError):
+            admm(obj, rho=1e-300, max_iter=5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["ista", "gradient_descent"])
+    def test_power_iteration_overflow(self, solver):
+        g = normal_stream(64, 1.0, 413).reshape(8, 8)
+        forward = op_multiply(np.full((8, 8), 1e200))
+        if solver == "ista":
+            with pytest.raises(DivergenceError):
+                ista(Objective(forward, g, "abs", 0.1))
+        else:
+            with pytest.raises(DivergenceError):
+                gradient_descent(Objective(forward, g, "quadratic", 0.1))
 
 
 class TestSolutionStructure:
