@@ -49,6 +49,7 @@ from .operators import (
     dot_test,
     embed_kernel,
     fourier_slice_check,
+    normal_test,
     op_compose,
     op_convolve,
     op_dft2,
@@ -635,6 +636,8 @@ def _selftest_checks():
     for name, op, tol in _selftest_cases():
         err = dot_test(op, trials=25, seed=100)
         yield name, err <= tol, f"dot_test[{name}] err={err:.3e} tol={tol:.0e}"
+        err = normal_test(op, seed=100)
+        yield f"normal[{name}]", err <= 1e-12, f"normal[{name}] err={err:.3e} tol=1e-12"
 
     img = shepp_logan(64)
     fsc = fourier_slice_check(img, np.pi / 6)

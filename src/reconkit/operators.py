@@ -10,11 +10,12 @@ constructed operator in the test suite.
 variational solver spends its time in.  Operators with a fused form run it in
 one pass: the mask ANDs the input's bits with its all-ones-or-zero keep raster
 instead of gathering and scattering, convolution multiplies the spectrum by
-``|k^|^2`` between one forward and one inverse FFT, and the gradient applies
-the Neumann Laplacian stencil directly.  A composition ``B after C`` runs
-``C* (B* B) (C x)`` with the outer part's fused normal, so mask after blur
-costs two real FFT pairs and no gather.  Every other operator falls back to
-``adjoint(apply(x))``.
+``|k^|^2`` between one forward and one inverse FFT, the gradient applies
+the Neumann Laplacian stencil directly, and the ray transform gathers and
+scatters through each view's table in turn, so each table streams once.  A
+composition ``B after C`` runs ``C* (B* B) (C x)`` with the outer part's fused
+normal, so mask after blur costs two real FFT pairs and no gather.  Every
+other operator falls back to ``adjoint(apply(x))``.
 
 Shape, field and finiteness checks run once, at the outermost public call:
 compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
@@ -52,6 +53,7 @@ __all__ = [
     "Sinogram",
     "dot_test",
     "linearity_test",
+    "normal_test",
     "op_mask",
     "op_multiply",
     "op_convolve",
@@ -168,6 +170,18 @@ def dot_test(op: LinearMap, trials: int = 100, seed=0) -> float:
         rhs = np.vdot(op.adjoint(y).ravel(), x.ravel())
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
+    """Max relative error of normal(x) vs adjoint(apply(x)) over seeded trials."""
+    base = _seed_value(seed)
+    worst = 0.0
+    for t in range(trials):
+        x = _random_field(op.domain_shape, op.domain_complex, base + t + 1)
+        want = op.adjoint(op.apply(x))
+        err = float(np.linalg.norm((op.normal(x) - want).ravel()))
+        worst = max(worst, err / max(float(np.linalg.norm(want.ravel())), 1e-300))
     return worst
 
 
@@ -601,30 +615,73 @@ def _project_view(data: np.ndarray, theta: float, n_detectors: int, pitch: float
     return bilinear_values(data, xs, ys).sum(axis=1)
 
 
-# Cache the table only while the geometry has at most 2^21 ray samples (at
-# most ~130 MB of live entries); larger geometries rebuild one view per apply
-# instead of exhausting memory.  ``cols`` stays int64: the gather and bincount
-# would otherwise cast an int32 table to a fresh table-sized temporary on
-# every apply.
+# Cache the tables only while the geometry has at most 2^21 ray samples;
+# larger geometries rebuild one view per call instead of exhausting memory.
+# Neighbouring samples of a ray share a corner, so a ray holds at most about
+# 3 entries per sample (2.3 seen on one ray, 1.4-1.6 over whole geometries):
+# under ~100 MB for 3 * 2^21 entries of 16 bytes.  ``cols`` stays int64: the
+# gather and bincount would otherwise cast an int32 table to a fresh
+# table-sized temporary on every apply.
 _RADON_CACHE_BUDGET = 1 << 21
+
+# A pixel is a live bilinear corner of a sample only if it lies less than one
+# pixel from the sample on both axes.  Samples sit one unit apart along a ray,
+# and samples t and t + 3 are farther apart than the 2 sqrt(2) diagonal of
+# that window, so a (ray, pixel) pair recurs only among samples t, t + 1 and
+# t + 2: at most 11 entries later in (sample, corner) order.
+_RADON_PAIR_REACH = 11
+
+
+def _radon_view_table(theta: float, shape, n_detectors: int, pitch: float):
+    """One view's ray table ``(rays, counts, starts, cols, vals)``.
+
+    One entry per (ray, pixel) pair with a live bilinear corner, in ray order
+    and, within a ray, in the (sample, corner) order of the pair's first live
+    corner.  ``vals`` sums the pair's corner weights in sample order; all of
+    them are positive.  ``rays`` lists the rays with entries, ``counts`` their
+    entry counts and ``starts`` their first entries, for ``np.add.reduceat``.
+    """
+    xs, ys = _ray_points(theta, shape, n_detectors, pitch)
+    indices, weights = _bilinear_stencil(shape, xs, ys)
+    idx = np.stack(indices, axis=-1).reshape(n_detectors, -1)
+    wgt = np.stack(weights, axis=-1).reshape(n_detectors, -1)
+    live = wgt != 0.0
+    ray = np.repeat(np.arange(n_detectors), np.count_nonzero(live, axis=1))
+    cols, vals = idx[live], wgt[live]
+    # fold each repeat into the pair's first entry, nearest repeats first
+    summed = vals.copy()
+    first = np.ones(cols.size, dtype=bool)
+    for lag in range(1, _RADON_PAIR_REACH + 1):
+        hits = np.flatnonzero(cols[lag:] == cols[:-lag])
+        hits = hits[ray[hits] == ray[hits + lag]]
+        summed[hits] += vals[hits + lag]
+        first[hits + lag] = False
+    keep = np.flatnonzero(first)
+    counts = np.bincount(ray[keep], minlength=n_detectors)
+    rays = np.flatnonzero(counts)
+    counts = counts[rays]
+    return rays, counts, np.cumsum(counts) - counts, cols[keep], summed[keep]
 
 
 def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     """Discrete ray transform: bilinear sampling at unit step along rays.
 
-    Each view is a compressed table of its live bilinear entries in ray
-    order: ``cols`` (pixel ids), ``vals`` (weights) and per-ray ``counts``.
-    Samples outside the image carry zero weight and are dropped, which at
-    64^2 with 30 views keeps about 60% of the dense stencil.  The forward
-    sums each ray's gathered ``vals * x[cols]`` with ``np.add.reduceat``;
-    the adjoint scatters ``vals * y[ray]`` with ``np.bincount``, so it is
-    the exact transpose of the same table.
+    Each view is a table with one entry per (ray, pixel) pair: ``cols``
+    (pixel ids) and ``vals`` (the pixel's bilinear corner weights summed
+    along the ray), see ``_radon_view_table``.  Samples outside the image
+    carry zero weight and neighbouring samples share corners, so at 64^2 with
+    30 views the tables hold about 35% of the dense stencil's entries.  The
+    forward sums each ray's gathered ``vals * x[cols]`` with
+    ``np.add.reduceat``; the adjoint scatters ``vals * y[ray]`` with
+    ``np.bincount``, so it is the exact transpose of the same table.  The
+    fused normal does both per view, streaming each table once.
 
-    Iterative solvers apply the same operator thousands of times, so the
-    table of every view is built once and kept when the geometry is small
-    enough; otherwise each apply rebuilds one view at a time.  Both paths
-    use the same per-view table and each ray is one reduction, so their
-    forwards are bit-identical, and repeated applies are too.
+    Iterative solvers apply the same operator thousands of times, so every
+    view's table is built once and kept when the geometry is small enough;
+    otherwise each call rebuilds one view at a time.  Both paths run the
+    same per-view tables in view order, so apply, adjoint and normal agree
+    bit for bit across them, the normal equals ``adjoint(apply(x))`` bit for
+    bit, and repeated calls are identical.
     """
     h, w = int(image_shape[0]), int(image_shape[1])
     if h < 2 or w < 2:
@@ -633,52 +690,46 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     pitch = geometry.detector_pitch
     n_angles, n_det = geometry.n_angles, geometry.n_detectors
     span = int(np.ceil(np.hypot(h, w))) + 1
-    cache: list = []
-
-    def view_table(a: int):
-        # (rays with entries, their entry counts, cols, vals) of one view
-        xs, ys = _ray_points(angles[a], (h, w), n_det, pitch)
-        indices, weights = _bilinear_stencil((h, w), xs, ys)
-        idx = np.concatenate(indices, axis=1)
-        wgt = np.concatenate(weights, axis=1)
-        live = wgt != 0.0
-        counts = np.count_nonzero(live, axis=1)
-        rays = np.flatnonzero(counts)
-        return rays + a * n_det, counts[rays], idx[live], wgt[live]
-
-    def full_table():
-        if not cache:
-            parts = [view_table(a) for a in range(n_angles)]
-            cache.extend(np.concatenate(column) for column in zip(*parts))
-        return tuple(cache)
-
-    merged = n_angles * n_det * span <= _RADON_CACHE_BUDGET
+    cached = n_angles * n_det * span <= _RADON_CACHE_BUDGET
+    tables: list = []
 
     def blocks():
-        # the whole cached table as one block under the budget, else one
-        # rebuilt view at a time
-        if merged:
-            yield full_table()
-            return
-        for a in range(n_angles):
-            yield view_table(a)
+        # the kept tables under the budget, else each view rebuilt in turn
+        views = (_radon_view_table(theta, (h, w), n_det, pitch) for theta in angles)
+        if not cached:
+            return views
+        if not tables:
+            tables[:] = views
+        return tables
+
+    def ray_sums(flat, starts, cols, vals):
+        samples = np.take(flat, cols)
+        samples *= vals
+        return np.add.reduceat(samples, starts)
+
+    def scatter(out, ray_values, counts, cols, vals):
+        contrib = np.repeat(ray_values, counts)
+        contrib *= vals
+        out += np.bincount(cols, weights=contrib, minlength=h * w)
 
     def forward(x):
         flat = x.ravel()
-        out = np.zeros(n_angles * n_det, dtype=np.float64)
-        for rays, counts, cols, vals in blocks():
-            samples = np.take(flat, cols)
-            samples *= vals
-            out[rays] = np.add.reduceat(samples, np.cumsum(counts) - counts)
-        return out.reshape(n_angles, n_det)
+        out = np.zeros((n_angles, n_det), dtype=np.float64)
+        for a, (rays, _, starts, cols, vals) in enumerate(blocks()):
+            out[a, rays] = ray_sums(flat, starts, cols, vals)
+        return out
 
     def backward(y):
-        flat = y.ravel()
         out = np.zeros(h * w, dtype=np.float64)
-        for rays, counts, cols, vals in blocks():
-            contrib = np.repeat(flat[rays], counts)
-            contrib *= vals
-            out += np.bincount(cols, weights=contrib, minlength=h * w)
+        for a, (rays, counts, _, cols, vals) in enumerate(blocks()):
+            scatter(out, y[a, rays], counts, cols, vals)
+        return out.reshape(h, w)
+
+    def normal(x):
+        flat = x.ravel()
+        out = np.zeros(h * w, dtype=np.float64)
+        for rays, counts, starts, cols, vals in blocks():
+            scatter(out, ray_sums(flat, starts, cols, vals), counts, cols, vals)
         return out.reshape(h, w)
 
     return LinearMap(
@@ -686,6 +737,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
         (geometry.n_angles, geometry.n_detectors),
         forward,
         backward,
+        normal_fn=normal,
         name="radon",
     )
 
