@@ -5,165 +5,24 @@ adjoint) on rectangular grids, checks the pairing numerically, and builds
 direct, regularized, and sparsity-promoting reconstruction on top.  All
 randomness flows through one seeded generator, so every experiment is
 reproducible bit for bit.
+
+Each module lists its public names once, in its own ``__all__``; the package
+re-exports exactly those names.
 """
 
-from .errors import BreakdownError, DivergenceError, SingularityError, ValidationError
-from .grids import (
-    ComplexGrid,
-    GridImage,
-    Seed,
-    as_array,
-    bilinear_sample,
-    bilinear_values,
-    crop,
-    dft2,
-    gaussian_noise,
-    idft2,
-    normal_stream,
-    uniform_stream,
-    zero_pad,
-)
-from .operators import (
-    LinearMap,
-    Mask,
-    RadonGeometry,
-    Sinogram,
-    dot_test,
-    embed_kernel,
-    fourier_slice_check,
-    linearity_test,
-    normal_test,
-    op_compose,
-    op_convolve,
-    op_dft2,
-    op_grad,
-    op_identity,
-    op_mask,
-    op_matrix,
-    op_multiply,
-    op_radon,
-    radon,
-    transform_dct8,
-    transform_haar,
-)
-from .direct import RampFilter, fbp, ramp_filter, wiener_deconvolve, zerofill_ifft
-from .variational import (
-    NullspaceReport,
-    Objective,
-    ProxSpec,
-    SolveReport,
-    SweepResult,
-    admm,
-    conjugate_gradient_normal,
-    grad_objective_quadratic,
-    gradient_descent,
-    ista,
-    lambda_sweep,
-    nullspace_demo,
-    objective_value,
-    prox_apply,
-)
-from .phantoms import (
-    SHEPP_LOGAN,
-    Degraded,
-    Ellipse,
-    EllipsePhantom,
-    SparseInstance,
-    airy_psf,
-    analytic_sinogram,
-    bessel_j1,
-    compressibility_study,
-    degrade,
-    gaussian_kernel,
-    mse,
-    point_eval,
-    render,
-    shepp_logan,
-    snr_db,
-    sparse_recovery_instance,
-)
-from .io import read_raster, write_csv, write_manifest, write_pgm, write_raster
+from . import direct, errors, grids, io, operators, phantoms, variational
+from .direct import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .io import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .phantoms import *  # noqa: F403
+from .variational import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreakdownError",
-    "ComplexGrid",
-    "Degraded",
-    "DivergenceError",
-    "Ellipse",
-    "EllipsePhantom",
-    "GridImage",
-    "LinearMap",
-    "Mask",
-    "NullspaceReport",
-    "Objective",
-    "ProxSpec",
-    "RadonGeometry",
-    "RampFilter",
-    "SHEPP_LOGAN",
-    "Seed",
-    "SingularityError",
-    "Sinogram",
-    "SolveReport",
-    "SparseInstance",
-    "SweepResult",
-    "ValidationError",
-    "admm",
-    "airy_psf",
-    "analytic_sinogram",
-    "as_array",
-    "bessel_j1",
-    "bilinear_sample",
-    "bilinear_values",
-    "compressibility_study",
-    "conjugate_gradient_normal",
-    "crop",
-    "degrade",
-    "dft2",
-    "dot_test",
-    "embed_kernel",
-    "fbp",
-    "fourier_slice_check",
-    "gaussian_kernel",
-    "gaussian_noise",
-    "grad_objective_quadratic",
-    "gradient_descent",
-    "idft2",
-    "ista",
-    "lambda_sweep",
-    "linearity_test",
-    "mse",
-    "normal_stream",
-    "normal_test",
-    "nullspace_demo",
-    "objective_value",
-    "op_compose",
-    "op_convolve",
-    "op_dft2",
-    "op_grad",
-    "op_identity",
-    "op_mask",
-    "op_matrix",
-    "op_multiply",
-    "op_radon",
-    "point_eval",
-    "prox_apply",
-    "radon",
-    "ramp_filter",
-    "read_raster",
-    "render",
-    "shepp_logan",
-    "snr_db",
-    "sparse_recovery_instance",
-    "transform_dct8",
-    "transform_haar",
-    "uniform_stream",
-    "wiener_deconvolve",
-    "write_csv",
-    "write_manifest",
-    "write_pgm",
-    "write_raster",
-    "zero_pad",
-    "zerofill_ifft",
-]
+__all__ = sorted(
+    name
+    for module in (direct, errors, grids, io, operators, phantoms, variational)
+    for name in module.__all__
+)

@@ -233,6 +233,8 @@ def load_config(args, base: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file cannot be read: {args.config}: {exc}")
         if not isinstance(file_part, dict):
             raise ConfigError("config file must hold a JSON object")
     merged = _deep_merge(base or {}, file_part)
@@ -259,6 +261,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("solver.step must be > 0 when given")
     if cfg.transform not in (*_TRANSFORMS, "all"):
         raise ConfigError(f"transform {cfg.transform!r} is not supported")
+    for lam in cfg.solver.lambdas or []:
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+            raise ConfigError("solver.lambdas entries must be numbers")
     for fr in cfg.keep_fractions:
         if not isinstance(fr, (int, float)) or not 0.0 < float(fr) <= 1.0:
             raise ConfigError("keep_fractions entries must lie in (0, 1]")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["BreakdownError", "DivergenceError", "SingularityError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""

@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * images are stored row-major as (height, width) float64 arrays, pixel
-  (row, col) = (y, x), with the row axis pointing down;
+  (row, col) = (y, x), with the row axis pointing down; ``GridImage`` and
+  ``ComplexGrid`` are one raster type that differs only in its dtype;
 * the forward DFT is unnormalized, ``F[k, l] = sum_{n,m} x[n, m]
   exp(-i 2 pi (k n / H + l m / W))``, and the inverse carries the full
   ``1 / (H W)`` factor, so ``idft2(dft2(x)) == x``;
@@ -23,9 +24,11 @@ __all__ = [
     "GridImage",
     "ComplexGrid",
     "Seed",
+    "as_array",
     "dft2",
     "idft2",
     "bilinear_sample",
+    "bilinear_values",
     "zero_pad",
     "crop",
     "gaussian_noise",
@@ -40,53 +43,41 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class GridImage:
+class _Raster:
+    """A 2D raster with square pixels of size ``pitch``, stored as ``_dtype``."""
+
+    data: np.ndarray
+    pitch: float = 1.0
+
+    def __post_init__(self):
+        name = type(self).__name__
+        data = np.asarray(self.data, dtype=self._dtype)
+        if data.ndim != 2 or data.size == 0:
+            raise ValidationError(f"{name}.data must be a non-empty 2D array")
+        _require_finite(data, f"{name}.data")
+        if not (self.pitch > 0 and np.isfinite(self.pitch)):
+            raise ValidationError(f"{name}.pitch must be positive and finite")
+        object.__setattr__(self, "data", data)
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+
+class GridImage(_Raster):
     """A real-valued raster with square pixels of size ``pitch``."""
 
-    data: np.ndarray
-    pitch: float = 1.0
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.size == 0:
-            raise ValidationError("GridImage.data must be a non-empty 2D array")
-        _require_finite(data, "GridImage.data")
-        if not (self.pitch > 0 and np.isfinite(self.pitch)):
-            raise ValidationError("GridImage.pitch must be positive and finite")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+    _dtype = np.float64
 
 
-@dataclass(frozen=True)
-class ComplexGrid:
+class ComplexGrid(_Raster):
     """A complex-valued raster, same layout as GridImage."""
 
-    data: np.ndarray
-    pitch: float = 1.0
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        if data.ndim != 2 or data.size == 0:
-            raise ValidationError("ComplexGrid.data must be a non-empty 2D array")
-        _require_finite(data, "ComplexGrid.data")
-        if not (self.pitch > 0 and np.isfinite(self.pitch)):
-            raise ValidationError("ComplexGrid.pitch must be positive and finite")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+    _dtype = np.complex128
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ def _seed_value(seed) -> int:
 
 def as_array(img) -> np.ndarray:
     """Accept a GridImage, ComplexGrid, or bare ndarray and return the array."""
-    if isinstance(img, (GridImage, ComplexGrid)):
+    if isinstance(img, _Raster):
         return img.data
     return np.asarray(img)
 

@@ -609,12 +609,6 @@ def _ray_points(theta: float, shape, n_detectors: int, pitch: float):
     return xs, ys
 
 
-def _project_view(data: np.ndarray, theta: float, n_detectors: int, pitch: float) -> np.ndarray:
-    """One view of the ray transform: line integrals at unit step."""
-    xs, ys = _ray_points(theta, data.shape, n_detectors, pitch)
-    return bilinear_values(data, xs, ys).sum(axis=1)
-
-
 # Cache the tables only while the geometry has at most 2^21 ray samples;
 # larger geometries rebuild one view per call instead of exhausting memory.
 # Neighbouring samples of a ray share a corner, so a ray holds at most about
@@ -663,6 +657,13 @@ def _radon_view_table(theta: float, shape, n_detectors: int, pitch: float):
     return rays, counts, np.cumsum(counts) - counts, cols[keep], summed[keep]
 
 
+def _ray_sums(flat, starts, cols, vals):
+    """The line integral of each ray with entries in one view's table."""
+    samples = np.take(flat, cols)
+    samples *= vals
+    return np.add.reduceat(samples, starts)
+
+
 def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     """Discrete ray transform: bilinear sampling at unit step along rays.
 
@@ -702,11 +703,6 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
             tables[:] = views
         return tables
 
-    def ray_sums(flat, starts, cols, vals):
-        samples = np.take(flat, cols)
-        samples *= vals
-        return np.add.reduceat(samples, starts)
-
     def scatter(out, ray_values, counts, cols, vals):
         contrib = np.repeat(ray_values, counts)
         contrib *= vals
@@ -716,7 +712,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
         flat = x.ravel()
         out = np.zeros((n_angles, n_det), dtype=np.float64)
         for a, (rays, _, starts, cols, vals) in enumerate(blocks()):
-            out[a, rays] = ray_sums(flat, starts, cols, vals)
+            out[a, rays] = _ray_sums(flat, starts, cols, vals)
         return out
 
     def backward(y):
@@ -729,7 +725,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
         flat = x.ravel()
         out = np.zeros(h * w, dtype=np.float64)
         for rays, counts, starts, cols, vals in blocks():
-            scatter(out, ray_sums(flat, starts, cols, vals), counts, cols, vals)
+            scatter(out, _ray_sums(flat, starts, cols, vals), counts, cols, vals)
         return out.reshape(h, w)
 
     return LinearMap(
@@ -839,13 +835,14 @@ def transform_dct8(img: GridImage, inverse: bool = False) -> GridImage:
 def fourier_slice_check(img: GridImage, theta: float) -> float:
     """Relative l2 mismatch between the two routes to a central slice.
 
-    Route one takes a single ray-transform view at angle ``theta`` and runs a
-    1D DFT over detectors; route two samples the 2D DFT of the image along
-    the same direction by bilinear interpolation.  Both sides are rephased to
-    the image center and compared over the low 60 percent of the band.  The
-    2D spectrum is computed on a 4x zero-padded grid and rephased to the
-    image center before the lookup: the padding densifies the sample grid
-    and the centering removes the near-Nyquist phase ramp, so bilinear
+    Route one projects the image through ``op_radon``'s table for the single
+    view at angle ``theta`` (so it checks the table the solvers apply) and
+    runs a 1D DFT over detectors; route two samples the 2D DFT of the image
+    along the same direction by bilinear interpolation.  Both sides are
+    rephased to the image center and compared over the low 60 percent of the
+    band.  The 2D spectrum is computed on a 4x zero-padded grid and rephased
+    to the image center before the lookup: the padding densifies the sample
+    grid and the centering removes the near-Nyquist phase ramp, so bilinear
     interpolation of the spectrum is accurate where the slice is read.
     """
     data = as_array(img)
@@ -853,7 +850,9 @@ def fourier_slice_check(img: GridImage, theta: float) -> float:
     if h != w:
         raise ValidationError("fourier_slice_check expects a square image")
     n = w
-    proj = _project_view(data, float(theta), n, 1.0)
+    rays, _, starts, cols, vals = _radon_view_table(float(theta), (n, n), n, 1.0)
+    proj = np.zeros(n)
+    proj[rays] = _ray_sums(np.asarray(data, dtype=np.float64).ravel(), starts, cols, vals)
 
     freqs = np.fft.fftfreq(n)
     center = (n - 1) / 2.0

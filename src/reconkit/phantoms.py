@@ -31,6 +31,7 @@ __all__ = [
     "Ellipse",
     "EllipsePhantom",
     "SHEPP_LOGAN",
+    "render",
     "shepp_logan",
     "point_eval",
     "analytic_sinogram",

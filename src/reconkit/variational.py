@@ -224,8 +224,8 @@ def _iterate(f: np.ndarray, step: Callable, max_iter: int, label: str, config: d
 # ---------------------------------------------------------------------------
 
 
-def _power_max_eig(apply_normal: Callable, shape, iters: int = 50, seed=0) -> float:
-    """Largest eigenvalue of a symmetric PSD operator by power iteration."""
+def _power_max_eig(apply_normal: Callable, shape, seed) -> float:
+    """Largest eigenvalue of a symmetric PSD operator by 50 power iterations."""
     n = int(np.prod(shape))
     v = normal_stream(n, 1.0, _seed_value(seed)).reshape(shape)
     norm = float(np.linalg.norm(v.ravel()))
@@ -233,7 +233,7 @@ def _power_max_eig(apply_normal: Callable, shape, iters: int = 50, seed=0) -> fl
         return 0.0
     v = v / norm
     top = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = apply_normal(v)
         top = float(np.linalg.norm(w.ravel()))
         if top == 0.0:
@@ -245,13 +245,9 @@ def _power_max_eig(apply_normal: Callable, shape, iters: int = 50, seed=0) -> fl
     return top
 
 
-def _lipschitz_quadratic(obj: Objective, seed=0, iters: int = 50) -> float:
-    normal = _normal_equations(obj, obj.lam)
-    return 2.0 * _power_max_eig(normal, obj.forward.domain_shape, iters, seed)
-
-
-def _lipschitz_data(forward: LinearMap, seed=0, iters: int = 50) -> float:
-    return _power_max_eig(forward.normal, forward.domain_shape, iters, seed)
+def _lipschitz(obj: Objective, weight: float, seed) -> float:
+    """Largest eigenvalue of ``H* H + weight L* L``, the step sizes' scale."""
+    return _power_max_eig(_normal_equations(obj, weight), obj.forward.domain_shape, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +273,7 @@ def gradient_descent(
         raise ValidationError("gradient_descent handles the quadratic penalty")
     f = _start(obj, f0)
     if step == "auto":
-        lip = _lipschitz_quadratic(obj, seed=power_seed)
+        lip = 2.0 * _lipschitz(obj, obj.lam, power_seed)
         gamma = 0.9 / lip if lip > 0 else 1.0
     else:
         gamma = float(step)
@@ -594,7 +590,7 @@ def ista(
     if obj.reg_op is not None:
         raise ValidationError("ista requires reg_op = identity (pass None)")
     f = _start(obj, f0)
-    lip = _lipschitz_data(obj.forward, seed=power_seed)
+    lip = _lipschitz(obj, 0.0, power_seed)
     gamma = 0.9 / lip if lip > 0 else 1.0
     spec = ProxSpec("abs", lam=obj.lam)
 
@@ -666,12 +662,7 @@ def admm(
         raise ValidationError("rho must be positive and finite")
     f = _start(obj, f0)
 
-    if obj.penalty == "abs":
-        spec = ProxSpec("abs", lam=1.0)
-    elif obj.penalty == "quadratic":
-        spec = ProxSpec("quadratic", lam=1.0, sigma2=1.0)
-    else:
-        spec = ProxSpec("student", lam=1.0, r=obj.student_r)
+    spec = ProxSpec(obj.penalty, r=obj.student_r)
     prox_step = obj.lam / rho
 
     apply_a = _normal_equations(obj, rho)

@@ -134,6 +134,31 @@ class TestConfig:
         code = main(["phantom", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "config file not found"),
+            ("directory", "config file cannot be read"),
+            ("not_utf8", "config file cannot be read"),
+        ],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind, message):
+        cfg_path = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg_path.mkdir()
+        elif kind == "not_utf8":
+            cfg_path.write_bytes(b'\xff\xfe{"seed": 1}')
+        argv = ["phantom", "--size", "32", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_numeric_lambda_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"solver": {"lambdas": ["x"]}}))
+        code = main(["compare-l2-l1", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "solver.lambdas" in capsys.readouterr().err
+
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         code = main(["phantom", "--size", "8", "--out", str(tmp_path / "o")])
         assert code == 2

@@ -67,6 +67,22 @@ class TestGridImage:
         with pytest.raises(ValidationError):
             ComplexGrid(np.zeros((4,), dtype=complex))
 
+    @pytest.mark.parametrize("cls, dtype", [(GridImage, np.float64), (ComplexGrid, np.complex128)])
+    def test_each_raster_names_itself_and_keeps_its_dtype(self, cls, dtype):
+        name = cls.__name__
+        assert cls(np.ones((2, 3), dtype=np.float32)).data.dtype == dtype
+        with pytest.raises(ValidationError, match=rf"^{name}\.data must be a non-empty 2D array$"):
+            cls(np.zeros(5))
+        with pytest.raises(ValidationError, match=rf"^{name}\.data contains non-finite samples$"):
+            cls(np.full((2, 2), np.inf))
+        with pytest.raises(ValidationError, match=rf"^{name}\.pitch must be positive and finite$"):
+            cls(np.zeros((2, 2)), pitch=np.nan)
+
+    def test_complex_grid_is_not_a_grid_image(self):
+        grid = ComplexGrid(np.zeros((2, 2)))
+        assert not isinstance(grid, GridImage)
+        assert grid != GridImage(np.zeros((2, 2)))
+
 
 class TestDft:
     def test_matches_direct_sum(self):

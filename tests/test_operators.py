@@ -23,6 +23,7 @@ from reconkit import (
     gaussian_kernel,
     linearity_test,
     normal_stream,
+    normal_test,
     op_compose,
     op_convolve,
     op_dft2,
@@ -553,6 +554,53 @@ class TestNormal:
             lhs = np.vdot(y.ravel(), op.normal(x).ravel())
             rhs = np.vdot(op.normal(y).ravel(), x.ravel())
             assert abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1e-300)
+
+
+def _generated_part(kind, shape, complex_field, seed):
+    """One operator of ``kind`` on ``shape`` and its ``_selftest_cases`` tolerance."""
+    if kind == "multiply":
+        return op_multiply(_random_field(shape, complex_field, seed)), EXACT
+    if kind == "convolve_circular":
+        return op_convolve(_random_field(shape, complex_field, seed)), FFTTOL
+    if kind == "convolve_linear":
+        kernel = _random_field((1 + seed % 3, 1 + seed % 4), complex_field, seed)
+        return op_convolve(kernel, "zeropad-linear", domain_shape=shape), FFTTOL
+    if kind == "dft2":
+        return op_dft2(shape), FFTTOL
+    if kind == "mask":
+        return op_mask(Mask.random(shape, 0.5, seed), complex_field=complex_field), EXACT
+    return op_grad(shape), EXACT
+
+
+@st.composite
+def _generated_chains(draw):
+    """``(h, w, complex_field, kinds, seed)``: operator kinds, innermost first."""
+    complex_field = draw(st.booleans())
+    # dft2 is complex-only and grad real-only; the inner kinds map (h, w) to itself
+    inner = (["dft2"] if complex_field else []) + ["multiply", "convolve_circular"]
+    outer = [None, "mask", "convolve_linear"] + ([] if complex_field else ["grad"])
+    last = draw(st.sampled_from(outer))
+    kinds = draw(st.lists(st.sampled_from(inner), min_size=0 if last else 1, max_size=2))
+    kinds += [last] if last else []
+    h, w, seed = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 2**16))
+    return h, w, complex_field, kinds, seed
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(chain=_generated_chains())
+@example(chain=(1, 9, False, ["convolve_circular", "grad"], 3))
+@example(chain=(9, 1, True, ["dft2", "multiply", "mask"], 4))
+@example(chain=(3, 7, True, ["convolve_circular", "dft2", "convolve_linear"], 7))
+@example(chain=(1, 1, True, ["convolve_linear"], 5))
+@example(chain=(7, 5, False, ["multiply", "convolve_circular", "mask"], 6))
+def test_generated_operators_pair_and_fuse_their_normals(chain):
+    h, w, complex_field, kinds, seed = chain
+    op, tol = _generated_part(kinds[0], (h, w), complex_field, seed)
+    for k, kind in enumerate(kinds[1:], start=1):
+        outer, outer_tol = _generated_part(kind, (h, w), complex_field, seed + k)
+        op, tol = op_compose(outer, op), max(tol, outer_tol)
+    assert dot_test(op, trials=25, seed=seed) <= tol
+    assert normal_test(op, seed=seed) <= 1e-12
 
 
 class TestValidateOnce:
