@@ -60,6 +60,7 @@ from .operators import (
 )
 from .phantoms import (
     SHEPP_LOGAN,
+    _blur_then_mask,
     airy_psf,
     analytic_sinogram,
     degrade,
@@ -120,7 +121,7 @@ class GeometryConfig:
 class SolverConfig:
     kind: str = "cg_tikhonov"  # a key of _SOLVERS
     lam: float = 0.1
-    lambdas: list | None = None
+    lambdas: list[float] | None = None
     rho: float = 1.0
     max_iter: int = 200
     tol: float = 1e-8
@@ -136,7 +137,7 @@ class ExperimentConfig:
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     transform: str = "haar"  # a name in _TRANSFORMS, or "all"
-    keep_fractions: list = field(default_factory=lambda: [0.01, 0.05, 0.1, 0.25])
+    keep_fractions: list[float] = field(default_factory=lambda: [0.01, 0.05, 0.1, 0.25])
     levels: int = 4
     out_dir: str = "out"
     seed: int = 0
@@ -166,10 +167,6 @@ def _coerce(value, typ, path):
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be a table of fields")
         return _from_dict(typ, value, path)
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be true or false")
-        return value
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer")
@@ -182,10 +179,11 @@ def _coerce(value, typ, path):
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
         return value
-    if typ is list or origin is list:
+    if origin is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
-        return list(value)
+        (entry,) = typing.get_args(typ)
+        return [_coerce(item, entry, f"{path}[{i}]") for i, item in enumerate(value)]
     raise ConfigError(f"{path} has unsupported type {typ!r}")
 
 
@@ -198,10 +196,7 @@ def _from_dict(cls, data: dict, path: str = "config"):
     kwargs = {}
     for name, value in data.items():
         kwargs[name] = _coerce(value, hints[name], f"{path}.{name}")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {path}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def _deep_merge(base: dict, patch: dict) -> dict:
@@ -261,11 +256,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("solver.step must be > 0 when given")
     if cfg.transform not in (*_TRANSFORMS, "all"):
         raise ConfigError(f"transform {cfg.transform!r} is not supported")
-    for lam in cfg.solver.lambdas or []:
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-            raise ConfigError("solver.lambdas entries must be numbers")
+    if cfg.solver.lambdas == []:
+        raise ConfigError("solver.lambdas must hold at least one weight")
     for fr in cfg.keep_fractions:
-        if not isinstance(fr, (int, float)) or not 0.0 < float(fr) <= 1.0:
+        if not 0.0 < fr <= 1.0:
             raise ConfigError("keep_fractions entries must lie in (0, 1]")
 
 
@@ -294,7 +288,7 @@ def _simulate(cfg: ExperimentConfig):
         sigma = float(cfg.degradation.noise_sigma)
     elif cfg.degradation.noise_snr_db is not None:
         # sigma hits the target expected measurement SNR: ||clean||^2 / (M sigma^2)
-        probe = op_compose(op_mask(mask), op_convolve(embed_kernel(kernel, truth.data.shape)))
+        probe = _blur_then_mask(embed_kernel(kernel, truth.data.shape), mask)
         clean = probe.apply(truth.data)
         power = float(np.vdot(clean, clean).real)
         sigma = float(
@@ -446,9 +440,7 @@ def cmd_reconstruct(args) -> int:
     except FileNotFoundError as exc:
         raise ConfigError(f"data raster not found: {exc.filename}") from exc
 
-    forward = op_compose(
-        op_mask(mask), op_convolve(embed_kernel(kernel, truth.shape), "circular")
-    )
+    forward = _blur_then_mask(embed_kernel(kernel, truth.shape), mask)
     report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
     recon = report.final
     snr = snr_db(truth, recon)
@@ -494,7 +486,7 @@ def cmd_compress_study(args) -> int:
 def cmd_compare_l2_l1(args) -> int:
     cfg = load_config(args)
     truth, kernel, data = _simulate(cfg)
-    lambdas = cfg.solver.lambdas or [0.003, 0.01, 0.03, 0.1, 0.3]
+    lambdas = [0.003, 0.01, 0.03, 0.1, 0.3] if cfg.solver.lambdas is None else cfg.solver.lambdas
 
     def sweep(kind):
         def run(lam):

@@ -3,6 +3,10 @@
 Phantoms are defined on the unit square [-1, 1]^2 with the +y axis along the
 row axis (pointing down), matching the ray-transform convention, and are
 rendered by point evaluation at pixel centers.
+
+``_blur_then_mask`` is the one measurement model (circular blur, then the
+sampling mask): ``degrade`` returns it with its measurements, and the CLI
+builds the operator it simulates and reconstructs with through it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import GridImage, as_array, gaussian_noise, normal_stream, uniform_stream
+from .grids import GridImage, _seed_value, as_array, gaussian_noise, normal_stream, uniform_stream
 from .operators import (
     LinearMap,
     Mask,
@@ -271,22 +275,28 @@ class Degraded:
     measurement_snr_db: float
 
 
-def degrade(img: GridImage, blur_kernel, mask: Mask, sigma: float, seed) -> Degraded:
+def _blur_then_mask(kernel: np.ndarray, mask: Mask) -> LinearMap:
+    """The measurement model: circular blur by an embedded kernel, then the mask."""
+    return op_compose(op_mask(mask), op_convolve(kernel, "circular"))
+
+
+def degrade(img, blur_kernel, mask: Mask, sigma: float, seed) -> Degraded:
     """Blur circularly, subsample through the mask, add seeded white noise.
 
-    ``blur_kernel`` is a small centered kernel; it is embedded on the image
-    grid with its center at the origin so the blur does not shift content.
-    The returned operator is mask `o` convolve, ready for reconstruction.
+    ``img`` is a GridImage or a 2D array.  ``blur_kernel`` is a small
+    centered kernel; it is embedded on the image grid with its center at the
+    origin so the blur does not shift content.  The returned operator is
+    ``_blur_then_mask``'s mask `o` convolve, ready for reconstruction.
     """
     if not (sigma >= 0 and np.isfinite(sigma)):
         raise ValidationError("degrade sigma must be finite and >= 0")
-    if mask.shape != img.data.shape:
+    data = as_array(img)
+    if mask.shape != data.shape:
         raise ValidationError("mask shape must match the image")
-    kernel = embed_kernel(as_array(blur_kernel), img.data.shape)
-    op = op_compose(op_mask(mask), op_convolve(kernel, "circular"))
-    clean = op.apply(img.data)
-    noise_img = gaussian_noise(img.data.shape, sigma, seed)
-    noise = noise_img.data.ravel()[mask.indices]
+    kernel = embed_kernel(as_array(blur_kernel), data.shape)
+    op = _blur_then_mask(kernel, mask)
+    clean = op.apply(data)
+    noise = gaussian_noise(data.shape, sigma, seed).data.ravel()[mask.indices]
     measurements = clean + noise
     return Degraded(
         measurements=measurements,
@@ -294,7 +304,7 @@ def degrade(img: GridImage, blur_kernel, mask: Mask, sigma: float, seed) -> Degr
         mask=mask,
         kernel=kernel,
         sigma=float(sigma),
-        seed=int(seed if isinstance(seed, (int, np.integer)) else seed.value),
+        seed=_seed_value(seed),
         clean=clean,
         noise=noise,
         measurement_snr_db=snr_db(clean, measurements),

@@ -11,15 +11,17 @@ Objective conventions, fixed once for the whole package:
 probabilistic model; the package exposes the single knob and documents the
 mapping rather than both.
 
-``_cg_quadratic`` is the one CG loop: ``conjugate_gradient_normal`` runs it
-with a callback that records the traces, and ADMM's f-step runs it.
-``_iterate`` is the one loop of gradient descent, ISTA/FISTA and ADMM, each a
-step function with its own stop rule; it keeps the traces and builds the
-``SolveReport``.  Steps reuse the residual ``H f - g`` for the objective, so
-gradient descent and ISTA/FISTA apply ``H`` once per iteration: FISTA forms
-the residual at its momentum point from the last two by linearity.  ADMM's
-objective costs no apply: its misfit follows from the f-step's final CG
-residual and the ``L f`` it already holds.
+``_iterate`` is the one solver loop: gradient descent, CG on the normal
+equations, ISTA/FISTA and ADMM are each a step function with its own stop
+rule, and ``_iterate`` keeps the traces and builds every ``SolveReport``.
+``_cg_quadratic`` is the one CG kernel: it checks the start and returns the
+CG step, which ``conjugate_gradient_normal`` runs through ``_iterate`` and
+ADMM's f-step runs for at most ``inner_iter`` iterations.  Steps reuse the
+residual ``H f - g`` for the objective, so gradient descent and ISTA/FISTA
+apply ``H`` once per iteration: FISTA forms the residual at its momentum
+point from the last two by linearity.  ADMM's objective costs no apply: its
+misfit follows from the f-step's final CG residual and the ``L f`` it
+already holds.
 """
 
 from __future__ import annotations
@@ -192,17 +194,20 @@ def _settled(prev: float, current: float, tol: float) -> bool:
     return abs(current - prev) <= tol * max(abs(prev), 1e-300)
 
 
-def _iterate(f: np.ndarray, step: Callable, max_iter: int, label: str, config: dict) -> SolveReport:
+def _iterate(
+    f: np.ndarray, step: Callable, max_iter: int, label: str, config: dict, converged: bool = False
+) -> SolveReport:
     """Run ``step`` from ``f`` until its stop rule holds or ``max_iter`` runs out.
 
     ``step(f, trace, where)`` does one iteration and returns ``(f, objective,
     residual, converged)``.  It hands ``trace`` (the objective values so far)
     and ``where`` to ``_check_finite`` before a non-finite value can reach an
     operator, so a divergence names its iteration and carries the trace.
+    ``converged`` is the start's verdict: a start that already meets the stop
+    rule runs no iteration.
     """
     objective: list[float] = []
     residual: list[float] = []
-    converged = False
     iterations = 0
     while not converged and iterations < max_iter:
         iterations += 1
@@ -322,27 +327,25 @@ def gradient_descent(
 # ---------------------------------------------------------------------------
 
 
-def _cg_quadratic(
-    apply_a: Callable, b: np.ndarray, x0: np.ndarray, max_iter: int, tol: float, trace=(), callback=None
-):
-    """Plain CG for SPD (or consistent PSD) systems; returns (x, r, it, converged).
+def _cg_quadratic(apply_a: Callable, b: np.ndarray, x: np.ndarray, tol: float, trace=()):
+    """Plain CG for SPD (or consistent PSD) systems ``A x = b``, started at ``x``.
 
-    Stops once the residual norm is at most ``tol * ||b||``.  ``r`` is the
-    final residual ``b - A x`` of the recurrence, so a caller has ``A x =
-    b - r`` without another apply.  ``trace`` is the caller's objective
-    trace, carried by a DivergenceError when the residual leaves the finite
-    range.  ``callback(x, residual_norm)`` runs
-    after every iteration's guard and before its stop test.
+    Returns ``(step, r, converged)``: the start residual ``r = b - A x``,
+    whether it already meets the stop test ``||r|| <= tol * ||b||``, and
+    ``step(x, trace, where)``, which does one iteration and returns ``(x, r,
+    ||r||, converged)``.  ``r`` is the recurrence residual, so a caller has
+    ``A x = b - r`` without another apply.  ``trace`` is the caller's
+    objective trace, carried by a DivergenceError when the residual leaves
+    the finite range.
     """
-    x = x0.copy()
     r = b - apply_a(x)
     p = r.copy()
     rs = _sqnorm(r)
     _check_finite(trace, "conjugate gradients start", rs)
-    bnorm = max(float(np.linalg.norm(b.ravel())), 1e-300)
-    it = 0
-    converged = bool(np.sqrt(rs) <= tol * bnorm)
-    while not converged and it < max_iter:
+    stop = tol * max(float(np.linalg.norm(b.ravel())), 1e-300)
+
+    def step(x, trace, where):
+        nonlocal r, p, rs
         ap = apply_a(p)
         pap = float(np.vdot(p, ap).real)
         if pap <= 0.0:
@@ -351,16 +354,14 @@ def _cg_quadratic(
         x = x + alpha * p
         r = r - alpha * ap
         rs_new = _sqnorm(r)
-        it += 1
-        _check_finite(trace, f"conjugate gradients iteration {it}", rs_new, x)
-        if callback is not None:
-            callback(x, np.sqrt(rs_new))
-        if np.sqrt(rs_new) <= tol * bnorm:
-            converged = True
-            break
-        p = r + (rs_new / rs) * p
+        _check_finite(trace, where, rs_new, x)
+        converged = bool(np.sqrt(rs_new) <= stop)
+        if not converged:
+            p = r + (rs_new / rs) * p
         rs = rs_new
-    return x, r, it, converged
+        return x, r, float(np.sqrt(rs_new)), converged
+
+    return step, r, bool(np.sqrt(rs) <= stop)
 
 
 def conjugate_gradient_normal(
@@ -379,30 +380,21 @@ def conjugate_gradient_normal(
     if obj.penalty != "quadratic":
         raise ValidationError("conjugate_gradient_normal handles the quadratic penalty")
     f = _start(obj, f0)
-    obj_trace: list[float] = []
-    res_trace: list[float] = []
-
-    def record(x, residual_norm):
-        obj_trace.append(objective_value(obj, x))
-        res_trace.append(float(residual_norm))
-
-    b = obj.forward.adjoint(obj.data)
-    f, _, iterations, converged = _cg_quadratic(
-        _normal_equations(obj, obj.lam), b, f, max_iter, tol, obj_trace, record
+    cg_step, _, converged = _cg_quadratic(
+        _normal_equations(obj, obj.lam), obj.forward.adjoint(obj.data), f, tol
     )
-    return SolveReport(
-        final=f,
-        objective_trace=np.asarray(obj_trace),
-        residual_trace=np.asarray(res_trace),
-        iterations=iterations,
-        converged=converged,
-        config={
-            "solver": "conjugate_gradient_normal",
-            "max_iter": max_iter,
-            "tol": tol,
-            "lam": obj.lam,
-        },
-    )
+
+    def step(f, trace, where):
+        f, _, residual, converged = cg_step(f, trace, where)
+        return f, objective_value(obj, f), residual, converged
+
+    config = {
+        "solver": "conjugate_gradient_normal",
+        "max_iter": max_iter,
+        "tol": tol,
+        "lam": obj.lam,
+    }
+    return _iterate(f, step, max_iter, "conjugate gradients", config, converged)
 
 
 @dataclass
@@ -674,7 +666,11 @@ def admm(
     def split_step(f, trace, where):
         nonlocal u, alpha
         rhs = hg + rho * obj.reg_adjoint(u - alpha)
-        f, r, _, _ = _cg_quadratic(apply_a, rhs, f, inner_iter, inner_tol, trace)
+        cg_step, r, solved = _cg_quadratic(apply_a, rhs, f, inner_tol, trace)
+        for it in range(1, inner_iter + 1):
+            if solved:
+                break
+            f, r, _, solved = cg_step(f, trace, f"conjugate gradients iteration {it}")
         lf = obj.reg_apply(f)
         shifted = lf + alpha
         _check_finite(trace, where, shifted)

@@ -101,6 +101,21 @@ class TestCsv:
         assert text == "metric,value\nsnr,inf\nok,true\nx,0.1\n"
 
 
+# one config that breaks each rule of the config check, and the key its error names
+CONFIG_RULES = [
+    ({"phantom": {"kind": "disk"}}, "phantom.kind"),
+    ({"phantom": {"size": 16}}, "phantom.size"),
+    ({"degradation": {"blur": "motion"}}, "degradation.blur"),
+    ({"degradation": {"mask_fraction": 0.0}}, "degradation.mask_fraction"),
+    ({"solver": {"kind": "deep_net"}}, "solver.kind"),
+    ({"solver": {"lam": -1.0}}, "solver.lam"),
+    ({"solver": {"step": 0.0}}, "solver.step"),
+    ({"transform": "wavelet"}, "transform"),
+    ({"keep_fractions": [0.5, 1.5]}, "keep_fractions"),
+    ({"keep_fractions": [0.5, "x"]}, "keep_fractions[1]"),
+]
+
+
 class TestConfig:
     def test_round_trips_losslessly(self):
         cfg = ExperimentConfig(seed=7)
@@ -158,6 +173,35 @@ class TestConfig:
         code = main(["compare-l2-l1", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "solver.lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch, key", CONFIG_RULES, ids=[key for _, key in CONFIG_RULES])
+    def test_each_config_rule_exits_2_naming_its_key(self, tmp_path, capsys, patch, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(patch))
+        assert main(["phantom", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, patch, key",
+        [
+            (["compare-l2-l1"], {"solver": {"lambdas": []}}, "solver.lambdas"),
+            (["compare-l2-l1", "--lambdas", ""], {}, "solver.lambdas"),
+            (["compress-study"], {"keep_fractions": [True, 0.1]}, "keep_fractions[0]"),
+        ],
+        ids=["empty_lambdas_in_config", "empty_lambdas_flag", "boolean_keep_fraction"],
+    )
+    def test_empty_sweeps_and_boolean_entries_exit_2(self, tmp_path, capsys, argv, patch, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(patch))
+        argv = argv + ["--size", "32", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+
+    def test_list_entries_are_coerced_to_floats(self):
+        cfg = config_from_dict({"keep_fractions": [1], "solver": {"lambdas": [2, 0.5]}})
+        assert cfg.keep_fractions == [1.0] and type(cfg.keep_fractions[0]) is float
+        assert [type(lam) for lam in cfg.solver.lambdas] == [float, float]
 
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         code = main(["phantom", "--size", "8", "--out", str(tmp_path / "o")])
@@ -217,6 +261,23 @@ class TestSimulate:
         assert manifest["config"]["phantom"]["size"] == 48
         assert "measurements.f32" in manifest["outputs"]
         assert "windows" in manifest and "truth" in manifest["windows"]
+
+    def test_noiseless_measurements_match_an_fft_oracle(self, tmp_path):
+        out = tmp_path / "sim"
+        assert self.run(out, extra=["--sigma", "0"]) == 0
+        truth, kernel, mask = (read_raster(str(out / name)) for name in ("truth", "kernel", "mask"))
+        measurements = read_raster(str(out / "measurements")).ravel()
+        # circular blur: the centered kernel moved to the origin, multiplied
+        # in the DFT domain; then the kept samples in raster order
+        psf = np.zeros_like(truth)
+        psf[: kernel.shape[0], : kernel.shape[1]] = kernel
+        psf = np.roll(psf, (-(kernel.shape[0] // 2), -(kernel.shape[1] // 2)), axis=(0, 1))
+        blurred = np.fft.ifft2(np.fft.fft2(truth) * np.fft.fft2(psf)).real
+        expected = blurred[mask > 0.5]
+        assert measurements.shape == expected.shape
+        # the rasters hold float32: inputs and output each carry one rounding
+        tol = 4 * np.finfo(np.float32).eps * np.max(np.abs(truth))
+        assert np.max(np.abs(measurements - expected)) <= tol
 
     def test_sigma_flag_overrides_snr_target(self, tmp_path):
         out = tmp_path / "sim"
@@ -369,6 +430,22 @@ class TestStudyCommands:
         assert text.count("0.00333") >= 3
         for value in ("1.7000", "-2.3000", "4.3667", "5.3333"):
             assert value in text
+
+    def test_nullspace_demo_writes_its_table(self, tmp_path):
+        out = tmp_path / "ns"
+        assert main(["nullspace-demo", "--out", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "run,f0_1,f0_2,f0_3,f_1,f_2,f_3,sse"
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert [row[:4] for row in rows] == [
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 1.0],
+            [2.0, 13.0, 8.0, 17.0],
+        ]
+        assert all(abs(row[7] - 1.0 / 300.0) < 5e-4 for row in rows)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "nullspace-demo"
+        assert manifest["outputs"] == ["metrics.csv"]
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -15,6 +15,7 @@ from reconkit import (
     GridImage,
     Mask,
     RadonGeometry,
+    Seed,
     ValidationError,
     airy_psf,
     analytic_sinogram,
@@ -181,6 +182,16 @@ class TestDegrade:
         assert np.array_equal(a.measurements, b.measurements)
         c = degrade(img, ker, mask, 0.05, 11)
         assert not np.array_equal(a.measurements, c.measurements)
+
+    def test_takes_any_image_and_seed_form(self):
+        img = shepp_logan(32)
+        ker = gaussian_kernel(3, 0.8)
+        mask = Mask.random((32, 32), 0.4, seed=9)
+        ref = degrade(img, ker, mask, 0.05, 10)
+        for image, seed in ((img.data, 10), (img.data.tolist(), Seed(10)), (img, np.uint64(10))):
+            deg = degrade(image, ker, mask, 0.05, seed)
+            assert np.array_equal(deg.measurements, ref.measurements)
+            assert deg.seed == 10 and type(deg.seed) is int
 
     def test_operator_reproduces_clean_part(self):
         img = shepp_logan(32)

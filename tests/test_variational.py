@@ -235,6 +235,15 @@ class TestConjugateGradient:
         sse = float(np.sum((g - h @ rep.final) ** 2))
         assert abs(sse - 1.0 / 300.0) < 5e-4
 
+    def test_converged_start_runs_no_iteration(self):
+        h, g = dense_instance(8, 8, 122, ridge=3.0)
+        obj = Objective(forward=op_matrix(h), data=g, penalty="quadratic", lam=0.0)
+        start = np.linalg.solve(h, g)
+        rep = conjugate_gradient_normal(obj, f0=start, max_iter=10, tol=1e-10)
+        assert rep.converged and rep.iterations == 0
+        assert rep.objective_trace.size == 0 and rep.residual_trace.size == 0
+        assert np.array_equal(rep.final, start) and rep.final is not start
+
     def test_inconsistent_adjoint_hits_curvature_guard(self):
         # a deliberately wrong adjoint makes the normal operator indefinite,
         # which the pAp check catches
@@ -304,6 +313,30 @@ class TestProx:
         cost_zero = 0.5 * u**2
         cost_u = weight * np.log1p(u**2)
         assert np.all(cost_out <= np.minimum(cost_zero, cost_u) + 1e-12)
+
+    @pytest.mark.parametrize("weight", [4.5, 8.0, 100.0])
+    def test_student_three_root_branch_matches_brute_force_scan(self, weight):
+        # the stationarity cubic f^3 - u f^2 + b f - u (b = 1 + 2 weight) has
+        # three real roots where its discriminant -4 v^2 + (b^2 + 18 b - 27) v
+        # - 4 b^3 (v = u^2) is positive: a band of |u| that exists for weight > 4
+        b = 1.0 + 2.0 * weight
+        v_lo, v_hi = np.sort(np.roots([-4.0, b * b + 18.0 * b - 27.0, -4.0 * b**3]).real)
+        band = np.sqrt(np.linspace(v_lo, v_hi, 9)[1:-1])
+        u = np.concatenate([band, -band])
+        out = prox_apply(ProxSpec("student", lam=weight, r=0.5), u, 1.0)
+
+        def cost(f, ui):
+            return 0.5 * (f - ui) ** 2 + weight * np.log1p(f**2)
+
+        for ui, fi in zip(u, out):
+            lo, hi = min(0.0, ui), max(0.0, ui)
+            assert lo <= fi <= hi
+            grid = np.linspace(lo, hi, 20001)
+            coarse = grid[np.argmin(cost(grid, ui))]
+            span = (hi - lo) / 20000
+            fine = np.clip(np.linspace(coarse - span, coarse + span, 20001), lo, hi)
+            best = np.min(cost(fine, ui))
+            assert cost(fi, ui) <= best * (1.0 + 1e-12)
 
     def test_finite_output_for_large_input(self):
         spec = ProxSpec("student", lam=1.0, r=1.0)

@@ -1,0 +1,157 @@
+"""Compare the CLI outputs of a commit with those of this working tree.
+
+Usage: ``python tools/parity.py <commit>`` (takes about a minute).
+
+Makes a ``git worktree`` of ``<commit>`` in a temporary directory and runs a
+fixed matrix of ``reconkit`` CLI calls against each tree's ``src/``, each call
+in a fresh interpreter.  Both trees run the same argv from a run directory of
+their own, with the same relative output paths, so ``manifest.json`` (which
+echoes the output directory) and the stdout lines that name it compare byte
+for byte.  For each call it compares the exit code, stdout, stderr and the
+sha256 of every file the call wrote.  On a mismatch it prints the maximum
+relative difference of each differing ``.f32`` raster and exits 1; otherwise
+it exits 0.  The worktree is removed however the run ends.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEBLUR_CONFIG = os.path.join(REPO, "bench", "configs", "deblur_sweep.json")
+SOLVERS = ("cg_tikhonov", "gd", "ista", "fista", "admm_tv", "admm_l1")
+RUN = "import sys; from reconkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def matrix() -> list:
+    """The CLI calls, in order; a call may read an earlier call's outputs."""
+    calls = []
+    for seed in ("0", "7919"):
+        # the three benchmark workloads' calls (bench/workloads.py)
+        calls.append([
+            "compare-l2-l1", "--size", "128", "--snr-db", "20", "--mask-fraction", "0.5",
+            "--lambdas", "0.01,0.03", "--max-iter", "40", "--seed", seed,
+            "--out", f"compare_{seed}", "--config", DEBLUR_CONFIG,
+        ])
+        calls.append([
+            "fbp-vs-tv", "--size", "64", "--angles", "30", "--max-iter", "25",
+            "--seed", seed, "--out", f"fbp_vs_tv_{seed}",
+        ])
+        data = f"data_{seed}"
+        calls.append(["simulate", "--size", "256", "--seed", seed, "--out", data])
+        # every solver at seed 0, the benchmark's four at the held-out seed
+        for solver in SOLVERS if seed == "0" else SOLVERS[:4]:
+            calls.append([
+                "reconstruct", "--data", data, "--solver", solver, "--max-iter", "100",
+                "--seed", seed, "--out", f"{solver}_{seed}",
+            ])
+    calls += [
+        ["compress-study", "--transform", "all", "--out", "compress_all"],
+        ["nullspace-demo", "--out", "nullspace"],
+        ["selftest"],
+        ["phantom", "--size", "64", "--out", "phantom"],
+        ["simulate", "--size", "64", "--blur", "airy", "--out", "airy"],
+        ["simulate", "--size", "32", "--out", "small"],
+        # an extreme penalty weight, and an overflowing step that exits 3
+        ["reconstruct", "--data", "small", "--solver", "admm_tv", "--lam", "0.1",
+         "--rho", "1e300", "--out", "rho_1e300"],
+        ["reconstruct", "--data", "small", "--solver", "gd", "--lam", "0.1",
+         "--step", "1e150", "--out", "step_1e150"],
+    ]
+    return calls
+
+
+def _out_dir(argv: list) -> str | None:
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
+def run_tree(src: str, run_dir: str) -> list:
+    """Run the matrix against ``src``; per call (exit code, stdout, stderr, file hashes)."""
+    os.makedirs(run_dir)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    results = []
+    for argv in matrix():
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN, *argv], cwd=run_dir, env=env, capture_output=True
+        )
+        hashes = {}
+        out = _out_dir(argv)
+        if out and os.path.isdir(os.path.join(run_dir, out)):
+            for name in sorted(os.listdir(os.path.join(run_dir, out))):
+                with open(os.path.join(run_dir, out, name), "rb") as fh:
+                    hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+        results.append((proc.returncode, proc.stdout, proc.stderr, hashes))
+    return results
+
+
+def _max_rel_diff(a_path: str, b_path: str) -> str:
+    a = np.fromfile(a_path, dtype="<f4").astype(np.float64)
+    b = np.fromfile(b_path, dtype="<f4").astype(np.float64)
+    if a.shape != b.shape:
+        return f"sizes differ ({a.size} vs {b.size} samples)"
+    scale = max(float(np.max(np.abs(a), initial=0.0)), 1e-300)
+    return f"max relative difference {float(np.max(np.abs(a - b), initial=0.0)) / scale:.3e}"
+
+
+def compare(base: list, head: list, base_dir: str, head_dir: str) -> list:
+    """Lines describing every difference between the two trees' results."""
+    problems = []
+    for argv, (b_code, b_out, b_err, b_files), (h_code, h_out, h_err, h_files) in zip(
+        matrix(), base, head
+    ):
+        label = " ".join(argv)
+        if b_code != h_code:
+            problems.append(f"{label}: exit code {b_code} -> {h_code}")
+        if b_out != h_out:
+            problems.append(f"{label}: stdout differs")
+        if b_err != h_err:
+            problems.append(f"{label}: stderr differs")
+        for name in sorted(set(b_files) | set(h_files)):
+            if b_files.get(name) == h_files.get(name):
+                continue
+            if name not in b_files or name not in h_files:
+                side = "commit" if name not in h_files else "working tree"
+                problems.append(f"{label}: {name} written only in the {side}")
+                continue
+            line = f"{label}: {name} differs"
+            if name.endswith(".f32"):
+                out = _out_dir(argv)
+                a, b = (os.path.join(d, out, name) for d in (base_dir, head_dir))
+                line += f", {_max_rel_diff(a, b)}"
+            problems.append(line)
+    return problems
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/parity.py <commit>", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="reconkit-parity-") as tmp:
+        tree = os.path.join(tmp, "tree")
+        subprocess.run(
+            ["git", "-C", REPO, "worktree", "add", "--detach", "--quiet", tree, argv[0]],
+            check=True,
+        )
+        try:
+            base_dir, head_dir = os.path.join(tmp, "commit"), os.path.join(tmp, "working")
+            base = run_tree(os.path.join(tree, "src"), base_dir)
+            head = run_tree(os.path.join(REPO, "src"), head_dir)
+            problems = compare(base, head, base_dir, head_dir)
+        finally:
+            subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=True)
+    files = sum(len(h[3]) for h in head)
+    for line in problems:
+        print(f"parity: {line}")
+    verdict = f"{len(problems)} difference(s)" if problems else "identical"
+    print(f"parity: {len(head)} calls, {files} files against {argv[0]}: {verdict}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
