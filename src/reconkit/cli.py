@@ -60,10 +60,10 @@ from .operators import (
 )
 from .phantoms import (
     SHEPP_LOGAN,
+    _add_noise,
     _blur_then_mask,
     airy_psf,
     analytic_sinogram,
-    degrade,
     gaussian_kernel,
     shepp_logan,
     snr_db,
@@ -284,20 +284,20 @@ def _simulate(cfg: ExperimentConfig):
     truth = shepp_logan(cfg.phantom.size)
     kernel = _BLURS[cfg.degradation.blur](cfg.degradation)
     mask = Mask.random(truth.data.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
+    embedded = embed_kernel(kernel, truth.data.shape)
+    op = _blur_then_mask(embedded, mask)
+    clean = op.apply(truth.data)
     if cfg.degradation.noise_sigma is not None:
         sigma = float(cfg.degradation.noise_sigma)
     elif cfg.degradation.noise_snr_db is not None:
         # sigma hits the target expected measurement SNR: ||clean||^2 / (M sigma^2)
-        probe = _blur_then_mask(embed_kernel(kernel, truth.data.shape), mask)
-        clean = probe.apply(truth.data)
         power = float(np.vdot(clean, clean).real)
         sigma = float(
             np.sqrt(power / (clean.size * 10.0 ** (cfg.degradation.noise_snr_db / 10.0)))
         )
     else:
         sigma = 0.0
-    data = degrade(truth, kernel, mask, sigma, cfg.noise_seed())
-    return truth, kernel, data
+    return truth, kernel, _add_noise(clean, op, mask, embedded, sigma, cfg.noise_seed())
 
 
 def _write_outputs(cfg: ExperimentConfig, command: str, images=(), tables=(), extra=None):
@@ -368,8 +368,7 @@ def _admm(cfg: ExperimentConfig, forward, data, shape, lam: float, *, tv) -> Sol
         Objective(forward, data, "abs", lam, reg_op=op_grad(shape) if tv else None),
         rho=cfg.solver.rho,
         max_iter=cfg.solver.max_iter,
-        tol_primal=cfg.solver.tol,
-        tol_dual=cfg.solver.tol,
+        tol=cfg.solver.tol,
         inner_iter=cfg.solver.inner_iter,
     )
 

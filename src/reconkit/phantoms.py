@@ -288,15 +288,19 @@ def degrade(img, blur_kernel, mask: Mask, sigma: float, seed) -> Degraded:
     origin so the blur does not shift content.  The returned operator is
     ``_blur_then_mask``'s mask `o` convolve, ready for reconstruction.
     """
-    if not (sigma >= 0 and np.isfinite(sigma)):
-        raise ValidationError("degrade sigma must be finite and >= 0")
     data = as_array(img)
     if mask.shape != data.shape:
         raise ValidationError("mask shape must match the image")
-    kernel = embed_kernel(as_array(blur_kernel), data.shape)
+    kernel = embed_kernel(blur_kernel, data.shape)
     op = _blur_then_mask(kernel, mask)
-    clean = op.apply(data)
-    noise = gaussian_noise(data.shape, sigma, seed).data.ravel()[mask.indices]
+    return _add_noise(op.apply(data), op, mask, kernel, sigma, seed)
+
+
+def _add_noise(clean, op: LinearMap, mask: Mask, kernel, sigma: float, seed) -> Degraded:
+    """The noise half of ``degrade``, for clean measurements ``op`` already made."""
+    if not (sigma >= 0 and np.isfinite(sigma)):
+        raise ValidationError("degrade sigma must be finite and >= 0")
+    noise = gaussian_noise(mask.shape, sigma, seed).data.ravel()[mask.indices]
     measurements = clean + noise
     return Degraded(
         measurements=measurements,

@@ -11,17 +11,18 @@ Objective conventions, fixed once for the whole package:
 probabilistic model; the package exposes the single knob and documents the
 mapping rather than both.
 
-``_iterate`` is the one solver loop: gradient descent, CG on the normal
-equations, ISTA/FISTA and ADMM are each a step function with its own stop
-rule, and ``_iterate`` keeps the traces and builds every ``SolveReport``.
+``_iterate`` is the one solver loop: forward-backward splitting, CG on the
+normal equations and ADMM are each a step function with its own stop rule,
+and ``_iterate`` keeps the traces and builds every ``SolveReport``.
+``_forward_backward`` is the one first-order step: a gradient step, then no
+prox or the nonnegativity projection (gradient descent) or the soft
+threshold (ISTA, and FISTA at a momentum point); it reuses the objective's
+residual ``H f - g``, so each iteration applies ``H`` once.
 ``_cg_quadratic`` is the one CG kernel: it checks the start and returns the
 CG step, which ``conjugate_gradient_normal`` runs through ``_iterate`` and
-ADMM's f-step runs for at most ``inner_iter`` iterations.  Steps reuse the
-residual ``H f - g`` for the objective, so gradient descent and ISTA/FISTA
-apply ``H`` once per iteration: FISTA forms the residual at its momentum
-point from the last two by linearity.  ADMM's objective costs no apply: its
-misfit follows from the f-step's final CG residual and the ``L f`` it
-already holds.
+ADMM's f-step runs for at most ``inner_iter`` iterations.  ADMM's objective
+costs no apply: its misfit follows from the f-step's final CG residual and
+the ``L f`` it already holds.
 """
 
 from __future__ import annotations
@@ -189,11 +190,6 @@ def _start(obj: Objective, f0) -> np.ndarray:
     return f
 
 
-def _settled(prev: float, current: float, tol: float) -> bool:
-    """Stop rule of gradient descent and ISTA: a small relative objective change."""
-    return abs(current - prev) <= tol * max(abs(prev), 1e-300)
-
-
 def _iterate(
     f: np.ndarray, step: Callable, max_iter: int, label: str, config: dict, converged: bool = False
 ) -> SolveReport:
@@ -229,35 +225,90 @@ def _iterate(
 # ---------------------------------------------------------------------------
 
 
-def _power_max_eig(apply_normal: Callable, shape, seed) -> float:
-    """Largest eigenvalue of a symmetric PSD operator by 50 power iterations."""
+def _auto_step(obj: Objective, weight: float, scale: float, seed) -> float:
+    """The step 0.9 / Lip, Lip the top eigenvalue of ``scale (H* H + weight L* L)``.
+
+    It runs 50 power iterations from a seeded start; a zero operator gets step 1.
+    """
+    apply_normal = _normal_equations(obj, weight)
+    shape = obj.forward.domain_shape
     n = int(np.prod(shape))
     v = normal_stream(n, 1.0, _seed_value(seed)).reshape(shape)
     norm = float(np.linalg.norm(v.ravel()))
     if norm == 0.0:
-        return 0.0
+        return 1.0
     v = v / norm
     top = 0.0
     for _ in range(50):
         w = apply_normal(v)
         top = float(np.linalg.norm(w.ravel()))
         if top == 0.0:
-            return 0.0
+            return 1.0
         if not np.isfinite(top):
             # an overflow here would surface as an input error at the next apply
             raise DivergenceError("power iteration: the normal operator overflowed")
         v = w / top
-    return top
-
-
-def _lipschitz(obj: Objective, weight: float, seed) -> float:
-    """Largest eigenvalue of ``H* H + weight L* L``, the step sizes' scale."""
-    return _power_max_eig(_normal_equations(obj, weight), obj.forward.domain_shape, seed)
+    return 0.9 / (scale * top)
 
 
 # ---------------------------------------------------------------------------
-# Gradient descent
+# Forward-backward splitting: gradient descent, ISTA and FISTA
 # ---------------------------------------------------------------------------
+
+
+def _forward_backward(
+    obj: Objective, f: np.ndarray, prox: ProxSpec | None, accelerate: bool, label: str, config: dict
+) -> SolveReport:
+    """Iterate ``f <- prox(y - gamma * gradient)`` with the settings in ``config``.
+
+    The gradient is the smooth part's at ``y``: all of a quadratic objective,
+    else the misfit 0.5 ||H y - g||^2.  ``prox`` (``None`` for none) runs
+    through ``prox_apply`` with step ``gamma``.  ``y`` is the last iterate,
+    or with ``accelerate`` FISTA's momentum point, whose residual follows by
+    linearity.  The run stops on a relative objective change of at most
+    ``tol``; without momentum, 5 rises in a row diverge.  The residual trace
+    holds the step lengths ||f_{k+1} - f_k||.
+    """
+    gamma, tol = config["gamma"], config["tol"]
+    resid = obj.forward.apply(f) - obj.data
+    prev = _objective(obj, f, _sqnorm(resid))
+    y, resid_y, t, rises = f, resid, 1.0, 0
+
+    def step(f, trace, where):
+        nonlocal resid, prev, y, resid_y, t, rises
+        if accelerate:
+            # the momentum point is new; the last iterate passed the checks below
+            _check_finite(trace, where, y, resid_y)
+        else:
+            y, resid_y = f, resid
+        if obj.penalty == "quadratic":
+            descent = y - gamma * _quadratic_gradient(obj, y, resid_y)
+        else:
+            descent = y - gamma * obj.forward.adjoint(resid_y)
+        _check_finite(trace, where, descent)
+        f_new = descent if prox is None else prox_apply(prox, descent, gamma)
+        resid_new = obj.forward.apply(f_new) - obj.data
+        change = f_new - f
+        if accelerate:
+            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            beta = (t - 1.0) / t_new
+            y = f_new + beta * change
+            resid_y = resid_new + beta * (resid_new - resid)
+            t = t_new
+        resid = resid_new
+        current = _objective(obj, f_new, _sqnorm(resid))
+        _check_finite(trace, where, current)
+        rises = rises + 1 if current > prev and not accelerate else 0
+        if rises >= 5:
+            raise DivergenceError(
+                f"objective grew for 5 consecutive iterations (step {gamma:.3e})",
+                trace=np.asarray(trace + [current]),
+            )
+        converged = abs(current - prev) <= tol * max(abs(prev), 1e-300)
+        prev = current
+        return f_new, current, float(np.linalg.norm(change.ravel())), converged
+
+    return _iterate(f, step, config["max_iter"], label, config)
 
 
 def gradient_descent(
@@ -278,37 +329,11 @@ def gradient_descent(
         raise ValidationError("gradient_descent handles the quadratic penalty")
     f = _start(obj, f0)
     if step == "auto":
-        lip = 2.0 * _lipschitz(obj, obj.lam, power_seed)
-        gamma = 0.9 / lip if lip > 0 else 1.0
+        gamma = _auto_step(obj, obj.lam, 2.0, power_seed)
     else:
         gamma = float(step)
         if not (gamma > 0 and np.isfinite(gamma)):
             raise ValidationError("step must be positive and finite")
-
-    resid = obj.forward.apply(f) - obj.data
-    prev = _objective(obj, f, _sqnorm(resid))
-    rises = 0
-
-    def descend(f, trace, where):
-        nonlocal resid, prev, rises
-        grad = _quadratic_gradient(obj, f, resid)
-        f = f - gamma * grad
-        if project_nonneg:
-            f = np.maximum(f, 0.0)
-        _check_finite(trace, where, f)
-        resid = obj.forward.apply(f) - obj.data
-        current = _objective(obj, f, _sqnorm(resid))
-        _check_finite(trace, where, current)
-        rises = rises + 1 if current > prev else 0
-        if rises >= 5:
-            raise DivergenceError(
-                f"objective grew for 5 consecutive iterations (step {gamma:.3e})",
-                trace=np.asarray(trace + [current]),
-            )
-        converged = _settled(prev, current, tol)
-        prev = current
-        return f, current, float(np.linalg.norm(grad.ravel())), converged
-
     config = {
         "solver": "gradient_descent",
         "step": "auto" if step == "auto" else gamma,
@@ -319,7 +344,8 @@ def gradient_descent(
         "power_seed": _seed_value(power_seed),
         "lam": obj.lam,
     }
-    return _iterate(f, descend, max_iter, "gradient descent", config)
+    prox = ProxSpec("indicator_nonneg") if project_nonneg else None
+    return _forward_backward(obj, f, prox, False, "gradient descent", config)
 
 
 # ---------------------------------------------------------------------------
@@ -582,38 +608,7 @@ def ista(
     if obj.reg_op is not None:
         raise ValidationError("ista requires reg_op = identity (pass None)")
     f = _start(obj, f0)
-    lip = _lipschitz(obj, 0.0, power_seed)
-    gamma = 0.9 / lip if lip > 0 else 1.0
-    spec = ProxSpec("abs", lam=obj.lam)
-
-    # the gradient point's residual H y - g comes from the objective's applies:
-    # y = f for plain ISTA, and FISTA's y = f_k + beta (f_k - f_{k-1}) has
-    # H y - g = r_k + beta (r_k - r_{k-1}) by linearity
-    resid = obj.forward.apply(f) - obj.data
-    prev = _objective(obj, f, _sqnorm(resid))
-    y, resid_y = f, resid
-    t = 1.0
-
-    def proximal_step(f, trace, where):
-        nonlocal resid, prev, y, resid_y, t
-        point, point_resid = (y, resid_y) if accelerate else (f, resid)
-        _check_finite(trace, where, point, point_resid)
-        descent = point - gamma * obj.forward.adjoint(point_resid)
-        _check_finite(trace, where, descent)
-        f_new = prox_apply(spec, descent, gamma)
-        resid_new = obj.forward.apply(f_new) - obj.data
-        if accelerate:
-            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            beta = (t - 1.0) / t_new
-            y = f_new + beta * (f_new - f)
-            resid_y = resid_new + beta * (resid_new - resid)
-            t = t_new
-        resid = resid_new
-        current = _objective(obj, f_new, _sqnorm(resid))
-        converged = _settled(prev, current, tol)
-        prev = current
-        return f_new, current, float(np.linalg.norm((f_new - f).ravel())), converged
-
+    gamma = _auto_step(obj, 0.0, 1.0, power_seed)
     config = {
         "solver": "fista" if accelerate else "ista",
         "gamma": gamma,
@@ -622,7 +617,8 @@ def ista(
         "power_seed": _seed_value(power_seed),
         "lam": obj.lam,
     }
-    return _iterate(f, proximal_step, max_iter, config["solver"], config)
+    prox = ProxSpec("abs", lam=obj.lam)
+    return _forward_backward(obj, f, prox, accelerate, config["solver"], config)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +631,7 @@ def admm(
     f0=None,
     rho: float = 1.0,
     max_iter: int = 200,
-    tol_primal: float = 1e-6,
-    tol_dual: float = 1e-6,
+    tol: float = 1e-6,
     inner_iter: int = 30,
     inner_tol: float = 1e-8,
 ) -> SolveReport:
@@ -645,8 +640,8 @@ def admm(
     f-step: warm-started CG on (H* H + rho L* L) f = H* g + rho L* (u - a);
     u-step: the prox of the potential with step lam / rho applied to L f + a;
     dual update: a += L f - u.  Converged when the primal residual
-    ||L f - u|| and the dual residual rho ||L* (u - u_prev)|| are both below
-    their tolerances.
+    ||L f - u|| and the dual residual rho ||L* (u - u_prev)|| are both at
+    most ``tol``.
     """
     if obj.penalty not in ("abs", "quadratic", "student"):
         raise ValidationError("admm handles abs, quadratic, or student penalties")
@@ -684,14 +679,13 @@ def admm(
         # its roundoff grows with rho ||L f||^2 (1e-11 relative at rho = 1e6)
         fid2 = float(np.vdot(f, rhs - r)) - rho * _sqnorm(lf) - 2.0 * float(np.vdot(f, hg)) + gg
         value = _objective(obj, f, fid2, lf)
-        return f, value, primal, primal <= tol_primal and dual <= tol_dual
+        return f, value, primal, primal <= tol and dual <= tol
 
     config = {
         "solver": "admm",
         "rho": rho,
         "max_iter": max_iter,
-        "tol_primal": tol_primal,
-        "tol_dual": tol_dual,
+        "tol": tol,
         "inner_iter": inner_iter,
         "inner_tol": inner_tol,
         "lam": obj.lam,

@@ -186,7 +186,7 @@ def test_gate_06_solver_cross_agreement():
         obj = Objective(inst.forward, inst.data, "abs", inst.lam)
         r_ista = ista(obj, max_iter=4000, tol=1e-14)
         r_fista = ista(obj, accelerate=True, max_iter=4000, tol=1e-14)
-        r_admm = admm(obj, rho=1.0, max_iter=1500, tol_primal=1e-12, tol_dual=1e-12)
+        r_admm = admm(obj, rho=1.0, max_iter=1500, tol=1e-12)
         vals = [objective_value(obj, r.final) for r in (r_ista, r_fista, r_admm)]
         spread = (max(vals) - min(vals)) / min(vals)
         mono = bool(np.all(np.diff(r_ista.objective_trace) <= 1e-12))

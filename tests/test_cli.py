@@ -279,6 +279,25 @@ class TestSimulate:
         tol = 4 * np.finfo(np.float32).eps * np.max(np.abs(truth))
         assert np.max(np.abs(measurements - expected)) <= tol
 
+    def test_snr_target_costs_one_measurement_apply(self, monkeypatch):
+        # the noise level is read off the clean measurements, which are then
+        # reused, not recomputed
+        from reconkit import cli
+        from reconkit.operators import LinearMap
+
+        applies = []
+        original = LinearMap.apply
+
+        def counting(self, x):
+            applies.append(self.name)
+            return original(self, x)
+
+        monkeypatch.setattr(LinearMap, "apply", counting)
+        args = build_parser().parse_args(["simulate", "--size", "48", "--snr-db", "20"])
+        truth, _, data = cli._simulate(load_config(args))
+        assert applies.count("mask*convolve_circular") == 1
+        assert np.array_equal(data.clean, data.op.apply(truth.data))
+
     def test_sigma_flag_overrides_snr_target(self, tmp_path):
         out = tmp_path / "sim"
         assert self.run(out, extra=["--sigma", "0.25"]) == 0

@@ -157,6 +157,15 @@ class TestGradientDescent:
         with pytest.raises(ValidationError):
             gradient_descent(obj, step=-1.0)
 
+    def test_projected_step_length_vanishes_at_the_solution(self):
+        # the residual trace is the step length ||f_{k+1} - f_k||, which goes
+        # to zero even where the projection holds the gradient away from it
+        obj = Objective(forward=op_matrix(np.eye(3)), data=np.array([1.0, -2.0, 0.5]))
+        rep = gradient_descent(obj, tol=1e-14, project_nonneg=True)
+        assert rep.converged
+        assert np.allclose(rep.final, [1.0, 0.0, 0.5], atol=1e-6)
+        assert rep.residual_trace[-1] <= 1e-6
+
 
 class TestForwardApplyCount:
     @pytest.mark.parametrize(
@@ -196,7 +205,7 @@ class TestForwardApplyCount:
 
         counting = LinearMap((10,), (12,), forward, lambda y: h.T @ y, name="counting")
         obj = Objective(forward=counting, data=g, penalty="abs", lam=0.1)
-        rep = admm(obj, max_iter=7, inner_iter=3, inner_tol=0.0, tol_primal=0.0, tol_dual=0.0)
+        rep = admm(obj, max_iter=7, inner_iter=3, inner_tol=0.0, tol=0.0)
         assert rep.iterations == 7
         assert len(applies) == 7 * (1 + 3)
 
@@ -467,6 +476,13 @@ class TestNumericalFailuresAreDivergences:
             with pytest.raises(DivergenceError):
                 gradient_descent(Objective(forward, g, "quadratic", 0.1))
 
+    @pytest.mark.parametrize("accelerate", [False, True], ids=["ista", "fista"])
+    def test_ista_misfit_overflow(self, accelerate):
+        # 0.5 ||H f - g||^2 overflows while every sample stays finite
+        obj = Objective(op_matrix(np.eye(4)), np.full(4, 1e160), "abs", 1.0)
+        with pytest.raises(DivergenceError):
+            ista(obj, accelerate=accelerate, max_iter=5)
+
 
 class TestSolutionStructure:
     def test_min_norm_solution_lies_in_adjoint_range(self):
@@ -493,7 +509,7 @@ class TestAdmm:
         inst = sparse_recovery_instance()
         obj = Objective(forward=inst.forward, data=inst.data, penalty="abs", lam=inst.lam)
         ri = ista(obj, accelerate=True, max_iter=20000, tol=1e-300)
-        ra = admm(obj, rho=1.0, max_iter=2000, tol_primal=1e-12, tol_dual=1e-12)
+        ra = admm(obj, rho=1.0, max_iter=2000, tol=1e-12)
         vi = objective_value(obj, ri.final)
         va = objective_value(obj, ra.final)
         assert abs(vi - va) / vi < 1e-5
@@ -503,7 +519,7 @@ class TestAdmm:
         quad = Objective(forward=op_matrix(h), data=g, penalty="quadratic", lam=0.0)
         cg = conjugate_gradient_normal(quad, max_iter=200, tol=1e-13)
         l1 = Objective(forward=op_matrix(h), data=g, penalty="abs", lam=0.0)
-        rep = admm(l1, rho=1.0, max_iter=800, tol_primal=1e-11, tol_dual=1e-11)
+        rep = admm(l1, rho=1.0, max_iter=800, tol=1e-11)
         rel = np.linalg.norm(rep.final - cg.final) / np.linalg.norm(cg.final)
         assert rel < 1e-6
 
@@ -511,7 +527,7 @@ class TestAdmm:
         h, g = dense_instance(12, 12, 91, ridge=3.0)
         obj = Objective(forward=op_matrix(h), data=g, penalty="quadratic", lam=0.7)
         cg = conjugate_gradient_normal(obj, max_iter=200, tol=1e-13)
-        rep = admm(obj, rho=2.0, max_iter=400, tol_primal=1e-11, tol_dual=1e-11)
+        rep = admm(obj, rho=2.0, max_iter=400, tol=1e-11)
         assert np.linalg.norm(rep.final - cg.final) / np.linalg.norm(cg.final) < 1e-6
 
     def test_tv_denoise_matches_dual_oracle(self):
@@ -527,7 +543,7 @@ class TestAdmm:
             forward=op_identity((n, n)), data=img, penalty="abs", lam=lam,
             reg_op=op_grad((n, n)),
         )
-        rep = admm(obj, rho=1.0, max_iter=600, tol_primal=1e-10, tol_dual=1e-10)
+        rep = admm(obj, rho=1.0, max_iter=600, tol=1e-10)
         out = rep.final
         assert np.max(np.abs(out - out[0])) == 0.0  # row symmetry preserved
 
@@ -550,7 +566,7 @@ class TestAdmm:
             forward=op_identity((n, n)), data=img, penalty="abs", lam=0.4,
             reg_op=op_grad((n, n)),
         )
-        out = admm(obj, rho=1.0, max_iter=600, tol_primal=1e-10, tol_dual=1e-10).final
+        out = admm(obj, rho=1.0, max_iter=600, tol=1e-10).final
         left = out[:, 2 : n // 2 - 2]
         right = out[:, n // 2 + 2 : n - 2]
         gap = abs(right.mean() - left.mean())
@@ -562,14 +578,14 @@ class TestAdmm:
         obj = Objective(
             forward=op_matrix(h), data=g, penalty="student", lam=0.5, student_r=1.0
         )
-        rep = admm(obj, rho=1.0, max_iter=100, tol_primal=1e-9, tol_dual=1e-9)
+        rep = admm(obj, rho=1.0, max_iter=100, tol=1e-9)
         assert np.all(np.isfinite(rep.final))
         assert rep.objective_trace[-1] < objective_value(obj, np.zeros(10))
 
     def test_primal_residual_reaches_tolerance(self):
         inst = sparse_recovery_instance()
         obj = Objective(forward=inst.forward, data=inst.data, penalty="abs", lam=inst.lam)
-        rep = admm(obj, rho=1.0, max_iter=1000, tol_primal=1e-8, tol_dual=1e-8)
+        rep = admm(obj, rho=1.0, max_iter=1000, tol=1e-8)
         assert rep.converged
         assert rep.residual_trace[-1] <= 1e-8
 

@@ -4,10 +4,11 @@ Usage: ``python tools/parity.py <commit>`` (takes about a minute).
 
 Makes a ``git worktree`` of ``<commit>`` in a temporary directory and runs a
 fixed matrix of ``reconkit`` CLI calls against each tree's ``src/``, each call
-in a fresh interpreter.  Both trees run the same argv from a run directory of
-their own, with the same relative output paths, so ``manifest.json`` (which
-echoes the output directory) and the stdout lines that name it compare byte
-for byte.  For each call it compares the exit code, stdout, stderr and the
+in a fresh interpreter.  The matrix starts with the benchmark workloads' own
+calls, read from ``bench.workloads`` at two seeds.  Both trees run the same
+argv from a run directory of their own, with the same relative output paths,
+so ``manifest.json`` (which echoes the output directory) and the stdout lines
+that name it compare byte for byte.  For each call it compares the exit code, stdout, stderr and the
 sha256 of every file the call wrote.  On a mismatch it prints the maximum
 relative difference of each differing ``.f32`` raster and exits 1; otherwise
 it exits 0.  The worktree is removed however the run ends.
@@ -24,33 +25,26 @@ import tempfile
 import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEBLUR_CONFIG = os.path.join(REPO, "bench", "configs", "deblur_sweep.json")
-SOLVERS = ("cg_tikhonov", "gd", "ista", "fista", "admm_tv", "admm_l1")
+sys.path.insert(0, REPO)
+from bench.workloads import WORKLOADS  # noqa: E402  (the benchmark's calls, read only)
+
 RUN = "import sys; from reconkit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def matrix() -> list:
     """The CLI calls, in order; a call may read an earlier call's outputs."""
     calls = []
-    for seed in ("0", "7919"):
-        # the three benchmark workloads' calls (bench/workloads.py)
-        calls.append([
-            "compare-l2-l1", "--size", "128", "--snr-db", "20", "--mask-fraction", "0.5",
-            "--lambdas", "0.01,0.03", "--max-iter", "40", "--seed", seed,
-            "--out", f"compare_{seed}", "--config", DEBLUR_CONFIG,
-        ])
-        calls.append([
-            "fbp-vs-tv", "--size", "64", "--angles", "30", "--max-iter", "25",
-            "--seed", seed, "--out", f"fbp_vs_tv_{seed}",
-        ])
-        data = f"data_{seed}"
-        calls.append(["simulate", "--size", "256", "--seed", seed, "--out", data])
-        # every solver at seed 0, the benchmark's four at the held-out seed
-        for solver in SOLVERS if seed == "0" else SOLVERS[:4]:
-            calls.append([
-                "reconstruct", "--data", data, "--solver", solver, "--max-iter", "100",
-                "--seed", seed, "--out", f"{solver}_{seed}",
-            ])
+    for seed in (0, 7919):
+        root = f"seed_{seed}"
+        for workload in WORKLOADS.values():
+            calls += [call.argv for call in workload.calls(seed, root, False)]
+        if seed == 0:
+            # the solvers the benchmark leaves out, on its simulated data
+            for solver in ("admm_tv", "admm_l1"):
+                calls.append([
+                    "reconstruct", "--data", f"{root}/data", "--solver", solver,
+                    "--max-iter", "100", "--seed", "0", "--out", f"{root}/{solver}",
+                ])
     calls += [
         ["compress-study", "--transform", "all", "--out", "compress_all"],
         ["nullspace-demo", "--out", "nullspace"],
@@ -71,12 +65,12 @@ def _out_dir(argv: list) -> str | None:
     return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
-def run_tree(src: str, run_dir: str) -> list:
-    """Run the matrix against ``src``; per call (exit code, stdout, stderr, file hashes)."""
+def run_tree(calls: list, src: str, run_dir: str) -> list:
+    """Run ``calls`` against ``src``; per call (exit code, stdout, stderr, file hashes)."""
     os.makedirs(run_dir)
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     results = []
-    for argv in matrix():
+    for argv in calls:
         proc = subprocess.run(
             [sys.executable, "-c", RUN, *argv], cwd=run_dir, env=env, capture_output=True
         )
@@ -99,11 +93,11 @@ def _max_rel_diff(a_path: str, b_path: str) -> str:
     return f"max relative difference {float(np.max(np.abs(a - b), initial=0.0)) / scale:.3e}"
 
 
-def compare(base: list, head: list, base_dir: str, head_dir: str) -> list:
-    """Lines describing every difference between the two trees' results."""
+def compare(calls: list, base: list, head: list, base_dir: str, head_dir: str) -> list:
+    """Lines describing every difference between the two trees' results of ``calls``."""
     problems = []
     for argv, (b_code, b_out, b_err, b_files), (h_code, h_out, h_err, h_files) in zip(
-        matrix(), base, head
+        calls, base, head
     ):
         label = " ".join(argv)
         if b_code != h_code:
@@ -140,9 +134,10 @@ def main(argv: list) -> int:
         )
         try:
             base_dir, head_dir = os.path.join(tmp, "commit"), os.path.join(tmp, "working")
-            base = run_tree(os.path.join(tree, "src"), base_dir)
-            head = run_tree(os.path.join(REPO, "src"), head_dir)
-            problems = compare(base, head, base_dir, head_dir)
+            calls = matrix()
+            base = run_tree(calls, os.path.join(tree, "src"), base_dir)
+            head = run_tree(calls, os.path.join(REPO, "src"), head_dir)
+            problems = compare(calls, base, head, base_dir, head_dir)
         finally:
             subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=True)
     files = sum(len(h[3]) for h in head)
