@@ -12,7 +12,7 @@ commands read it there: ``_COMMANDS`` (subcommand -> help and its flags beyond
 ``--config``/``--out``/``--seed``; the handler of ``a-b`` is ``cmd_a_b``),
 ``_FLAGS`` (flag -> the config path it overrides, or ``None`` for a flag the
 command reads itself, and its argparse options), and ``_SOLVERS``, ``_BLURS``
-and ``_TRANSFORMS`` (the kinds behind ``--solver``, ``--blur`` and
+and ``phantoms._TRANSFORMS`` (the kinds behind ``--solver``, ``--blur`` and
 ``--transform``).  ``_write_outputs`` writes every command's files.
 
 Exit codes: 0 on success, 2 for a malformed configuration or missing input
@@ -60,10 +60,12 @@ from .operators import (
 )
 from .phantoms import (
     SHEPP_LOGAN,
+    _TRANSFORMS,
     _add_noise,
     _blur_then_mask,
     airy_psf,
     analytic_sinogram,
+    compressibility_study,
     gaussian_kernel,
     shepp_logan,
     snr_db,
@@ -136,7 +138,7 @@ class ExperimentConfig:
     degradation: DegradationConfig = field(default_factory=DegradationConfig)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    transform: str = "haar"  # a name in _TRANSFORMS, or "all"
+    transform: str = "haar"  # a name in phantoms._TRANSFORMS, or "all"
     keep_fractions: list[float] = field(default_factory=lambda: [0.01, 0.05, 0.1, 0.25])
     levels: int = 4
     out_dir: str = "out"
@@ -248,6 +250,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"degradation.blur {cfg.degradation.blur!r} is not supported")
     if not 0.0 < cfg.degradation.mask_fraction <= 1.0:
         raise ConfigError("degradation.mask_fraction must lie in (0, 1]")
+    sigma, snr = cfg.degradation.noise_sigma, cfg.degradation.noise_snr_db
+    if sigma is not None and not (sigma >= 0 and np.isfinite(sigma)):
+        raise ConfigError("degradation.noise_sigma must be finite and >= 0")
+    if snr is not None and not np.isfinite(snr):
+        raise ConfigError("degradation.noise_snr_db must be finite")
     if cfg.solver.kind not in _SOLVERS:
         raise ConfigError(f"solver.kind {cfg.solver.kind!r} is not supported")
     if cfg.solver.lam < 0:
@@ -274,9 +281,6 @@ _BLURS = {
     "airy": lambda deg: airy_psf(deg.blur_size, deg.airy_cutoff).data,
     "none": lambda deg: np.array([[1.0]]),
 }
-
-# the transforms compress-study tabulates; "all" runs each in this order
-_TRANSFORMS = ("haar", "dct8", "dft")
 
 
 def _simulate(cfg: ExperimentConfig):
@@ -466,8 +470,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_compress_study(args) -> int:
-    from .phantoms import compressibility_study
-
     cfg = load_config(args)
     img = shepp_logan(cfg.phantom.size)
     names = _TRANSFORMS if cfg.transform == "all" else [cfg.transform]
@@ -640,7 +642,7 @@ def _selftest_checks():
     yield "fourier_slice", fsc < 3e-2, f"fourier_slice err={fsc:.3e} tol=3e-02"
 
     x = np.linspace(-2, 2, 9)
-    soft = prox_apply(ProxSpec("abs", lam=1.0), x, 0.5)
+    soft = prox_apply(ProxSpec("abs"), x, 0.5)
     manual = np.sign(x) * np.maximum(np.abs(x) - 0.5, 0.0)
     yield "prox_abs", np.allclose(soft, manual, atol=1e-12), "prox_abs"
 

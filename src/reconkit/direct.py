@@ -22,19 +22,22 @@ class RampFilter:
     bin is zero and the response is symmetric, so filtering is zero phase.
     """
 
-    n_taps: int
     response: np.ndarray
-    apodization: str = "none"
 
     def __post_init__(self):
         resp = np.asarray(self.response, dtype=np.float64)
-        if resp.shape != (self.n_taps,):
-            raise ValidationError("RampFilter.response length must equal n_taps")
+        if resp.ndim != 1 or resp.size == 0:
+            raise ValidationError("RampFilter.response must be a non-empty 1D array")
         if resp[0] != 0.0 or np.any(resp < 0.0):
             raise ValidationError("RampFilter.response must be nonnegative with a zero DC bin")
         if not np.allclose(resp[1:], resp[:0:-1], rtol=0, atol=1e-12):
             raise ValidationError("RampFilter.response must be symmetric")
         object.__setattr__(self, "response", resp)
+
+    @property
+    def n_taps(self) -> int:
+        """The padded detector length the response filters."""
+        return self.response.size
 
 
 def _next_pow2(n: int) -> int:
@@ -55,7 +58,7 @@ def ramp_filter(n_detectors: int, apodization: str = "none") -> RampFilter:
     resp = np.abs(freqs)
     if apodization == "cosine":
         resp = resp * np.cos(np.pi * freqs)
-    return RampFilter(taps, resp, apodization)
+    return RampFilter(resp)
 
 
 def fbp(sino: Sinogram, filt: RampFilter | None = None, out_shape=None) -> GridImage:
@@ -64,12 +67,11 @@ def fbp(sino: Sinogram, filt: RampFilter | None = None, out_shape=None) -> GridI
     Per view: zero-pad the projection, multiply its DFT by the ramp, invert,
     crop; then smear filtered values back along rays by linear interpolation
     on the detector axis.  The angular sum carries pi / n_angles and the
-    detector pitch scales both the frequency axis and the interpolation.
+    detector pitch scales both the frequency axis and the interpolation; both
+    come from ``sino.geometry``, whose views are uniform over [0, pi).
     """
-    n_angles, n_det = sino.n_angles, sino.n_detectors
-    spacing = np.diff(sino.angles)
-    if n_angles > 1 and not np.allclose(spacing, np.pi / n_angles, rtol=1e-9, atol=1e-12):
-        raise ValidationError("fbp expects angles uniform over [0, pi)")
+    geom = sino.geometry
+    n_angles, n_det, pitch = geom.n_angles, geom.n_detectors, geom.detector_pitch
     if filt is None:
         filt = ramp_filter(n_det)
     if filt.n_taps < 2 * n_det:
@@ -78,7 +80,7 @@ def fbp(sino: Sinogram, filt: RampFilter | None = None, out_shape=None) -> GridI
     padded = np.zeros((n_angles, filt.n_taps), dtype=np.float64)
     padded[:, :n_det] = sino.data
     filtered = np.fft.ifft(np.fft.fft(padded, axis=1) * filt.response[None, :], axis=1).real
-    filtered = filtered[:, :n_det] / sino.detector_pitch
+    filtered = filtered[:, :n_det] / pitch
 
     if out_shape is None:
         out_shape = (n_det, n_det)
@@ -90,8 +92,8 @@ def fbp(sino: Sinogram, filt: RampFilter | None = None, out_shape=None) -> GridI
 
     recon = np.zeros((h, w), dtype=np.float64)
     det_axis = np.arange(n_det, dtype=np.float64)
-    for a, theta in enumerate(sino.angles):
-        t = (xs[None, :] * np.cos(theta) + ys[:, None] * np.sin(theta)) / sino.detector_pitch
+    for a, theta in enumerate(geom.angles):
+        t = (xs[None, :] * np.cos(theta) + ys[:, None] * np.sin(theta)) / pitch
         recon += np.interp(t + det_center, det_axis, filtered[a], left=0.0, right=0.0)
     recon *= np.pi / n_angles
     return GridImage(recon)

@@ -556,51 +556,38 @@ class RadonGeometry:
     def angles(self) -> np.ndarray:
         return np.arange(self.n_angles) * (np.pi / self.n_angles)
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Detector positions along the detector axis, centered, in pixels."""
+        return (np.arange(self.n_detectors) - (self.n_detectors - 1) / 2.0) * self.detector_pitch
+
 
 @dataclass(frozen=True)
 class Sinogram:
-    """Projections indexed (angle, detector)."""
+    """Projections indexed (angle, detector) over one parallel-beam geometry."""
 
     data: np.ndarray
-    angles: np.ndarray
-    detector_pitch: float = 1.0
+    geometry: RadonGeometry
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        angles = np.asarray(self.angles, dtype=np.float64)
-        if data.ndim != 2 or data.size == 0:
-            raise ValidationError("Sinogram.data must be a non-empty (angles, detectors) array")
+        shape = (self.geometry.n_angles, self.geometry.n_detectors)
+        if data.shape != shape:
+            raise ValidationError(f"Sinogram data {data.shape} does not match geometry {shape}")
         if not np.all(np.isfinite(data)):
             raise ValidationError("Sinogram.data contains non-finite samples")
-        if angles.shape != (data.shape[0],):
-            raise ValidationError("Sinogram.angles length must match the angle axis")
-        if np.any(np.diff(angles) <= 0):
-            raise ValidationError("Sinogram.angles must be strictly increasing")
-        if angles[0] < 0 or angles[-1] >= np.pi:
-            raise ValidationError("Sinogram.angles must lie in [0, pi)")
-        if not (self.detector_pitch > 0 and np.isfinite(self.detector_pitch)):
-            raise ValidationError("Sinogram.detector_pitch must be positive")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "angles", angles)
-
-    @property
-    def n_angles(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_detectors(self) -> int:
-        return self.data.shape[1]
 
 
-def _ray_points(theta: float, shape, n_detectors: int, pitch: float):
+def _ray_points(theta: float, shape, offs: np.ndarray):
     """Sample coordinates for all rays of one view, at unit step along rays.
 
+    ``offs`` holds the rays' detector positions (``RadonGeometry.offsets``).
     Ray direction is (-sin t, cos t); the detector axis is (cos t, sin t);
     both are expressed around the image center.
     """
     h, w = shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    offs = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * pitch
     span = int(np.ceil(np.hypot(h, w))) + 1
     ts = np.arange(span) - (span - 1) / 2.0
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -626,8 +613,8 @@ _RADON_CACHE_BUDGET = 1 << 21
 _RADON_PAIR_REACH = 11
 
 
-def _radon_view_table(theta: float, shape, n_detectors: int, pitch: float):
-    """One view's ray table ``(rays, counts, starts, cols, vals)``.
+def _radon_view_table(theta: float, shape, offs: np.ndarray):
+    """One view's ray table ``(rays, counts, starts, cols, vals)``, rays at ``offs``.
 
     One entry per (ray, pixel) pair with a live bilinear corner, in ray order
     and, within a ray, in the (sample, corner) order of the pair's first live
@@ -635,7 +622,8 @@ def _radon_view_table(theta: float, shape, n_detectors: int, pitch: float):
     them are positive.  ``rays`` lists the rays with entries, ``counts`` their
     entry counts and ``starts`` their first entries, for ``np.add.reduceat``.
     """
-    xs, ys = _ray_points(theta, shape, n_detectors, pitch)
+    n_detectors = offs.size
+    xs, ys = _ray_points(theta, shape, offs)
     indices, weights = _bilinear_stencil(shape, xs, ys)
     idx = np.stack(indices, axis=-1).reshape(n_detectors, -1)
     wgt = np.stack(weights, axis=-1).reshape(n_detectors, -1)
@@ -687,8 +675,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     h, w = int(image_shape[0]), int(image_shape[1])
     if h < 2 or w < 2:
         raise ValidationError("op_radon needs an image of at least 2x2 pixels")
-    angles = geometry.angles
-    pitch = geometry.detector_pitch
+    angles, offs = geometry.angles, geometry.offsets
     n_angles, n_det = geometry.n_angles, geometry.n_detectors
     span = int(np.ceil(np.hypot(h, w))) + 1
     cached = n_angles * n_det * span <= _RADON_CACHE_BUDGET
@@ -696,7 +683,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
 
     def blocks():
         # the kept tables under the budget, else each view rebuilt in turn
-        views = (_radon_view_table(theta, (h, w), n_det, pitch) for theta in angles)
+        views = (_radon_view_table(theta, (h, w), offs) for theta in angles)
         if not cached:
             return views
         if not tables:
@@ -741,7 +728,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
 def radon(img: GridImage, geometry: RadonGeometry) -> Sinogram:
     """Apply the ray transform to an image and wrap the result."""
     data = op_radon(geometry, img.data.shape).apply(img.data)
-    return Sinogram(data, geometry.angles, geometry.detector_pitch)
+    return Sinogram(data, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +837,8 @@ def fourier_slice_check(img: GridImage, theta: float) -> float:
     if h != w:
         raise ValidationError("fourier_slice_check expects a square image")
     n = w
-    rays, _, starts, cols, vals = _radon_view_table(float(theta), (n, n), n, 1.0)
+    offs = RadonGeometry(1, n).offsets
+    rays, _, starts, cols, vals = _radon_view_table(float(theta), (n, n), offs)
     proj = np.zeros(n)
     proj[rays] = _ray_sums(np.asarray(data, dtype=np.float64).ravel(), starts, cols, vals)
 

@@ -152,14 +152,9 @@ def analytic_sinogram(
     if image_size < 2:
         raise ValidationError("analytic_sinogram needs image_size >= 2")
     scale = image_size / 2.0  # pixels per phantom unit
-    angles = geometry.angles
-    offs = (
-        (np.arange(geometry.n_detectors) - (geometry.n_detectors - 1) / 2.0)
-        * geometry.detector_pitch
-        / scale
-    )
+    offs = geometry.offsets / scale
     data = np.zeros((geometry.n_angles, geometry.n_detectors), dtype=np.float64)
-    for i, theta in enumerate(angles):
+    for i, theta in enumerate(geometry.angles):
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         row = np.zeros_like(offs)
         for e in phantom.ellipses:
@@ -170,7 +165,7 @@ def analytic_sinogram(
             chord = np.where(under > 0.0, 2.0 * e.a * e.b * np.sqrt(np.maximum(under, 0.0)) / q, 0.0)
             row += e.rho * chord
         data[i] = row * scale
-    return Sinogram(data, angles, geometry.detector_pitch)
+    return Sinogram(data, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +341,29 @@ def mse(truth, estimate) -> float:
 # ---------------------------------------------------------------------------
 
 
+# transform name -> (analysis of an image, synthesis of its coefficients), both
+# given the Haar level count; compress-study's "all" runs them in this order
+_TRANSFORMS = {
+    "haar": (
+        lambda img, levels: transform_haar(img, levels).data,
+        lambda c, levels: transform_haar(GridImage(c), levels, inverse=True).data,
+    ),
+    "dct8": (
+        lambda img, levels: transform_dct8(img).data,
+        lambda c, levels: transform_dct8(GridImage(c), inverse=True).data,
+    ),
+    "dft": (lambda img, levels: np.fft.fft2(img.data), lambda c, levels: np.fft.ifft2(c).real),
+}
+
+
 def compressibility_study(
     img: GridImage, transform: str = "haar", keep_fractions=(0.01, 0.05, 0.1, 0.25), levels: int = 4
 ):
     """Keep the largest-magnitude fraction of coefficients, invert, and score.
 
-    Returns [(fraction, snr_db)] rows.  Transforms: multilevel Haar, 8x8
-    block DCT, or the plain DFT; coefficient ranking is deterministic (stable
-    sort on magnitude).
+    Returns [(fraction, snr_db)] rows.  Transforms: the names in
+    ``_TRANSFORMS``; coefficient ranking is deterministic (stable sort on
+    magnitude).
     """
     fractions = [float(fr) for fr in keep_fractions]
     if not fractions:
@@ -361,19 +371,11 @@ def compressibility_study(
     for fr in fractions:
         if not 0.0 < fr <= 1.0:
             raise ValidationError("keep fractions must lie in (0, 1]")
-
-    if transform == "haar":
-        coeffs = transform_haar(img, levels).data
-        invert = lambda c: transform_haar(GridImage(c), levels, inverse=True).data
-    elif transform == "dct8":
-        coeffs = transform_dct8(img).data
-        invert = lambda c: transform_dct8(GridImage(c), inverse=True).data
-    elif transform == "dft":
-        coeffs = np.fft.fft2(img.data)
-        invert = lambda c: np.fft.ifft2(c).real
-    else:
+    if transform not in _TRANSFORMS:
         raise ValidationError(f"unknown transform {transform!r}")
+    analyze, synthesize = _TRANSFORMS[transform]
 
+    coeffs = analyze(img, levels)
     flat = coeffs.ravel()
     order = np.argsort(-np.abs(flat), kind="stable")
     rows = []
@@ -381,7 +383,7 @@ def compressibility_study(
         k = max(1, int(round(fr * flat.size)))
         kept = np.zeros_like(flat)
         kept[order[:k]] = flat[order[:k]]
-        recon = invert(kept.reshape(coeffs.shape))
+        recon = synthesize(kept.reshape(coeffs.shape), levels)
         rows.append((fr, snr_db(img.data, recon)))
     return rows
 

@@ -9,7 +9,8 @@ Objective conventions, fixed once for the whole package:
 
 ``lam`` plays the role of the noise variance when the penalty comes from a
 probabilistic model; the package exposes the single knob and documents the
-mapping rather than both.
+mapping rather than both.  A prox's weight is its step: each solver works
+it out once (gamma lam, or lam / rho) and an overflow is a DivergenceError.
 
 ``_iterate`` is the one solver loop: forward-backward splitting, CG on the
 normal equations and ADMM are each a step function with its own stop rule,
@@ -225,11 +226,14 @@ def _iterate(
 # ---------------------------------------------------------------------------
 
 
-def _auto_step(obj: Objective, weight: float, scale: float, seed) -> float:
+def _auto_step(obj: Objective, seed) -> float:
     """The step 0.9 / Lip, Lip the top eigenvalue of ``scale (H* H + weight L* L)``.
 
-    It runs 50 power iterations from a seeded start; a zero operator gets step 1.
+    ``(weight, scale)`` is ``(lam, 2)`` for the quadratic penalty and ``(0, 1)``
+    for abs.  It runs 50 power iterations from a seeded start; a zero operator
+    gets step 1.
     """
+    weight, scale = (obj.lam, 2.0) if obj.penalty == "quadratic" else (0.0, 1.0)
     apply_normal = _normal_equations(obj, weight)
     shape = obj.forward.domain_shape
     n = int(np.prod(shape))
@@ -263,13 +267,16 @@ def _forward_backward(
 
     The gradient is the smooth part's at ``y``: all of a quadratic objective,
     else the misfit 0.5 ||H y - g||^2.  ``prox`` (``None`` for none) runs
-    through ``prox_apply`` with step ``gamma``.  ``y`` is the last iterate,
+    through ``prox_apply`` with step ``gamma lam``.  ``y`` is the last iterate,
     or with ``accelerate`` FISTA's momentum point, whose residual follows by
     linearity.  The run stops on a relative objective change of at most
     ``tol``; without momentum, 5 rises in a row diverge.  The residual trace
     holds the step lengths ||f_{k+1} - f_k||.
     """
     gamma, tol = config["gamma"], config["tol"]
+    weight = gamma * obj.lam
+    if prox is not None and not np.isfinite(weight):
+        raise DivergenceError(f"{label}: the prox step gamma lam overflowed (gamma {gamma:.3e})")
     resid = obj.forward.apply(f) - obj.data
     prev = _objective(obj, f, _sqnorm(resid))
     y, resid_y, t, rises = f, resid, 1.0, 0
@@ -286,7 +293,7 @@ def _forward_backward(
         else:
             descent = y - gamma * obj.forward.adjoint(resid_y)
         _check_finite(trace, where, descent)
-        f_new = descent if prox is None else prox_apply(prox, descent, gamma)
+        f_new = descent if prox is None else prox_apply(prox, descent, weight)
         resid_new = obj.forward.apply(f_new) - obj.data
         change = f_new - f
         if accelerate:
@@ -329,7 +336,7 @@ def gradient_descent(
         raise ValidationError("gradient_descent handles the quadratic penalty")
     f = _start(obj, f0)
     if step == "auto":
-        gamma = _auto_step(obj, obj.lam, 2.0, power_seed)
+        gamma = _auto_step(obj, power_seed)
     else:
         gamma = float(step)
         if not (gamma > 0 and np.isfinite(gamma)):
@@ -464,20 +471,14 @@ def nullspace_demo() -> NullspaceReport:
 
 @dataclass(frozen=True)
 class ProxSpec:
-    """Which separable potential to use and its parameters."""
+    """A separable potential (with the student's ``r``); its weight is the prox step."""
 
     kind: str
-    lam: float = 1.0
-    sigma2: float = 1.0
     r: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _PENALTIES:
             raise ValidationError(f"unknown penalty {self.kind!r}")
-        if not (self.lam >= 0 and np.isfinite(self.lam)):
-            raise ValidationError("ProxSpec.lam must be finite and >= 0")
-        if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
-            raise ValidationError("ProxSpec.sigma2 must be finite and > 0")
         if not (self.r > 0 and np.isfinite(self.r)):
             raise ValidationError("ProxSpec.r must be finite and > 0")
 
@@ -564,9 +565,10 @@ def _prox_student(u: np.ndarray, weight: float) -> np.ndarray:
 def prox_apply(spec: ProxSpec, u, step: float) -> np.ndarray:
     """Elementwise minimizer of 0.5 (u - f)^2 + step * Phi(f).
 
-    Phi is the potential selected by ``spec``: lam f^2 / (2 sigma2) for
-    quadratic, lam |f| for abs, lam (r + 1/2) log(1 + f^2) for student, and
-    the nonnegativity indicator (a projection; the step is irrelevant).
+    Phi is the potential selected by ``spec``: f^2 / 2 for quadratic, |f| for
+    abs, (r + 1/2) log(1 + f^2) for student, and the nonnegativity indicator
+    (a projection; the step is irrelevant).  ``step`` carries the penalty
+    weight: gamma lam in ISTA/FISTA, lam / rho in ADMM.
     """
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
@@ -574,12 +576,11 @@ def prox_apply(spec: ProxSpec, u, step: float) -> np.ndarray:
     if not (step >= 0 and np.isfinite(step)):
         raise ValidationError("prox_apply step must be finite and >= 0")
     if spec.kind == "quadratic":
-        return u / (1.0 + step * spec.lam / spec.sigma2)
+        return u / (1.0 + step)
     if spec.kind == "abs":
-        thresh = step * spec.lam
-        return np.sign(u) * np.maximum(np.abs(u) - thresh, 0.0)
+        return np.sign(u) * np.maximum(np.abs(u) - step, 0.0)
     if spec.kind == "student":
-        return _prox_student(u, step * spec.lam * (spec.r + 0.5))
+        return _prox_student(u, step * (spec.r + 0.5))
     return np.maximum(u, 0.0)  # indicator_nonneg
 
 
@@ -608,7 +609,7 @@ def ista(
     if obj.reg_op is not None:
         raise ValidationError("ista requires reg_op = identity (pass None)")
     f = _start(obj, f0)
-    gamma = _auto_step(obj, 0.0, 1.0, power_seed)
+    gamma = _auto_step(obj, power_seed)
     config = {
         "solver": "fista" if accelerate else "ista",
         "gamma": gamma,
@@ -617,8 +618,7 @@ def ista(
         "power_seed": _seed_value(power_seed),
         "lam": obj.lam,
     }
-    prox = ProxSpec("abs", lam=obj.lam)
-    return _forward_backward(obj, f, prox, accelerate, config["solver"], config)
+    return _forward_backward(obj, f, ProxSpec("abs"), accelerate, config["solver"], config)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +651,8 @@ def admm(
 
     spec = ProxSpec(obj.penalty, r=obj.student_r)
     prox_step = obj.lam / rho
+    if not np.isfinite(prox_step):
+        raise DivergenceError(f"admm: the prox step lam / rho overflowed (rho {rho:.3e})")
 
     apply_a = _normal_equations(obj, rho)
     hg = obj.forward.adjoint(obj.data)

@@ -107,6 +107,9 @@ CONFIG_RULES = [
     ({"phantom": {"size": 16}}, "phantom.size"),
     ({"degradation": {"blur": "motion"}}, "degradation.blur"),
     ({"degradation": {"mask_fraction": 0.0}}, "degradation.mask_fraction"),
+    ({"degradation": {"noise_sigma": -1.0}}, "degradation.noise_sigma"),
+    ({"degradation": {"noise_sigma": float("inf")}}, "degradation.noise_sigma"),
+    ({"degradation": {"noise_snr_db": float("nan")}}, "degradation.noise_snr_db"),
     ({"solver": {"kind": "deep_net"}}, "solver.kind"),
     ({"solver": {"lam": -1.0}}, "solver.lam"),
     ({"solver": {"step": 0.0}}, "solver.step"),

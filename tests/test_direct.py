@@ -62,23 +62,18 @@ class TestRampFilter:
 
     def test_type_validates(self):
         with pytest.raises(ValidationError):
-            RampFilter(8, np.array([0.1, 0.2, 0.2, 0.2, 0.3, 0.2, 0.2, 0.2]), "none")
+            RampFilter(np.array([0.1, 0.2, 0.2, 0.2, 0.3, 0.2, 0.2, 0.2]))
 
 
 class TestFbp:
     def test_zero_sinogram_gives_zero_image(self):
         geom = RadonGeometry(4, 16)
-        sino = Sinogram(np.zeros((4, 16)), geom.angles, 1.0)
+        sino = Sinogram(np.zeros((4, 16)), geom)
         assert np.array_equal(fbp(sino).data, np.zeros((16, 16)))
 
     def test_empty_sinogram_rejected(self):
         with pytest.raises(ValidationError):
-            Sinogram(np.zeros((0, 16)), np.zeros(0), 1.0)
-
-    def test_nonuniform_angles_rejected(self):
-        angles = np.array([0.0, 0.3, 1.4])
-        with pytest.raises(ValidationError):
-            fbp(Sinogram(np.ones((3, 8)), angles, 1.0))
+            Sinogram(np.zeros((0, 16)), RadonGeometry(1, 16))
 
     def test_linearity(self):
         geom = RadonGeometry(12, 32)
@@ -86,7 +81,7 @@ class TestFbp:
         s2 = analytic_sinogram(
             EllipsePhantom((Ellipse(0.2, -0.1, 0.3, 0.5, 0.4, 2.0),)), geom, 32
         )
-        combo = Sinogram(2.0 * s1.data - 0.5 * s2.data, geom.angles, 1.0)
+        combo = Sinogram(2.0 * s1.data - 0.5 * s2.data, geom)
         lhs = fbp(combo).data
         rhs = 2.0 * fbp(s1).data - 0.5 * fbp(s2).data
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))

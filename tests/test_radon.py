@@ -49,10 +49,13 @@ class TestGeometry:
             RadonGeometry(8, 8, detector_pitch=0.0)
 
     def test_sinogram_validation(self):
+        geom = RadonGeometry(2, 4)
+        for shape in ((3, 4), (2, 5), (4, 2), (8,)):  # the data must match the geometry
+            with pytest.raises(ValidationError, match="does not match geometry"):
+                Sinogram(np.zeros(shape), geom)
         with pytest.raises(ValidationError):
-            Sinogram(np.zeros((3, 4)), np.array([0.0, 0.5]), 1.0)  # angle count
-        with pytest.raises(ValidationError):
-            Sinogram(np.zeros((2, 4)), np.array([0.5, 0.1]), 1.0)  # not increasing
+            Sinogram(np.full((2, 4), np.nan), geom)
+        assert Sinogram(np.zeros((2, 4)), geom).geometry is geom
 
 
 class TestRadonInvariants:
@@ -178,7 +181,7 @@ def _stencil_matrix(geom, shape):
     mat = np.zeros((geom.n_angles, geom.n_detectors, h * w))
     rays = np.arange(geom.n_detectors)[:, None]
     for a, theta in enumerate(geom.angles):
-        xs, ys = operators._ray_points(theta, shape, geom.n_detectors, geom.detector_pitch)
+        xs, ys = operators._ray_points(theta, shape, geom.offsets)
         for idx, wgt in zip(*_bilinear_stencil(shape, xs, ys)):
             np.add.at(mat[a], (np.broadcast_to(rays, idx.shape), idx), wgt)
     return mat.reshape(-1, h * w)
@@ -230,7 +233,7 @@ def test_view_tables_hold_each_live_stencil_pair_once(h, w, n_det, pitch, n_angl
     # order, grouped by (ray, pixel) and summed in that order by bincount
     geom, shape = RadonGeometry(n_angles, n_det, detector_pitch=pitch), (h, w)
     for theta in geom.angles:
-        xs, ys = operators._ray_points(theta, shape, n_det, pitch)
+        xs, ys = operators._ray_points(theta, shape, geom.offsets)
         indices, weights = _bilinear_stencil(shape, xs, ys)
         ray = np.repeat(np.arange(n_det), 4 * xs.shape[1])
         pix = np.stack(indices, axis=-1).ravel()
@@ -239,7 +242,7 @@ def test_view_tables_hold_each_live_stencil_pair_once(h, w, n_det, pitch, n_angl
         pairs, group = np.unique(ray[live] * (h * w) + pix[live], return_inverse=True)
         summed = np.bincount(group, weights=wgt[live], minlength=pairs.size)
 
-        rays, counts, starts, cols, vals = operators._radon_view_table(theta, shape, n_det, pitch)
+        rays, counts, starts, cols, vals = operators._radon_view_table(theta, shape, geom.offsets)
         got = np.repeat(rays, counts) * (h * w) + cols
         order = np.argsort(got)
         assert np.array_equal(got[order], pairs)

@@ -287,12 +287,12 @@ class TestNullspaceDemo:
 
 class TestProx:
     def test_soft_threshold_closed_form(self):
-        spec = ProxSpec("abs", lam=1.0)
+        spec = ProxSpec("abs")
         u = np.array([2.0, 0.5, -3.0])
         assert np.allclose(prox_apply(spec, u, 1.0), [1.0, 0.0, -2.0], atol=1e-15)
 
     def test_quadratic_closed_form(self):
-        spec = ProxSpec("quadratic", lam=1.0, sigma2=1.0)
+        spec = ProxSpec("quadratic")
         assert prox_apply(spec, np.array([2.0]), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_nonneg_projection(self):
@@ -301,7 +301,7 @@ class TestProx:
         assert np.allclose(prox_apply(spec, u, 7.0), [0.0, 0.0, 2.5])
 
     def test_student_matches_brute_force_scan(self):
-        spec = ProxSpec("student", lam=1.0, r=1.0)
+        spec = ProxSpec("student", r=1.0)
         u = 3.0
         out = prox_apply(spec, np.array([u]), 1.0)[0]
         weight = 1.0 * (1.0 + 0.5)
@@ -311,9 +311,9 @@ class TestProx:
         assert abs(out - best) < 2e-6
 
     def test_student_stationarity_random(self):
-        spec = ProxSpec("student", lam=0.8, r=2.0)
+        spec = ProxSpec("student", r=2.0)
         u = normal_stream(50, 4.0, 130)
-        out = prox_apply(spec, u, 0.6)
+        out = prox_apply(spec, u, 0.6 * 0.8)
         weight = 0.6 * 0.8 * 2.5
         # stationary: (f - u) + weight * 2 f / (1 + f^2) = 0
         resid = (out - u) + 2.0 * weight * out / (1.0 + out**2)
@@ -332,7 +332,7 @@ class TestProx:
         v_lo, v_hi = np.sort(np.roots([-4.0, b * b + 18.0 * b - 27.0, -4.0 * b**3]).real)
         band = np.sqrt(np.linspace(v_lo, v_hi, 9)[1:-1])
         u = np.concatenate([band, -band])
-        out = prox_apply(ProxSpec("student", lam=weight, r=0.5), u, 1.0)
+        out = prox_apply(ProxSpec("student", r=0.5), u, weight)
 
         def cost(f, ui):
             return 0.5 * (f - ui) ** 2 + weight * np.log1p(f**2)
@@ -348,15 +348,13 @@ class TestProx:
             assert cost(fi, ui) <= best * (1.0 + 1e-12)
 
     def test_finite_output_for_large_input(self):
-        spec = ProxSpec("student", lam=1.0, r=1.0)
+        spec = ProxSpec("student", r=1.0)
         out = prox_apply(spec, np.array([1e12, -1e12]), 1.0)
         assert np.all(np.isfinite(out))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             ProxSpec("tv")
-        with pytest.raises(ValidationError):
-            ProxSpec("abs", lam=-1.0)
         with pytest.raises(ValidationError):
             prox_apply(ProxSpec("abs"), np.array([np.inf]), 1.0)
         with pytest.raises(ValidationError):
@@ -406,7 +404,7 @@ class TestIsta:
         gamma = rep.config["gamma"]
         f = rep.final
         grad = obj.forward.adjoint(obj.forward.apply(f) - obj.data)
-        again = prox_apply(ProxSpec("abs", lam=obj.lam), f - gamma * grad, gamma)
+        again = prox_apply(ProxSpec("abs"), f - gamma * grad, gamma * obj.lam)
         assert np.linalg.norm(again - f) <= 1e-5 * max(np.linalg.norm(f), 1.0)
 
     def test_acceleration_beats_plain_iteration(self):
@@ -463,6 +461,21 @@ class TestNumericalFailuresAreDivergences:
         obj = Objective(op_identity((8, 8)), g, "student", 1.0, reg_op=reg_op)
         with pytest.raises(DivergenceError):
             admm(obj, rho=1e-300, max_iter=5)
+
+    def test_admm_prox_step_overflow(self):
+        # lam / rho is +inf: the prox weight is checked once, before any step
+        g = normal_stream(64, 1.0, 414).reshape(8, 8)
+        obj = Objective(op_identity((8, 8)), g, "abs", 1e10)
+        with pytest.raises(DivergenceError, match="lam / rho"):
+            admm(obj, rho=1e-300, max_iter=5)
+
+    @pytest.mark.parametrize("accelerate", [False, True], ids=["ista", "fista"])
+    def test_ista_prox_step_overflow(self, accelerate):
+        # gamma = 0.9e120 and lam = 1e190: gamma lam would threshold at +inf
+        g = normal_stream(64, 1.0, 415).reshape(8, 8)
+        obj = Objective(op_multiply(np.full((8, 8), 1e-60)), g, "abs", 1e190)
+        with pytest.raises(DivergenceError, match="gamma lam"):
+            ista(obj, accelerate=accelerate, max_iter=5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("solver", ["ista", "gradient_descent"])

@@ -57,6 +57,8 @@ def matrix() -> list:
          "--rho", "1e300", "--out", "rho_1e300"],
         ["reconstruct", "--data", "small", "--solver", "gd", "--lam", "0.1",
          "--step", "1e150", "--out", "step_1e150"],
+        # the radon geometry path at an odd view count
+        ["fbp-vs-tv", "--size", "48", "--angles", "17", "--max-iter", "5", "--out", "fbp_48_17"],
     ]
     return calls
 
