@@ -41,7 +41,6 @@ import numpy as np
 from . import __version__
 from .direct import fbp
 from .errors import BreakdownError, DivergenceError, SingularityError, ValidationError
-from .grids import dft2, idft2
 from .io import read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
     Mask,
@@ -257,10 +256,22 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("degradation.noise_snr_db must be finite")
     if cfg.solver.kind not in _SOLVERS:
         raise ConfigError(f"solver.kind {cfg.solver.kind!r} is not supported")
-    if cfg.solver.lam < 0:
-        raise ConfigError("solver.lam must be >= 0")
+    if not (cfg.solver.lam >= 0 and np.isfinite(cfg.solver.lam)):
+        raise ConfigError("solver.lam must be finite and >= 0")
+    if not (cfg.solver.rho > 0 and np.isfinite(cfg.solver.rho)):
+        raise ConfigError("solver.rho must be positive and finite")
+    for key in ("max_iter", "inner_iter"):
+        if getattr(cfg.solver, key) < 0:
+            raise ConfigError(f"solver.{key} must be >= 0")
     if cfg.solver.step is not None and not cfg.solver.step > 0:
         raise ConfigError("solver.step must be > 0 when given")
+    geo = cfg.geometry
+    if geo.n_angles < 1:
+        raise ConfigError("geometry.n_angles must be >= 1")
+    if geo.n_detectors is not None and geo.n_detectors < 1:
+        raise ConfigError("geometry.n_detectors must be >= 1 when given")
+    if not (geo.detector_pitch > 0 and np.isfinite(geo.detector_pitch)):
+        raise ConfigError("geometry.detector_pitch must be positive and finite")
     if cfg.transform not in (*_TRANSFORMS, "all"):
         raise ConfigError(f"transform {cfg.transform!r} is not supported")
     if cfg.solver.lambdas == []:
@@ -646,7 +657,8 @@ def _selftest_checks():
     manual = np.sign(x) * np.maximum(np.abs(x) - 0.5, 0.0)
     yield "prox_abs", np.allclose(soft, manual, atol=1e-12), "prox_abs"
 
-    rt = idft2(dft2(img)).data.real
+    dft = op_dft2(img.data.shape)
+    rt = (dft.adjoint(dft.apply(img)) / img.data.size).real
     yield "dft_roundtrip", np.allclose(rt, img.data, atol=1e-10), "dft_roundtrip"
 
 

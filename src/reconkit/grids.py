@@ -1,15 +1,12 @@
-"""Raster containers, the 2D DFT pair, interpolation, and seeded noise.
+"""The raster container, interpolation, padding, and seeded noise.
 
 Conventions used throughout the package:
 
 * images are stored row-major as (height, width) float64 arrays, pixel
-  (row, col) = (y, x), with the row axis pointing down; ``GridImage`` and
-  ``ComplexGrid`` are one raster type that differs only in its dtype;
-* the forward DFT is unnormalized, ``F[k, l] = sum_{n,m} x[n, m]
-  exp(-i 2 pi (k n / H + l m / W))``, and the inverse carries the full
-  ``1 / (H W)`` factor, so ``idft2(dft2(x)) == x``;
+  (row, col) = (y, x), with the row axis pointing down;
 * random streams come from splitmix64 (64-bit state) mapped through a
-  Box-Muller transform, so a seed pins the stream bit for bit.
+  Box-Muller transform, so a seed, an integer in [0, 2**64), pins the stream
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -22,12 +19,7 @@ from .errors import ValidationError
 
 __all__ = [
     "GridImage",
-    "ComplexGrid",
-    "Seed",
     "as_array",
-    "dft2",
-    "idft2",
-    "bilinear_sample",
     "bilinear_values",
     "zero_pad",
     "crop",
@@ -37,26 +29,18 @@ __all__ = [
 ]
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite samples")
-
-
 @dataclass(frozen=True)
-class _Raster:
-    """A 2D raster with square pixels of size ``pitch``, stored as ``_dtype``."""
+class GridImage:
+    """A real-valued 2D raster, held as a float64 copy of ``data``."""
 
     data: np.ndarray
-    pitch: float = 1.0
 
     def __post_init__(self):
-        name = type(self).__name__
-        data = np.asarray(self.data, dtype=self._dtype)
+        data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.size == 0:
-            raise ValidationError(f"{name}.data must be a non-empty 2D array")
-        _require_finite(data, f"{name}.data")
-        if not (self.pitch > 0 and np.isfinite(self.pitch)):
-            raise ValidationError(f"{name}.pitch must be positive and finite")
+            raise ValidationError("GridImage.data must be a non-empty 2D array")
+        if not np.all(np.isfinite(data)):
+            raise ValidationError("GridImage.data contains non-finite samples")
         object.__setattr__(self, "data", data)
 
     @property
@@ -68,70 +52,19 @@ class _Raster:
         return self.data.shape[1]
 
 
-class GridImage(_Raster):
-    """A real-valued raster with square pixels of size ``pitch``."""
-
-    _dtype = np.float64
-
-
-class ComplexGrid(_Raster):
-    """A complex-valued raster, same layout as GridImage."""
-
-    _dtype = np.complex128
-
-
-@dataclass(frozen=True)
-class Seed:
-    """A 64-bit seed; equal seeds give bit-identical random streams."""
-
-    value: int
-
-    def __post_init__(self):
-        if not isinstance(self.value, int) or not 0 <= self.value < 2**64:
-            raise ValidationError("Seed.value must be an integer in [0, 2**64)")
-
-
 def _seed_value(seed) -> int:
-    if isinstance(seed, Seed):
-        return seed.value
     if isinstance(seed, (int, np.integer)):
         value = int(seed)
         if 0 <= value < 2**64:
             return value
-    raise ValidationError("seed must be a Seed or an integer in [0, 2**64)")
+    raise ValidationError("seed must be an integer in [0, 2**64)")
 
 
 def as_array(img) -> np.ndarray:
-    """Accept a GridImage, ComplexGrid, or bare ndarray and return the array."""
-    if isinstance(img, _Raster):
+    """Accept a GridImage or a bare array and return the array."""
+    if isinstance(img, GridImage):
         return img.data
     return np.asarray(img)
-
-
-# ---------------------------------------------------------------------------
-# DFT pair
-# ---------------------------------------------------------------------------
-
-
-def dft2(img) -> ComplexGrid:
-    """Unnormalized forward 2D DFT.
-
-    ``F[k, l] = sum_{n, m} x[n, m] exp(-i 2 pi (k n / H + l m / W))``.
-    """
-    data = as_array(img)
-    if data.ndim != 2:
-        raise ValidationError("dft2 expects a 2D grid")
-    _require_finite(data, "dft2 input")
-    return ComplexGrid(np.fft.fft2(data))
-
-
-def idft2(spec) -> ComplexGrid:
-    """Inverse 2D DFT carrying the full 1/(H*W) normalization."""
-    data = as_array(spec)
-    if data.ndim != 2:
-        raise ValidationError("idft2 expects a 2D grid")
-    _require_finite(data, "idft2 input")
-    return ComplexGrid(np.fft.ifft2(data))
 
 
 # ---------------------------------------------------------------------------
@@ -162,32 +95,21 @@ def _bilinear_stencil(shape, xs, ys):
     return indices, weights
 
 
-def bilinear_values(data: np.ndarray, xs, ys) -> np.ndarray:
-    """Vectorized bilinear lookup with a zero boundary.
+def bilinear_values(img, xs, ys) -> np.ndarray:
+    """Vectorized bilinear lookup in a real or complex grid, with a zero boundary.
 
-    ``xs`` indexes columns and ``ys`` rows; queries outside
+    ``img`` is a GridImage or a 2D array; ``xs`` indexes columns and ``ys``
+    rows.  Exact pixel centers return the stored value; queries outside
     [0, W-1] x [0, H-1] return 0.
     """
+    data = as_array(img)
+    if data.ndim != 2:
+        raise ValidationError("bilinear_values expects a 2D grid")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     indices, weights = _bilinear_stencil(data.shape, xs, ys)
     flat = data.ravel()
     return sum(wgt * flat[idx] for idx, wgt in zip(indices, weights))
-
-
-def bilinear_sample(img, x, y):
-    """Sample ``img`` at fractional coordinates (x=column, y=row).
-
-    Exact pixel centers return the stored value; coordinates outside the
-    pixel-center bounding box return 0.
-    """
-    data = as_array(img)
-    if data.ndim != 2:
-        raise ValidationError("bilinear_sample expects a 2D grid")
-    vals = bilinear_values(data, x, y)
-    if np.isscalar(x) and np.isscalar(y):
-        return float(vals)
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +123,7 @@ def zero_pad(img: GridImage, new_width: int, new_height: int) -> GridImage:
         raise ValidationError("zero_pad target must not be smaller than the image")
     out = np.zeros((new_height, new_width), dtype=np.float64)
     out[: img.height, : img.width] = img.data
-    return GridImage(out, img.pitch)
+    return GridImage(out)
 
 
 def crop(img: GridImage, width: int, height: int, off_x: int = 0, off_y: int = 0) -> GridImage:
@@ -210,7 +132,7 @@ def crop(img: GridImage, width: int, height: int, off_x: int = 0, off_y: int = 0
         raise ValidationError("crop window must be at least 1x1")
     if off_x < 0 or off_y < 0 or off_x + width > img.width or off_y + height > img.height:
         raise ValidationError("crop window exceeds the image bounds")
-    return GridImage(img.data[off_y : off_y + height, off_x : off_x + width].copy(), img.pitch)
+    return GridImage(img.data[off_y : off_y + height, off_x : off_x + width].copy())
 
 
 # ---------------------------------------------------------------------------

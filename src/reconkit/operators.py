@@ -464,7 +464,12 @@ def op_matrix(a) -> LinearMap:
 
 
 def op_dft2(shape) -> LinearMap:
-    """The unnormalized 2D DFT on complex grids; adjoint is N * inverse."""
+    """The package's one 2D DFT, on complex (height, width) grids.
+
+    The forward transform is unnormalized, ``F[k, l] = sum_{n, m} x[n, m]
+    exp(-i 2 pi (k n / H + l m / W))``, so the adjoint is ``H W`` times the
+    inverse and the inverse DFT is ``adjoint(y) / (H W)``.
+    """
     h, w = int(shape[0]), int(shape[1])
     n = h * w
 
@@ -784,7 +789,7 @@ def transform_haar(img: GridImage, levels: int, inverse: bool = False) -> GridIm
             block = _haar_rows_inv(block.T).T
             block = _haar_rows_inv(block)
             data[:ch, :cw] = block
-    return GridImage(data, img.pitch)
+    return GridImage(data)
 
 
 def _dct8_matrix() -> np.ndarray:
@@ -811,7 +816,7 @@ def transform_dct8(img: GridImage, inverse: bool = False) -> GridImage:
     else:
         out = np.einsum("ki,abij,lj->abkl", _DCT8, blocks, _DCT8, optimize=True)
     data = out.transpose(0, 2, 1, 3).reshape(h, w)
-    return GridImage(data, img.pitch)
+    return GridImage(data)
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +863,7 @@ def fourier_slice_check(img: GridImage, theta: float) -> float:
     fy = freqs * np.sin(theta)
     px = fx * pad + pad // 2
     py = fy * pad + pad // 2
-    slice_2d = bilinear_values(spectrum.real, px, py) + 1j * bilinear_values(
-        spectrum.imag, px, py
-    )
+    slice_2d = bilinear_values(spectrum, px, py)
 
     band = np.abs(freqs) <= 0.3
     num = np.linalg.norm(slice_1d[band] - slice_2d[band])

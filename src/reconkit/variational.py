@@ -231,7 +231,8 @@ def _auto_step(obj: Objective, seed) -> float:
 
     ``(weight, scale)`` is ``(lam, 2)`` for the quadratic penalty and ``(0, 1)``
     for abs.  It runs 50 power iterations from a seeded start; a zero operator
-    gets step 1.
+    gets step 1, and an operator so small that the squares of ``H* H v``
+    underflow still gets its own step.
     """
     weight, scale = (obj.lam, 2.0) if obj.penalty == "quadratic" else (0.0, 1.0)
     apply_normal = _normal_equations(obj, weight)
@@ -247,7 +248,11 @@ def _auto_step(obj: Objective, seed) -> float:
         w = apply_normal(v)
         top = float(np.linalg.norm(w.ravel()))
         if top == 0.0:
-            return 1.0
+            # the squares of a tiny w underflow: take the norm of w / max|w|
+            peak = float(np.max(np.abs(w)))
+            if peak == 0.0:
+                return 1.0
+            top = peak * float(np.linalg.norm(w.ravel() / peak))
         if not np.isfinite(top):
             # an overflow here would surface as an input error at the next apply
             raise DivergenceError("power iteration: the normal operator overflowed")

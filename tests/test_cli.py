@@ -101,7 +101,8 @@ class TestCsv:
         assert text == "metric,value\nsnr,inf\nok,true\nx,0.1\n"
 
 
-# one config that breaks each rule of the config check, and the key its error names
+# one config that breaks each rule of the config check, and the key its error
+# names (with the rule's wording where one key has two rules, so each id is unique)
 CONFIG_RULES = [
     ({"phantom": {"kind": "disk"}}, "phantom.kind"),
     ({"phantom": {"size": 16}}, "phantom.size"),
@@ -112,7 +113,14 @@ CONFIG_RULES = [
     ({"degradation": {"noise_snr_db": float("nan")}}, "degradation.noise_snr_db"),
     ({"solver": {"kind": "deep_net"}}, "solver.kind"),
     ({"solver": {"lam": -1.0}}, "solver.lam"),
+    ({"solver": {"lam": float("nan")}}, "solver.lam must be finite"),
+    ({"solver": {"rho": -1.0}}, "solver.rho"),
+    ({"solver": {"max_iter": -5}}, "solver.max_iter"),
+    ({"solver": {"inner_iter": -1}}, "solver.inner_iter"),
     ({"solver": {"step": 0.0}}, "solver.step"),
+    ({"geometry": {"n_angles": 0}}, "geometry.n_angles"),
+    ({"geometry": {"n_detectors": 0}}, "geometry.n_detectors"),
+    ({"geometry": {"detector_pitch": float("inf")}}, "geometry.detector_pitch"),
     ({"transform": "wavelet"}, "transform"),
     ({"keep_fractions": [0.5, 1.5]}, "keep_fractions"),
     ({"keep_fractions": [0.5, "x"]}, "keep_fractions[1]"),

@@ -1,25 +1,21 @@
-"""Grid containers, DFT conventions, interpolation, and the noise stream.
+"""The raster container, the DFT convention, interpolation, and the noise stream.
 
-The DFT tests compare against a direct O(N^2) evaluation of the defining
-sums, so the fast path is checked against the formula rather than against
-itself.
+The DFT tests run ``op_dft2``, the package's one DFT, and compare it against
+a direct O(N^2) evaluation of the defining sums, so the fast path is checked
+against the formula rather than against itself.
 """
 
 import numpy as np
 import pytest
 
 from reconkit import (
-    ComplexGrid,
     GridImage,
-    Seed,
     ValidationError,
-    bilinear_sample,
     bilinear_values,
     crop,
-    dft2,
     gaussian_noise,
-    idft2,
     normal_stream,
+    op_dft2,
     uniform_stream,
     zero_pad,
 )
@@ -55,19 +51,11 @@ class TestGridImage:
         with pytest.raises(ValidationError):
             GridImage(bad)
 
-    def test_rejects_bad_pitch(self):
-        with pytest.raises(ValidationError):
-            GridImage(np.zeros((2, 2)), pitch=0.0)
-
     def test_width_height(self):
         img = GridImage(np.zeros((3, 5)))
         assert (img.height, img.width) == (3, 5)
 
-    def test_complex_grid_rejects_real_input_shapes(self):
-        with pytest.raises(ValidationError):
-            ComplexGrid(np.zeros((4,), dtype=complex))
-
-    @pytest.mark.parametrize("cls, dtype", [(GridImage, np.float64), (ComplexGrid, np.complex128)])
+    @pytest.mark.parametrize("cls, dtype", [(GridImage, np.float64)])
     def test_each_raster_names_itself_and_keeps_its_dtype(self, cls, dtype):
         name = cls.__name__
         assert cls(np.ones((2, 3), dtype=np.float32)).data.dtype == dtype
@@ -75,32 +63,26 @@ class TestGridImage:
             cls(np.zeros(5))
         with pytest.raises(ValidationError, match=rf"^{name}\.data contains non-finite samples$"):
             cls(np.full((2, 2), np.inf))
-        with pytest.raises(ValidationError, match=rf"^{name}\.pitch must be positive and finite$"):
-            cls(np.zeros((2, 2)), pitch=np.nan)
-
-    def test_complex_grid_is_not_a_grid_image(self):
-        grid = ComplexGrid(np.zeros((2, 2)))
-        assert not isinstance(grid, GridImage)
-        assert grid != GridImage(np.zeros((2, 2)))
 
 
 class TestDft:
     def test_matches_direct_sum(self):
         data = normal_stream(48, 1.0, 101).reshape(6, 8)
-        fast = dft2(GridImage(data)).data
+        fast = op_dft2((6, 8)).apply(data)
         slow = dft2_direct(data)
         assert np.max(np.abs(fast - slow)) < 1e-9
 
     def test_inverse_round_trip(self):
         data = normal_stream(64, 1.0, 102).reshape(8, 8)
-        back = idft2(dft2(GridImage(data))).data
+        dft = op_dft2((8, 8))
+        back = dft.adjoint(dft.apply(data)) / 64.0
         assert np.max(np.abs(back - data)) < 1e-12
 
     def test_single_bin_inverse_is_unit_exponential(self):
         # one unit in bin (0, 1): inverse holds e^{i 2π n/8} / 64 along rows
         spec = np.zeros((8, 8), dtype=complex)
         spec[0, 1] = 1.0
-        img = idft2(ComplexGrid(spec)).data
+        img = op_dft2((8, 8)).adjoint(spec) / 64.0
         cols = np.arange(8)
         expected = np.exp(2j * np.pi * cols / 8)[None, :] / 64.0 * np.ones((8, 1))
         assert np.max(np.abs(img - expected)) < 1e-14
@@ -108,7 +90,7 @@ class TestDft:
     def test_parseval_with_forward_normalization(self):
         # unnormalized forward: sum |X|^2 = N * sum |x|^2
         data = normal_stream(60, 1.0, 103).reshape(6, 10)
-        spec = dft2(GridImage(data)).data
+        spec = op_dft2((6, 10)).apply(data)
         lhs = np.sum(np.abs(spec) ** 2)
         rhs = data.size * np.sum(data**2)
         assert abs(lhs - rhs) / rhs < 1e-12
@@ -118,22 +100,23 @@ class TestDft:
         data = normal_stream(64, 1.0, 104).reshape(8, 8)
         dy, dx = 3, 5
         shifted = np.roll(data, shift=(dy, dx), axis=(0, 1))
-        spec = dft2(GridImage(data)).data
+        dft = op_dft2((8, 8))
+        spec = dft.apply(data)
         k = np.arange(8)[:, None]
         l = np.arange(8)[None, :]
         phase = np.exp(-2j * np.pi * (k * dy + l * dx) / 8.0)
-        assert np.max(np.abs(dft2(GridImage(shifted)).data - spec * phase)) < 1e-9
+        assert np.max(np.abs(dft.apply(shifted) - spec * phase)) < 1e-9
 
     def test_unit_impulse_at_origin_gives_flat_spectrum(self):
         data = np.zeros((5, 9))
         data[0, 0] = 1.0
-        spec = dft2(GridImage(data)).data
+        spec = op_dft2((5, 9)).apply(data)
         assert np.max(np.abs(spec - 1.0)) < 1e-13
 
     def test_accepts_complex_grid_input(self):
         data = normal_stream(16, 1.0, 105).reshape(4, 4)
-        spec = dft2(ComplexGrid(data.astype(complex)))
-        assert np.max(np.abs(spec.data - dft2_direct(data))) < 1e-10
+        spec = op_dft2((4, 4)).apply(data.astype(complex))
+        assert np.max(np.abs(spec - dft2_direct(data))) < 1e-10
 
 
 class TestBilinear:
@@ -145,8 +128,8 @@ class TestBilinear:
 
     def test_midpoint_average(self):
         data = np.array([[0.0, 2.0], [4.0, 6.0]])
-        assert bilinear_sample(GridImage(data), 0.5, 0.5) == pytest.approx(3.0)
-        assert bilinear_sample(GridImage(data), 0.5, 0.0) == pytest.approx(1.0)
+        assert bilinear_values(GridImage(data), 0.5, 0.5) == pytest.approx(3.0)
+        assert bilinear_values(GridImage(data), 0.5, 0.0) == pytest.approx(1.0)
 
     def test_zero_outside_grid(self):
         data = np.ones((4, 4))
@@ -165,7 +148,20 @@ class TestBilinear:
 
     def test_single_column_grid(self):
         data = np.array([[2.0], [4.0]])
-        assert bilinear_sample(GridImage(data), 0.0, 0.5) == pytest.approx(3.0)
+        assert bilinear_values(GridImage(data), 0.0, 0.5) == pytest.approx(3.0)
+
+    def test_complex_lookup_is_the_real_and_imaginary_lookups(self):
+        re = normal_stream(30, 1.0, 111).reshape(5, 6)
+        im = normal_stream(30, 1.0, 112).reshape(5, 6)
+        xs = np.linspace(-0.5, 5.5, 17)
+        ys = np.linspace(4.5, -0.5, 17)
+        joint = bilinear_values(re + 1j * im, xs, ys)
+        parts = bilinear_values(re, xs, ys) + 1j * bilinear_values(im, xs, ys)
+        assert np.array_equal(joint, parts)
+
+    def test_rejects_a_grid_that_is_not_2d(self):
+        with pytest.raises(ValidationError, match="2D grid"):
+            bilinear_values(np.zeros(4), 1.0, 0.0)
 
 
 class TestPadCrop:
@@ -204,9 +200,6 @@ class TestRandomStreams:
     def test_uniform_seed_sensitivity(self):
         assert not np.array_equal(uniform_stream(100, 1), uniform_stream(100, 2))
 
-    def test_seed_wrapper_equivalent_to_int(self):
-        assert np.array_equal(uniform_stream(50, Seed(9)), uniform_stream(50, 9))
-
     def test_uniform_prefix_stability(self):
         # the stream is a pure function of (seed, index): prefixes agree
         assert np.array_equal(uniform_stream(200, 7)[:50], uniform_stream(50, 7))
@@ -243,9 +236,12 @@ class TestRandomStreams:
 
     def test_seed_validation(self):
         with pytest.raises(ValidationError):
-            Seed(-1)
+            uniform_stream(1, -1)
         with pytest.raises(ValidationError):
-            Seed(1 << 64)
+            uniform_stream(1, 1 << 64)
+        with pytest.raises(ValidationError):
+            uniform_stream(1, 9.0)
+        assert np.array_equal(uniform_stream(50, np.uint64(9)), uniform_stream(50, 9))
 
     def test_bit_stream_matches_arbitrary_precision_reference(self):
         # pure python-int arithmetic, immune to wraparound mistakes

@@ -15,7 +15,6 @@ from reconkit import (
     GridImage,
     Mask,
     RadonGeometry,
-    Seed,
     ValidationError,
     airy_psf,
     analytic_sinogram,
@@ -188,7 +187,7 @@ class TestDegrade:
         ker = gaussian_kernel(3, 0.8)
         mask = Mask.random((32, 32), 0.4, seed=9)
         ref = degrade(img, ker, mask, 0.05, 10)
-        for image, seed in ((img.data, 10), (img.data.tolist(), Seed(10)), (img, np.uint64(10))):
+        for image, seed in ((img.data, 10), (img.data.tolist(), 10), (img, np.uint64(10))):
             deg = degrade(image, ker, mask, 0.05, seed)
             assert np.array_equal(deg.measurements, ref.measurements)
             assert deg.seed == 10 and type(deg.seed) is int

@@ -497,6 +497,21 @@ class TestNumericalFailuresAreDivergences:
             ista(obj, accelerate=accelerate, max_iter=5)
 
 
+class TestAutoStep:
+    @pytest.mark.parametrize("solver", ["ista", "gradient_descent"])
+    def test_power_iteration_underflow_keeps_the_operator_step(self, solver):
+        # the squares of H* H v underflow; the step must still be 0.9 / Lip
+        forward = op_multiply(np.full((8, 8), 1e-100))
+        g = np.ones((8, 8))
+        if solver == "ista":
+            rep = ista(Objective(forward, g, "abs", 1e-210), max_iter=200, tol=1e-10)
+        else:
+            obj = Objective(forward, g, "quadratic", 0.0)
+            rep = gradient_descent(obj, max_iter=200, tol=1e-10)
+        assert rep.converged
+        assert np.allclose(rep.final, 1e100, rtol=1e-9, atol=0.0)
+
+
 class TestSolutionStructure:
     def test_min_norm_solution_lies_in_adjoint_range(self):
         for trial in range(10):
