@@ -247,6 +247,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("phantom.size must be >= 32")
     if cfg.degradation.blur not in _BLURS:
         raise ConfigError(f"degradation.blur {cfg.degradation.blur!r} is not supported")
+    if not (cfg.degradation.blur_sigma > 0 and np.isfinite(cfg.degradation.blur_sigma)):
+        raise ConfigError("degradation.blur_sigma must be positive and finite")
     if not 0.0 < cfg.degradation.mask_fraction <= 1.0:
         raise ConfigError("degradation.mask_fraction must lie in (0, 1]")
     sigma, snr = cfg.degradation.noise_sigma, cfg.degradation.noise_snr_db
@@ -263,6 +265,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for key in ("max_iter", "inner_iter"):
         if getattr(cfg.solver, key) < 0:
             raise ConfigError(f"solver.{key} must be >= 0")
+    if not (cfg.solver.tol >= 0 and np.isfinite(cfg.solver.tol)):
+        raise ConfigError("solver.tol must be finite and >= 0")
     if cfg.solver.step is not None and not cfg.solver.step > 0:
         raise ConfigError("solver.step must be > 0 when given")
     geo = cfg.geometry
@@ -276,6 +280,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"transform {cfg.transform!r} is not supported")
     if cfg.solver.lambdas == []:
         raise ConfigError("solver.lambdas must hold at least one weight")
+    if cfg.levels < 1:
+        raise ConfigError("levels must be >= 1")
     for fr in cfg.keep_fractions:
         if not 0.0 < fr <= 1.0:
             raise ConfigError("keep_fractions entries must lie in (0, 1]")

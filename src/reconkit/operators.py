@@ -589,13 +589,15 @@ def _ray_points(theta: float, shape, offs: np.ndarray):
 
     ``offs`` holds the rays' detector positions (``RadonGeometry.offsets``).
     Ray direction is (-sin t, cos t); the detector axis is (cos t, sin t);
-    both are expressed around the image center.
+    both are expressed around the image center.  At an axis angle the trig is
+    exact: ``cos(pi/2)`` is 6e-17, which would put border rays a hair outside
+    the image, where their samples carry no weight.
     """
     h, w = shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     span = int(np.ceil(np.hypot(h, w))) + 1
     ts = np.arange(span) - (span - 1) / 2.0
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cos_t, sin_t = (0.0 if abs(v) < 1e-12 else v for v in (np.cos(theta), np.sin(theta)))
     xs = cx + offs[:, None] * cos_t - ts[None, :] * sin_t
     ys = cy + offs[:, None] * sin_t + ts[None, :] * cos_t
     return xs, ys
@@ -670,12 +672,20 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     ``np.bincount``, so it is the exact transpose of the same table.  The
     fused normal does both per view, streaming each table once.
 
+    On a square image with an even view count, view ``k + n/2`` is view
+    ``k`` turned +90 degrees on the pixel grid: its rays sample the turned
+    points at the same detector offsets and steps.  So only the views in
+    ``[0, pi/2)`` are built; each derived view shares its source's ``rays``,
+    ``counts``, ``starts`` and ``vals`` and maps only ``cols`` through the
+    turn.  Views run in pairs, ``k`` then ``k + n/2``.  Odd view counts and
+    non-square images build every view, in view order.
+
     Iterative solvers apply the same operator thousands of times, so every
-    view's table is built once and kept when the geometry is small enough;
-    otherwise each call rebuilds one view at a time.  Both paths run the
-    same per-view tables in view order, so apply, adjoint and normal agree
-    bit for bit across them, the normal equals ``adjoint(apply(x))`` bit for
-    bit, and repeated calls are identical.
+    view's table is kept when the geometry is small enough; otherwise each
+    call rebuilds the built views one at a time and derives their pairs.
+    Both paths run the same per-view tables in the same order, so apply,
+    adjoint and normal agree bit for bit across them, the normal equals
+    ``adjoint(apply(x))`` bit for bit, and repeated calls are identical.
     """
     h, w = int(image_shape[0]), int(image_shape[1])
     if h < 2 or w < 2:
@@ -684,15 +694,24 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     n_angles, n_det = geometry.n_angles, geometry.n_detectors
     span = int(np.ceil(np.hypot(h, w))) + 1
     cached = n_angles * n_det * span <= _RADON_CACHE_BUDGET
+    half = n_angles // 2 if h == w and n_angles % 2 == 0 else n_angles
+    turn = np.rot90(np.arange(h * w).reshape(h, w), 1).ravel() if half < n_angles else None
     tables: list = []
+
+    def views():
+        # (view index, rays, counts, starts, cols, vals), each derived view after its source
+        for k in range(half):
+            rays, counts, starts, cols, vals = _radon_view_table(angles[k], (h, w), offs)
+            yield k, rays, counts, starts, cols, vals
+            if turn is not None:
+                yield k + half, rays, counts, starts, turn[cols], vals
 
     def blocks():
         # the kept tables under the budget, else each view rebuilt in turn
-        views = (_radon_view_table(theta, (h, w), offs) for theta in angles)
         if not cached:
-            return views
+            return views()
         if not tables:
-            tables[:] = views
+            tables[:] = views()
         return tables
 
     def scatter(out, ray_values, counts, cols, vals):
@@ -703,20 +722,20 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     def forward(x):
         flat = x.ravel()
         out = np.zeros((n_angles, n_det), dtype=np.float64)
-        for a, (rays, _, starts, cols, vals) in enumerate(blocks()):
+        for a, rays, _, starts, cols, vals in blocks():
             out[a, rays] = _ray_sums(flat, starts, cols, vals)
         return out
 
     def backward(y):
         out = np.zeros(h * w, dtype=np.float64)
-        for a, (rays, counts, _, cols, vals) in enumerate(blocks()):
+        for a, rays, counts, _, cols, vals in blocks():
             scatter(out, y[a, rays], counts, cols, vals)
         return out.reshape(h, w)
 
     def normal(x):
         flat = x.ravel()
         out = np.zeros(h * w, dtype=np.float64)
-        for rays, counts, starts, cols, vals in blocks():
+        for _, rays, counts, starts, cols, vals in blocks():
             scatter(out, _ray_sums(flat, starts, cols, vals), counts, cols, vals)
         return out.reshape(h, w)
 

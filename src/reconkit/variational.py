@@ -272,7 +272,7 @@ def _forward_backward(
 
     The gradient is the smooth part's at ``y``: all of a quadratic objective,
     else the misfit 0.5 ||H y - g||^2.  ``prox`` (``None`` for none) runs
-    through ``prox_apply`` with step ``gamma lam``.  ``y`` is the last iterate,
+    through ``_prox`` with step ``gamma lam``.  ``y`` is the last iterate,
     or with ``accelerate`` FISTA's momentum point, whose residual follows by
     linearity.  The run stops on a relative objective change of at most
     ``tol``; without momentum, 5 rises in a row diverge.  The residual trace
@@ -298,7 +298,7 @@ def _forward_backward(
         else:
             descent = y - gamma * obj.forward.adjoint(resid_y)
         _check_finite(trace, where, descent)
-        f_new = descent if prox is None else prox_apply(prox, descent, weight)
+        f_new = descent if prox is None else _prox(prox, descent, weight)
         resid_new = obj.forward.apply(f_new) - obj.data
         change = f_new - f
         if accelerate:
@@ -580,6 +580,11 @@ def prox_apply(spec: ProxSpec, u, step: float) -> np.ndarray:
         raise ValidationError("prox_apply input contains non-finite samples")
     if not (step >= 0 and np.isfinite(step)):
         raise ValidationError("prox_apply step must be finite and >= 0")
+    return _prox(spec, u, step)
+
+
+def _prox(spec: ProxSpec, u: np.ndarray, step: float) -> np.ndarray:
+    """Unchecked ``prox_apply``, for solvers that checked ``u`` and ``step`` already."""
     if spec.kind == "quadratic":
         return u / (1.0 + step)
     if spec.kind == "abs":
@@ -677,7 +682,7 @@ def admm(
         shifted = lf + alpha
         _check_finite(trace, where, shifted)
         u_prev = u
-        u = prox_apply(spec, shifted, prox_step)
+        u = _prox(spec, shifted, prox_step)
         _check_finite(trace, where, u)
         alpha = alpha + lf - u
         primal = float(np.linalg.norm((lf - u).ravel()))

@@ -107,6 +107,7 @@ CONFIG_RULES = [
     ({"phantom": {"kind": "disk"}}, "phantom.kind"),
     ({"phantom": {"size": 16}}, "phantom.size"),
     ({"degradation": {"blur": "motion"}}, "degradation.blur"),
+    ({"degradation": {"blur_sigma": -1.0}}, "degradation.blur_sigma"),
     ({"degradation": {"mask_fraction": 0.0}}, "degradation.mask_fraction"),
     ({"degradation": {"noise_sigma": -1.0}}, "degradation.noise_sigma"),
     ({"degradation": {"noise_sigma": float("inf")}}, "degradation.noise_sigma"),
@@ -117,11 +118,13 @@ CONFIG_RULES = [
     ({"solver": {"rho": -1.0}}, "solver.rho"),
     ({"solver": {"max_iter": -5}}, "solver.max_iter"),
     ({"solver": {"inner_iter": -1}}, "solver.inner_iter"),
+    ({"solver": {"tol": -1.0}}, "solver.tol"),
     ({"solver": {"step": 0.0}}, "solver.step"),
     ({"geometry": {"n_angles": 0}}, "geometry.n_angles"),
     ({"geometry": {"n_detectors": 0}}, "geometry.n_detectors"),
     ({"geometry": {"detector_pitch": float("inf")}}, "geometry.detector_pitch"),
     ({"transform": "wavelet"}, "transform"),
+    ({"levels": 0}, "levels"),
     ({"keep_fractions": [0.5, 1.5]}, "keep_fractions"),
     ({"keep_fractions": [0.5, "x"]}, "keep_fractions[1]"),
 ]
@@ -199,8 +202,9 @@ class TestConfig:
             (["compare-l2-l1"], {"solver": {"lambdas": []}}, "solver.lambdas"),
             (["compare-l2-l1", "--lambdas", ""], {}, "solver.lambdas"),
             (["compress-study"], {"keep_fractions": [True, 0.1]}, "keep_fractions[0]"),
+            (["compress-study", "--levels", "0"], {}, "levels must be >= 1"),
         ],
-        ids=["empty_lambdas_in_config", "empty_lambdas_flag", "boolean_keep_fraction"],
+        ids=["empty_lambdas_in_config", "empty_lambdas_flag", "boolean_keep_fraction", "zero_levels_flag"],
     )
     def test_empty_sweeps_and_boolean_entries_exit_2(self, tmp_path, capsys, argv, patch, key):
         cfg_path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "parity.py")
 
@@ -74,3 +75,67 @@ def test_matrix_starts_with_the_benchmark_calls():
     assert calls[: len(bench)] == bench
     held_out = [c.argv for w in WORKLOADS.values() for c in w.calls(7919, "seed_7919", False)]
     assert all(argv in calls for argv in held_out)
+
+
+def write_metrics(path, text):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def test_expected_calls_report_their_snr_changes_and_others_still_fail(tmp_path):
+    parity = load_parity()
+    base_dir, head_dir = str(tmp_path / "commit"), str(tmp_path / "working")
+    write_metrics(os.path.join(base_dir, "tomo", "metrics.csv"), "method,snr_db\nfbp,12.5\ntv,16.25\n")
+    write_metrics(os.path.join(head_dir, "tomo", "metrics.csv"), "method,snr_db\nfbp,12.5\ntv,16.0\n")
+    write_metrics(os.path.join(base_dir, "sim", "metrics.csv"), "metric,value\nsnr_db,20.0\nkept,7\n")
+    write_metrics(os.path.join(head_dir, "sim", "metrics.csv"), "metric,value\nsnr_db,20.0\nkept,8\n")
+    write_f32(os.path.join(base_dir, "tomo", "recon.f32"), [2.0, 4.0])
+    write_f32(os.path.join(head_dir, "tomo", "recon.f32"), [2.0, 3.0])
+    calls = [
+        ["fbp-vs-tv", "--out", "tomo"],
+        ["simulate", "--out", "sim"],
+        ["selftest"],
+        ["phantom", "--out", "same"],
+        ["reconstruct", "--out", "rec"],
+    ]
+    base = [
+        (0, b"", b"", {"metrics.csv": "1", "recon.f32": "2"}),
+        (0, b"", b"", {"metrics.csv": "3"}),
+        (0, b"ok a 1\nok b 2\n", b"", {}),
+        (0, b"", b"", {"p.f32": "5"}),
+        (0, b"x\n", b"", {}),
+    ]
+    head = [
+        (0, b"", b"", {"metrics.csv": "4", "recon.f32": "6"}),
+        (0, b"", b"", {"metrics.csv": "7"}),
+        (0, b"ok a 1\nok b 3\n", b"", {}),
+        (0, b"", b"", {"p.f32": "5"}),
+        (0, b"y\n", b"", {}),
+    ]
+    expect = {"tomo", "sim", "selftest", "same"}
+    expected, problems = parity.report(calls, base, head, base_dir, head_dir, expect)
+    assert expected == [
+        "fbp-vs-tv --out tomo: metrics.csv differs",
+        "fbp-vs-tv --out tomo: recon.f32 differs, max relative difference 2.500e-01",
+        "tomo: metrics.csv tv 16.25 -> 16.0 (-2.50e-01 dB)",
+        "simulate --out sim: metrics.csv differs",
+        "sim: metrics.csv SNR unchanged",
+        "selftest: stdout differs",
+        "selftest: stdout - ok b 2",
+        "selftest: stdout + ok b 3",
+        "same: identical",
+    ]
+    assert problems == ["reconstruct --out rec: stdout differs"]
+    # with nothing expected every difference is a problem, as compare reports it
+    expected, problems = parity.report(calls, base, head, base_dir, head_dir)
+    assert expected == []
+    assert problems == parity.compare(calls, base, head, base_dir, head_dir)
+
+
+def test_expect_naming_no_call_is_a_usage_error(capsys):
+    parity = load_parity()
+    with pytest.raises(SystemExit) as exc:
+        parity.main(["HEAD", "--expect", "seed_0/fbp_vs_tv,no_such_call"])
+    assert exc.value.code == 2
+    assert "--expect names no call: no_such_call" in capsys.readouterr().err

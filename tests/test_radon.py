@@ -169,10 +169,101 @@ class TestAdjointPairing:
             geom.n_angles, geom.n_detectors
         )
         assert np.array_equal(per_view.apply(x), cached.apply(x))
-        # both paths sum the same per-view tables in view order
+        # both paths sum the same per-view tables in the same order
         assert np.array_equal(per_view.adjoint(y), cached.adjoint(y))
         assert np.array_equal(per_view.normal(x), cached.normal(x))
         assert dot_test(per_view, trials=100, seed=13) < 1e-6
+
+
+class TestAxisAngles:
+    def test_half_turn_view_of_a_wide_image_is_the_tall_image_first_view(self):
+        # at pi/2 the rays of a 48x64 image run along its rows, as those of
+        # the transposed 64x48 image do at 0; no border ray may be dropped
+        geom = RadonGeometry(30, 64)
+        wide = op_radon(geom, (48, 64)).apply(np.ones((48, 64)))[15]
+        tall = op_radon(geom, (64, 48)).apply(np.ones((64, 48)))[0]
+        assert wide.sum() == 3024.0
+        assert np.array_equal(wide, tall)
+
+    def test_constant_square_reads_the_same_at_zero_and_half_turn(self):
+        sino = op_radon(RadonGeometry(30, 64), (64, 64)).apply(np.ones((64, 64)))
+        for view in (0, 15):
+            assert sino[view].sum() == 4096.0
+            assert sino[view, 0] == 64.0
+
+
+def _built_forward(geom, shape, x):
+    """Every view's forward through a table built at its own angle."""
+    out = np.zeros((geom.n_angles, geom.n_detectors))
+    for a, theta in enumerate(geom.angles):
+        rays, _, starts, cols, vals = operators._radon_view_table(theta, shape, geom.offsets)
+        out[a, rays] = operators._ray_sums(x.ravel(), starts, cols, vals)
+    return out
+
+
+def _assert_views_match_built(op, geom, shape, seed=41):
+    # ray by ray: a view turned the wrong way reverses its detector order
+    x = normal_stream(shape[0] * shape[1], 1.0, seed).reshape(shape)
+    want = _built_forward(geom, shape, x)
+    got = op.apply(x)
+    for a in range(geom.n_angles):
+        scale = max(float(np.max(np.abs(want[a]))), 1e-300)
+        assert np.max(np.abs(got[a] - want[a])) <= 1e-13 * scale, f"view {a}"
+
+
+class TestDerivedViews:
+    @pytest.mark.parametrize(
+        "geom, size",
+        [
+            (RadonGeometry(2, 8), 8),
+            (RadonGeometry(12, 16), 16),
+            (RadonGeometry(30, 37, detector_pitch=0.8), 48),
+            (RadonGeometry(30, 64), 64),
+            (RadonGeometry(40, 33, detector_pitch=1.3), 33),
+        ],
+    )
+    def test_each_view_matches_its_built_table(self, geom, size):
+        _assert_views_match_built(op_radon(geom, (size, size)), geom, (size, size))
+
+    def test_each_view_matches_its_built_table_over_budget(self):
+        geom, shape = RadonGeometry(180, 256), (256, 256)
+        op = op_radon(geom, shape)
+        span = int(np.ceil(np.hypot(*shape))) + 1
+        assert geom.n_angles * geom.n_detectors * span > operators._RADON_CACHE_BUDGET
+        _assert_views_match_built(op, geom, shape)
+
+    @pytest.mark.parametrize(
+        "geom, shape, builds",
+        [
+            (RadonGeometry(30, 64), (64, 64), 15),
+            (RadonGeometry(31, 64), (64, 64), 31),
+            (RadonGeometry(30, 64), (48, 64), 30),
+        ],
+        ids=["square_even", "odd_views", "non_square"],
+    )
+    @pytest.mark.parametrize("budget", [None, 0], ids=["cached", "over_budget"])
+    def test_builds_half_the_views_only_on_square_even_geometries(
+        self, monkeypatch, geom, shape, builds, budget
+    ):
+        calls = []
+        build = operators._radon_view_table
+
+        def counted(theta, *args):
+            calls.append(theta)
+            return build(theta, *args)
+
+        monkeypatch.setattr(operators, "_radon_view_table", counted)
+        if budget is not None:
+            monkeypatch.setattr(operators, "_RADON_CACHE_BUDGET", budget)
+        op = op_radon(geom, shape)
+        x = np.ones(shape)
+        y = op.apply(x)
+        op.adjoint(y)
+        op.normal(x)
+        per_apply = 1 if budget is None else 3
+        assert len(calls) == builds * per_apply
+        # only the views in [0, pi/2) are built when the others are derived
+        assert sorted(set(calls)) == sorted(geom.angles[:builds])
 
 
 def _stencil_matrix(geom, shape):
@@ -206,6 +297,7 @@ def _generated_geometries(test):
     test = example(h=2, w=2, n_det=2, pitch=2.5, n_angles=4)(test)  # every ray misses
     test = example(h=9, w=2, n_det=12, pitch=1.0, n_angles=40)(test)
     test = example(h=2, w=9, n_det=5, pitch=0.7, n_angles=13)(test)
+    test = example(h=7, w=7, n_det=9, pitch=0.8, n_angles=10)(test)  # views derived by the turn
     test = given(**_GEOMETRIES)(test)
     return settings(max_examples=25, derandomize=True, deadline=None, database=None)(test)
 
@@ -225,6 +317,7 @@ def test_generated_geometries_pair_and_match_the_stencil(h, w, n_det, pitch, n_a
     want = _stencil_matrix(geom, shape)
     got = _dense(cached, h * w)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    _assert_views_match_built(cached, geom, shape)
 
 
 @_generated_geometries

@@ -41,6 +41,7 @@ from reconkit import (
     snr_db,
     sparse_recovery_instance,
 )
+from reconkit import variational
 
 
 def dense_instance(m, n, seed, ridge=0.0):
@@ -359,6 +360,24 @@ class TestProx:
             prox_apply(ProxSpec("abs"), np.array([np.inf]), 1.0)
         with pytest.raises(ValidationError):
             prox_apply(ProxSpec("abs"), np.array([1.0]), -1.0)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "abs", "student", "indicator_nonneg"])
+    def test_public_prox_is_the_unchecked_prox_after_its_checks(self, kind):
+        u = normal_stream(64, 3.0, 17)
+        spec = ProxSpec(kind, r=0.5)
+        assert np.array_equal(prox_apply(spec, u, 0.7), variational._prox(spec, u, 0.7))
+
+    def test_solvers_do_not_recheck_their_prox_input(self, monkeypatch):
+        # each solver checks the prox input itself, just before the prox
+        def checked_again(*args):
+            raise AssertionError("a solver ran the public prox_apply")
+
+        monkeypatch.setattr(variational, "prox_apply", checked_again)
+        h, g = dense_instance(6, 10, 140)
+        obj = Objective(forward=op_matrix(h), data=g, penalty="abs", lam=0.1)
+        for accelerate in (False, True):
+            assert ista(obj, accelerate=accelerate, max_iter=5).iterations == 5
+        assert admm(obj, max_iter=5).iterations == 5
 
 
 def correlated_lasso_instance():

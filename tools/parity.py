@@ -1,6 +1,7 @@
 """Compare the CLI outputs of a commit with those of this working tree.
 
-Usage: ``python tools/parity.py <commit>`` (takes about a minute).
+Usage: ``python tools/parity.py <commit> [--expect <out-dir|subcommand>,...]``
+(takes about a minute).
 
 Makes a ``git worktree`` of ``<commit>`` in a temporary directory and runs a
 fixed matrix of ``reconkit`` CLI calls against each tree's ``src/``, each call
@@ -12,10 +13,19 @@ that name it compare byte for byte.  For each call it compares the exit code, st
 sha256 of every file the call wrote.  On a mismatch it prints the maximum
 relative difference of each differing ``.f32`` raster and exits 1; otherwise
 it exits 0.  The worktree is removed however the run ends.
+
+``--expect`` names the calls a change may alter on purpose, each by its
+``--out`` directory or, for a call without one, its subcommand.  Their
+differences are listed under ``expected:`` with the changed SNRs of their
+``metrics.csv`` and their changed stdout lines, and do not fail the run; a
+difference in any other call still does.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
+import difflib
 import hashlib
 import os
 import subprocess
@@ -124,29 +134,96 @@ def compare(calls: list, base: list, head: list, base_dir: str, head_dir: str) -
     return problems
 
 
+def _label(argv: list) -> str:
+    """The name ``--expect`` knows a call by: its output directory, else its subcommand."""
+    return _out_dir(argv) or argv[0]
+
+
+def _snr_changes(base_csv: str, head_csv: str) -> list:
+    """``name base -> head (delta dB)`` for each SNR cell that differs in two tables.
+
+    An SNR cell sits in a column whose header names ``snr``, or in the value
+    column of a row whose first cell does; the row's other cells name it.
+    """
+    with open(base_csv) as fb, open(head_csv) as fh:
+        (header, *b_rows), (_, *h_rows) = list(csv.reader(fb)), list(csv.reader(fh))
+    snr_cols = [j for j, name in enumerate(header) if "snr" in name]
+    changes = []
+    for b_row, h_row in zip(b_rows, h_rows):
+        cols = snr_cols or ([len(b_row) - 1] if "snr" in b_row[0] else [])
+        name = " ".join(cell for j, cell in enumerate(b_row) if j not in cols)
+        for j in cols:
+            if b_row[j] != h_row[j]:
+                delta = float(h_row[j]) - float(b_row[j])
+                changes.append(f"{name} {b_row[j]} -> {h_row[j]} ({delta:+.2e} dB)")
+    return changes
+
+
+def _changed_lines(base: bytes, head: bytes) -> list:
+    """The stdout lines only one side printed, ``-`` for the commit's, ``+`` for the tree's."""
+    diff = difflib.ndiff(base.decode().splitlines(), head.decode().splitlines())
+    return [line[0] + " " + line[2:] for line in diff if line[:2] in ("- ", "+ ")]
+
+
+def report(calls: list, base: list, head: list, base_dir: str, head_dir: str, expect=()):
+    """``(expected, problems)``: difference lines of the calls ``expect`` names, and of the rest.
+
+    An expected call that differs adds its changed ``metrics.csv`` SNRs (or
+    ``SNR unchanged``) and its changed stdout lines; one that does not says so.
+    """
+    expected, problems = [], []
+    for argv, b, h in zip(calls, base, head):
+        lines = compare([argv], [b], [h], base_dir, head_dir)
+        label = _label(argv)
+        if label not in expect:
+            problems += lines
+            continue
+        if not lines:
+            expected.append(f"{label}: identical")
+            continue
+        expected += lines
+        if "metrics.csv" in b[3] and "metrics.csv" in h[3]:
+            paths = (os.path.join(d, label, "metrics.csv") for d in (base_dir, head_dir))
+            changes = _snr_changes(*paths) or ["SNR unchanged"]
+            expected += [f"{label}: metrics.csv {change}" for change in changes]
+        expected += [f"{label}: stdout {line}" for line in _changed_lines(b[1], h[1])]
+    return expected, problems
+
+
 def main(argv: list) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/parity.py <commit>", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="python tools/parity.py")
+    parser.add_argument("commit")
+    parser.add_argument(
+        "--expect", default="", help="comma-separated out-dirs or subcommands that may change"
+    )
+    args = parser.parse_args(argv)
+    calls = matrix()
+    expect = {label for label in args.expect.split(",") if label}
+    unknown = expect - {_label(argv) for argv in calls}
+    if unknown:
+        parser.error(f"--expect names no call: {', '.join(sorted(unknown))}")
     with tempfile.TemporaryDirectory(prefix="reconkit-parity-") as tmp:
         tree = os.path.join(tmp, "tree")
         subprocess.run(
-            ["git", "-C", REPO, "worktree", "add", "--detach", "--quiet", tree, argv[0]],
+            ["git", "-C", REPO, "worktree", "add", "--detach", "--quiet", tree, args.commit],
             check=True,
         )
         try:
             base_dir, head_dir = os.path.join(tmp, "commit"), os.path.join(tmp, "working")
-            calls = matrix()
             base = run_tree(calls, os.path.join(tree, "src"), base_dir)
             head = run_tree(calls, os.path.join(REPO, "src"), head_dir)
-            problems = compare(calls, base, head, base_dir, head_dir)
+            expected, problems = report(calls, base, head, base_dir, head_dir, expect)
         finally:
             subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=True)
     files = sum(len(h[3]) for h in head)
+    for line in expected:
+        print(f"parity: expected: {line}")
     for line in problems:
         print(f"parity: {line}")
     verdict = f"{len(problems)} difference(s)" if problems else "identical"
-    print(f"parity: {len(head)} calls, {files} files against {argv[0]}: {verdict}")
+    if expect:
+        verdict += f" outside the {len(expect)} expected call(s)"
+    print(f"parity: {len(head)} calls, {files} files against {args.commit}: {verdict}")
     return 1 if problems else 0
 
 
