@@ -240,6 +240,11 @@ def load_config(args, base: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
+# the largest experiment seed whose derived stream seeds, seed * 1000 + {1, 2, 3},
+# stay below 2**64
+_SEED_MAX = (2**64 - 4) // 1000
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.phantom.kind != "shepp_logan":
         raise ConfigError(f"phantom.kind {cfg.phantom.kind!r} is not supported")
@@ -249,6 +254,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"degradation.blur {cfg.degradation.blur!r} is not supported")
     if not (cfg.degradation.blur_sigma > 0 and np.isfinite(cfg.degradation.blur_sigma)):
         raise ConfigError("degradation.blur_sigma must be positive and finite")
+    blur_size = cfg.degradation.blur_size
+    if not (1 <= blur_size <= cfg.phantom.size and blur_size % 2 == 1):
+        raise ConfigError("degradation.blur_size must be odd and lie in [1, phantom.size]")
+    if not 0.0 < cfg.degradation.airy_cutoff <= 0.5:
+        raise ConfigError("degradation.airy_cutoff must lie in (0, 0.5] cycles per pixel")
     if not 0.0 < cfg.degradation.mask_fraction <= 1.0:
         raise ConfigError("degradation.mask_fraction must lie in (0, 1]")
     sigma, snr = cfg.degradation.noise_sigma, cfg.degradation.noise_snr_db
@@ -285,6 +295,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for fr in cfg.keep_fractions:
         if not 0.0 < fr <= 1.0:
             raise ConfigError("keep_fractions entries must lie in (0, 1]")
+    if not 0 <= cfg.seed <= _SEED_MAX:
+        raise ConfigError(f"seed must lie in [0, {_SEED_MAX}]")
+    for path, seed in (
+        ("degradation.mask_seed", cfg.degradation.mask_seed),
+        ("degradation.noise_seed", cfg.degradation.noise_seed),
+        ("solver.power_seed", cfg.solver.power_seed),
+    ):
+        if seed is not None and not 0 <= seed < 2**64:
+            raise ConfigError(f"{path} must lie in [0, 2**64) when given")
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +636,14 @@ def _selftest_cases():
         ("multiply_real", op_multiply(w_real), 1e-10),
         ("multiply_complex", op_multiply(w_other + 1j * w_imag), 1e-10),
         ("multiply_real_plus_imag", op_multiply(w_real + 1j * w_imag), 1e-10),
-        ("convolve_circular", op_convolve(kernel, "circular"), 1e-6),
-        (
-            "convolve_linear",
-            op_convolve(gaussian_kernel(5, 1.0), "zeropad-linear", domain_shape=shape),
-            1e-6,
-        ),
+        ("convolve_circular", op_convolve(kernel), 1e-6),
         ("grad", op_grad(shape), 1e-10),
         ("dft2", op_dft2(shape), 1e-6),
         ("radon", op_radon(RadonGeometry(12, 16), shape), 1e-6),
         ("radon_24", op_radon(RadonGeometry(30, 33, 0.7), (24, 24)), 1e-6),
         ("radon_32", op_radon(RadonGeometry(45, 24, 1.3), (32, 32)), 1e-6),
         ("mask_dft2", op_compose(op_mask(mask, complex_field=True), op_dft2(shape)), 1e-6),
-        ("mask_convolve", op_compose(op_mask(mask), op_convolve(kernel, "circular")), 1e-6),
+        ("mask_convolve", op_compose(op_mask(mask), op_convolve(kernel)), 1e-6),
     ]
     compositions = [
         lambda m, c, w: op_compose(op_mask(m), op_convolve(c)),

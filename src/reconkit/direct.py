@@ -1,43 +1,20 @@
-"""Direct (non-iterative) reconstruction: filtered back projection, Wiener
-deconvolution, and zero-filled inverse DFT."""
+"""Direct (non-iterative) reconstruction: filtered back projection and Wiener
+deconvolution.
+
+The zero-filled inverse DFT of undersampled spectrum samples is the adjoint
+of ``op_compose(op_mask(mask, complex_field=True), op_dft2(shape))`` divided
+by ``H W``; it needs no function of its own.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularityError, ValidationError
 from .grids import GridImage, as_array
-from .operators import Mask, Sinogram
+from .operators import Sinogram
 
-__all__ = ["RampFilter", "ramp_filter", "fbp", "wiener_deconvolve", "zerofill_ifft"]
-
-
-@dataclass(frozen=True)
-class RampFilter:
-    """Frequency response |nu| on a zero-padded detector axis.
-
-    ``response[k]`` multiplies DFT bin k of the padded projection; the DC
-    bin is zero and the response is symmetric, so filtering is zero phase.
-    """
-
-    response: np.ndarray
-
-    def __post_init__(self):
-        resp = np.asarray(self.response, dtype=np.float64)
-        if resp.ndim != 1 or resp.size == 0:
-            raise ValidationError("RampFilter.response must be a non-empty 1D array")
-        if resp[0] != 0.0 or np.any(resp < 0.0):
-            raise ValidationError("RampFilter.response must be nonnegative with a zero DC bin")
-        if not np.allclose(resp[1:], resp[:0:-1], rtol=0, atol=1e-12):
-            raise ValidationError("RampFilter.response must be symmetric")
-        object.__setattr__(self, "response", resp)
-
-    @property
-    def n_taps(self) -> int:
-        """The padded detector length the response filters."""
-        return self.response.size
+__all__ = ["fbp", "wiener_deconvolve"]
 
 
 def _next_pow2(n: int) -> int:
@@ -47,39 +24,23 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def ramp_filter(n_detectors: int, apodization: str = "none") -> RampFilter:
-    """Build the |nu| ramp on a detector axis padded to at least twice."""
-    if n_detectors < 1:
-        raise ValidationError("ramp_filter needs at least one detector")
-    if apodization not in ("none", "cosine"):
-        raise ValidationError(f"unknown apodization {apodization!r}")
-    taps = _next_pow2(2 * n_detectors)
-    freqs = np.fft.fftfreq(taps)
-    resp = np.abs(freqs)
-    if apodization == "cosine":
-        resp = resp * np.cos(np.pi * freqs)
-    return RampFilter(resp)
-
-
-def fbp(sino: Sinogram, filt: RampFilter | None = None, out_shape=None) -> GridImage:
+def fbp(sino: Sinogram, out_shape=None) -> GridImage:
     """Filtered back projection of a parallel-beam sinogram.
 
-    Per view: zero-pad the projection, multiply its DFT by the ramp, invert,
-    crop; then smear filtered values back along rays by linear interpolation
-    on the detector axis.  The angular sum carries pi / n_angles and the
-    detector pitch scales both the frequency axis and the interpolation; both
-    come from ``sino.geometry``, whose views are uniform over [0, pi).
+    Per view: zero-pad the projection to the power of two at or above twice
+    the detector count, multiply its DFT by the ramp ``|nu|``, invert, crop;
+    then smear filtered values back along rays by linear interpolation on the
+    detector axis.  The angular sum carries pi / n_angles and the detector
+    pitch scales both the frequency axis and the interpolation; both come
+    from ``sino.geometry``, whose views are uniform over [0, pi).
     """
     geom = sino.geometry
     n_angles, n_det, pitch = geom.n_angles, geom.n_detectors, geom.detector_pitch
-    if filt is None:
-        filt = ramp_filter(n_det)
-    if filt.n_taps < 2 * n_det:
-        raise ValidationError("RampFilter must be padded to at least twice the detector count")
+    ramp = np.abs(np.fft.fftfreq(_next_pow2(2 * n_det)))
 
-    padded = np.zeros((n_angles, filt.n_taps), dtype=np.float64)
+    padded = np.zeros((n_angles, ramp.size), dtype=np.float64)
     padded[:, :n_det] = sino.data
-    filtered = np.fft.ifft(np.fft.fft(padded, axis=1) * filt.response[None, :], axis=1).real
+    filtered = np.fft.ifft(np.fft.fft(padded, axis=1) * ramp[None, :], axis=1).real
     filtered = filtered[:, :n_det] / pitch
 
     if out_shape is None:
@@ -126,18 +87,3 @@ def wiener_deconvolve(g: GridImage, kernel, sigma: float, prior_spectrum) -> Gri
             )
     gain = prior * np.conj(khat) / (power * prior + sigma**2)
     return GridImage(np.fft.ifft2(gain * np.fft.fft2(data)).real)
-
-
-def zerofill_ifft(values, mask: Mask) -> GridImage:
-    """Adjoint-style fill of missing spectrum entries with zeros, then inverse DFT.
-
-    ``values`` are forward-DFT samples at the kept entries of ``mask`` in
-    index order.  With a full mask this is exact inversion.
-    """
-    vals = np.asarray(values)
-    if vals.shape != (mask.count,):
-        raise ValidationError("zerofill_ifft values must match the mask count")
-    h, w = mask.shape
-    spectrum = np.zeros(h * w, dtype=np.complex128)
-    spectrum[mask.indices] = vals
-    return GridImage(np.fft.ifft2(spectrum.reshape(h, w)).real)

@@ -1,4 +1,4 @@
-"""The raster container, interpolation, padding, and seeded noise.
+"""The raster container, interpolation, and seeded noise.
 
 Conventions used throughout the package:
 
@@ -21,8 +21,6 @@ __all__ = [
     "GridImage",
     "as_array",
     "bilinear_values",
-    "zero_pad",
-    "crop",
     "gaussian_noise",
     "normal_stream",
     "uniform_stream",
@@ -110,29 +108,6 @@ def bilinear_values(img, xs, ys) -> np.ndarray:
     indices, weights = _bilinear_stencil(data.shape, xs, ys)
     flat = data.ravel()
     return sum(wgt * flat[idx] for idx, wgt in zip(indices, weights))
-
-
-# ---------------------------------------------------------------------------
-# Padding and cropping
-# ---------------------------------------------------------------------------
-
-
-def zero_pad(img: GridImage, new_width: int, new_height: int) -> GridImage:
-    """Embed the image at the top-left corner of a larger zero grid."""
-    if new_width < img.width or new_height < img.height:
-        raise ValidationError("zero_pad target must not be smaller than the image")
-    out = np.zeros((new_height, new_width), dtype=np.float64)
-    out[: img.height, : img.width] = img.data
-    return GridImage(out)
-
-
-def crop(img: GridImage, width: int, height: int, off_x: int = 0, off_y: int = 0) -> GridImage:
-    """Take the (height, width) window whose top-left corner is (off_y, off_x)."""
-    if width < 1 or height < 1:
-        raise ValidationError("crop window must be at least 1x1")
-    if off_x < 0 or off_y < 0 or off_x + width > img.width or off_y + height > img.height:
-        raise ValidationError("crop window exceeds the image bounds")
-    return GridImage(img.data[off_y : off_y + height, off_x : off_x + width].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
 
 The gradient and the convolution are bound by memory traffic, not
 arithmetic.  The gradient differences the flat raster with contiguous
-strides.  A convolution transforms one spectrum in place per call (the half
-spectrum for real kernels) by the per-axis passes of numpy's own
-``rfft2``/``irfft2`` or ``fft2``/``ifft2``, so its results are theirs bit for
-bit.  No operator keeps scratch buffers, so every ``LinearMap`` is reentrant.
+strides.  A convolution, circular and by a real kernel, transforms one half
+spectrum in place per call by the per-axis passes of numpy's own
+``rfft2``/``irfft2``, so its results are theirs bit for bit.  No operator
+keeps scratch buffers, so every ``LinearMap`` is reentrant.
 """
 
 from __future__ import annotations
@@ -52,14 +52,12 @@ __all__ = [
     "RadonGeometry",
     "Sinogram",
     "dot_test",
-    "linearity_test",
     "normal_test",
     "op_mask",
     "op_multiply",
     "op_convolve",
     "embed_kernel",
     "op_compose",
-    "op_identity",
     "op_matrix",
     "op_dft2",
     "op_grad",
@@ -143,9 +141,6 @@ class LinearMap:
             return self.adjoint(self.apply(x))
         return self._normal_fn(self._coerce(x, self.domain_shape, self.domain_complex, "domain"))
 
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return op_compose(self, other)
-
     def __repr__(self):
         return f"LinearMap({self.name}: {self.domain_shape} -> {self.range_shape})"
 
@@ -182,21 +177,6 @@ def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
         want = op.adjoint(op.apply(x))
         err = float(np.linalg.norm((op.normal(x) - want).ravel()))
         worst = max(worst, err / max(float(np.linalg.norm(want.ravel())), 1e-300))
-    return worst
-
-
-def linearity_test(op: LinearMap, trials: int = 20, seed=0) -> float:
-    """Max relative error of A(a x1 + b x2) vs a A(x1) + b A(x2)."""
-    base = _seed_value(seed)
-    worst = 0.0
-    for t in range(trials):
-        x1 = _random_field(op.domain_shape, op.domain_complex, base + 3 * t + 1)
-        x2 = _random_field(op.domain_shape, op.domain_complex, base + 3 * t + 2)
-        a, b = 1.7, -0.3
-        lhs = op.apply(a * x1 + b * x2)
-        rhs = a * op.apply(x1) + b * op.apply(x2)
-        scale = max(float(np.linalg.norm(rhs.ravel())), 1e-300)
-        worst = max(worst, float(np.linalg.norm((lhs - rhs).ravel())) / scale)
     return worst
 
 
@@ -324,9 +304,9 @@ def op_multiply(weights) -> LinearMap:
 def embed_kernel(kernel, shape) -> np.ndarray:
     """Embed a small centered kernel into a full grid with its center at (0, 0).
 
-    The result is the right operand for circular ``op_convolve`` when the
-    kernel is given in centered (point-spread) form: convolving with it does
-    not shift the image.
+    The result is the right operand for ``op_convolve`` when the kernel is
+    given in centered (point-spread) form: convolving with it does not shift
+    the image.
     """
     ker = as_array(kernel).astype(np.float64)
     kh, kw = ker.shape
@@ -338,74 +318,46 @@ def embed_kernel(kernel, shape) -> np.ndarray:
     return np.roll(out, (-((kh - 1) // 2), -((kw - 1) // 2)), axis=(0, 1))
 
 
-def op_convolve(kernel, mode: str = "circular", domain_shape=None) -> LinearMap:
-    """Convolution by a fixed kernel.
+def op_convolve(kernel) -> LinearMap:
+    """Circular convolution by a fixed real kernel.
 
-    circular: the kernel lives on the same grid as the domain with its origin
-    at index (0, 0), and the operator diagonalizes in the DFT basis (use
-    ``embed_kernel`` for centered point-spread kernels).  zeropad-linear: the
-    kernel may have any size and the output grows to (H+kh-1, W+kw-1); the
-    adjoint is the valid-region correlation.
+    The kernel lives on the same grid as the domain with its origin at index
+    (0, 0), and the operator diagonalizes in the DFT basis (use
+    ``embed_kernel`` for centered point-spread kernels).
     """
     ker = as_array(kernel)
     if ker.ndim != 2:
         raise ValidationError("op_convolve kernel must be 2D")
-    if not np.all(np.isfinite(ker.real)) or not np.all(np.isfinite(np.imag(ker))):
+    if np.iscomplexobj(ker):
+        raise ValidationError("op_convolve kernel must be real")
+    if not np.all(np.isfinite(ker)):
         raise ValidationError("op_convolve kernel must be finite")
-    is_complex = np.iscomplexobj(ker)
-
-    if mode == "circular":
-        if domain_shape is not None and tuple(domain_shape) != ker.shape:
-            raise ValidationError("circular convolution requires kernel on the domain grid")
-        domain = grid = ker.shape
-        name = "convolve_circular"
-    elif mode == "zeropad-linear":
-        if domain_shape is None:
-            raise ValidationError("zeropad-linear convolution needs an explicit domain_shape")
-        domain = (int(domain_shape[0]), int(domain_shape[1]))
-        grid = (domain[0] + ker.shape[0] - 1, domain[1] + ker.shape[1] - 1)
-        name = "convolve_linear"
-    else:
-        raise ValidationError(f"unknown convolution mode {mode!r}")
-    h, w = domain
-    khat = np.fft.fft2(ker, s=grid) if is_complex else np.fft.rfft2(ker, s=grid)
+    width = ker.shape[1]
+    khat = np.fft.rfft2(ker)
     khat_conj = np.conj(khat)
     power = khat.real**2 + khat.imag**2
 
     def filtered(x, weights):
-        # one spectrum, transformed in place axis by axis in the order of
-        # numpy's fft2/ifft2 (rfft2/irfft2 for real kernels), which makes the
-        # result theirs bit for bit
-        if x.shape != grid:
-            padded = np.zeros(grid, dtype=x.dtype)
-            padded[:h, :w] = x
-            x = padded
-        if is_complex:
-            spectrum = np.fft.fft(x, axis=1)
-            np.fft.fft(spectrum, axis=0, out=spectrum)
-            spectrum *= weights
-            np.fft.ifft(spectrum, axis=1, out=spectrum)
-            return np.fft.ifft(spectrum, axis=0, out=spectrum)
+        # one half spectrum, transformed in place axis by axis in the order of
+        # numpy's rfft2/irfft2, which makes the result theirs bit for bit
         spectrum = np.fft.rfft(x, axis=1)
         np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum *= weights
         np.fft.ifft(spectrum, axis=0, out=spectrum)
-        return np.fft.irfft(spectrum, n=grid[1], axis=1)
+        return np.fft.irfft(spectrum, n=width, axis=1)
 
     return LinearMap(
-        domain,
-        grid,
+        ker.shape,
+        ker.shape,
         lambda x: filtered(x, khat),
-        lambda y: filtered(y, khat_conj)[:h, :w],
-        normal_fn=lambda x: filtered(x, power)[:h, :w],
-        domain_complex=is_complex,
-        range_complex=is_complex,
-        name=name,
+        lambda y: filtered(y, khat_conj),
+        normal_fn=lambda x: filtered(x, power),
+        name="convolve_circular",
     )
 
 
 # ---------------------------------------------------------------------------
-# Composition, identity, dense adapters, DFT as an operator
+# Composition, dense adapters, DFT as an operator
 # ---------------------------------------------------------------------------
 
 
@@ -429,18 +381,6 @@ def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
         domain_complex=inner.domain_complex,
         range_complex=outer.range_complex,
         name=f"{outer.name}*{inner.name}",
-    )
-
-
-def op_identity(shape, *, complex_field: bool = False) -> LinearMap:
-    return LinearMap(
-        tuple(shape),
-        tuple(shape),
-        lambda x: x.copy(),
-        lambda y: y.copy(),
-        domain_complex=complex_field,
-        range_complex=complex_field,
-        name="identity",
     )
 
 

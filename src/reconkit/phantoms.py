@@ -45,7 +45,6 @@ __all__ = [
     "degrade",
     "gaussian_kernel",
     "snr_db",
-    "mse",
     "compressibility_study",
     "SparseInstance",
     "sparse_recovery_instance",
@@ -272,7 +271,7 @@ class Degraded:
 
 def _blur_then_mask(kernel: np.ndarray, mask: Mask) -> LinearMap:
     """The measurement model: circular blur by an embedded kernel, then the mask."""
-    return op_compose(op_mask(mask), op_convolve(kernel, "circular"))
+    return op_compose(op_mask(mask), op_convolve(kernel))
 
 
 def degrade(img, blur_kernel, mask: Mask, sigma: float, seed) -> Degraded:
@@ -326,14 +325,6 @@ def snr_db(truth, estimate) -> float:
     if err == 0.0:
         return np.inf
     return 10.0 * np.log10(sig / err)
-
-
-def mse(truth, estimate) -> float:
-    t = as_array(truth)
-    e = as_array(estimate)
-    if t.shape != e.shape:
-        raise ValidationError(f"mse shape mismatch: {t.shape} vs {e.shape}")
-    return float(np.mean(np.abs(t - e) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "SweepResult",
     "NullspaceReport",
     "objective_value",
-    "grad_objective_quadratic",
     "gradient_descent",
     "conjugate_gradient_normal",
     "nullspace_demo",
@@ -140,15 +139,8 @@ def _objective(obj: Objective, f: np.ndarray, fid2: float, lf=None) -> float:
     return 0.5 * fid2 + obj.lam * (obj.student_r + 0.5) * float(np.sum(np.log1p(lf**2)))
 
 
-def grad_objective_quadratic(obj: Objective, f) -> np.ndarray:
-    """Gradient of the quadratic objective, -2 H* g + 2 (H* H + lam L* L) f."""
-    if obj.penalty != "quadratic":
-        raise ValidationError("grad_objective_quadratic requires the quadratic penalty")
-    f = np.asarray(f, dtype=np.float64)
-    return _quadratic_gradient(obj, f, obj.forward.apply(f) - obj.data)
-
-
 def _quadratic_gradient(obj: Objective, f: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Gradient of the quadratic objective at ``f``, given its residual ``H f - g``."""
     grad = 2.0 * obj.forward.adjoint(resid)
     if obj.lam > 0:
         grad = grad + 2.0 * obj.lam * obj.reg_normal(f)

@@ -14,9 +14,11 @@ from reconkit import __version__
 from reconkit.cli import (
     _COMMANDS,
     _FLAGS,
+    _SEED_MAX,
     ConfigError,
     ExperimentConfig,
     SolverConfig,
+    _validate_config,
     build_parser,
     config_from_dict,
     config_to_dict,
@@ -108,6 +110,11 @@ CONFIG_RULES = [
     ({"phantom": {"size": 16}}, "phantom.size"),
     ({"degradation": {"blur": "motion"}}, "degradation.blur"),
     ({"degradation": {"blur_sigma": -1.0}}, "degradation.blur_sigma"),
+    ({"degradation": {"blur_size": 0}}, "degradation.blur_size"),
+    ({"degradation": {"blur_size": 4}}, "degradation.blur_size"),
+    ({"phantom": {"size": 32}, "degradation": {"blur_size": 33}}, "degradation.blur_size"),
+    ({"degradation": {"airy_cutoff": 0.0}}, "degradation.airy_cutoff"),
+    ({"degradation": {"airy_cutoff": -1.0}}, "degradation.airy_cutoff"),
     ({"degradation": {"mask_fraction": 0.0}}, "degradation.mask_fraction"),
     ({"degradation": {"noise_sigma": -1.0}}, "degradation.noise_sigma"),
     ({"degradation": {"noise_sigma": float("inf")}}, "degradation.noise_sigma"),
@@ -127,6 +134,11 @@ CONFIG_RULES = [
     ({"levels": 0}, "levels"),
     ({"keep_fractions": [0.5, 1.5]}, "keep_fractions"),
     ({"keep_fractions": [0.5, "x"]}, "keep_fractions[1]"),
+    ({"seed": -1}, "seed must lie in"),
+    ({"seed": 2**64 - 1}, "seed must lie in"),
+    ({"degradation": {"mask_seed": -1}}, "degradation.mask_seed"),
+    ({"degradation": {"noise_seed": -1}}, "degradation.noise_seed"),
+    ({"solver": {"power_seed": -1}}, "solver.power_seed"),
 ]
 
 
@@ -212,6 +224,12 @@ class TestConfig:
         argv = argv + ["--size", "32", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
+
+    def test_largest_seed_is_the_last_whose_stream_seeds_fit_64_bits(self):
+        cfg = config_from_dict({"seed": _SEED_MAX})
+        _validate_config(cfg)
+        assert max(cfg.mask_seed(), cfg.noise_seed(), cfg.power_seed()) < 2**64
+        assert (_SEED_MAX + 1) * 1000 + 3 >= 2**64
 
     def test_list_entries_are_coerced_to_floats(self):
         cfg = config_from_dict({"keep_fractions": [1], "solver": {"lambdas": [2, 0.5]}})

@@ -12,12 +12,10 @@ from reconkit import (
     GridImage,
     ValidationError,
     bilinear_values,
-    crop,
     gaussian_noise,
     normal_stream,
     op_dft2,
     uniform_stream,
-    zero_pad,
 )
 
 
@@ -162,32 +160,6 @@ class TestBilinear:
     def test_rejects_a_grid_that_is_not_2d(self):
         with pytest.raises(ValidationError, match="2D grid"):
             bilinear_values(np.zeros(4), 1.0, 0.0)
-
-
-class TestPadCrop:
-    def test_zero_pad_embeds_top_left(self):
-        img = GridImage(np.arange(6, dtype=float).reshape(2, 3))
-        big = zero_pad(img, 5, 4)
-        assert big.data.shape == (4, 5)
-        assert np.array_equal(big.data[:2, :3], img.data)
-        assert big.data[2:, :].sum() == 0.0 and big.data[:, 3:].sum() == 0.0
-
-    def test_crop_inverts_pad(self):
-        img = GridImage(normal_stream(12, 1.0, 120).reshape(3, 4))
-        back = crop(zero_pad(img, 9, 7), 4, 3)
-        assert np.array_equal(back.data, img.data)
-
-    def test_crop_with_offsets(self):
-        img = GridImage(np.arange(20, dtype=float).reshape(4, 5))
-        part = crop(img, 2, 2, off_x=1, off_y=2)
-        assert np.array_equal(part.data, img.data[2:4, 1:3])
-
-    def test_bounds_are_validated(self):
-        img = GridImage(np.zeros((3, 3)))
-        with pytest.raises(ValidationError):
-            zero_pad(img, 2, 5)
-        with pytest.raises(ValidationError):
-            crop(img, 3, 3, off_x=1)
 
 
 class TestRandomStreams:

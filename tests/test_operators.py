@@ -8,7 +8,6 @@ spatial sum, or a library transform) for the forward action itself.
 import numpy as np
 import pytest
 import scipy.fft
-import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,14 +19,12 @@ from reconkit import (
     dot_test,
     embed_kernel,
     gaussian_kernel,
-    linearity_test,
     normal_stream,
     normal_test,
     op_compose,
     op_convolve,
     op_dft2,
     op_grad,
-    op_identity,
     op_mask,
     op_matrix,
     op_multiply,
@@ -57,28 +54,28 @@ def dense_matrix(op: LinearMap) -> np.ndarray:
 
 class TestLinearMapContract:
     def test_shape_validation(self):
-        op = op_identity((3, 3))
+        op = op_multiply(np.ones((3, 3)))
         with pytest.raises(ValidationError):
             op.apply(np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             op.adjoint(np.zeros((4, 4)))
 
     def test_field_validation(self):
-        op = op_identity((3, 3))
+        op = op_multiply(np.ones((3, 3)))
         with pytest.raises(ValidationError):
             op.apply(np.zeros((3, 3), dtype=complex))
 
     def test_nonfinite_rejected(self):
-        op = op_identity((2, 2))
+        op = op_multiply(np.ones((2, 2)))
         bad = np.zeros((2, 2))
         bad[1, 1] = np.inf
         with pytest.raises(ValidationError):
             op.apply(bad)
 
-    def test_matmul_composes(self):
+    def test_compose_matches_the_matrix_product(self):
         a = normal_stream(12, 1.0, 300).reshape(3, 4)
         b = normal_stream(20, 1.0, 301).reshape(4, 5)
-        combo = op_matrix(a) @ op_matrix(b)
+        combo = op_compose(op_matrix(a), op_matrix(b))
         x = normal_stream(5, 1.0, 302)
         assert np.allclose(combo.apply(x), a @ (b @ x), atol=1e-12)
 
@@ -262,46 +259,11 @@ class TestConvolveCircular:
         y = normal_stream(16, 1.0, 327).reshape(4, 4)
         assert np.allclose(op.adjoint(y).ravel(), dense.T @ y.ravel(), atol=1e-12)
 
-
-class TestConvolveLinear:
-    def test_output_shape_grows(self):
-        op = op_convolve(np.ones((3, 5)), "zeropad-linear", domain_shape=(8, 9))
-        assert op.range_shape == (10, 13)
-
-    def test_matches_scipy_full(self):
-        kernel = normal_stream(15, 1.0, 330).reshape(3, 5)
-        x = normal_stream(72, 1.0, 331).reshape(8, 9)
-        op = op_convolve(kernel, "zeropad-linear", domain_shape=(8, 9))
-        ref = scipy.signal.convolve2d(x, kernel, mode="full")
-        assert np.allclose(op.apply(x), ref, atol=1e-10)
-
-    def test_box_squared_is_triangle(self):
-        # convolving two unit boxes yields the triangle weights 1 2 3 2 1
-        box = np.ones((1, 3))
-        op = op_convolve(box, "zeropad-linear", domain_shape=(1, 3))
-        out = op.apply(np.ones((1, 3)))
-        assert np.allclose(out, np.array([[1.0, 2.0, 3.0, 2.0, 1.0]]), atol=1e-12)
-
-    def test_dot(self):
-        op = op_convolve(
-            normal_stream(9, 1.0, 332).reshape(3, 3), "zeropad-linear", domain_shape=(10, 11)
-        )
-        assert dot_test(op, trials=100, seed=6) < FFTTOL
-
-    def test_adjoint_matches_dense_transpose(self):
-        kernel = normal_stream(6, 1.0, 333).reshape(2, 3)
-        op = op_convolve(kernel, "zeropad-linear", domain_shape=(4, 5))
-        dense = dense_matrix(op)
-        y = normal_stream(int(np.prod(op.range_shape)), 1.0, 334).reshape(op.range_shape)
-        assert np.allclose(op.adjoint(y).ravel(), dense.T @ y.ravel(), atol=1e-12)
-
-    def test_requires_domain_shape(self):
-        with pytest.raises(ValidationError):
-            op_convolve(np.ones((3, 3)), "zeropad-linear")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            op_convolve(np.ones((3, 3)), "reflect", domain_shape=(6, 6))
+    def test_rejects_a_complex_kernel(self):
+        kernel = np.zeros((4, 4), dtype=complex)
+        kernel[0, 0] = 1.0
+        with pytest.raises(ValidationError, match="op_convolve kernel must be real"):
+            op_convolve(kernel)
 
 
 class TestEmbedKernel:
@@ -373,25 +335,20 @@ def reference_grad(h, w):
     )
 
 
-def reference_convolve(kernel, grid, domain):
-    """(apply, adjoint, normal) of op_convolve through numpy's 2D transforms."""
-    h, w = domain
-    if np.iscomplexobj(kernel):
-        fft, ifft = np.fft.fft2, np.fft.ifft2
-    else:
-        fft, ifft = np.fft.rfft2, np.fft.irfft2
-    khat = fft(kernel, s=grid)
+def reference_convolve(kernel):
+    """(apply, adjoint, normal) of op_convolve through numpy's rfft2/irfft2."""
+    khat = np.fft.rfft2(kernel)
     power = khat.real**2 + khat.imag**2
 
     def filtered(x, weights):
-        spectrum = fft(x, s=grid)
+        spectrum = np.fft.rfft2(x)
         spectrum *= weights
-        return ifft(spectrum, s=grid)
+        return np.fft.irfft2(spectrum, s=kernel.shape)
 
     return (
         lambda x: filtered(x, khat),
-        lambda y: filtered(y, np.conj(khat))[:h, :w],
-        lambda x: filtered(x, power)[:h, :w],
+        lambda y: filtered(y, np.conj(khat)),
+        lambda x: filtered(x, power),
     )
 
 
@@ -421,12 +378,10 @@ def assert_matches_reference(op, reference, seed):
         assert_bit_equal(arg, before)
 
 
-def convolve_case(shape, complex_kernel, mode, seed):
-    """(op_convolve, its oracle) for a random kernel; zeropad kernels are 3x2."""
-    kshape = shape if mode == "circular" else (3, 2)
-    kernel = _random_field(kshape, complex_kernel, seed)
-    op = op_convolve(kernel, mode, domain_shape=shape)
-    return op, reference_convolve(kernel, op.range_shape, shape)
+def convolve_case(shape, seed):
+    """(op_convolve, its oracle) for a random real kernel on ``shape``."""
+    kernel = _random_field(shape, False, seed)
+    return op_convolve(kernel), reference_convolve(kernel)
 
 
 STENCIL_SHAPES = [(1, 1), (1, 7), (7, 1), (9, 7), (128, 128)]
@@ -439,30 +394,17 @@ class TestBitExactStencils:
     def test_grad(self, shape):
         assert_matches_reference(op_grad(shape), reference_grad(*shape), seed=360)
 
-    @pytest.mark.parametrize("mode", ["circular", "zeropad-linear"])
-    @pytest.mark.parametrize("complex_kernel", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=str)
-    def test_convolve(self, shape, complex_kernel, mode):
-        op, reference = convolve_case(shape, complex_kernel, mode, seed=361)
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=lambda shape: f"{shape}-real-circular")
+    def test_convolve(self, shape):
+        op, reference = convolve_case(shape, seed=361)
         assert_matches_reference(op, reference, seed=362)
-
-    def test_zeropad_with_a_1x1_kernel_needs_no_padding(self):
-        kernel = np.array([[-1.5]])
-        op = op_convolve(kernel, "zeropad-linear", domain_shape=(5, 4))
-        assert op.range_shape == op.domain_shape
-        assert_matches_reference(op, reference_convolve(kernel, (5, 4), (5, 4)), seed=363)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(
-    h=st.integers(1, 20),
-    w=st.integers(1, 20),
-    complex_kernel=st.booleans(),
-    mode=st.sampled_from(["circular", "zeropad-linear"]),
-)
-def test_generated_stencils_are_bit_exact(h, w, complex_kernel, mode):
+@given(h=st.integers(1, 20), w=st.integers(1, 20))
+def test_generated_stencils_are_bit_exact(h, w):
     assert_matches_reference(op_grad((h, w)), reference_grad(h, w), seed=364)
-    op, reference = convolve_case((h, w), complex_kernel, mode, seed=365)
+    op, reference = convolve_case((h, w), seed=365)
     assert_matches_reference(op, reference, seed=366)
 
 
@@ -500,7 +442,7 @@ class TestCompose:
     def test_identity_compose_transparent(self):
         kernel = embed_kernel(gaussian_kernel(3, 1.0), (6, 6))
         a = op_convolve(kernel)
-        combo = op_compose(op_identity((6, 6)), a)
+        combo = op_compose(op_multiply(np.ones((6, 6))), a)
         x = normal_stream(36, 1.0, 365).reshape(6, 6)
         assert np.allclose(combo.apply(x), a.apply(x), atol=1e-14)
 
@@ -513,11 +455,11 @@ class TestCompose:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            op_compose(op_identity((3, 3)), op_identity((4, 4)))
+            op_compose(op_multiply(np.ones((3, 3))), op_multiply(np.ones((4, 4))))
 
     def test_field_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            op_compose(op_identity((4, 4)), op_dft2((4, 4)))
+            op_compose(op_multiply(np.ones((4, 4))), op_dft2((4, 4)))
 
 
 def _normal_cases():
@@ -528,8 +470,8 @@ def _normal_cases():
         label = f"{shape[0]}x{shape[1]}"
         cases.append((f"grad_{label}", op_grad(shape), EXACT))
         cases.append((f"convolve_circular_{label}", op_convolve(kernel), FFTTOL))
-        mask = Mask.random(shape, 0.5, seed=410 + n)
-        cases.append((f"mask_convolve_{label}", op_mask(mask) @ op_convolve(kernel), FFTTOL))
+        blur = op_compose(op_mask(Mask.random(shape, 0.5, seed=410 + n)), op_convolve(kernel))
+        cases.append((f"mask_convolve_{label}", blur, FFTTOL))
     return cases
 
 
@@ -561,10 +503,7 @@ def _generated_part(kind, shape, complex_field, seed):
     if kind == "multiply":
         return op_multiply(_random_field(shape, complex_field, seed)), EXACT
     if kind == "convolve_circular":
-        return op_convolve(_random_field(shape, complex_field, seed)), FFTTOL
-    if kind == "convolve_linear":
-        kernel = _random_field((1 + seed % 3, 1 + seed % 4), complex_field, seed)
-        return op_convolve(kernel, "zeropad-linear", domain_shape=shape), FFTTOL
+        return op_convolve(_random_field(shape, False, seed)), FFTTOL
     if kind == "dft2":
         return op_dft2(shape), FFTTOL
     if kind == "mask":
@@ -576,9 +515,10 @@ def _generated_part(kind, shape, complex_field, seed):
 def _generated_chains(draw):
     """``(h, w, complex_field, kinds, seed)``: operator kinds, innermost first."""
     complex_field = draw(st.booleans())
-    # dft2 is complex-only and grad real-only; the inner kinds map (h, w) to itself
-    inner = (["dft2"] if complex_field else []) + ["multiply", "convolve_circular"]
-    outer = [None, "mask", "convolve_linear"] + ([] if complex_field else ["grad"])
+    # dft2 is complex-only, convolution and grad real-only; the inner kinds map
+    # (h, w) to itself
+    inner = ["dft2", "multiply"] if complex_field else ["multiply", "convolve_circular"]
+    outer = [None, "mask"] + ([] if complex_field else ["grad"])
     last = draw(st.sampled_from(outer))
     kinds = draw(st.lists(st.sampled_from(inner), min_size=0 if last else 1, max_size=2))
     kinds += [last] if last else []
@@ -590,8 +530,6 @@ def _generated_chains(draw):
 @given(chain=_generated_chains())
 @example(chain=(1, 9, False, ["convolve_circular", "grad"], 3))
 @example(chain=(9, 1, True, ["dft2", "multiply", "mask"], 4))
-@example(chain=(3, 7, True, ["convolve_circular", "dft2", "convolve_linear"], 7))
-@example(chain=(1, 1, True, ["convolve_linear"], 5))
 @example(chain=(7, 5, False, ["multiply", "convolve_circular", "mask"], 6))
 def test_generated_operators_pair_and_fuse_their_normals(chain):
     h, w, complex_field, kinds, seed = chain
@@ -611,7 +549,9 @@ class TestValidateOnce:
     @pytest.fixture
     def blur(self):
         mask = Mask.random(self.shape, 0.5, seed=440)
-        return op_mask(mask) @ op_convolve(embed_kernel(gaussian_kernel(3, 1.0), self.shape))
+        return op_compose(
+            op_mask(mask), op_convolve(embed_kernel(gaussian_kernel(3, 1.0), self.shape))
+        )
 
     def _calls(self, blur):
         return {
@@ -728,10 +668,6 @@ class TestDct8:
 
 
 class TestDiagnostics:
-    def test_linearity(self):
-        kernel = embed_kernel(gaussian_kernel(3, 1.0), (8, 8))
-        assert linearity_test(op_convolve(kernel), trials=20, seed=1) < 1e-10
-
     def test_dot_test_catches_wrong_adjoint(self):
         a = normal_stream(12, 1.0, 420).reshape(3, 4)
         broken = LinearMap((4,), (3,), lambda x: a @ x, lambda y: (a + 0.01).T @ y)

@@ -139,3 +139,48 @@ def test_expect_naming_no_call_is_a_usage_error(capsys):
         parity.main(["HEAD", "--expect", "seed_0/fbp_vs_tv,no_such_call"])
     assert exc.value.code == 2
     assert "--expect names no call: no_such_call" in capsys.readouterr().err
+
+
+def test_library_report_compares_bytes_and_files_operator_cases_under_selftest():
+    parity = load_parity()
+    base = {
+        "solver gd final": np.array([1.0, 2.0]),
+        "solver gd iterations": np.array(3),
+        "solver cg final": np.array([0.0, 1.0]),
+        "operator mask apply": np.array([1.0, 4.0]),
+        "operator old apply": np.zeros(2),
+    }
+    head = {
+        "solver gd final": np.array([1.0, 2.5]),
+        "solver gd iterations": np.array(3),
+        "solver cg final": np.array([-0.0, 1.0]),
+        "operator mask apply": np.array([1.0, 4.0]),
+        "operator new apply": np.ones(2),
+    }
+    operator_lines = [
+        "selftest: operator new apply only in the working tree",
+        "selftest: operator old apply only in the commit",
+    ]
+    solver_lines = [
+        "library: solver cg final differs, max relative difference 0.000e+00",
+        "library: solver gd final differs, max relative difference 2.500e-01",
+    ]
+    assert parity.report_library(base, head) == ([], operator_lines + solver_lines)
+    assert parity.report_library(base, head, {"selftest"}) == (operator_lines, solver_lines)
+    assert parity.report_library(base, dict(base)) == ([], [])
+
+
+def test_library_covers_every_solver_and_selftest_operator():
+    parity = load_parity()
+    from reconkit.cli import _selftest_cases
+
+    results = parity.library()
+    solvers = ("gd", "cg", "ista", "fista", "admm_abs", "admm_quadratic", "admm_student", "admm_tv")
+    parts = ("final", "objective_trace", "iterations")
+    want = {f"solver {name} {part}" for name in solvers for part in parts}
+    want |= {
+        f"operator {name} {method}"
+        for name, _, _ in _selftest_cases()
+        for method in ("apply", "adjoint", "normal")
+    }
+    assert set(results) == want | {"radon over-budget apply"}

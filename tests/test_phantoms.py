@@ -22,7 +22,6 @@ from reconkit import (
     compressibility_study,
     degrade,
     gaussian_kernel,
-    mse,
     point_eval,
     render,
     shepp_logan,
@@ -224,16 +223,9 @@ class TestMetrics:
         e[1] = 0.1  # error power exactly 0.01 * ||t||^2
         assert snr_db(t, e) == pytest.approx(20.0, abs=1e-9)
 
-    def test_mse_closed_form(self):
-        t = np.array([1.0, 2.0])
-        e = np.array([2.0, 0.0])
-        assert mse(t, e) == pytest.approx(2.5, abs=1e-15)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             snr_db(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValidationError):
-            mse(np.zeros(3), np.zeros((3, 1)))
 
 
 class TestCompressibility:

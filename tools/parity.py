@@ -1,24 +1,34 @@
-"""Compare the CLI outputs of a commit with those of this working tree.
+"""Compare the CLI and library outputs of a commit with those of this working tree.
 
-Usage: ``python tools/parity.py <commit> [--expect <out-dir|subcommand>,...]``
-(takes about a minute).
+Usage: ``python tools/parity.py <commit> [--expect <label>,...]`` (takes about
+a minute).
 
-Makes a ``git worktree`` of ``<commit>`` in a temporary directory and runs a
-fixed matrix of ``reconkit`` CLI calls against each tree's ``src/``, each call
-in a fresh interpreter.  The matrix starts with the benchmark workloads' own
-calls, read from ``bench.workloads`` at two seeds.  Both trees run the same
-argv from a run directory of their own, with the same relative output paths,
-so ``manifest.json`` (which echoes the output directory) and the stdout lines
-that name it compare byte for byte.  For each call it compares the exit code, stdout, stderr and the
-sha256 of every file the call wrote.  On a mismatch it prints the maximum
-relative difference of each differing ``.f32`` raster and exits 1; otherwise
-it exits 0.  The worktree is removed however the run ends.
+Extracts ``src/`` of ``<commit>`` with ``git archive`` into a temporary
+directory and runs a fixed matrix of ``reconkit`` CLI calls against each
+tree's ``src/``, each call in a fresh interpreter.  The matrix starts with
+the benchmark workloads' own calls, read from ``bench.workloads`` at two
+seeds.  Both trees run the same argv from a run directory of their own, with
+the same relative output paths, so ``manifest.json`` (which echoes the output
+directory) and the stdout lines that name it compare byte for byte.  For each
+call it compares the exit code, stdout, stderr and the sha256 of every file
+the call wrote.
+
+Then one more fresh interpreter per tree computes ``library()``, and the two
+trees' arrays are compared byte for byte: each solver's final, objective
+trace and iteration count on one small problem; ``apply``, ``adjoint`` and
+``normal`` of every ``cli._selftest_cases`` operator; and one ``op_radon``
+apply on the path that rebuilds its tables per call.
+
+On a mismatch it prints the maximum relative difference of each differing
+``.f32`` raster or library array and exits 1; otherwise it exits 0.
 
 ``--expect`` names the calls a change may alter on purpose, each by its
 ``--out`` directory or, for a call without one, its subcommand.  Their
 differences are listed under ``expected:`` with the changed SNRs of their
 ``metrics.csv`` and their changed stdout lines, and do not fail the run; a
-difference in any other call still does.
+difference in any other call still does.  The operator cases' library
+results go with the ``selftest`` call, and the other library results by the
+label ``library``.
 """
 
 from __future__ import annotations
@@ -34,11 +44,15 @@ import tempfile
 
 import numpy as np
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(TOOLS)
 sys.path.insert(0, REPO)
 from bench.workloads import WORKLOADS  # noqa: E402  (the benchmark's calls, read only)
 
 RUN = "import sys; from reconkit.cli import main; sys.exit(main(sys.argv[1:]))"
+LIBRARY = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import parity; parity.save_library(*sys.argv[2:])"
+)
 
 
 def matrix() -> list:
@@ -96,13 +110,85 @@ def run_tree(calls: list, src: str, run_dir: str) -> list:
     return results
 
 
-def _max_rel_diff(a_path: str, b_path: str) -> str:
-    a = np.fromfile(a_path, dtype="<f4").astype(np.float64)
-    b = np.fromfile(b_path, dtype="<f4").astype(np.float64)
+def library() -> dict:
+    """The library results, by name, of the ``reconkit`` that ``import`` finds."""
+    import reconkit as rk
+    from reconkit.cli import _selftest_cases
+
+    def field(shape, is_complex, seed):
+        n = int(np.prod(shape))
+        x = rk.normal_stream(n, 1.0, seed)
+        return (x + 1j * rk.normal_stream(n, 1.0, seed + 1) if is_complex else x).reshape(shape)
+
+    shape = (32, 32)
+    mask = rk.Mask.random(shape, 0.5, 1)
+    deg = rk.degrade(rk.shepp_logan(32), rk.gaussian_kernel(5, 1.0), mask, 0.05, 2)
+    op, g, grad = deg.op, deg.measurements, rk.op_grad(shape)
+    quadratic = rk.Objective(op, g, "quadratic", 0.01, reg_op=grad)
+    l1 = rk.Objective(op, g, "abs", 0.01)
+    student = rk.Objective(op, g, "student", 0.01, reg_op=grad)
+    tv = rk.Objective(op, g, "abs", 0.01, reg_op=grad)
+    solves = {
+        "gd": (rk.gradient_descent, quadratic, {"power_seed": 3}),
+        "cg": (rk.conjugate_gradient_normal, quadratic, {}),
+        "ista": (rk.ista, l1, {"power_seed": 3}),
+        "fista": (rk.ista, l1, {"accelerate": True, "power_seed": 3}),
+        "admm_abs": (rk.admm, l1, {"inner_iter": 10}),
+        "admm_quadratic": (rk.admm, quadratic, {"inner_iter": 10}),
+        "admm_student": (rk.admm, student, {"inner_iter": 10}),
+        "admm_tv": (rk.admm, tv, {"inner_iter": 10}),
+    }
+    results = {}
+    for name, (solve, obj, kwargs) in solves.items():
+        solved = solve(obj, max_iter=30, **kwargs)
+        results[f"solver {name} final"] = solved.final
+        results[f"solver {name} objective_trace"] = solved.objective_trace
+        results[f"solver {name} iterations"] = np.array(solved.iterations)
+    for name, case, _ in _selftest_cases():
+        x = field(case.domain_shape, case.domain_complex, 1)
+        y = field(case.range_shape, case.range_complex, 3)
+        results[f"operator {name} apply"] = case.apply(x)
+        results[f"operator {name} adjoint"] = case.adjoint(y)
+        results[f"operator {name} normal"] = case.normal(x)
+    # 128 views x 128 detectors x 183 samples per ray: beyond op_radon's cache
+    # budget of 2**21 samples, so each call rebuilds its tables
+    radon = rk.op_radon(rk.RadonGeometry(128, 128), (128, 128))
+    results["radon over-budget apply"] = radon.apply(rk.shepp_logan(128))
+    return results
+
+
+def save_library(src: str, path: str) -> None:
+    """Write ``library()`` of the ``reconkit`` under ``src`` to the ``.npz`` file ``path``."""
+    import reconkit
+
+    if not os.path.abspath(reconkit.__file__).startswith(src + os.sep):
+        raise SystemExit(f"reconkit was imported from {reconkit.__file__}, not from {src}")
+    np.savez(path, **library())
+
+
+def run_library(src: str, run_dir: str) -> tuple:
+    """``(results, error)``: ``library()`` of the tree at ``src``, run in a fresh interpreter."""
+    path = os.path.join(run_dir, "library.npz")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBRARY, TOOLS, src, path], cwd=run_dir, env=env, capture_output=True
+    )
+    if proc.returncode != 0:
+        return {}, (proc.stderr.decode().strip().splitlines() or ["no message"])[-1]
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}, None
+
+
+def _rel_diff(a: np.ndarray, b: np.ndarray) -> str:
     if a.shape != b.shape:
-        return f"sizes differ ({a.size} vs {b.size} samples)"
+        return f"shapes differ ({a.shape} vs {b.shape})"
     scale = max(float(np.max(np.abs(a), initial=0.0)), 1e-300)
     return f"max relative difference {float(np.max(np.abs(a - b), initial=0.0)) / scale:.3e}"
+
+
+def _max_rel_diff(a_path: str, b_path: str) -> str:
+    a, b = (np.fromfile(path, dtype="<f4").astype(np.float64) for path in (a_path, b_path))
+    return _rel_diff(a, b)
 
 
 def compare(calls: list, base: list, head: list, base_dir: str, head_dir: str) -> list:
@@ -190,31 +276,59 @@ def report(calls: list, base: list, head: list, base_dir: str, head_dir: str, ex
     return expected, problems
 
 
+def report_library(base: dict, head: dict, expect=()) -> tuple:
+    """``(expected, problems)``: a line per library result that differs or exists in one tree.
+
+    A line is labelled ``selftest`` for an operator case and ``library``
+    otherwise; it is expected when ``expect`` holds its label.
+    """
+    expected, problems = [], []
+    for name in sorted(set(base) | set(head)):
+        if name not in base or name not in head:
+            line = f"{name} only in the {'commit' if name in base else 'working tree'}"
+        elif base[name].dtype != head[name].dtype or base[name].tobytes() != head[name].tobytes():
+            line = f"{name} differs, {_rel_diff(base[name], head[name])}"
+        else:
+            continue
+        label = "selftest" if name.startswith("operator ") else "library"
+        (expected if label in expect else problems).append(f"{label}: {line}")
+    return expected, problems
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(prog="python tools/parity.py")
     parser.add_argument("commit")
     parser.add_argument(
-        "--expect", default="", help="comma-separated out-dirs or subcommands that may change"
+        "--expect",
+        default="",
+        help="comma-separated out-dirs, subcommands or 'library' that may change",
     )
     args = parser.parse_args(argv)
     calls = matrix()
     expect = {label for label in args.expect.split(",") if label}
-    unknown = expect - {_label(argv) for argv in calls}
+    unknown = expect - {_label(argv) for argv in calls} - {"library"}
     if unknown:
         parser.error(f"--expect names no call: {', '.join(sorted(unknown))}")
     with tempfile.TemporaryDirectory(prefix="reconkit-parity-") as tmp:
         tree = os.path.join(tmp, "tree")
-        subprocess.run(
-            ["git", "-C", REPO, "worktree", "add", "--detach", "--quiet", tree, args.commit],
-            check=True,
+        os.makedirs(tree)
+        archive = subprocess.run(
+            ["git", "-C", REPO, "archive", args.commit, "src"], check=True, capture_output=True
         )
-        try:
-            base_dir, head_dir = os.path.join(tmp, "commit"), os.path.join(tmp, "working")
-            base = run_tree(calls, os.path.join(tree, "src"), base_dir)
-            head = run_tree(calls, os.path.join(REPO, "src"), head_dir)
-            expected, problems = report(calls, base, head, base_dir, head_dir, expect)
-        finally:
-            subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree], check=True)
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+        srcs = os.path.join(tree, "src"), os.path.join(REPO, "src")
+        base_dir, head_dir = os.path.join(tmp, "commit"), os.path.join(tmp, "working")
+        base = run_tree(calls, srcs[0], base_dir)
+        head = run_tree(calls, srcs[1], head_dir)
+        expected, problems = report(calls, base, head, base_dir, head_dir, expect)
+        (base_lib, base_err), (head_lib, head_err) = map(run_library, srcs, (base_dir, head_dir))
+    for side, error in (("commit", base_err), ("working tree", head_err)):
+        if error:
+            problems.append(f"library: failed in the {side}: {error}")
+    if not (base_err or head_err):
+        lib_expected, lib_problems = report_library(base_lib, head_lib, expect)
+        expected += lib_expected
+        problems += lib_problems
     files = sum(len(h[3]) for h in head)
     for line in expected:
         print(f"parity: expected: {line}")
@@ -223,7 +337,10 @@ def main(argv: list) -> int:
     verdict = f"{len(problems)} difference(s)" if problems else "identical"
     if expect:
         verdict += f" outside the {len(expect)} expected call(s)"
-    print(f"parity: {len(head)} calls, {files} files against {args.commit}: {verdict}")
+    print(
+        f"parity: {len(head)} calls, {files} files and {len(head_lib)} library results"
+        f" against {args.commit}: {verdict}"
+    )
     return 1 if problems else 0
 
 
