@@ -8,12 +8,14 @@ configuration, the seeds it used, and the package version into
 rasters (see ``reconkit.io``) next to PGM previews and CSV metric tables.
 
 Each choice is declared once, and the parser, the config check and the
-commands read it there: ``_COMMANDS`` (subcommand -> help and its flags beyond
+commands read it there: each config leaf's rule beside its default (``_key``),
+``_COMMANDS`` (subcommand -> help and its flags beyond
 ``--config``/``--out``/``--seed``; the handler of ``a-b`` is ``cmd_a_b``),
 ``_FLAGS`` (flag -> the config path it overrides, or ``None`` for a flag the
-command reads itself, and its argparse options), and ``_SOLVERS``, ``_BLURS``
-and ``phantoms._TRANSFORMS`` (the kinds behind ``--solver``, ``--blur`` and
-``--transform``).  ``_write_outputs`` writes every command's files.
+command reads itself, and its help or choices; its type is the annotation of
+that path), and ``_SOLVERS``, ``_BLURS`` and ``_TRANSFORM_KINDS`` (the kinds
+behind ``--solver``, ``--blur`` and ``--transform``).  ``_write_outputs``
+writes every command's files.
 
 Exit codes: 0 on success, 2 for a malformed configuration or missing input
 data, 3 for a numerical failure (a diagnostic trace is written to the output
@@ -24,11 +26,10 @@ derive from it as seed * 1000 + {1: mask, 2: noise, 3: power iteration}
 unless the config pins them explicitly.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -92,43 +93,72 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _key(default, rule, each=None):
+    """A config leaf: its default and its rule, ``(check, text)``.
+
+    A value that fails ``check`` is reported as the leaf's path and ``text``,
+    in which ``{!r}`` stands for the value.  ``each`` is the rule of each entry
+    of a list leaf, named ``path[i]``.  A None value, which only an ``X | None``
+    annotation admits, is not checked.
+    """
+    metadata = {"rule": rule, "each": each}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+# the largest seed whose stream seeds, seed * 1000 + {1, 2, 3}, stay below 2**64
+_SEED_MAX = (2**64 - 4) // 1000
+_TRANSFORM_KINDS = (*_TRANSFORMS, "all")  # "all" runs each of phantoms._TRANSFORMS
+
+_UNSUPPORTED = "{!r} is not supported"
+_POSITIVE = (lambda v: v > 0 and np.isfinite(v), "must be positive and finite")
+_NONNEGATIVE = (lambda v: v >= 0 and np.isfinite(v), "must be finite and >= 0")
+_FRACTION = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_STREAM_SEED = (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64) when given")
+_BLUR_SIZE = "must be odd and lie in [1, phantom.size]"
+
+
 @dataclass
 class PhantomConfig:
-    kind: str = "shepp_logan"
-    size: int = 128
+    kind: str = _key("shepp_logan", (lambda v: v == "shepp_logan", _UNSUPPORTED))
+    size: int = _key(128, (lambda v: v >= 32, "must be >= 32"))
 
 
 @dataclass
 class DegradationConfig:
-    blur: str = "gaussian"  # a key of _BLURS
-    blur_size: int = 5
-    blur_sigma: float = 1.0
-    airy_cutoff: float = 0.2
-    mask_fraction: float = 0.5
-    noise_snr_db: float | None = 20.0
-    noise_sigma: float | None = None  # when set, wins over noise_snr_db
-    mask_seed: int | None = None
-    noise_seed: int | None = None
+    blur: str = _key("gaussian", (lambda v: v in _BLURS, _UNSUPPORTED))
+    blur_size: int = _key(5, (lambda v: v >= 1 and v % 2 == 1, _BLUR_SIZE))
+    blur_sigma: float = _key(1.0, _POSITIVE)
+    airy_cutoff: float = _key(
+        0.2, (lambda v: 0.0 < v <= 0.5, "must lie in (0, 0.5] cycles per pixel")
+    )
+    mask_fraction: float = _key(0.5, _FRACTION)
+    noise_snr_db: float | None = _key(20.0, (np.isfinite, "must be finite"))
+    noise_sigma: float | None = _key(None, _NONNEGATIVE)  # when set, wins over noise_snr_db
+    mask_seed: int | None = _key(None, _STREAM_SEED)
+    noise_seed: int | None = _key(None, _STREAM_SEED)
 
 
 @dataclass
 class GeometryConfig:
-    n_angles: int = 30
-    n_detectors: int | None = None  # defaults to the image size
-    detector_pitch: float = 1.0
+    n_angles: int = _key(30, (lambda v: v >= 1, "must be >= 1"))
+    # defaults to the image size
+    n_detectors: int | None = _key(None, (lambda v: v >= 1, "must be >= 1 when given"))
+    detector_pitch: float = _key(1.0, _POSITIVE)
 
 
 @dataclass
 class SolverConfig:
-    kind: str = "cg_tikhonov"  # a key of _SOLVERS
-    lam: float = 0.1
-    lambdas: list[float] | None = None
-    rho: float = 1.0
-    max_iter: int = 200
-    tol: float = 1e-8
-    inner_iter: int = 30
-    step: float | None = None  # gd only; None picks the safe auto step
-    power_seed: int | None = None
+    kind: str = _key("cg_tikhonov", (lambda v: v in _SOLVERS, _UNSUPPORTED))
+    lam: float = _key(0.1, _NONNEGATIVE)
+    lambdas: list[float] | None = _key(None, (len, "must hold at least one weight"), _NONNEGATIVE)
+    rho: float = _key(1.0, _POSITIVE)
+    max_iter: int = _key(200, (lambda v: v >= 0, "must be >= 0"))
+    tol: float = _key(1e-8, _NONNEGATIVE)
+    inner_iter: int = _key(30, (lambda v: v >= 0, "must be >= 0"))
+    step: float | None = _key(None, _POSITIVE)  # gd only; None picks the safe auto step
+    power_seed: int | None = _key(None, _STREAM_SEED)
 
 
 @dataclass
@@ -137,11 +167,13 @@ class ExperimentConfig:
     degradation: DegradationConfig = field(default_factory=DegradationConfig)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    transform: str = "haar"  # a name in phantoms._TRANSFORMS, or "all"
-    keep_fractions: list[float] = field(default_factory=lambda: [0.01, 0.05, 0.1, 0.25])
-    levels: int = 4
-    out_dir: str = "out"
-    seed: int = 0
+    transform: str = _key("haar", (lambda v: v in _TRANSFORM_KINDS, _UNSUPPORTED))
+    keep_fractions: list[float] = _key(
+        [0.01, 0.05, 0.1, 0.25], (len, "must hold at least one fraction"), each=_FRACTION
+    )
+    levels: int = _key(4, (lambda v: v >= 1, "must be >= 1"))
+    out_dir: str = _key("out", (lambda v: v != "", "must not be empty"))
+    seed: int = _key(0, (lambda v: 0 <= v <= _SEED_MAX, f"must lie in [0, {_SEED_MAX}]"))
 
     def mask_seed(self) -> int:
         s = self.degradation.mask_seed
@@ -156,14 +188,17 @@ class ExperimentConfig:
         return self.seed * 1000 + 3 if s is None else s
 
 
+def _drop_none(typ):
+    """``X`` for the annotation ``X | None`` (or ``typing.Optional[X]``), else ``typ``."""
+    if typing.get_origin(typ) in (typing.Union, types.UnionType):
+        (typ,) = [a for a in typing.get_args(typ) if a is not type(None)]
+    return typ
+
+
 def _coerce(value, typ, path):
-    origin = typing.get_origin(typ)
-    # X | None and typing.Optional[X] report different origins
-    if origin is typing.Union or origin is types.UnionType:
-        args = [a for a in typing.get_args(typ) if a is not type(None)]
-        if value is None:
-            return None
-        return _coerce(value, args[0], path)
+    inner = _drop_none(typ)
+    if inner is not typ:
+        return None if value is None else _coerce(value, inner, path)
     if dataclasses.is_dataclass(typ):
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be a table of fields")
@@ -180,7 +215,7 @@ def _coerce(value, typ, path):
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
         return value
-    if origin is list:
+    if typing.get_origin(typ) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list")
         (entry,) = typing.get_args(typ)
@@ -189,13 +224,11 @@ def _coerce(value, typ, path):
 
 
 def _from_dict(cls, data: dict, path: str = "config"):
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in names:
-            raise ConfigError(f"unknown field {path}.{key}")
+    hints = inspect.get_annotations(cls)
     kwargs = {}
     for name, value in data.items():
+        if name not in hints:
+            raise ConfigError(f"unknown field {path}.{name}")
         kwargs[name] = _coerce(value, hints[name], f"{path}.{name}")
     return cls(**kwargs)
 
@@ -240,70 +273,25 @@ def load_config(args, base: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-# the largest experiment seed whose derived stream seeds, seed * 1000 + {1, 2, 3},
-# stay below 2**64
-_SEED_MAX = (2**64 - 4) // 1000
+def _ruled_values(node, prefix: str = ""):
+    """Yield ``(path, value, rule)`` for each set leaf of a config and each list entry."""
+    for f in dataclasses.fields(node):
+        value, path = getattr(node, f.name), prefix + f.name
+        if dataclasses.is_dataclass(value):
+            yield from _ruled_values(value, path + ".")
+        elif value is not None:
+            yield path, value, f.metadata["rule"]
+            if f.metadata["each"]:
+                yield from ((f"{path}[{i}]", v, f.metadata["each"]) for i, v in enumerate(value))
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.phantom.kind != "shepp_logan":
-        raise ConfigError(f"phantom.kind {cfg.phantom.kind!r} is not supported")
-    if cfg.phantom.size < 32:
-        raise ConfigError("phantom.size must be >= 32")
-    if cfg.degradation.blur not in _BLURS:
-        raise ConfigError(f"degradation.blur {cfg.degradation.blur!r} is not supported")
-    if not (cfg.degradation.blur_sigma > 0 and np.isfinite(cfg.degradation.blur_sigma)):
-        raise ConfigError("degradation.blur_sigma must be positive and finite")
-    blur_size = cfg.degradation.blur_size
-    if not (1 <= blur_size <= cfg.phantom.size and blur_size % 2 == 1):
-        raise ConfigError("degradation.blur_size must be odd and lie in [1, phantom.size]")
-    if not 0.0 < cfg.degradation.airy_cutoff <= 0.5:
-        raise ConfigError("degradation.airy_cutoff must lie in (0, 0.5] cycles per pixel")
-    if not 0.0 < cfg.degradation.mask_fraction <= 1.0:
-        raise ConfigError("degradation.mask_fraction must lie in (0, 1]")
-    sigma, snr = cfg.degradation.noise_sigma, cfg.degradation.noise_snr_db
-    if sigma is not None and not (sigma >= 0 and np.isfinite(sigma)):
-        raise ConfigError("degradation.noise_sigma must be finite and >= 0")
-    if snr is not None and not np.isfinite(snr):
-        raise ConfigError("degradation.noise_snr_db must be finite")
-    if cfg.solver.kind not in _SOLVERS:
-        raise ConfigError(f"solver.kind {cfg.solver.kind!r} is not supported")
-    if not (cfg.solver.lam >= 0 and np.isfinite(cfg.solver.lam)):
-        raise ConfigError("solver.lam must be finite and >= 0")
-    if not (cfg.solver.rho > 0 and np.isfinite(cfg.solver.rho)):
-        raise ConfigError("solver.rho must be positive and finite")
-    for key in ("max_iter", "inner_iter"):
-        if getattr(cfg.solver, key) < 0:
-            raise ConfigError(f"solver.{key} must be >= 0")
-    if not (cfg.solver.tol >= 0 and np.isfinite(cfg.solver.tol)):
-        raise ConfigError("solver.tol must be finite and >= 0")
-    if cfg.solver.step is not None and not cfg.solver.step > 0:
-        raise ConfigError("solver.step must be > 0 when given")
-    geo = cfg.geometry
-    if geo.n_angles < 1:
-        raise ConfigError("geometry.n_angles must be >= 1")
-    if geo.n_detectors is not None and geo.n_detectors < 1:
-        raise ConfigError("geometry.n_detectors must be >= 1 when given")
-    if not (geo.detector_pitch > 0 and np.isfinite(geo.detector_pitch)):
-        raise ConfigError("geometry.detector_pitch must be positive and finite")
-    if cfg.transform not in (*_TRANSFORMS, "all"):
-        raise ConfigError(f"transform {cfg.transform!r} is not supported")
-    if cfg.solver.lambdas == []:
-        raise ConfigError("solver.lambdas must hold at least one weight")
-    if cfg.levels < 1:
-        raise ConfigError("levels must be >= 1")
-    for fr in cfg.keep_fractions:
-        if not 0.0 < fr <= 1.0:
-            raise ConfigError("keep_fractions entries must lie in (0, 1]")
-    if not 0 <= cfg.seed <= _SEED_MAX:
-        raise ConfigError(f"seed must lie in [0, {_SEED_MAX}]")
-    for path, seed in (
-        ("degradation.mask_seed", cfg.degradation.mask_seed),
-        ("degradation.noise_seed", cfg.degradation.noise_seed),
-        ("solver.power_seed", cfg.solver.power_seed),
-    ):
-        if seed is not None and not 0 <= seed < 2**64:
-            raise ConfigError(f"{path} must lie in [0, 2**64) when given")
+    for path, value, (check, text) in _ruled_values(cfg):
+        if not check(value):
+            raise ConfigError(f"{path} {text.format(value)}")
+    # the one rule that spans fields: the blur kernel fits in the image
+    if cfg.degradation.blur_size > cfg.phantom.size:
+        raise ConfigError(f"degradation.blur_size {_BLUR_SIZE}")
 
 
 # ---------------------------------------------------------------------------
@@ -709,31 +697,40 @@ def _float_list(text: str) -> list:
 
 # flag -> (config path it overrides, argparse options); a None path marks a
 # flag the command reads itself.  The argparse dest is the flag's name with
-# dashes turned into underscores.
+# dashes turned into underscores, and its type is in _FLAG_TYPES.
 _FLAGS = {
     "--config": (None, {"help": "JSON config file; flags override its values"}),
     "--out": (("out_dir",), {"help": "output directory"}),
-    "--seed": (("seed",), {"type": int, "help": "experiment seed (default 0)"}),
+    "--seed": (("seed",), {"help": "experiment seed (default 0)"}),
     "--data": (None, {"help": "directory holding simulate outputs (default: out dir)"}),
-    "--size": (("phantom", "size"), {"type": int}),
-    "--mask-fraction": (("degradation", "mask_fraction"), {"type": float}),
-    "--snr-db": (("degradation", "noise_snr_db"), {"type": float}),
-    "--sigma": (("degradation", "noise_sigma"), {"type": float}),
-    "--blur": (("degradation", "blur"), {"choices": list(_BLURS)}),
-    "--angles": (("geometry", "n_angles"), {"type": int}),
-    "--solver": (("solver", "kind"), {"choices": list(_SOLVERS)}),
-    "--lam": (("solver", "lam"), {"type": float}),
-    "--lambdas": (("solver", "lambdas"), {"type": _float_list}),
-    "--rho": (("solver", "rho"), {"type": float}),
-    "--max-iter": (("solver", "max_iter"), {"type": int}),
-    "--step": (
-        ("solver", "step"),
-        {"type": float, "help": "fixed gradient-descent step (default: auto)"},
-    ),
-    "--transform": (("transform",), {"choices": [*_TRANSFORMS, "all"]}),
-    "--fractions": (("keep_fractions",), {"type": _float_list}),
-    "--levels": (("levels",), {"type": int}),
+    "--size": (("phantom", "size"), {}),
+    "--mask-fraction": (("degradation", "mask_fraction"), {}),
+    "--snr-db": (("degradation", "noise_snr_db"), {}),
+    "--sigma": (("degradation", "noise_sigma"), {}),
+    "--blur": (("degradation", "blur"), {"choices": _BLURS}),
+    "--angles": (("geometry", "n_angles"), {}),
+    "--solver": (("solver", "kind"), {"choices": _SOLVERS}),
+    "--lam": (("solver", "lam"), {}),
+    "--lambdas": (("solver", "lambdas"), {}),
+    "--rho": (("solver", "rho"), {}),
+    "--max-iter": (("solver", "max_iter"), {}),
+    "--step": (("solver", "step"), {"help": "fixed gradient-descent step (default: auto)"}),
+    "--transform": (("transform",), {"choices": _TRANSFORM_KINDS}),
+    "--fractions": (("keep_fractions",), {}),
+    "--levels": (("levels",), {}),
 }
+
+
+def _arg_type(path: tuple):
+    """The argparse type of a flag that overrides the config leaf at ``path``."""
+    typ = ExperimentConfig
+    for name in path:
+        typ = _drop_none(inspect.get_annotations(typ)[name])
+    return _float_list if typing.get_origin(typ) is list else typ
+
+
+# flag -> argparse type, from the annotation of the config leaf it overrides
+_FLAG_TYPES = {flag: _arg_type(path) for flag, (path, _) in _FLAGS.items() if path}
 
 # subcommand -> (help, the flags it takes beyond --config, --out and --seed).
 # The handler of "name-x" is cmd_name_x, looked up when the parser is built
@@ -784,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, flags) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         for flag in ("--config", "--out", "--seed", *flags):
-            sub.add_argument(flag, **_FLAGS[flag][1])
+            sub.add_argument(flag, type=_FLAG_TYPES.get(flag), **_FLAGS[flag][1])
         sub.set_defaults(fn=globals()["cmd_" + command.replace("-", "_")])
     return parser
 

@@ -644,6 +644,11 @@ def admm(
     dual update: a += L f - u.  Converged when the primal residual
     ||L f - u|| and the dual residual rho ||L* (u - u_prev)|| are both at
     most ``tol``.
+
+    The objective trace takes its misfit from the f-step's CG residual, as a
+    difference of terms of size rho ||L f||^2, so it loses accuracy as rho
+    grows: about 2e-6 relative at rho = 1e12, and meaningless by 1e20.  The
+    iterates and the stop rule do not read it.
     """
     if obj.penalty not in ("abs", "quadratic", "student"):
         raise ValidationError("admm handles abs, quadratic, or student penalties")

@@ -4,8 +4,10 @@ Commands run in-process through ``main`` with temporary output directories;
 byte-level determinism is asserted on the canonical artifacts.
 """
 
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +129,9 @@ CONFIG_RULES = [
     ({"solver": {"inner_iter": -1}}, "solver.inner_iter"),
     ({"solver": {"tol": -1.0}}, "solver.tol"),
     ({"solver": {"step": 0.0}}, "solver.step"),
+    ({"solver": {"step": float("inf")}}, "solver.step must be positive and finite"),
+    ({"solver": {"lambdas": [0.1, -2.0]}}, "solver.lambdas[1]"),
+    ({"solver": {"lambdas": [float("nan")]}}, "solver.lambdas[0]"),
     ({"geometry": {"n_angles": 0}}, "geometry.n_angles"),
     ({"geometry": {"n_detectors": 0}}, "geometry.n_detectors"),
     ({"geometry": {"detector_pitch": float("inf")}}, "geometry.detector_pitch"),
@@ -134,6 +139,7 @@ CONFIG_RULES = [
     ({"levels": 0}, "levels"),
     ({"keep_fractions": [0.5, 1.5]}, "keep_fractions"),
     ({"keep_fractions": [0.5, "x"]}, "keep_fractions[1]"),
+    ({"keep_fractions": []}, "keep_fractions must hold at least one"),
     ({"seed": -1}, "seed must lie in"),
     ({"seed": 2**64 - 1}, "seed must lie in"),
     ({"degradation": {"mask_seed": -1}}, "degradation.mask_seed"),
@@ -250,6 +256,97 @@ class TestConfig:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["phantom"]["size"] == 48
         assert manifest["config"]["seed"] == 3
+
+
+# a value that breaks the declared rule of each leaf of ExperimentConfig, by dotted path
+BAD_LEAF_VALUES = {
+    "phantom.kind": "disk",
+    "phantom.size": 31,
+    "degradation.blur": "motion",
+    "degradation.blur_size": 6,
+    "degradation.blur_sigma": 0.0,
+    "degradation.airy_cutoff": 0.75,
+    "degradation.mask_fraction": 1.5,
+    "degradation.noise_snr_db": float("inf"),
+    "degradation.noise_sigma": float("nan"),
+    "degradation.mask_seed": 2**64,
+    "degradation.noise_seed": 2**64,
+    "geometry.n_angles": -1,
+    "geometry.n_detectors": -3,
+    "geometry.detector_pitch": 0.0,
+    "solver.kind": "newton",
+    "solver.lam": float("inf"),
+    "solver.lambdas": [],
+    "solver.rho": 0.0,
+    "solver.max_iter": -1,
+    "solver.tol": float("nan"),
+    "solver.inner_iter": -2,
+    "solver.step": float("nan"),
+    "solver.power_seed": 2**64,
+    "transform": "wavelet",
+    "keep_fractions": [],
+    "levels": -1,
+    "out_dir": "",
+    "seed": _SEED_MAX + 1,
+}
+
+
+def _leaf_fields(node, prefix=""):
+    """``(dotted path, dataclass field)`` for each leaf of a config."""
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, f
+
+
+LEAVES = dict(_leaf_fields(ExperimentConfig()))
+
+
+class TestLeafRules:
+    def test_every_leaf_declares_a_rule_and_has_a_bad_value(self):
+        for path, f in LEAVES.items():
+            check, text = f.metadata["rule"]
+            assert callable(check) and isinstance(text, str), path
+        assert set(BAD_LEAF_VALUES) == set(LEAVES)
+
+    def test_defaults_pass(self):
+        _validate_config(ExperimentConfig())
+        assert load_config(build_parser().parse_args(["phantom"])) == ExperimentConfig()
+
+    @pytest.mark.parametrize("path", sorted(LEAVES))
+    def test_bad_value_exits_2_naming_the_leaf(self, tmp_path, monkeypatch, capsys, path):
+        *sections, name = path.split(".")
+        patch = {name: BAD_LEAF_VALUES[path]}
+        for section in reversed(sections):
+            patch = {section: patch}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(patch))
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        # no --out: the output directory is the config's out_dir, relative to run
+        assert main(["phantom", "--config", str(cfg_path)]) == 2
+        assert re.search(rf"config error: {re.escape(path)}[ \[]", capsys.readouterr().err)
+        assert os.listdir(run) == []
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["reconstruct", "--solver", "gd", "--step", "inf"], "solver.step"),
+            (["compare-l2-l1", "--lambdas=-1,0.1"], "solver.lambdas[0]"),
+            (["compare-l2-l1", "--lambdas=0.1,nan"], "solver.lambdas[1]"),
+            (["compress-study", "--fractions", ""], "keep_fractions"),
+            (["phantom", "--out", ""], "out_dir"),
+        ],
+        ids=["infinite_step", "negative_lambda", "nan_lambda", "empty_fractions", "empty_out"],
+    )
+    def test_bad_flag_value_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, argv, key):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestSimulate:

@@ -16,8 +16,9 @@ the call wrote.
 Then one more fresh interpreter per tree computes ``library()``, and the two
 trees' arrays are compared byte for byte: each solver's final, objective
 trace and iteration count on one small problem; ``apply``, ``adjoint`` and
-``normal`` of every ``cli._selftest_cases`` operator; and one ``op_radon``
-apply on the path that rebuilds its tables per call.
+``normal`` of every ``cli._selftest_cases`` operator; and ``op_radon``'s
+``apply``, ``adjoint`` and ``normal`` on the path that rebuilds its tables per
+call.
 
 On a mismatch it prints the maximum relative difference of each differing
 ``.f32`` raster or library array and exits 1; otherwise it exits 0.
@@ -154,6 +155,8 @@ def library() -> dict:
     # budget of 2**21 samples, so each call rebuilds its tables
     radon = rk.op_radon(rk.RadonGeometry(128, 128), (128, 128))
     results["radon over-budget apply"] = radon.apply(rk.shepp_logan(128))
+    results["radon over-budget adjoint"] = radon.adjoint(field(radon.range_shape, False, 3))
+    results["radon over-budget normal"] = radon.normal(field(radon.domain_shape, False, 1))
     return results
 
 
