@@ -44,7 +44,6 @@ from .direct import fbp
 from .errors import BreakdownError, DivergenceError, SingularityError, ValidationError
 from .io import read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
-    Mask,
     RadonGeometry,
     dot_test,
     embed_kernel,
@@ -57,6 +56,7 @@ from .operators import (
     op_mask,
     op_multiply,
     op_radon,
+    random_mask,
 )
 from .phantoms import (
     SHEPP_LOGAN,
@@ -172,7 +172,9 @@ class ExperimentConfig:
         [0.01, 0.05, 0.1, 0.25], (len, "must hold at least one fraction"), each=_FRACTION
     )
     levels: int = _key(4, (lambda v: v >= 1, "must be >= 1"))
-    out_dir: str = _key("out", (lambda v: v != "", "must not be empty"))
+    out_dir: str = _key(
+        "out", (lambda v: v != "" and not os.path.isfile(v), "must name a directory, not {!r}")
+    )
     seed: int = _key(0, (lambda v: 0 <= v <= _SEED_MAX, f"must lie in [0, {_SEED_MAX}]"))
 
     def mask_seed(self) -> int:
@@ -210,7 +212,10 @@ def _coerce(value, typ, path):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is beyond the double range") from None
     if typ is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
@@ -260,10 +265,11 @@ def load_config(args, base: dict | None = None) -> ExperimentConfig:
                 file_part = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file cannot be read: {args.config}: {exc}")
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer literal beyond int()'s digit limit
+            raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(file_part, dict):
             raise ConfigError("config file must hold a JSON object")
     merged = _deep_merge(base or {}, file_part)
@@ -311,7 +317,7 @@ def _simulate(cfg: ExperimentConfig):
     """Phantom, blur, mask, and noise per the config; returns truth and data."""
     truth = shepp_logan(cfg.phantom.size)
     kernel = _BLURS[cfg.degradation.blur](cfg.degradation)
-    mask = Mask.random(truth.data.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
+    mask = random_mask(truth.data.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
     embedded = embed_kernel(kernel, truth.data.shape)
     op = _blur_then_mask(embedded, mask)
     clean = op.apply(truth.data)
@@ -325,7 +331,7 @@ def _simulate(cfg: ExperimentConfig):
         )
     else:
         sigma = 0.0
-    return truth, kernel, _add_noise(clean, op, mask, embedded, sigma, cfg.noise_seed())
+    return truth, kernel, _add_noise(clean, op, mask, sigma, cfg.noise_seed())
 
 
 def _write_outputs(cfg: ExperimentConfig, command: str, images=(), tables=(), extra=None):
@@ -429,16 +435,17 @@ def cmd_phantom(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     truth, kernel, data = _simulate(cfg)
+    kept = np.count_nonzero(data.mask)
     images = [
         ("truth", truth.data),
         ("kernel", kernel),
-        ("mask", data.mask.to_bool().astype(np.float64)),
+        ("mask", data.mask.astype(np.float64)),
         ("measurements", data.measurements),
     ]
     rows = [
         ("measurement_snr_db", data.measurement_snr_db),
         ("noise_sigma", data.sigma),
-        ("kept_entries", data.mask.count),
+        ("kept_entries", kept),
     ]
     _write_outputs(
         cfg,
@@ -448,7 +455,7 @@ def cmd_simulate(args) -> int:
         extra={"noise_sigma": data.sigma},
     )
     print(
-        f"simulate: {data.mask.count} measurements at "
+        f"simulate: {kept} measurements at "
         f"{data.measurement_snr_db:.2f} dB, sigma={data.sigma:.6g}"
     )
     return 0
@@ -462,7 +469,7 @@ def cmd_reconstruct(args) -> int:
     try:
         truth = read_raster(os.path.join(data_dir, "truth"))
         kernel = read_raster(os.path.join(data_dir, "kernel"))
-        mask = Mask.from_bool(read_raster(os.path.join(data_dir, "mask")) > 0.5)
+        mask = read_raster(os.path.join(data_dir, "mask")) > 0.5
         measurements = read_raster(os.path.join(data_dir, "measurements")).ravel()
     except FileNotFoundError as exc:
         raise ConfigError(f"data raster not found: {exc.filename}") from exc
@@ -618,7 +625,7 @@ def _selftest_cases():
     shape = (16, 16)
     kernel = embed_kernel(gaussian_kernel(5, 1.0), shape)
     w_real, w_other, w_imag = (normal_stream(256, 1.0, s).reshape(shape) for s in (10, 11, 12))
-    mask = Mask.random(shape, 0.3, seed=3)
+    mask = random_mask(shape, 0.3, seed=3)
     cases = [
         ("mask", op_mask(mask), 1e-10),
         ("multiply_real", op_multiply(w_real), 1e-10),
@@ -641,7 +648,7 @@ def _selftest_cases():
         lambda m, c, w: op_compose(op_compose(op_mask(m), op_convolve(c)), op_multiply(w)),
     ]
     for k, build in enumerate(compositions):
-        m_k = Mask.random(shape, 0.2 + 0.1 * k, seed=70 + k)
+        m_k = random_mask(shape, 0.2 + 0.1 * k, seed=70 + k)
         c_k = embed_kernel(gaussian_kernel(3 + 2 * (k % 2), 0.5 + 0.3 * k), shape)
         w_k = normal_stream(256, 1.0, 80 + k).reshape(shape) + 0.1
         cases.append((f"compose_{k}", build(m_k, c_k, w_k), 1e-6))

@@ -41,14 +41,6 @@ class GridImage:
             raise ValidationError("GridImage.data contains non-finite samples")
         object.__setattr__(self, "data", data)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 def _seed_value(seed) -> int:
     if isinstance(seed, (int, np.integer)):

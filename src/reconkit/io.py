@@ -3,9 +3,10 @@ metrics, and JSON run manifests.
 
 The canonical raster is raw little-endian float32, row-major, written next to
 a ``<name>.f32.txt`` descriptor that records width, height, dtype, and value
-range.  Previews are binary PGM (P5) with linear windowing; the window used
-is returned so callers can record it in the manifest.  All writers format
-numbers deterministically, so reruns with the same config are byte-identical.
+range.  Previews are 8-bit binary PGM (P5) windowed to the data range; the
+window is returned so callers can record it in the manifest.  All writers
+format numbers deterministically, so reruns with the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -91,26 +92,21 @@ def read_raster(base: str) -> np.ndarray:
     return raw.reshape(height, width).astype(np.float64)
 
 
-def write_pgm(path: str, data, vmin=None, vmax=None, bits: int = 8):
-    """Binary PGM preview with linear windowing; returns the window used.
+def write_pgm(path: str, data):
+    """Binary 8-bit PGM preview windowed to the data range; returns the window.
 
-    Values at or below ``vmin`` map to 0 and at or above ``vmax`` to the
-    maximum gray level; the defaults are the data range.
+    The minimum maps to 0 and the maximum to 255.  A constant raster gets the
+    window ``(v, v + 1)`` and maps to 0.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError("write_pgm expects a 2D array")
-    if bits not in (8, 16):
-        raise ValidationError("write_pgm supports 8 or 16 bits")
-    lo = float(arr.min()) if vmin is None else float(vmin)
-    hi = float(arr.max()) if vmax is None else float(vmax)
+    lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         hi = lo + 1.0
-    maxval = (1 << bits) - 1
-    scaled = np.clip((arr - lo) / (hi - lo), 0.0, 1.0) * maxval
-    pixels = np.round(scaled).astype(">u2" if bits == 16 else "u1")
+    pixels = np.round((arr - lo) / (hi - lo) * 255).astype("u1")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes(order="C"))
     return lo, hi
 

@@ -48,11 +48,11 @@ from .grids import (
 
 __all__ = [
     "LinearMap",
-    "Mask",
     "RadonGeometry",
     "Sinogram",
     "dot_test",
     "normal_test",
+    "random_mask",
     "op_mask",
     "op_multiply",
     "op_convolve",
@@ -181,73 +181,37 @@ def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sampling masks
+# Sampling masks: a mask is a 2D boolean raster, True where an entry is kept
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Kept-entry selection over a (height, width) grid, in flat index order."""
-
-    indices: np.ndarray
-    shape: tuple[int, int]
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        h, w = int(self.shape[0]), int(self.shape[1])
-        if h < 1 or w < 1:
-            raise ValidationError("Mask.shape must be a positive (height, width)")
-        if idx.size < 1:
-            raise ValidationError("Mask must keep at least one entry")
-        if idx.min() < 0 or idx.max() >= h * w:
-            raise ValidationError("Mask indices out of range")
-        seen = np.zeros(h * w, dtype=bool)
-        seen[idx] = True
-        if np.count_nonzero(seen) != idx.size:
-            raise ValidationError("Mask indices must be unique")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "shape", (h, w))
-
-    @property
-    def count(self) -> int:
-        return int(self.indices.size)
-
-    def to_bool(self) -> np.ndarray:
-        keep = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
-        keep[self.indices] = True
-        return keep.reshape(self.shape)
-
-    @classmethod
-    def full(cls, shape) -> "Mask":
-        h, w = int(shape[0]), int(shape[1])
-        return cls(np.arange(h * w, dtype=np.int64), (h, w))
-
-    @classmethod
-    def from_bool(cls, keep) -> "Mask":
-        keep = np.asarray(keep, dtype=bool)
-        if keep.ndim != 2:
-            raise ValidationError("Mask.from_bool expects a 2D boolean raster")
-        return cls(np.flatnonzero(keep.ravel()), keep.shape)
-
-    @classmethod
-    def random(cls, shape, fraction: float, seed) -> "Mask":
-        """Keep a deterministic pseudo-random fraction of the grid."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValidationError("Mask.random fraction must be in (0, 1]")
-        h, w = int(shape[0]), int(shape[1])
-        n = h * w
-        m = max(1, int(round(fraction * n)))
-        order = np.argsort(uniform_stream(n, seed), kind="stable")
-        return cls(np.sort(order[:m]), (h, w))
+def random_mask(shape, fraction: float, seed) -> np.ndarray:
+    """A (height, width) boolean raster keeping a deterministic pseudo-random fraction."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValidationError("random_mask fraction must be in (0, 1]")
+    h, w = int(shape[0]), int(shape[1])
+    n = h * w
+    order = np.argsort(uniform_stream(n, seed), kind="stable")
+    keep = np.zeros(n, dtype=bool)
+    keep[order[: max(1, int(round(fraction * n)))]] = True
+    return keep.reshape(h, w)
 
 
-def op_mask(mask: Mask, *, complex_field: bool = False) -> LinearMap:
-    """Extract kept entries as a vector; adjoint scatters back with zeros."""
-    h, w = mask.shape
-    idx = mask.indices
+def op_mask(keep, *, complex_field: bool = False) -> LinearMap:
+    """Extract the entries a 2D raster keeps (read as bool) as a vector, in flat order.
+
+    The adjoint scatters the vector back, with zeros elsewhere.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.ndim != 2:
+        raise ValidationError("op_mask expects a 2D boolean raster")
+    idx = np.flatnonzero(keep)
+    if idx.size < 1:
+        raise ValidationError("a mask must keep at least one entry")
+    h, w = keep.shape
     dtype = np.complex128 if complex_field else np.float64
     # -1 (all bits set) where kept, 0 elsewhere, once per 64-bit word of x
-    bits = np.repeat(-mask.to_bool().astype(np.int8), 2 if complex_field else 1, axis=1)
+    bits = np.repeat(-keep.astype(np.int8), 2 if complex_field else 1, axis=1)
 
     def forward(x):
         return x.ravel()[idx]
@@ -265,7 +229,7 @@ def op_mask(mask: Mask, *, complex_field: bool = False) -> LinearMap:
 
     return LinearMap(
         (h, w),
-        (mask.count,),
+        (idx.size,),
         forward,
         backward,
         normal_fn=normal,

@@ -19,7 +19,6 @@ from .errors import ValidationError
 from .grids import GridImage, _seed_value, as_array, gaussian_noise, normal_stream, uniform_stream
 from .operators import (
     LinearMap,
-    Mask,
     RadonGeometry,
     Sinogram,
     embed_kernel,
@@ -260,51 +259,52 @@ class Degraded:
 
     measurements: np.ndarray
     op: LinearMap
-    mask: Mask
-    kernel: np.ndarray
+    mask: np.ndarray
     sigma: float
-    seed: int
     clean: np.ndarray
-    noise: np.ndarray
     measurement_snr_db: float
 
 
-def _blur_then_mask(kernel: np.ndarray, mask: Mask) -> LinearMap:
+def _blur_then_mask(kernel: np.ndarray, mask: np.ndarray) -> LinearMap:
     """The measurement model: circular blur by an embedded kernel, then the mask."""
     return op_compose(op_mask(mask), op_convolve(kernel))
 
 
-def degrade(img, blur_kernel, mask: Mask, sigma: float, seed) -> Degraded:
+def degrade(img, blur_kernel, mask, sigma: float, seed) -> Degraded:
     """Blur circularly, subsample through the mask, add seeded white noise.
 
-    ``img`` is a GridImage or a 2D array.  ``blur_kernel`` is a small
-    centered kernel; it is embedded on the image grid with its center at the
-    origin so the blur does not shift content.  The returned operator is
-    ``_blur_then_mask``'s mask `o` convolve, ready for reconstruction.
+    ``img`` is a GridImage or a 2D array and ``mask`` a raster of its shape,
+    read as bool.  ``blur_kernel`` is a small centered kernel; it is embedded
+    on the image grid with its center at the origin so the blur does not
+    shift content.  The returned operator is ``_blur_then_mask``'s mask `o`
+    convolve, ready for reconstruction.
     """
     data = as_array(img)
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape != data.shape:
         raise ValidationError("mask shape must match the image")
     kernel = embed_kernel(blur_kernel, data.shape)
     op = _blur_then_mask(kernel, mask)
-    return _add_noise(op.apply(data), op, mask, kernel, sigma, seed)
+    return _add_noise(op.apply(data), op, mask, sigma, seed)
 
 
-def _add_noise(clean, op: LinearMap, mask: Mask, kernel, sigma: float, seed) -> Degraded:
-    """The noise half of ``degrade``, for clean measurements ``op`` already made."""
+def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> Degraded:
+    """The noise half of ``degrade``, for clean measurements ``op`` already made.
+
+    The noise is a seeded raster over the whole grid, sampled through the
+    boolean ``mask`` in flat order, as ``op`` samples the image.
+    """
     if not (sigma >= 0 and np.isfinite(sigma)):
         raise ValidationError("degrade sigma must be finite and >= 0")
-    noise = gaussian_noise(mask.shape, sigma, seed).data.ravel()[mask.indices]
-    measurements = clean + noise
+    # checked here: a zero sigma draws no stream, so the stream never sees the seed
+    _seed_value(seed)
+    measurements = clean + gaussian_noise(mask.shape, sigma, seed).data[mask]
     return Degraded(
         measurements=measurements,
         op=op,
         mask=mask,
-        kernel=kernel,
         sigma=float(sigma),
-        seed=_seed_value(seed),
         clean=clean,
-        noise=noise,
         measurement_snr_db=snr_db(clean, measurements),
     )
 
@@ -392,12 +392,10 @@ class SparseInstance:
     lam: float
 
 
-def sparse_recovery_instance(
-    m: int = 8, n: int = 32, sparsity: int = 2, seed=8, lam_scale: float = 0.005
-) -> SparseInstance:
+def sparse_recovery_instance(m: int = 8, n: int = 32, sparsity: int = 2, seed=8) -> SparseInstance:
     """A Gaussian sensing matrix with a sparse target and noiseless data.
 
-    Deterministic given the seed; ``lam = lam_scale * ||H* g||_inf`` is small
+    Deterministic given the seed; ``lam = 0.005 ||H* g||_inf`` is small
     enough that the l1 solution recovers the support.
     """
     if not (0 < sparsity <= m < n):
@@ -409,5 +407,5 @@ def sparse_recovery_instance(
     signs = np.where(uniform_stream(sparsity, seed + 2) < 0.5, -1.0, 1.0)
     truth[support] = signs * (1.0 + uniform_stream(sparsity, seed + 3))
     g = h @ truth
-    lam = lam_scale * float(np.max(np.abs(h.T @ g)))
+    lam = 0.005 * float(np.max(np.abs(h.T @ g)))
     return SparseInstance(forward=op_matrix(h), data=g, truth=truth, lam=lam)

@@ -16,9 +16,9 @@ it out once (gamma lam, or lam / rho) and an overflow is a DivergenceError.
 normal equations and ADMM are each a step function with its own stop rule,
 and ``_iterate`` keeps the traces and builds every ``SolveReport``.
 ``_forward_backward`` is the one first-order step: a gradient step, then no
-prox or the nonnegativity projection (gradient descent) or the soft
-threshold (ISTA, and FISTA at a momentum point); it reuses the objective's
-residual ``H f - g``, so each iteration applies ``H`` once.
+prox (gradient descent) or the soft threshold (ISTA, and FISTA at a momentum
+point); it reuses the objective's residual ``H f - g``, so each iteration
+applies ``H`` once.
 ``_cg_quadratic`` is the one CG kernel: it checks the start and returns the
 CG step, which ``conjugate_gradient_normal`` runs through ``_iterate`` and
 ADMM's f-step runs for at most ``inner_iter`` iterations.  ADMM's objective
@@ -55,7 +55,7 @@ __all__ = [
     "lambda_sweep",
 ]
 
-_PENALTIES = ("quadratic", "abs", "student", "indicator_nonneg")
+_PENALTIES = ("quadratic", "abs", "student")
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,6 @@ def _sqnorm(x: np.ndarray) -> float:
 
 def _objective(obj: Objective, f: np.ndarray, fid2: float, lf=None) -> float:
     """``objective_value`` from the squared misfit ``||H f - g||^2`` (and ``L f``) at hand."""
-    if obj.penalty == "indicator_nonneg":
-        return np.inf if np.any(f < 0) else 0.5 * fid2
     lf = obj.reg_apply(f) if lf is None else lf
     if obj.penalty == "quadratic":
         return fid2 + obj.lam * _sqnorm(lf)
@@ -258,21 +256,23 @@ def _auto_step(obj: Objective, seed) -> float:
 
 
 def _forward_backward(
-    obj: Objective, f: np.ndarray, prox: ProxSpec | None, accelerate: bool, label: str, config: dict
+    obj: Objective, f: np.ndarray, accelerate: bool, label: str, config: dict
 ) -> SolveReport:
     """Iterate ``f <- prox(y - gamma * gradient)`` with the settings in ``config``.
 
     The gradient is the smooth part's at ``y``: all of a quadratic objective,
-    else the misfit 0.5 ||H y - g||^2.  ``prox`` (``None`` for none) runs
-    through ``_prox`` with step ``gamma lam``.  ``y`` is the last iterate,
-    or with ``accelerate`` FISTA's momentum point, whose residual follows by
-    linearity.  The run stops on a relative objective change of at most
-    ``tol``; without momentum, 5 rises in a row diverge.  The residual trace
-    holds the step lengths ||f_{k+1} - f_k||.
+    which then has no prox, else the misfit 0.5 ||H y - g||^2, and the abs
+    penalty's soft threshold runs through ``_prox`` with step ``gamma lam``.
+    ``y`` is the last iterate, or with ``accelerate`` FISTA's momentum point,
+    whose residual follows by linearity.  The run stops on a relative
+    objective change of at most ``tol``; without momentum, 5 rises in a row
+    diverge.  The residual trace holds the step lengths ||f_{k+1} - f_k||.
     """
     gamma, tol = config["gamma"], config["tol"]
+    smooth = obj.penalty == "quadratic"  # then the gradient step covers all of J
+    spec = ProxSpec(obj.penalty)
     weight = gamma * obj.lam
-    if prox is not None and not np.isfinite(weight):
+    if not smooth and not np.isfinite(weight):
         raise DivergenceError(f"{label}: the prox step gamma lam overflowed (gamma {gamma:.3e})")
     resid = obj.forward.apply(f) - obj.data
     prev = _objective(obj, f, _sqnorm(resid))
@@ -285,12 +285,12 @@ def _forward_backward(
             _check_finite(trace, where, y, resid_y)
         else:
             y, resid_y = f, resid
-        if obj.penalty == "quadratic":
+        if smooth:
             descent = y - gamma * _quadratic_gradient(obj, y, resid_y)
         else:
             descent = y - gamma * obj.forward.adjoint(resid_y)
         _check_finite(trace, where, descent)
-        f_new = descent if prox is None else _prox(prox, descent, weight)
+        f_new = descent if smooth else _prox(spec, descent, weight)
         resid_new = obj.forward.apply(f_new) - obj.data
         change = f_new - f
         if accelerate:
@@ -321,10 +321,9 @@ def gradient_descent(
     step="auto",
     max_iter: int = 500,
     tol: float = 1e-8,
-    project_nonneg: bool = False,
     power_seed=0,
 ) -> SolveReport:
-    """Fixed-step descent on the quadratic objective, optionally projected.
+    """Fixed-step descent on the quadratic objective.
 
     ``step="auto"`` uses 0.9 / Lip with the Lipschitz constant estimated by
     50 power iterations from a seeded start, which keeps the trace monotone.
@@ -344,12 +343,10 @@ def gradient_descent(
         "gamma": gamma,
         "max_iter": max_iter,
         "tol": tol,
-        "project_nonneg": project_nonneg,
         "power_seed": _seed_value(power_seed),
         "lam": obj.lam,
     }
-    prox = ProxSpec("indicator_nonneg") if project_nonneg else None
-    return _forward_backward(obj, f, prox, False, "gradient descent", config)
+    return _forward_backward(obj, f, False, "gradient descent", config)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +560,7 @@ def prox_apply(spec: ProxSpec, u, step: float) -> np.ndarray:
     """Elementwise minimizer of 0.5 (u - f)^2 + step * Phi(f).
 
     Phi is the potential selected by ``spec``: f^2 / 2 for quadratic, |f| for
-    abs, (r + 1/2) log(1 + f^2) for student, and the nonnegativity indicator
-    (a projection; the step is irrelevant).  ``step`` carries the penalty
+    abs, and (r + 1/2) log(1 + f^2) for student.  ``step`` carries the penalty
     weight: gamma lam in ISTA/FISTA, lam / rho in ADMM.
     """
     u = np.asarray(u, dtype=np.float64)
@@ -581,9 +577,7 @@ def _prox(spec: ProxSpec, u: np.ndarray, step: float) -> np.ndarray:
         return u / (1.0 + step)
     if spec.kind == "abs":
         return np.sign(u) * np.maximum(np.abs(u) - step, 0.0)
-    if spec.kind == "student":
-        return _prox_student(u, step * (spec.r + 0.5))
-    return np.maximum(u, 0.0)  # indicator_nonneg
+    return _prox_student(u, step * (spec.r + 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +614,7 @@ def ista(
         "power_seed": _seed_value(power_seed),
         "lam": obj.lam,
     }
-    return _forward_backward(obj, f, ProxSpec("abs"), accelerate, config["solver"], config)
+    return _forward_backward(obj, f, accelerate, config["solver"], config)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +644,6 @@ def admm(
     grows: about 2e-6 relative at rho = 1e12, and meaningless by 1e20.  The
     iterates and the stop rule do not read it.
     """
-    if obj.penalty not in ("abs", "quadratic", "student"):
-        raise ValidationError("admm handles abs, quadratic, or student penalties")
     if not (rho > 0 and np.isfinite(rho)):
         raise ValidationError("rho must be positive and finite")
     f = _start(obj, f0)

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -83,19 +84,6 @@ class TestPgm:
         assert header == b"P5\n2 2\n"
         assert list(pixels) == [0, 64, 128, 255]
 
-    def test_explicit_window_clips(self, tmp_path):
-        path = str(tmp_path / "img.pgm")
-        write_pgm(path, np.array([[-1.0, 0.5, 2.0]]), vmin=0.0, vmax=1.0)
-        pixels = read_bytes(path).split(b"255\n", 1)[1]
-        assert list(pixels) == [0, 128, 255]
-
-    def test_16_bit(self, tmp_path):
-        path = str(tmp_path / "img.pgm")
-        write_pgm(path, np.array([[0.0, 1.0]]), bits=16)
-        raw = read_bytes(path)
-        assert b"65535\n" in raw
-        assert raw.endswith(np.array([0, 65535], dtype=">u2").tobytes())
-
 
 class TestCsv:
     def test_deterministic_formatting(self, tmp_path):
@@ -124,6 +112,7 @@ CONFIG_RULES = [
     ({"solver": {"kind": "deep_net"}}, "solver.kind"),
     ({"solver": {"lam": -1.0}}, "solver.lam"),
     ({"solver": {"lam": float("nan")}}, "solver.lam must be finite"),
+    ({"solver": {"lam": 10**400}}, "solver.lam is beyond the double range"),
     ({"solver": {"rho": -1.0}}, "solver.rho"),
     ({"solver": {"max_iter": -5}}, "solver.max_iter"),
     ({"solver": {"inner_iter": -1}}, "solver.inner_iter"),
@@ -180,6 +169,17 @@ class TestConfig:
         cfg_path.write_text("{not json")
         code = main(["phantom", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no integer digit limit"
+    )
+    def test_over_long_integer_literal_is_invalid_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": ' + "1" * 5000 + "}")
+        code = main(["phantom", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: config file is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -348,6 +348,27 @@ class TestLeafRules:
         assert f"config error: {key} " in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phantom", "--size", "32"],
+            # a diverging solve, whose diagnostic would go to out_dir
+            ["reconstruct", "--data", "small", "--solver", "gd", "--step", "1e150"],
+        ],
+        ids=["phantom", "diverging_reconstruct"],
+    )
+    def test_out_dir_naming_a_file_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--size", "32", "--out", "small"]) == 0
+        (tmp_path / "afile").write_text("kept")
+        capsys.readouterr()
+        assert main(argv + ["--out", "afile"]) == 2
+        assert capsys.readouterr().err == "config error: out_dir must name a directory, not 'afile'\n"
+        assert (tmp_path / "afile").read_text() == "kept"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "small"]
+
 
 class TestSimulate:
     def run(self, out, seed="7", extra=()):
@@ -427,6 +448,18 @@ class TestSimulate:
         truth, _, data = cli._simulate(load_config(args))
         assert applies.count("mask*convolve_circular") == 1
         assert np.array_equal(data.clean, data.op.apply(truth.data))
+
+    def test_blur_none_writes_a_constant_kernel_that_reconstruct_reads(self, tmp_path):
+        out = tmp_path / "sim"
+        assert self.run(out, extra=["--blur", "none"]) == 0
+        assert np.array_equal(read_raster(str(out / "kernel")), [[1.0]])
+        # the 1x1 kernel is the constant raster: its window is (1, 1 + 1) and it maps to 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["windows"]["kernel"] == [1.0, 2.0]
+        assert read_bytes(out / "kernel.pgm") == b"P5\n1 1\n255\n\x00"
+        rec = tmp_path / "rec"
+        assert main(["reconstruct", "--data", str(out), "--max-iter", "5", "--out", str(rec)]) == 0
+        assert (rec / "recon.f32").exists()
 
     def test_sigma_flag_overrides_snr_target(self, tmp_path):
         out = tmp_path / "sim"

@@ -49,10 +49,6 @@ class TestGridImage:
         with pytest.raises(ValidationError):
             GridImage(bad)
 
-    def test_width_height(self):
-        img = GridImage(np.zeros((3, 5)))
-        assert (img.height, img.width) == (3, 5)
-
     @pytest.mark.parametrize("cls, dtype", [(GridImage, np.float64)])
     def test_each_raster_names_itself_and_keeps_its_dtype(self, cls, dtype):
         name = cls.__name__

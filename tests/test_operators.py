@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from reconkit import (
     GridImage,
     LinearMap,
-    Mask,
     ValidationError,
     dot_test,
     embed_kernel,
@@ -28,6 +27,7 @@ from reconkit import (
     op_mask,
     op_matrix,
     op_multiply,
+    random_mask,
     transform_dct8,
     transform_haar,
     uniform_stream,
@@ -82,42 +82,38 @@ class TestLinearMapContract:
 
 class TestMask:
     def test_round_trip_bool(self):
+        # scattering ones through the mask gives back the raster it was built from
         keep = uniform_stream(24, 5).reshape(4, 6) > 0.5
-        mask = Mask.from_bool(keep)
-        assert np.array_equal(mask.to_bool(), keep)
-
-    def test_full(self):
-        mask = Mask.full((3, 4))
-        assert mask.count == 12
-        assert np.all(mask.to_bool())
+        op = op_mask(keep)
+        assert np.array_equal(op.adjoint(np.ones(op.range_shape)) == 1.0, keep)
 
     def test_random_fraction_and_determinism(self):
-        m1 = Mask.random((16, 16), 0.3, seed=9)
-        m2 = Mask.random((16, 16), 0.3, seed=9)
-        assert np.array_equal(m1.indices, m2.indices)
-        assert m1.count == int(round(0.3 * 256))
-        assert not np.array_equal(m1.indices, Mask.random((16, 16), 0.3, seed=10).indices)
+        m1 = random_mask((16, 16), 0.3, seed=9)
+        m2 = random_mask((16, 16), 0.3, seed=9)
+        assert m1.dtype == bool and m1.shape == (16, 16)
+        assert np.array_equal(m1, m2)
+        assert np.count_nonzero(m1) == int(round(0.3 * 256))
+        assert not np.array_equal(m1, random_mask((16, 16), 0.3, seed=10))
 
-    def test_indices_sorted_unique(self):
-        m = Mask.random((8, 8), 0.5, seed=2)
-        assert np.all(np.diff(m.indices) > 0)
+    def test_random_mask_keeps_the_lowest_draws(self):
+        # the kept entries are the m smallest of the seeded uniform stream
+        keep = random_mask((8, 8), 0.5, seed=2)
+        draws = uniform_stream(64, 2)
+        assert np.max(draws[keep.ravel()]) < np.min(draws[~keep.ravel()])
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            Mask(np.array([0, 0]), (2, 2))
-        with pytest.raises(ValidationError):
-            Mask(np.array([4]), (2, 2))
-        with pytest.raises(ValidationError):
-            Mask.random((4, 4), 0.0, seed=1)
-
-    def test_duplicates_raise_wherever_they_sit(self):
-        with pytest.raises(ValidationError, match="Mask indices must be unique"):
-            Mask(np.array([7, 2, 11, 2]), (3, 4))
+            random_mask((4, 4), 0.0, seed=1)
+        with pytest.raises(ValidationError, match="at least one entry"):
+            op_mask(np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValidationError, match="2D"):
+            op_mask(np.ones(4, dtype=bool))
 
     def test_op_mask_gathers(self):
         data = np.arange(16, dtype=float).reshape(4, 4)
-        mask = Mask(np.array([1, 5, 10]), (4, 4))
-        op = op_mask(mask)
+        keep = np.zeros((4, 4))
+        keep.flat[[1, 5, 10]] = 1.0  # a float raster reads as bool
+        op = op_mask(keep)
         assert np.array_equal(op.apply(data), np.array([1.0, 5.0, 10.0]))
         back = op.adjoint(np.array([2.0, 3.0, 4.0]))
         expected = np.zeros((4, 4))
@@ -125,11 +121,11 @@ class TestMask:
         assert np.array_equal(back, expected)
 
     def test_dot(self):
-        op = op_mask(Mask.random((12, 9), 0.4, seed=3))
+        op = op_mask(random_mask((12, 9), 0.4, seed=3))
         assert dot_test(op, trials=100, seed=1) < EXACT
 
     def test_dot_complex(self):
-        op = op_mask(Mask.random((8, 8), 0.5, seed=4), complex_field=True)
+        op = op_mask(random_mask((8, 8), 0.5, seed=4), complex_field=True)
         assert dot_test(op, trials=100, seed=2) < EXACT
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
@@ -147,7 +143,7 @@ def assert_normal_is_where(keep, complex_field, seed):
     if complex_field:
         x.imag = normal_stream(n, 1.0, seed + 1).reshape(keep.shape)
         x.imag.flat[1::3] = -0.0
-    got = op_mask(Mask.from_bool(keep), complex_field=complex_field).normal(x)
+    got = op_mask(keep, complex_field=complex_field).normal(x)
     want = np.where(keep, x, 0.0)
     assert got.dtype == want.dtype
     for part in (np.real, np.imag):
@@ -171,24 +167,6 @@ def test_generated_mask_normals_are_where_bit_for_bit(h, w, fraction, pick, comp
     keep = uniform_stream(h * w, 7).reshape(h, w) < fraction
     keep.flat[pick % keep.size] = True
     assert_normal_is_where(keep, complex_field, seed=41)
-
-
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(
-    h=st.integers(1, 6),
-    w=st.integers(1, 6),
-    picks=st.lists(st.integers(0, 255), min_size=1, max_size=40),
-)
-@example(h=2, w=2, picks=[3, 0, 2, 1])  # every entry once
-@example(h=1, w=1, picks=[0, 0])
-def test_generated_mask_uniqueness_verdicts(h, w, picks):
-    # the marked-raster check agrees with np.unique on in-range indices
-    idx = np.array(picks) % (h * w)
-    if np.unique(idx).size == idx.size:
-        assert Mask(idx, (h, w)).count == idx.size
-    else:
-        with pytest.raises(ValidationError, match="Mask indices must be unique"):
-            Mask(idx, (h, w))
 
 
 class TestMultiply:
@@ -425,16 +403,16 @@ class TestDft2Operator:
 
 class TestCompose:
     def test_mri_style_composition(self):
-        mask = Mask.random((8, 8), 0.4, seed=11)
+        mask = random_mask((8, 8), 0.4, seed=11)
         op = op_compose(op_mask(mask, complex_field=True), op_dft2((8, 8)))
-        assert op.domain_shape == (8, 8) and op.range_shape == (mask.count,)
+        assert op.domain_shape == (8, 8) and op.range_shape == (np.count_nonzero(mask),)
         assert dot_test(op, trials=100, seed=9) < FFTTOL
 
     def test_five_random_compositions(self):
         for trial in range(5):
             shape = (6 + trial, 8 - trial % 3)
             w = normal_stream(shape[0] * shape[1], 1.0, 360 + trial).reshape(shape)
-            mask = Mask.random(shape, 0.5, seed=370 + trial)
+            mask = random_mask(shape, 0.5, seed=370 + trial)
             kernel = embed_kernel(gaussian_kernel(3, 0.9), shape)
             op = op_compose(op_mask(mask), op_compose(op_multiply(w), op_convolve(kernel)))
             assert dot_test(op, trials=100, seed=380 + trial) < FFTTOL
@@ -470,7 +448,7 @@ def _normal_cases():
         label = f"{shape[0]}x{shape[1]}"
         cases.append((f"grad_{label}", op_grad(shape), EXACT))
         cases.append((f"convolve_circular_{label}", op_convolve(kernel), FFTTOL))
-        blur = op_compose(op_mask(Mask.random(shape, 0.5, seed=410 + n)), op_convolve(kernel))
+        blur = op_compose(op_mask(random_mask(shape, 0.5, seed=410 + n)), op_convolve(kernel))
         cases.append((f"mask_convolve_{label}", blur, FFTTOL))
     return cases
 
@@ -507,7 +485,7 @@ def _generated_part(kind, shape, complex_field, seed):
     if kind == "dft2":
         return op_dft2(shape), FFTTOL
     if kind == "mask":
-        return op_mask(Mask.random(shape, 0.5, seed), complex_field=complex_field), EXACT
+        return op_mask(random_mask(shape, 0.5, seed), complex_field=complex_field), EXACT
     return op_grad(shape), EXACT
 
 
@@ -548,7 +526,7 @@ class TestValidateOnce:
 
     @pytest.fixture
     def blur(self):
-        mask = Mask.random(self.shape, 0.5, seed=440)
+        mask = random_mask(self.shape, 0.5, seed=440)
         return op_compose(
             op_mask(mask), op_convolve(embed_kernel(gaussian_kernel(3, 1.0), self.shape))
         )

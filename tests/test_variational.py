@@ -14,7 +14,6 @@ from reconkit import (
     BreakdownError,
     DivergenceError,
     LinearMap,
-    Mask,
     Objective,
     ProxSpec,
     RadonGeometry,
@@ -35,6 +34,7 @@ from reconkit import (
     op_multiply,
     op_radon,
     prox_apply,
+    random_mask,
     shepp_logan,
     snr_db,
     sparse_recovery_instance,
@@ -72,9 +72,6 @@ class TestObjective:
         assert objective_value(quad, f) == pytest.approx((1 + 16) + 0.5 * 2, abs=1e-14)
         l1 = Objective(forward=h, data=g, penalty="abs", lam=0.5)
         assert objective_value(l1, f) == pytest.approx(0.5 * 17 + 0.5 * 2, abs=1e-14)
-        nonneg = Objective(forward=h, data=g, penalty="indicator_nonneg")
-        assert objective_value(nonneg, f) == np.inf
-        assert objective_value(nonneg, np.abs(f)) == pytest.approx(0.5)
 
 
 def quadratic_gradient(obj, f):
@@ -136,14 +133,6 @@ class TestGradientDescent:
         assert rep.converged and rep.iterations == 1
         assert rep.objective_trace[0] == pytest.approx(objective_value(obj, fstar), rel=1e-12)
 
-    def test_projection_keeps_output_nonnegative(self):
-        # data pulls the unconstrained solution negative
-        obj = Objective(forward=op_matrix(np.eye(4)), data=np.array([-1.0, 2.0, -3.0, 0.5]))
-        rep = gradient_descent(obj, max_iter=200, tol=1e-12, project_nonneg=True)
-        assert np.all(rep.final >= 0.0)
-        unconstrained = gradient_descent(obj, max_iter=200, tol=1e-12)
-        assert np.any(unconstrained.final < 0.0)
-
     def test_oversized_fixed_step_diverges_with_trace(self):
         h, g = dense_instance(8, 8, 114)
         obj = Objective(forward=op_matrix(h), data=g, penalty="quadratic", lam=0.0)
@@ -155,15 +144,6 @@ class TestGradientDescent:
         obj = Objective(forward=op_matrix(np.eye(3)), data=np.zeros(3))
         with pytest.raises(ValidationError):
             gradient_descent(obj, step=-1.0)
-
-    def test_projected_step_length_vanishes_at_the_solution(self):
-        # the residual trace is the step length ||f_{k+1} - f_k||, which goes
-        # to zero even where the projection holds the gradient away from it
-        obj = Objective(forward=op_matrix(np.eye(3)), data=np.array([1.0, -2.0, 0.5]))
-        rep = gradient_descent(obj, tol=1e-14, project_nonneg=True)
-        assert rep.converged
-        assert np.allclose(rep.final, [1.0, 0.0, 0.5], atol=1e-6)
-        assert rep.residual_trace[-1] <= 1e-6
 
 
 class TestForwardApplyCount:
@@ -294,11 +274,6 @@ class TestProx:
         spec = ProxSpec("quadratic")
         assert prox_apply(spec, np.array([2.0]), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
-    def test_nonneg_projection(self):
-        spec = ProxSpec("indicator_nonneg")
-        u = np.array([-1.0, 0.0, 2.5])
-        assert np.allclose(prox_apply(spec, u, 7.0), [0.0, 0.0, 2.5])
-
     def test_student_matches_brute_force_scan(self):
         spec = ProxSpec("student", r=1.0)
         u = 3.0
@@ -359,7 +334,7 @@ class TestProx:
         with pytest.raises(ValidationError):
             prox_apply(ProxSpec("abs"), np.array([1.0]), -1.0)
 
-    @pytest.mark.parametrize("kind", ["quadratic", "abs", "student", "indicator_nonneg"])
+    @pytest.mark.parametrize("kind", ["quadratic", "abs", "student"])
     def test_public_prox_is_the_unchecked_prox_after_its_checks(self, kind):
         u = normal_stream(64, 3.0, 17)
         spec = ProxSpec(kind, r=0.5)
@@ -635,9 +610,6 @@ class TestAdmm:
         assert rep.residual_trace[-1] <= 1e-8
 
     def test_validation(self):
-        obj = Objective(forward=op_matrix(np.eye(3)), data=np.zeros(3), penalty="indicator_nonneg")
-        with pytest.raises(ValidationError):
-            admm(obj)
         quad = Objective(forward=op_matrix(np.eye(3)), data=np.zeros(3))
         with pytest.raises(ValidationError):
             admm(quad, rho=0.0)
@@ -645,7 +617,7 @@ class TestAdmm:
 
 def deblur_objective(penalty, lam):
     img = shepp_logan(32)
-    deg = degrade(img, gaussian_kernel(5, 1.0), Mask.random((32, 32), 0.5, seed=21), 0.1, 22)
+    deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
     return Objective(
         forward=deg.op, data=deg.measurements, penalty=penalty, lam=lam, reg_op=op_grad((32, 32))
     )
@@ -747,7 +719,7 @@ class TestLambdaSweep:
 
     def test_deterministic(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(5, 1.0), Mask.random((32, 32), 0.5, seed=21), 0.1, 22)
+        deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
         grad = op_grad((32, 32))
 
         def run(lam):
@@ -764,7 +736,7 @@ class TestLambdaSweep:
 
     def test_best_estimate_is_the_best_weights_reconstruction(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(5, 1.0), Mask.random((32, 32), 0.5, seed=21), 0.1, 22)
+        deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
         grad = op_grad((32, 32))
 
         def run(lam):
@@ -786,7 +758,7 @@ class TestLambdaSweep:
 
     def test_interior_weight_beats_endpoints(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(5, 1.0), Mask.random((32, 32), 0.5, seed=21), 0.1, 22)
+        deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
         grad = op_grad((32, 32))
 
         def run(lam):
@@ -804,7 +776,7 @@ class TestLambdaSweep:
 
     def test_small_weight_limit_matches_unregularized(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(3, 0.5), Mask.full((32, 32)), 1e-4, 23)
+        deg = degrade(img, gaussian_kernel(3, 0.5), np.ones((32, 32), dtype=bool), 1e-4, 23)
         grad = op_grad((32, 32))
 
         def solve(lam, reg):
