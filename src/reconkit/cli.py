@@ -32,6 +32,7 @@ import functools
 import inspect
 import json
 import os
+import pathlib
 import sys
 import types
 import typing
@@ -72,7 +73,6 @@ from .phantoms import (
 )
 from .variational import (
     Objective,
-    ProxSpec,
     SolveReport,
     admm,
     conjugate_gradient_normal,
@@ -117,6 +117,12 @@ _NONNEGATIVE = (lambda v: v >= 0 and np.isfinite(v), "must be finite and >= 0")
 _FRACTION = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _STREAM_SEED = (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64) when given")
 _BLUR_SIZE = "must be odd and lie in [1, phantom.size]"
+
+
+def _can_be_directory(path: str) -> bool:
+    """Not empty, and neither ``path`` nor an ancestor of it is a regular file."""
+    p = pathlib.PurePath(path)
+    return path != "" and not any(os.path.isfile(a) for a in (p, *p.parents))
 
 
 @dataclass
@@ -172,9 +178,7 @@ class ExperimentConfig:
         [0.01, 0.05, 0.1, 0.25], (len, "must hold at least one fraction"), each=_FRACTION
     )
     levels: int = _key(4, (lambda v: v >= 1, "must be >= 1"))
-    out_dir: str = _key(
-        "out", (lambda v: v != "" and not os.path.isfile(v), "must name a directory, not {!r}")
-    )
+    out_dir: str = _key("out", (_can_be_directory, "must name a directory, not {!r}"))
     seed: int = _key(0, (lambda v: 0 <= v <= _SEED_MAX, f"must lie in [0, {_SEED_MAX}]"))
 
     def mask_seed(self) -> int:
@@ -256,8 +260,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _from_dict(ExperimentConfig, data)
 
 
-def load_config(args, base: dict | None = None) -> ExperimentConfig:
-    """defaults <- command base <- config file <- explicit command-line flags."""
+def load_config(args, base: dict | None = None, writes: bool = True) -> ExperimentConfig:
+    """defaults <- command base <- config file <- explicit command-line flags.
+
+    ``writes=False``, for a call that writes no file, leaves ``out_dir`` unchecked.
+    """
     file_part: dict = {}
     if getattr(args, "config", None):
         try:
@@ -275,7 +282,7 @@ def load_config(args, base: dict | None = None) -> ExperimentConfig:
     merged = _deep_merge(base or {}, file_part)
     merged = _deep_merge(merged, _flag_patch(args))
     cfg = config_from_dict(merged)
-    _validate_config(cfg)
+    _validate_config(cfg, writes)
     return cfg
 
 
@@ -291,9 +298,9 @@ def _ruled_values(node, prefix: str = ""):
                 yield from ((f"{path}[{i}]", v, f.metadata["each"]) for i, v in enumerate(value))
 
 
-def _validate_config(cfg: ExperimentConfig) -> None:
+def _validate_config(cfg: ExperimentConfig, writes: bool = True) -> None:
     for path, value, (check, text) in _ruled_values(cfg):
-        if not check(value):
+        if not check(value) and (writes or path != "out_dir"):
             raise ConfigError(f"{path} {text.format(value)}")
     # the one rule that spans fields: the blur kernel fits in the image
     if cfg.degradation.blur_size > cfg.phantom.size:
@@ -597,14 +604,14 @@ def cmd_fbp_vs_tv(args) -> int:
 
 
 def cmd_nullspace_demo(args) -> int:
-    cfg = load_config(args)
+    cfg = load_config(args, writes=bool(args.out))
     report = nullspace_demo()
     print("start           solution                    sum sq error")
     for init, sol, sse in zip(report.inits, report.solutions, report.sse):
         init_s = "(" + ", ".join(f"{v:g}" for v in init) + ")"
         sol_s = "(" + ", ".join(f"{v:7.4f}" for v in sol) + ")"
         print(f"{init_s:15s} {sol_s:27s} {sse:.6f}")
-    if getattr(args, "out", None):
+    if args.out:
         header = ["run", "f0_1", "f0_2", "f0_3", "f_1", "f_2", "f_3", "sse"]
         rows = [
             (i, *report.inits[i], *report.solutions[i], report.sse[i])
@@ -668,7 +675,7 @@ def _selftest_checks():
     yield "fourier_slice", fsc < 3e-2, f"fourier_slice err={fsc:.3e} tol=3e-02"
 
     x = np.linspace(-2, 2, 9)
-    soft = prox_apply(ProxSpec("abs"), x, 0.5)
+    soft = prox_apply("abs", x, 0.5)
     manual = np.sign(x) * np.maximum(np.abs(x) - 0.5, 0.0)
     yield "prox_abs", np.allclose(soft, manual, atol=1e-12), "prox_abs"
 
@@ -804,16 +811,12 @@ def main(argv=None) -> int:
     except (DivergenceError, BreakdownError, SingularityError) as exc:
         # every command that solves loads its config first, so this resolves
         # again to the out_dir its outputs would have gone to
-        out_dir = load_config(args).out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "diagnostic.json")
+        path = os.path.join(load_config(args).out_dir, "diagnostic.json")
         payload = {"error": type(exc).__name__, "message": str(exc)}
         trace = getattr(exc, "trace", None)
         if trace is not None:
             payload["objective_trace"] = [float(v) for v in np.asarray(trace).ravel()]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_manifest(path, payload)
         print(f"numerical failure: {exc}; diagnostic written to {path}", file=sys.stderr)
         return 3
 

@@ -104,7 +104,8 @@ def write_pgm(path: str, data):
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         hi = lo + 1.0
-    pixels = np.round((arr - lo) / (hi - lo) * 255).astype("u1")
+    # hi - lo is 0 for a constant raster beyond 2**53, where lo + 1 == lo
+    pixels = np.round((arr - lo) / ((hi - lo) or 1.0) * 255).astype("u1")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes(order="C"))

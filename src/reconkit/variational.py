@@ -5,12 +5,15 @@ Objective conventions, fixed once for the whole package:
 * quadratic penalty: ``J(f) = ||g - H f||^2 + lam ||L f||^2`` (the classic
   smoothing form; its gradient is ``-2 H* g + 2 (H* H + lam L* L) f``);
 * abs and student penalties: ``J(f) = 0.5 ||g - H f||^2 + lam sum phi([L f]_n)``
-  with ``phi = |u|`` or ``phi = (r + 1/2) log(1 + u^2)``.
+  with ``phi = |u|`` or ``phi = log(1 + u^2)``.
 
 ``lam`` plays the role of the noise variance when the penalty comes from a
 probabilistic model; the package exposes the single knob and documents the
-mapping rather than both.  A prox's weight is its step: each solver works
-it out once (gamma lam, or lam / rho) and an overflow is a DivergenceError.
+mapping rather than both: a Student-t prior with ``r`` degrees of freedom is
+the student weight ``lam (r + 1/2)``.  ``_PENALTIES`` declares each penalty
+once: its misfit scale, its potential summed over ``L f``, and its prox.  A
+prox's weight is its step: each solver works it out once (gamma lam, or
+lam / rho) and an overflow is a DivergenceError.
 
 ``_iterate`` is the one solver loop: forward-backward splitting, CG on the
 normal equations and ADMM are each a step function with its own stop rule,
@@ -42,7 +45,6 @@ from .phantoms import snr_db
 __all__ = [
     "Objective",
     "SolveReport",
-    "ProxSpec",
     "SweepResult",
     "NullspaceReport",
     "objective_value",
@@ -55,15 +57,12 @@ __all__ = [
     "lambda_sweep",
 ]
 
-_PENALTIES = ("quadratic", "abs", "student")
-
-
 @dataclass(frozen=True)
 class Objective:
     """A data-fidelity term plus a separable penalty on ``reg_op`` outputs.
 
-    ``reg_op = None`` means the identity.  ``student_r`` only matters for the
-    student penalty.
+    ``penalty`` names a ``_PENALTIES`` entry; ``reg_op = None`` means the
+    identity.
     """
 
     forward: LinearMap
@@ -71,7 +70,6 @@ class Objective:
     penalty: str = "quadratic"
     lam: float = 0.0
     reg_op: LinearMap | None = None
-    student_r: float = 1.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -92,8 +90,6 @@ class Objective:
                 raise ValidationError("reg_op domain must match the forward domain")
             if self.reg_op.domain_complex or self.reg_op.range_complex:
                 raise ValidationError("reg_op must act on the real field")
-        if not (self.student_r > 0 and np.isfinite(self.student_r)):
-            raise ValidationError("student_r must be finite and > 0")
         object.__setattr__(self, "data", data)
 
     def reg_apply(self, f: np.ndarray) -> np.ndarray:
@@ -130,11 +126,8 @@ def _sqnorm(x: np.ndarray) -> float:
 def _objective(obj: Objective, f: np.ndarray, fid2: float, lf=None) -> float:
     """``objective_value`` from the squared misfit ``||H f - g||^2`` (and ``L f``) at hand."""
     lf = obj.reg_apply(f) if lf is None else lf
-    if obj.penalty == "quadratic":
-        return fid2 + obj.lam * _sqnorm(lf)
-    if obj.penalty == "abs":
-        return 0.5 * fid2 + obj.lam * float(np.sum(np.abs(lf)))
-    return 0.5 * fid2 + obj.lam * (obj.student_r + 0.5) * float(np.sum(np.log1p(lf**2)))
+    scale, potential, _ = _PENALTIES[obj.penalty]
+    return scale * fid2 + obj.lam * potential(lf)
 
 
 def _quadratic_gradient(obj: Objective, f: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -262,7 +255,7 @@ def _forward_backward(
 
     The gradient is the smooth part's at ``y``: all of a quadratic objective,
     which then has no prox, else the misfit 0.5 ||H y - g||^2, and the abs
-    penalty's soft threshold runs through ``_prox`` with step ``gamma lam``.
+    penalty's soft threshold, its ``_PENALTIES`` prox, runs with step ``gamma lam``.
     ``y`` is the last iterate, or with ``accelerate`` FISTA's momentum point,
     whose residual follows by linearity.  The run stops on a relative
     objective change of at most ``tol``; without momentum, 5 rises in a row
@@ -270,7 +263,7 @@ def _forward_backward(
     """
     gamma, tol = config["gamma"], config["tol"]
     smooth = obj.penalty == "quadratic"  # then the gradient step covers all of J
-    spec = ProxSpec(obj.penalty)
+    prox = _PENALTIES[obj.penalty][2]
     weight = gamma * obj.lam
     if not smooth and not np.isfinite(weight):
         raise DivergenceError(f"{label}: the prox step gamma lam overflowed (gamma {gamma:.3e})")
@@ -290,7 +283,7 @@ def _forward_backward(
         else:
             descent = y - gamma * obj.forward.adjoint(resid_y)
         _check_finite(trace, where, descent)
-        f_new = descent if smooth else _prox(spec, descent, weight)
+        f_new = descent if smooth else prox(descent, weight)
         resid_new = obj.forward.apply(f_new) - obj.data
         change = f_new - f
         if accelerate:
@@ -463,28 +456,20 @@ def nullspace_demo() -> NullspaceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProxSpec:
-    """A separable potential (with the student's ``r``); its weight is the prox step."""
-
-    kind: str
-    r: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in _PENALTIES:
-            raise ValidationError(f"unknown penalty {self.kind!r}")
-        if not (self.r > 0 and np.isfinite(self.r)):
-            raise ValidationError("ProxSpec.r must be finite and > 0")
-
-
-def _student_cost(u, f, weight):
-    return 0.5 * (f - u) ** 2 + weight * np.log1p(f**2)
+def _student_cost(v, phi, weight, k):
+    """``0.5 (f - u)^2 + weight log(1 + f^2)`` over ``s^2``, with ``u = s v``, ``f = s phi``,
+    ``s = 2**k``; the log caps ``|f|`` at ``2**500``, where ``f^2`` would overflow."""
+    log_term = np.log1p(np.minimum(np.ldexp(np.abs(phi), k), 2.0**500) ** 2)
+    return 0.5 * (phi - v) ** 2 + np.ldexp(weight * log_term, -2 * k)
 
 
 def _prox_student(u: np.ndarray, weight: float) -> np.ndarray:
     """Global minimizer of 0.5 (f - u)^2 + weight log(1 + f^2), elementwise.
 
-    Stationary points solve the cubic f^3 - u f^2 + (1 + 2 weight) f - u = 0.
+    Stationary points solve the cubic f^3 - u f^2 + (1 + 2 weight) f - u = 0
+    in units of a power of two ``s``, the least ``s >= 1`` with ``|u| / s <
+    2**171``, so its sixth powers stay finite (``x**3`` is not exactly
+    ``(x / s)**3 s^3``, so ``s`` is 1 wherever it can be).
     All real roots are found in closed form (trigonometric and Cardano
     branches), polished by two safeguarded Newton steps, and the root with
     the lowest cost wins; ties go to the smaller magnitude.  Elements whose
@@ -495,11 +480,13 @@ def _prox_student(u: np.ndarray, weight: float) -> np.ndarray:
     if weight == 0.0:
         return u.copy()
     flat = u.ravel()
-    c = 2.0 * weight
-    b = 1.0 + c
-    # depressed cubic y^3 + p y + q with f = y + u/3
-    p = b - flat**2 / 3.0
-    q = -2.0 * flat**3 / 27.0 + flat * b / 3.0 - flat
+    k = np.maximum(np.frexp(flat)[1] - 171, 0)
+    # phi = f / s solves phi^3 - v phi^2 + b phi - c = 0, with v = u / s,
+    # b = (1 + 2 weight) / s^2 and c = u / s^3
+    v, b, c = np.ldexp(flat, -k), np.ldexp(1.0 + 2.0 * weight, -2 * k), np.ldexp(flat, -3 * k)
+    # depressed cubic y^3 + p y + q with phi = y + v/3
+    p = b - v**2 / 3.0
+    q = -2.0 * v**3 / 27.0 + v * b / 3.0 - c
     disc = -4.0 * p**3 - 27.0 * q**2
 
     roots = np.empty((flat.size, 3), dtype=np.float64)
@@ -509,75 +496,82 @@ def _prox_student(u: np.ndarray, weight: float) -> np.ndarray:
         qm = q[three]
         m = 2.0 * np.sqrt(-pm / 3.0)
         arg = np.clip(3.0 * qm / (pm * m), -1.0, 1.0)
-        phi = np.arccos(arg) / 3.0
-        for k in range(3):
-            roots[three, k] = m * np.cos(phi - 2.0 * np.pi * k / 3.0)
+        angle = np.arccos(arg) / 3.0
+        for j in range(3):
+            roots[three, j] = m * np.cos(angle - 2.0 * np.pi * j / 3.0)
     single = ~three
     if np.any(single):
         ps = p[single]
         qs = q[single]
         d = np.sqrt(np.maximum(qs**2 / 4.0 + ps**3 / 27.0, 0.0))
         y = np.cbrt(-qs / 2.0 + d) + np.cbrt(-qs / 2.0 - d)
-        roots[single, 0] = y
-        roots[single, 1] = y
-        roots[single, 2] = y
-    cand = roots + flat[:, None] / 3.0
+        roots[single] = y[:, None]
+    v, b, c, k = v[:, None], b[:, None], c[:, None], k[:, None]
+    cand = roots + v / 3.0
     # the minimizer shares u's sign and never overshoots it
-    lo = np.minimum(0.0, flat)[:, None]
-    hi = np.maximum(0.0, flat)[:, None]
+    lo = np.minimum(0.0, v)
+    hi = np.maximum(0.0, v)
     cand = np.clip(cand, lo, hi)
 
+    guard = np.ldexp(1e-30, -2 * k)
     for _ in range(2):  # Newton polish on the undepressed cubic
-        resid = cand**3 - flat[:, None] * cand**2 + b * cand - flat[:, None]
-        deriv = 3.0 * cand**2 - 2.0 * flat[:, None] * cand + b
-        step = np.where(np.abs(deriv) > 1e-30, resid / deriv, 0.0)
+        resid = cand**3 - v * cand**2 + b * cand - c
+        deriv = 3.0 * cand**2 - 2.0 * v * cand + b
+        step = np.divide(resid, deriv, out=np.zeros_like(resid), where=np.abs(deriv) > guard)
         cand = np.clip(cand - step, lo, hi)
 
-    cost = _student_cost(flat[:, None], cand, weight)
+    cost = _student_cost(v, cand, weight, k)
     best = np.min(cost, axis=1, keepdims=True)
-    tied = cost <= best + 1e-10 * (1.0 + np.abs(best))
+    tied = cost <= best + 1e-10 * (np.ldexp(1.0, -2 * k) + np.abs(best))
     magnitude = np.where(tied, np.abs(cand), np.inf)
-    pick = np.argmin(magnitude, axis=1)
-    out = cand[np.arange(flat.size), pick]
+    out = np.take_along_axis(cand, np.argmin(magnitude, axis=1, keepdims=True), axis=1)
 
     # stationarity check; a failed element falls back to a dense grid scan
-    resid = out**3 - flat * out**2 + b * out - flat
-    bad = np.abs(resid) > 1e-6 * (1.0 + np.abs(flat)) ** 3
+    resid = out**3 - v * out**2 + b * out - c
+    bad = np.abs(resid) > 1e-6 * (np.ldexp(1.0, -k) + np.abs(v)) ** 3
     if np.any(bad):
         warnings.warn("student prox fell back to grid search for some elements")
         for i in np.flatnonzero(bad):
-            ui = flat[i]
-            grid = np.linspace(min(0.0, ui), max(0.0, ui), 4001)
-            coarse = grid[np.argmin(_student_cost(ui, grid, weight))]
-            span = max(abs(ui), 1.0) / 4000.0
+            vi, ki = v[i, 0], k[i, 0]
+            grid = np.linspace(min(0.0, vi), max(0.0, vi), 4001)
+            coarse = grid[np.argmin(_student_cost(vi, grid, weight, ki))]
+            span = max(abs(vi), np.ldexp(1.0, -ki)) / 4000.0
             fine = np.linspace(coarse - span, coarse + span, 2001)
-            fine = np.clip(fine, min(0.0, ui), max(0.0, ui))
-            out[i] = fine[np.argmin(_student_cost(ui, fine, weight))]
-    return out.reshape(u.shape)
+            fine = np.clip(fine, min(0.0, vi), max(0.0, vi))
+            out[i, 0] = fine[np.argmin(_student_cost(vi, fine, weight, ki))]
+    return np.ldexp(out, k).reshape(u.shape)
 
 
-def prox_apply(spec: ProxSpec, u, step: float) -> np.ndarray:
+# penalty -> (misfit scale, potential summed over L f, prox(u, step)), for
+# J(f) = scale ||H f - g||^2 + lam potential(L f).  The prox minimizes
+# 0.5 (u - f)^2 + step phi(f) per element (phi = f^2 / 2 for quadratic, whose
+# misfit scale is 1); the solvers call it unchecked, having checked u and step.
+_PENALTIES = {
+    "quadratic": (1.0, _sqnorm, lambda u, step: u / (1.0 + step)),
+    "abs": (
+        0.5,
+        lambda lf: float(np.sum(np.abs(lf))),
+        lambda u, step: np.sign(u) * np.maximum(np.abs(u) - step, 0.0),
+    ),
+    "student": (0.5, lambda lf: float(np.sum(np.log1p(lf**2))), _prox_student),
+}
+
+
+def prox_apply(penalty: str, u, step: float) -> np.ndarray:
     """Elementwise minimizer of 0.5 (u - f)^2 + step * Phi(f).
 
-    Phi is the potential selected by ``spec``: f^2 / 2 for quadratic, |f| for
-    abs, and (r + 1/2) log(1 + f^2) for student.  ``step`` carries the penalty
-    weight: gamma lam in ISTA/FISTA, lam / rho in ADMM.
+    Phi is the potential of ``penalty``: f^2 / 2 for quadratic, |f| for abs,
+    and log(1 + f^2) for student.  ``step`` carries the penalty weight:
+    gamma lam in ISTA/FISTA, lam / rho in ADMM.
     """
+    if penalty not in _PENALTIES:
+        raise ValidationError(f"unknown penalty {penalty!r}")
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise ValidationError("prox_apply input contains non-finite samples")
     if not (step >= 0 and np.isfinite(step)):
         raise ValidationError("prox_apply step must be finite and >= 0")
-    return _prox(spec, u, step)
-
-
-def _prox(spec: ProxSpec, u: np.ndarray, step: float) -> np.ndarray:
-    """Unchecked ``prox_apply``, for solvers that checked ``u`` and ``step`` already."""
-    if spec.kind == "quadratic":
-        return u / (1.0 + step)
-    if spec.kind == "abs":
-        return np.sign(u) * np.maximum(np.abs(u) - step, 0.0)
-    return _prox_student(u, step * (spec.r + 0.5))
+    return _PENALTIES[penalty][2](u, step)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +642,7 @@ def admm(
         raise ValidationError("rho must be positive and finite")
     f = _start(obj, f0)
 
-    spec = ProxSpec(obj.penalty, r=obj.student_r)
+    prox = _PENALTIES[obj.penalty][2]
     prox_step = obj.lam / rho
     if not np.isfinite(prox_step):
         raise DivergenceError(f"admm: the prox step lam / rho overflowed (rho {rho:.3e})")
@@ -671,7 +665,7 @@ def admm(
         shifted = lf + alpha
         _check_finite(trace, where, shifted)
         u_prev = u
-        u = _prox(spec, shifted, prox_step)
+        u = prox(shifted, prox_step)
         _check_finite(trace, where, u)
         alpha = alpha + lf - u
         primal = float(np.linalg.norm((lf - u).ravel()))

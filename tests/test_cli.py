@@ -84,6 +84,13 @@ class TestPgm:
         assert header == b"P5\n2 2\n"
         assert list(pixels) == [0, 64, 128, 255]
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_raster_beyond_2_53_maps_to_zero(self, tmp_path):
+        # there the window (v, v + 1) has zero width
+        path = str(tmp_path / "flat.pgm")
+        assert write_pgm(path, np.full((1, 2), 2.0**60)) == (2.0**60, 2.0**60)
+        assert read_bytes(path) == b"P5\n2 1\n255\n\x00\x00"
+
 
 class TestCsv:
     def test_deterministic_formatting(self, tmp_path):
@@ -349,23 +356,25 @@ class TestLeafRules:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, out",
         [
-            ["phantom", "--size", "32"],
+            (["phantom", "--size", "32"], "afile"),
             # a diverging solve, whose diagnostic would go to out_dir
-            ["reconstruct", "--data", "small", "--solver", "gd", "--step", "1e150"],
+            (["reconstruct", "--data", "small", "--solver", "gd", "--step", "1e150"], "afile"),
+            (["phantom", "--size", "32"], "afile/sub"),
+            (["reconstruct", "--data", "small", "--solver", "gd", "--step", "1e150"], "afile/sub"),
         ],
-        ids=["phantom", "diverging_reconstruct"],
+        ids=["phantom", "diverging_reconstruct", "phantom_under", "diverging_reconstruct_under"],
     )
     def test_out_dir_naming_a_file_exits_2_before_any_work(
-        self, tmp_path, monkeypatch, capsys, argv
+        self, tmp_path, monkeypatch, capsys, argv, out
     ):
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--size", "32", "--out", "small"]) == 0
         (tmp_path / "afile").write_text("kept")
         capsys.readouterr()
-        assert main(argv + ["--out", "afile"]) == 2
-        assert capsys.readouterr().err == "config error: out_dir must name a directory, not 'afile'\n"
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: out_dir must name a directory, not {out!r}\n"
         assert (tmp_path / "afile").read_text() == "kept"
         assert sorted(os.listdir(tmp_path)) == ["afile", "small"]
 
@@ -612,6 +621,19 @@ class TestStudyCommands:
         assert text.count("0.00333") >= 3
         for value in ("1.7000", "-2.3000", "4.3667", "5.3333"):
             assert value in text
+
+    def test_nullspace_demo_without_out_ignores_a_file_named_out(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # it writes nothing without --out, so the default out_dir is not checked
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").write_text("kept")
+        assert main(["nullspace-demo"]) == 0
+        assert capsys.readouterr().out.count("0.00333") >= 3
+        assert (tmp_path / "out").read_text() == "kept"
+        assert os.listdir(tmp_path) == ["out"]
+        assert main(["nullspace-demo", "--out", "out"]) == 2
+        assert "out_dir must name a directory, not 'out'" in capsys.readouterr().err
 
     def test_nullspace_demo_writes_its_table(self, tmp_path):
         out = tmp_path / "ns"

@@ -15,7 +15,6 @@ from reconkit import (
     DivergenceError,
     LinearMap,
     Objective,
-    ProxSpec,
     RadonGeometry,
     ValidationError,
     admm,
@@ -266,29 +265,25 @@ class TestNullspaceDemo:
 
 class TestProx:
     def test_soft_threshold_closed_form(self):
-        spec = ProxSpec("abs")
         u = np.array([2.0, 0.5, -3.0])
-        assert np.allclose(prox_apply(spec, u, 1.0), [1.0, 0.0, -2.0], atol=1e-15)
+        assert np.allclose(prox_apply("abs", u, 1.0), [1.0, 0.0, -2.0], atol=1e-15)
 
     def test_quadratic_closed_form(self):
-        spec = ProxSpec("quadratic")
-        assert prox_apply(spec, np.array([2.0]), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
+        assert prox_apply("quadratic", np.array([2.0]), 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_student_matches_brute_force_scan(self):
-        spec = ProxSpec("student", r=1.0)
         u = 3.0
-        out = prox_apply(spec, np.array([u]), 1.0)[0]
-        weight = 1.0 * (1.0 + 0.5)
+        weight = 1.5
+        out = prox_apply("student", np.array([u]), weight)[0]
         grid = np.arange(0.0, u + 1e-6, 1e-6)
         cost = 0.5 * (grid - u) ** 2 + weight * np.log1p(grid**2)
         best = grid[np.argmin(cost)]
         assert abs(out - best) < 2e-6
 
     def test_student_stationarity_random(self):
-        spec = ProxSpec("student", r=2.0)
         u = normal_stream(50, 4.0, 130)
-        out = prox_apply(spec, u, 0.6 * 0.8)
         weight = 0.6 * 0.8 * 2.5
+        out = prox_apply("student", u, weight)
         # stationary: (f - u) + weight * 2 f / (1 + f^2) = 0
         resid = (out - u) + 2.0 * weight * out / (1.0 + out**2)
         assert np.max(np.abs(resid)) < 1e-6 * (1.0 + np.max(np.abs(u)))
@@ -306,7 +301,7 @@ class TestProx:
         v_lo, v_hi = np.sort(np.roots([-4.0, b * b + 18.0 * b - 27.0, -4.0 * b**3]).real)
         band = np.sqrt(np.linspace(v_lo, v_hi, 9)[1:-1])
         u = np.concatenate([band, -band])
-        out = prox_apply(ProxSpec("student", r=0.5), u, weight)
+        out = prox_apply("student", u, weight)
 
         def cost(f, ui):
             return 0.5 * (f - ui) ** 2 + weight * np.log1p(f**2)
@@ -322,23 +317,35 @@ class TestProx:
             assert cost(fi, ui) <= best * (1.0 + 1e-12)
 
     def test_finite_output_for_large_input(self):
-        spec = ProxSpec("student", r=1.0)
-        out = prox_apply(spec, np.array([1e12, -1e12]), 1.0)
+        out = prox_apply("student", np.array([1e12, -1e12]), 1.5)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weight", [0.01, 1.5, 4.5, 100.0])
+    def test_student_up_to_the_largest_double(self, weight):
+        # the cubic's q^2 overflowed for |u| beyond about 5e51 and gave NaN
+        u = np.concatenate([10.0 ** np.arange(0.0, 309.0), [1e52, np.finfo(np.float64).max]])
+        u = np.concatenate([u, -u])
+        out = prox_apply("student", u, weight)
+        assert np.all(np.isfinite(out))
+        assert np.all((np.minimum(0.0, u) <= out) & (out <= np.maximum(0.0, u)))
+        # far from 0 the minimizer is u - 2 weight / u, to O(weight^2 / u^3)
+        far = np.abs(u) >= 1e6
+        want = u[far] - 2.0 * weight / u[far]
+        assert np.all(np.abs(out[far] - want) <= 1e-12 * np.abs(u[far]))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ProxSpec("tv")
+            prox_apply("tv", np.array([1.0]), 1.0)
         with pytest.raises(ValidationError):
-            prox_apply(ProxSpec("abs"), np.array([np.inf]), 1.0)
+            prox_apply("abs", np.array([np.inf]), 1.0)
         with pytest.raises(ValidationError):
-            prox_apply(ProxSpec("abs"), np.array([1.0]), -1.0)
+            prox_apply("abs", np.array([1.0]), -1.0)
 
     @pytest.mark.parametrize("kind", ["quadratic", "abs", "student"])
     def test_public_prox_is_the_unchecked_prox_after_its_checks(self, kind):
         u = normal_stream(64, 3.0, 17)
-        spec = ProxSpec(kind, r=0.5)
-        assert np.array_equal(prox_apply(spec, u, 0.7), variational._prox(spec, u, 0.7))
+        assert np.array_equal(prox_apply(kind, u, 0.7), variational._PENALTIES[kind][2](u, 0.7))
 
     def test_solvers_do_not_recheck_their_prox_input(self, monkeypatch):
         # each solver checks the prox input itself, just before the prox
@@ -396,7 +403,7 @@ class TestIsta:
         gamma = rep.config["gamma"]
         f = rep.final
         grad = obj.forward.adjoint(obj.forward.apply(f) - obj.data)
-        again = prox_apply(ProxSpec("abs"), f - gamma * grad, gamma * obj.lam)
+        again = prox_apply("abs", f - gamma * grad, gamma * obj.lam)
         assert np.linalg.norm(again - f) <= 1e-5 * max(np.linalg.norm(f), 1.0)
 
     def test_acceleration_beats_plain_iteration(self):
@@ -450,7 +457,7 @@ class TestNumericalFailuresAreDivergences:
         # the student prox weight lam / rho overflows its cubic at rho = 1e-300
         g = normal_stream(64, 1.0, 412).reshape(8, 8)
         reg_op = op_grad((8, 8)) if reg == "grad" else None
-        obj = Objective(op_multiply(np.ones((8, 8))), g, "student", 1.0, reg_op=reg_op)
+        obj = Objective(op_multiply(np.ones((8, 8))), g, "student", 1.5, reg_op=reg_op)
         with pytest.raises(DivergenceError):
             admm(obj, rho=1e-300, max_iter=5)
 
@@ -595,9 +602,7 @@ class TestAdmm:
 
     def test_student_penalty_decreases_objective(self):
         h, g = dense_instance(10, 10, 160)
-        obj = Objective(
-            forward=op_matrix(h), data=g, penalty="student", lam=0.5, student_r=1.0
-        )
+        obj = Objective(forward=op_matrix(h), data=g, penalty="student", lam=0.5 * 1.5)
         rep = admm(obj, rho=1.0, max_iter=100, tol=1e-9)
         assert np.all(np.isfinite(rep.final))
         assert rep.objective_trace[-1] < objective_value(obj, np.zeros(10))
@@ -640,7 +645,7 @@ class TestAdmmObjectiveTrace:
             lambda: deblur_objective("abs", 0.05),
             fewview_objective,
             lambda: deblur_objective("quadratic", 0.5),
-            lambda: deblur_objective("student", 0.05),
+            lambda: deblur_objective("student", 0.05 * 1.5),
         ],
         ids=["abs_deblur", "abs_fewview", "quadratic_deblur", "student_deblur"],
     )

@@ -129,7 +129,9 @@ def library() -> dict:
     op, g, grad = deg.op, deg.measurements, rk.op_grad(shape)
     quadratic = rk.Objective(op, g, "quadratic", 0.01, reg_op=grad)
     l1 = rk.Objective(op, g, "abs", 0.01)
-    student = rk.Objective(op, g, "student", 0.01, reg_op=grad)
+    # trees with Objective.student_r (default 1) weigh the student penalty 0.01 (1 + 1/2)
+    student_lam = 0.01 if hasattr(rk.Objective, "student_r") else 0.01 * 1.5
+    student = rk.Objective(op, g, "student", student_lam, reg_op=grad)
     tv = rk.Objective(op, g, "abs", 0.01, reg_op=grad)
     solves = {
         "gd": (rk.gradient_descent, quadratic, {"power_seed": 3}),
