@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .direct import fbp
 from .errors import BreakdownError, DivergenceError, SingularityError, ValidationError
-from .io import read_raster, write_csv, write_manifest, write_pgm, write_raster
+from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
     RadonGeometry,
     dot_test,
@@ -315,7 +315,7 @@ def _validate_config(cfg: ExperimentConfig, writes: bool = True) -> None:
 # degradation.blur -> kernel builder from the degradation section
 _BLURS = {
     "gaussian": lambda deg: gaussian_kernel(deg.blur_size, deg.blur_sigma),
-    "airy": lambda deg: airy_psf(deg.blur_size, deg.airy_cutoff).data,
+    "airy": lambda deg: airy_psf(deg.blur_size, deg.airy_cutoff),
     "none": lambda deg: np.array([[1.0]]),
 }
 
@@ -324,10 +324,10 @@ def _simulate(cfg: ExperimentConfig):
     """Phantom, blur, mask, and noise per the config; returns truth and data."""
     truth = shepp_logan(cfg.phantom.size)
     kernel = _BLURS[cfg.degradation.blur](cfg.degradation)
-    mask = random_mask(truth.data.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
-    embedded = embed_kernel(kernel, truth.data.shape)
+    mask = random_mask(truth.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
+    embedded = embed_kernel(kernel, truth.shape)
     op = _blur_then_mask(embedded, mask)
-    clean = op.apply(truth.data)
+    clean = op.apply(truth)
     if cfg.degradation.noise_sigma is not None:
         sigma = float(cfg.degradation.noise_sigma)
     elif cfg.degradation.noise_snr_db is not None:
@@ -347,7 +347,12 @@ def _write_outputs(cfg: ExperimentConfig, command: str, images=(), tables=(), ex
     ``images`` holds ``(name, array)`` rasters; each 2-D one also gets a PGM
     preview and a ``windows`` entry with its display range.  ``tables`` holds
     ``(file name, header, rows)`` CSV tables.  ``extra`` adds manifest keys.
+    A raster beyond float32's range is a numerical failure, raised before any
+    file is written.
     """
+    for name, data in images:
+        if _beyond_f32(data):
+            raise DivergenceError(f"{name} leaves the float32 range of its raster file")
     os.makedirs(cfg.out_dir, exist_ok=True)
     outputs: list[str] = []
     windows: dict = {}
@@ -434,7 +439,7 @@ _SOLVERS = {
 def cmd_phantom(args) -> int:
     cfg = load_config(args)
     truth = shepp_logan(cfg.phantom.size)
-    _write_outputs(cfg, "phantom", images=[("phantom", truth.data)])
+    _write_outputs(cfg, "phantom", images=[("phantom", truth)])
     print(f"phantom: wrote {cfg.phantom.size}x{cfg.phantom.size} head phantom to {cfg.out_dir}")
     return 0
 
@@ -444,7 +449,7 @@ def cmd_simulate(args) -> int:
     truth, kernel, data = _simulate(cfg)
     kept = np.count_nonzero(data.mask)
     images = [
-        ("truth", truth.data),
+        ("truth", truth),
         ("kernel", kernel),
         ("mask", data.mask.astype(np.float64)),
         ("measurements", data.measurements),
@@ -529,9 +534,9 @@ def cmd_compare_l2_l1(args) -> int:
 
     def sweep(kind):
         def run(lam):
-            return _SOLVERS[kind](cfg, data.op, data.measurements, truth.data.shape, lam).final
+            return _SOLVERS[kind](cfg, data.op, data.measurements, truth.shape, lam).final
 
-        return lambda_sweep(run, truth.data, lambdas)
+        return lambda_sweep(run, truth, lambdas)
 
     sweep_l2 = sweep("cg_tikhonov")
     sweep_l1 = sweep("admm_tv")
@@ -548,7 +553,7 @@ def cmd_compare_l2_l1(args) -> int:
         cfg,
         "compare-l2-l1",
         images=[
-            ("truth", truth.data),
+            ("truth", truth),
             ("recon_l2", sweep_l2.best_estimate),
             ("recon_l1", sweep_l1.best_estimate),
         ],
@@ -585,13 +590,13 @@ def cmd_fbp_vs_tv(args) -> int:
     fbp_img = fbp(sino, out_shape=(size, size))
     radon_op = op_radon(geom, (size, size))
     tv = _SOLVERS["admm_tv"](cfg, radon_op, sino.data, (size, size), cfg.solver.lam)
-    snr_fbp = snr_db(truth.data, fbp_img.data)
-    snr_tv = snr_db(truth.data, tv.final)
+    snr_fbp = snr_db(truth, fbp_img)
+    snr_tv = snr_db(truth, tv.final)
 
     _write_outputs(
         cfg,
         "fbp-vs-tv",
-        images=[("truth", truth.data), ("recon_fbp", fbp_img.data), ("recon_tv", tv.final)],
+        images=[("truth", truth), ("recon_fbp", fbp_img), ("recon_tv", tv.final)],
         tables=[("metrics.csv", ["method", "snr_db"], [("fbp", snr_fbp), ("tv_admm", snr_tv)])],
         # iterations and converged stay out of metrics.csv, whose rows are all SNRs
         extra={"iterations": tv.iterations, "converged": tv.converged},
@@ -679,9 +684,9 @@ def _selftest_checks():
     manual = np.sign(x) * np.maximum(np.abs(x) - 0.5, 0.0)
     yield "prox_abs", np.allclose(soft, manual, atol=1e-12), "prox_abs"
 
-    dft = op_dft2(img.data.shape)
-    rt = (dft.adjoint(dft.apply(img)) / img.data.size).real
-    yield "dft_roundtrip", np.allclose(rt, img.data, atol=1e-10), "dft_roundtrip"
+    dft = op_dft2(img.shape)
+    rt = (dft.adjoint(dft.apply(img)) / img.size).real
+    yield "dft_roundtrip", np.allclose(rt, img, atol=1e-10), "dft_roundtrip"
 
 
 def cmd_selftest(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .grids import GridImage, as_array
+from .grids import _raster
 from .operators import Sinogram
 
 __all__ = ["fbp", "wiener_deconvolve"]
@@ -24,7 +24,7 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def fbp(sino: Sinogram, out_shape=None) -> GridImage:
+def fbp(sino: Sinogram, out_shape=None) -> np.ndarray:
     """Filtered back projection of a parallel-beam sinogram.
 
     Per view: zero-pad the projection to the power of two at or above twice
@@ -57,10 +57,10 @@ def fbp(sino: Sinogram, out_shape=None) -> GridImage:
         t = (xs[None, :] * np.cos(theta) + ys[:, None] * np.sin(theta)) / pitch
         recon += np.interp(t + det_center, det_axis, filtered[a], left=0.0, right=0.0)
     recon *= np.pi / n_angles
-    return GridImage(recon)
+    return recon
 
 
-def wiener_deconvolve(g: GridImage, kernel, sigma: float, prior_spectrum) -> GridImage:
+def wiener_deconvolve(g, kernel, sigma: float, prior_spectrum) -> np.ndarray:
     """Per-frequency linear MMSE deblur for a circular convolution kernel.
 
     ``prior_spectrum`` holds the (positive) eigenvalues of the signal
@@ -68,8 +68,8 @@ def wiener_deconvolve(g: GridImage, kernel, sigma: float, prior_spectrum) -> Gri
     With sigma == 0 the estimate reduces to exact inverse filtering, which
     requires the kernel spectrum to be nowhere zero.
     """
-    data = as_array(g)
-    ker = as_array(kernel).astype(np.float64)
+    data = _raster(g, "wiener_deconvolve")
+    ker = np.asarray(kernel, dtype=np.float64)
     prior = np.asarray(prior_spectrum, dtype=np.float64)
     if ker.shape != data.shape or prior.shape != data.shape:
         raise ValidationError("wiener_deconvolve kernel and prior must match the image grid")
@@ -86,4 +86,4 @@ def wiener_deconvolve(g: GridImage, kernel, sigma: float, prior_spectrum) -> Gri
                 "exact inverse requested (sigma = 0) but the kernel spectrum has zero bins"
             )
     gain = prior * np.conj(khat) / (power * prior + sigma**2)
-    return GridImage(np.fft.ifft2(gain * np.fft.fft2(data)).real)
+    return np.fft.ifft2(gain * np.fft.fft2(data)).real

@@ -1,9 +1,10 @@
-"""The raster container, interpolation, and seeded noise.
+"""Raster checks, interpolation, and seeded noise.
 
 Conventions used throughout the package:
 
-* images are stored row-major as (height, width) float64 arrays, pixel
-  (row, col) = (y, x), with the row axis pointing down;
+* a raster is a plain (height, width) float64 ``np.ndarray``, row-major,
+  pixel (row, col) = (y, x), with the row axis pointing down; ``_raster``
+  checks one where it enters the library;
 * random streams come from splitmix64 (64-bit state) mapped through a
   Box-Muller transform, so a seed, an integer in [0, 2**64), pins the stream
   bit for bit.
@@ -11,15 +12,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
-    "GridImage",
-    "as_array",
     "bilinear_values",
     "gaussian_noise",
     "normal_stream",
@@ -27,19 +24,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridImage:
-    """A real-valued 2D raster, held as a float64 copy of ``data``."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.size == 0:
-            raise ValidationError("GridImage.data must be a non-empty 2D array")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("GridImage.data contains non-finite samples")
-        object.__setattr__(self, "data", data)
+def _raster(x, who: str) -> np.ndarray:
+    """``x`` as a float64 raster: 2D, non-empty and finite, or a ValidationError naming ``who``."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(f"{who} expects a non-empty 2D raster")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{who} input contains non-finite samples")
+    return arr
 
 
 def _seed_value(seed) -> int:
@@ -48,13 +40,6 @@ def _seed_value(seed) -> int:
         if 0 <= value < 2**64:
             return value
     raise ValidationError("seed must be an integer in [0, 2**64)")
-
-
-def as_array(img) -> np.ndarray:
-    """Accept a GridImage or a bare array and return the array."""
-    if isinstance(img, GridImage):
-        return img.data
-    return np.asarray(img)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +73,11 @@ def _bilinear_stencil(shape, xs, ys):
 def bilinear_values(img, xs, ys) -> np.ndarray:
     """Vectorized bilinear lookup in a real or complex grid, with a zero boundary.
 
-    ``img`` is a GridImage or a 2D array; ``xs`` indexes columns and ``ys``
-    rows.  Exact pixel centers return the stored value; queries outside
-    [0, W-1] x [0, H-1] return 0.
+    ``img`` is a 2D array; ``xs`` indexes columns and ``ys`` rows.  Exact
+    pixel centers return the stored value; queries outside [0, W-1] x
+    [0, H-1] return 0.
     """
-    data = as_array(img)
+    data = np.asarray(img)
     if data.ndim != 2:
         raise ValidationError("bilinear_values expects a 2D grid")
     xs = np.asarray(xs, dtype=np.float64)
@@ -156,9 +141,9 @@ def normal_stream(count: int, sigma: float, seed) -> np.ndarray:
     return sigma * z[:count]
 
 
-def gaussian_noise(shape: tuple[int, int], sigma: float, seed) -> GridImage:
+def gaussian_noise(shape: tuple[int, int], sigma: float, seed) -> np.ndarray:
     """A (height, width) raster of i.i.d. N(0, sigma^2) samples."""
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
         raise ValidationError("gaussian_noise shape must be (height, width)")
     h, w = int(shape[0]), int(shape[1])
-    return GridImage(normal_stream(h * w, sigma, seed).reshape(h, w))
+    return normal_stream(h * w, sigma, seed).reshape(h, w)

@@ -43,13 +43,29 @@ def _fmt(value) -> str:
     return repr(v)
 
 
+# the largest float32; a finite sample beyond it would be written as inf
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _beyond_f32(data) -> bool:
+    """Whether a finite sample of ``data`` lies beyond float32's range."""
+    arr = np.asarray(data, dtype=np.float64)
+    return bool(np.any(np.isfinite(arr) & (np.abs(arr) > _F32_MAX)))
+
+
 def write_raster(base: str, data) -> list[str]:
-    """Write ``<base>.f32`` (raw little-endian float32) and its descriptor."""
+    """Write ``<base>.f32`` (raw little-endian float32) and its descriptor.
+
+    A finite sample beyond float32's range is a ValidationError, never an
+    ``inf`` on disk.
+    """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValidationError("write_raster expects a 1D or 2D array")
+    if _beyond_f32(arr):
+        raise ValidationError("write_raster: a finite sample lies beyond the float32 range")
     raw_path = base + ".f32"
     txt_path = base + ".f32.txt"
     arr32 = arr.astype("<f4")
@@ -104,8 +120,12 @@ def write_pgm(path: str, data):
     lo, hi = float(arr.min()), float(arr.max())
     if hi <= lo:
         hi = lo + 1.0
-    # hi - lo is 0 for a constant raster beyond 2**53, where lo + 1 == lo
-    pixels = np.round((arr - lo) / ((hi - lo) or 1.0) * 255).astype("u1")
+    scaled, base, span = arr, lo, hi - lo
+    if span == np.inf:
+        # the range overflows a double; halving both sides is exact for normal doubles
+        scaled, base, span = arr / 2.0, lo / 2.0, hi / 2.0 - lo / 2.0
+    # span is 0 for a constant raster beyond 2**53, where lo + 1 == lo
+    pixels = np.round((scaled - base) / (span or 1.0) * 255).astype("u1")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes(order="C"))

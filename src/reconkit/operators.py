@@ -37,10 +37,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import (
-    GridImage,
     _bilinear_stencil,
+    _raster,
     _seed_value,
-    as_array,
     bilinear_values,
     normal_stream,
     uniform_stream,
@@ -104,7 +103,7 @@ class LinearMap:
         self.name = name
 
     def _coerce(self, x, shape, is_complex, side):
-        arr = as_array(x)
+        arr = np.asarray(x)
         if arr.shape != shape:
             raise ValidationError(
                 f"{self.name}: {side} shape {arr.shape} does not match {shape}"
@@ -246,7 +245,7 @@ def op_mask(keep, *, complex_field: bool = False) -> LinearMap:
 
 def op_multiply(weights) -> LinearMap:
     """Pointwise multiplication; the adjoint multiplies by the conjugate."""
-    wgt = as_array(weights)
+    wgt = np.asarray(weights)
     if wgt.ndim != 2:
         raise ValidationError("op_multiply expects a 2D weight grid")
     if not np.all(np.isfinite(wgt.real)) or not np.all(np.isfinite(np.imag(wgt))):
@@ -272,7 +271,7 @@ def embed_kernel(kernel, shape) -> np.ndarray:
     given in centered (point-spread) form: convolving with it does not shift
     the image.
     """
-    ker = as_array(kernel).astype(np.float64)
+    ker = np.asarray(kernel, dtype=np.float64)
     kh, kw = ker.shape
     h, w = int(shape[0]), int(shape[1])
     if kh > h or kw > w:
@@ -289,7 +288,7 @@ def op_convolve(kernel) -> LinearMap:
     (0, 0), and the operator diagonalizes in the DFT basis (use
     ``embed_kernel`` for centered point-spread kernels).
     """
-    ker = as_array(kernel)
+    ker = np.asarray(kernel)
     if ker.ndim != 2:
         raise ValidationError("op_convolve kernel must be 2D")
     if np.iscomplexobj(ker):
@@ -653,10 +652,10 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     )
 
 
-def radon(img: GridImage, geometry: RadonGeometry) -> Sinogram:
+def radon(img, geometry: RadonGeometry) -> Sinogram:
     """Apply the ray transform to an image and wrap the result."""
-    data = op_radon(geometry, img.data.shape).apply(img.data)
-    return Sinogram(data, geometry)
+    img = _raster(img, "radon")
+    return Sinogram(op_radon(geometry, img.shape).apply(img), geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -681,21 +680,21 @@ def _haar_rows_inv(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def transform_haar(img: GridImage, levels: int, inverse: bool = False) -> GridImage:
+def transform_haar(img, levels: int, inverse: bool = False) -> np.ndarray:
     """Orthonormal separable Haar analysis (or synthesis) over ``levels``.
 
     Each level splits the current low-pass block into average and detail
     halves along rows then columns; deeper levels recurse on the top-left
     block.  Energy is preserved exactly up to roundoff.
     """
+    data = _raster(img, "transform_haar").copy()
     if levels < 1:
         raise ValidationError("transform_haar needs levels >= 1")
-    h, w = img.data.shape
+    h, w = data.shape
     if h % (1 << levels) or w % (1 << levels):
         raise ValidationError(
             f"image {h}x{w} is not divisible by 2^{levels} along both axes"
         )
-    data = img.data.copy()
     if not inverse:
         ch, cw = h, w
         for _ in range(levels):
@@ -712,7 +711,7 @@ def transform_haar(img: GridImage, levels: int, inverse: bool = False) -> GridIm
             block = _haar_rows_inv(block.T).T
             block = _haar_rows_inv(block)
             data[:ch, :cw] = block
-    return GridImage(data)
+    return data
 
 
 def _dct8_matrix() -> np.ndarray:
@@ -728,18 +727,18 @@ def _dct8_matrix() -> np.ndarray:
 _DCT8 = _dct8_matrix()
 
 
-def transform_dct8(img: GridImage, inverse: bool = False) -> GridImage:
+def transform_dct8(img, inverse: bool = False) -> np.ndarray:
     """Orthonormal 8x8 block DCT-II (or its inverse)."""
-    h, w = img.data.shape
+    img = _raster(img, "transform_dct8")
+    h, w = img.shape
     if h % 8 or w % 8:
         raise ValidationError(f"image {h}x{w} is not divisible into 8x8 blocks")
-    blocks = img.data.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+    blocks = img.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
     if inverse:
         out = np.einsum("ki,abij,lj->abkl", _DCT8.T, blocks, _DCT8.T, optimize=True)
     else:
         out = np.einsum("ki,abij,lj->abkl", _DCT8, blocks, _DCT8, optimize=True)
-    data = out.transpose(0, 2, 1, 3).reshape(h, w)
-    return GridImage(data)
+    return out.transpose(0, 2, 1, 3).reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +746,7 @@ def transform_dct8(img: GridImage, inverse: bool = False) -> GridImage:
 # ---------------------------------------------------------------------------
 
 
-def fourier_slice_check(img: GridImage, theta: float) -> float:
+def fourier_slice_check(img, theta: float) -> float:
     """Relative l2 mismatch between the two routes to a central slice.
 
     Route one projects the image through ``op_radon``'s table for the single
@@ -760,7 +759,7 @@ def fourier_slice_check(img: GridImage, theta: float) -> float:
     grid and the centering removes the near-Nyquist phase ramp, so bilinear
     interpolation of the spectrum is accurate where the slice is read.
     """
-    data = as_array(img)
+    data = _raster(img, "fourier_slice_check")
     h, w = data.shape
     if h != w:
         raise ValidationError("fourier_slice_check expects a square image")
@@ -768,7 +767,7 @@ def fourier_slice_check(img: GridImage, theta: float) -> float:
     offs = RadonGeometry(1, n).offsets
     rays, _, starts, cols, vals = _radon_view_table(float(theta), (n, n), offs)
     proj = np.zeros(n)
-    proj[rays] = _ray_sums(np.asarray(data, dtype=np.float64).ravel(), starts, cols, vals)
+    proj[rays] = _ray_sums(data.ravel(), starts, cols, vals)
 
     freqs = np.fft.fftfreq(n)
     center = (n - 1) / 2.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import GridImage, _seed_value, as_array, gaussian_noise, normal_stream, uniform_stream
+from .grids import _raster, _seed_value, gaussian_noise, normal_stream, uniform_stream
 from .operators import (
     LinearMap,
     RadonGeometry,
@@ -121,17 +121,17 @@ def point_eval(phantom: EllipsePhantom, x, y):
     return total
 
 
-def render(phantom: EllipsePhantom, size: int) -> GridImage:
+def render(phantom: EllipsePhantom, size: int) -> np.ndarray:
     """Evaluate the phantom at pixel centers of a size x size grid."""
     if size < 2:
         raise ValidationError("render needs size >= 2")
     coords = (np.arange(size) - (size - 1) / 2.0) * (2.0 / size)
     xs = coords[None, :]
     ys = coords[:, None]
-    return GridImage(point_eval(phantom, xs, ys))
+    return point_eval(phantom, xs, ys)
 
 
-def shepp_logan(size: int) -> GridImage:
+def shepp_logan(size: int) -> np.ndarray:
     """The standard head phantom rendered at the requested size."""
     if size < 32:
         raise ValidationError("shepp_logan needs size >= 32")
@@ -214,7 +214,7 @@ def bessel_j1(x) -> np.ndarray:
     return out
 
 
-def airy_psf(size: int, cutoff: float) -> GridImage:
+def airy_psf(size: int, cutoff: float) -> np.ndarray:
     """Diffraction point-spread (2 J1(r) / r)^2 with a chosen spectral cutoff.
 
     ``cutoff`` is the radial frequency (cycles per pixel) where the kernel's
@@ -233,7 +233,7 @@ def airy_psf(size: int, cutoff: float) -> GridImage:
     safe = np.where(r < 1e-12, 1.0, r)
     amp = np.where(r < 1e-12, 1.0, 2.0 * bessel_j1(safe) / safe)
     kernel = amp**2
-    return GridImage(kernel / kernel.sum())
+    return kernel / kernel.sum()
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -273,13 +273,12 @@ def _blur_then_mask(kernel: np.ndarray, mask: np.ndarray) -> LinearMap:
 def degrade(img, blur_kernel, mask, sigma: float, seed) -> Degraded:
     """Blur circularly, subsample through the mask, add seeded white noise.
 
-    ``img`` is a GridImage or a 2D array and ``mask`` a raster of its shape,
-    read as bool.  ``blur_kernel`` is a small centered kernel; it is embedded
-    on the image grid with its center at the origin so the blur does not
-    shift content.  The returned operator is ``_blur_then_mask``'s mask `o`
+    ``img`` is a raster and ``mask`` a raster of its shape, read as bool.
+    ``blur_kernel`` is a small centered kernel; it is embedded on the image
+    grid with its center at the origin so the blur does not shift content.  The returned operator is ``_blur_then_mask``'s mask `o`
     convolve, ready for reconstruction.
     """
-    data = as_array(img)
+    data = _raster(img, "degrade")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != data.shape:
         raise ValidationError("mask shape must match the image")
@@ -298,7 +297,7 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
         raise ValidationError("degrade sigma must be finite and >= 0")
     # checked here: a zero sigma draws no stream, so the stream never sees the seed
     _seed_value(seed)
-    measurements = clean + gaussian_noise(mask.shape, sigma, seed).data[mask]
+    measurements = clean + gaussian_noise(mask.shape, sigma, seed)[mask]
     return Degraded(
         measurements=measurements,
         op=op,
@@ -316,8 +315,8 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
 
 def snr_db(truth, estimate) -> float:
     """10 log10(||truth||^2 / ||truth - estimate||^2); +inf when exact."""
-    t = as_array(truth)
-    e = as_array(estimate)
+    t = np.asarray(truth)
+    e = np.asarray(estimate)
     if t.shape != e.shape:
         raise ValidationError(f"snr_db shape mismatch: {t.shape} vs {e.shape}")
     err = float(np.vdot(t - e, t - e).real)
@@ -336,25 +335,25 @@ def snr_db(truth, estimate) -> float:
 # given the Haar level count; compress-study's "all" runs them in this order
 _TRANSFORMS = {
     "haar": (
-        lambda img, levels: transform_haar(img, levels).data,
-        lambda c, levels: transform_haar(GridImage(c), levels, inverse=True).data,
+        lambda img, levels: transform_haar(img, levels),
+        lambda c, levels: transform_haar(c, levels, inverse=True),
     ),
     "dct8": (
-        lambda img, levels: transform_dct8(img).data,
-        lambda c, levels: transform_dct8(GridImage(c), inverse=True).data,
+        lambda img, levels: transform_dct8(img),
+        lambda c, levels: transform_dct8(c, inverse=True),
     ),
-    "dft": (lambda img, levels: np.fft.fft2(img.data), lambda c, levels: np.fft.ifft2(c).real),
+    "dft": (lambda img, levels: np.fft.fft2(img), lambda c, levels: np.fft.ifft2(c).real),
 }
 
 
 def compressibility_study(
-    img: GridImage, transform: str = "haar", keep_fractions=(0.01, 0.05, 0.1, 0.25), levels: int = 4
+    img, transform: str = "haar", keep_fractions=(0.01, 0.05, 0.1, 0.25), levels: int = 4
 ):
     """Keep the largest-magnitude fraction of coefficients, invert, and score.
 
-    Returns [(fraction, snr_db)] rows.  Transforms: the names in
-    ``_TRANSFORMS``; coefficient ranking is deterministic (stable sort on
-    magnitude).
+    ``img`` is a raster.  Returns [(fraction, snr_db)] rows.  Transforms: the
+    names in ``_TRANSFORMS``; coefficient ranking is deterministic (stable
+    sort on magnitude).
     """
     fractions = [float(fr) for fr in keep_fractions]
     if not fractions:
@@ -366,6 +365,7 @@ def compressibility_study(
         raise ValidationError(f"unknown transform {transform!r}")
     analyze, synthesize = _TRANSFORMS[transform]
 
+    img = _raster(img, "compressibility_study")
     coeffs = analyze(img, levels)
     flat = coeffs.ravel()
     order = np.argsort(-np.abs(flat), kind="stable")
@@ -375,7 +375,7 @@ def compressibility_study(
         kept = np.zeros_like(flat)
         kept[order[:k]] = flat[order[:k]]
         recon = synthesize(kept.reshape(coeffs.shape), levels)
-        rows.append((fr, snr_db(img.data, recon)))
+        rows.append((fr, snr_db(img, recon)))
     return rows
 
 

@@ -4,16 +4,12 @@ Objective conventions, fixed once for the whole package:
 
 * quadratic penalty: ``J(f) = ||g - H f||^2 + lam ||L f||^2`` (the classic
   smoothing form; its gradient is ``-2 H* g + 2 (H* H + lam L* L) f``);
-* abs and student penalties: ``J(f) = 0.5 ||g - H f||^2 + lam sum phi([L f]_n)``
-  with ``phi = |u|`` or ``phi = log(1 + u^2)``.
+* abs penalty: ``J(f) = 0.5 ||g - H f||^2 + lam sum |[L f]_n|``.
 
-``lam`` plays the role of the noise variance when the penalty comes from a
-probabilistic model; the package exposes the single knob and documents the
-mapping rather than both: a Student-t prior with ``r`` degrees of freedom is
-the student weight ``lam (r + 1/2)``.  ``_PENALTIES`` declares each penalty
-once: its misfit scale, its potential summed over ``L f``, and its prox.  A
-prox's weight is its step: each solver works it out once (gamma lam, or
-lam / rho) and an overflow is a DivergenceError.
+``_PENALTIES`` declares each penalty once: its misfit scale, its potential
+summed over ``L f``, and its prox.  A prox's weight is its step: each solver
+works it out once (gamma lam, or lam / rho) and an overflow is a
+DivergenceError.
 
 ``_iterate`` is the one solver loop: forward-backward splitting, CG on the
 normal equations and ADMM are each a step function with its own stop rule,
@@ -31,7 +27,6 @@ the ``L f`` it already holds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -456,92 +451,6 @@ def nullspace_demo() -> NullspaceReport:
 # ---------------------------------------------------------------------------
 
 
-def _student_cost(v, phi, weight, k):
-    """``0.5 (f - u)^2 + weight log(1 + f^2)`` over ``s^2``, with ``u = s v``, ``f = s phi``,
-    ``s = 2**k``; the log caps ``|f|`` at ``2**500``, where ``f^2`` would overflow."""
-    log_term = np.log1p(np.minimum(np.ldexp(np.abs(phi), k), 2.0**500) ** 2)
-    return 0.5 * (phi - v) ** 2 + np.ldexp(weight * log_term, -2 * k)
-
-
-def _prox_student(u: np.ndarray, weight: float) -> np.ndarray:
-    """Global minimizer of 0.5 (f - u)^2 + weight log(1 + f^2), elementwise.
-
-    Stationary points solve the cubic f^3 - u f^2 + (1 + 2 weight) f - u = 0
-    in units of a power of two ``s``, the least ``s >= 1`` with ``|u| / s <
-    2**171``, so its sixth powers stay finite (``x**3`` is not exactly
-    ``(x / s)**3 s^3``, so ``s`` is 1 wherever it can be).
-    All real roots are found in closed form (trigonometric and Cardano
-    branches), polished by two safeguarded Newton steps, and the root with
-    the lowest cost wins; ties go to the smaller magnitude.  Elements whose
-    polished root fails the stationarity residual fall back to a dense 1D
-    grid scan.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if weight == 0.0:
-        return u.copy()
-    flat = u.ravel()
-    k = np.maximum(np.frexp(flat)[1] - 171, 0)
-    # phi = f / s solves phi^3 - v phi^2 + b phi - c = 0, with v = u / s,
-    # b = (1 + 2 weight) / s^2 and c = u / s^3
-    v, b, c = np.ldexp(flat, -k), np.ldexp(1.0 + 2.0 * weight, -2 * k), np.ldexp(flat, -3 * k)
-    # depressed cubic y^3 + p y + q with phi = y + v/3
-    p = b - v**2 / 3.0
-    q = -2.0 * v**3 / 27.0 + v * b / 3.0 - c
-    disc = -4.0 * p**3 - 27.0 * q**2
-
-    roots = np.empty((flat.size, 3), dtype=np.float64)
-    three = disc > 0
-    if np.any(three):
-        pm = p[three]
-        qm = q[three]
-        m = 2.0 * np.sqrt(-pm / 3.0)
-        arg = np.clip(3.0 * qm / (pm * m), -1.0, 1.0)
-        angle = np.arccos(arg) / 3.0
-        for j in range(3):
-            roots[three, j] = m * np.cos(angle - 2.0 * np.pi * j / 3.0)
-    single = ~three
-    if np.any(single):
-        ps = p[single]
-        qs = q[single]
-        d = np.sqrt(np.maximum(qs**2 / 4.0 + ps**3 / 27.0, 0.0))
-        y = np.cbrt(-qs / 2.0 + d) + np.cbrt(-qs / 2.0 - d)
-        roots[single] = y[:, None]
-    v, b, c, k = v[:, None], b[:, None], c[:, None], k[:, None]
-    cand = roots + v / 3.0
-    # the minimizer shares u's sign and never overshoots it
-    lo = np.minimum(0.0, v)
-    hi = np.maximum(0.0, v)
-    cand = np.clip(cand, lo, hi)
-
-    guard = np.ldexp(1e-30, -2 * k)
-    for _ in range(2):  # Newton polish on the undepressed cubic
-        resid = cand**3 - v * cand**2 + b * cand - c
-        deriv = 3.0 * cand**2 - 2.0 * v * cand + b
-        step = np.divide(resid, deriv, out=np.zeros_like(resid), where=np.abs(deriv) > guard)
-        cand = np.clip(cand - step, lo, hi)
-
-    cost = _student_cost(v, cand, weight, k)
-    best = np.min(cost, axis=1, keepdims=True)
-    tied = cost <= best + 1e-10 * (np.ldexp(1.0, -2 * k) + np.abs(best))
-    magnitude = np.where(tied, np.abs(cand), np.inf)
-    out = np.take_along_axis(cand, np.argmin(magnitude, axis=1, keepdims=True), axis=1)
-
-    # stationarity check; a failed element falls back to a dense grid scan
-    resid = out**3 - v * out**2 + b * out - c
-    bad = np.abs(resid) > 1e-6 * (np.ldexp(1.0, -k) + np.abs(v)) ** 3
-    if np.any(bad):
-        warnings.warn("student prox fell back to grid search for some elements")
-        for i in np.flatnonzero(bad):
-            vi, ki = v[i, 0], k[i, 0]
-            grid = np.linspace(min(0.0, vi), max(0.0, vi), 4001)
-            coarse = grid[np.argmin(_student_cost(vi, grid, weight, ki))]
-            span = max(abs(vi), np.ldexp(1.0, -ki)) / 4000.0
-            fine = np.linspace(coarse - span, coarse + span, 2001)
-            fine = np.clip(fine, min(0.0, vi), max(0.0, vi))
-            out[i, 0] = fine[np.argmin(_student_cost(vi, fine, weight, ki))]
-    return np.ldexp(out, k).reshape(u.shape)
-
-
 # penalty -> (misfit scale, potential summed over L f, prox(u, step)), for
 # J(f) = scale ||H f - g||^2 + lam potential(L f).  The prox minimizes
 # 0.5 (u - f)^2 + step phi(f) per element (phi = f^2 / 2 for quadratic, whose
@@ -553,16 +462,15 @@ _PENALTIES = {
         lambda lf: float(np.sum(np.abs(lf))),
         lambda u, step: np.sign(u) * np.maximum(np.abs(u) - step, 0.0),
     ),
-    "student": (0.5, lambda lf: float(np.sum(np.log1p(lf**2))), _prox_student),
 }
 
 
 def prox_apply(penalty: str, u, step: float) -> np.ndarray:
     """Elementwise minimizer of 0.5 (u - f)^2 + step * Phi(f).
 
-    Phi is the potential of ``penalty``: f^2 / 2 for quadratic, |f| for abs,
-    and log(1 + f^2) for student.  ``step`` carries the penalty weight:
-    gamma lam in ISTA/FISTA, lam / rho in ADMM.
+    Phi is the potential of ``penalty``: f^2 / 2 for quadratic and |f| for
+    abs.  ``step`` carries the penalty weight: gamma lam in ISTA/FISTA,
+    lam / rho in ADMM.
     """
     if penalty not in _PENALTIES:
         raise ValidationError(f"unknown penalty {penalty!r}")

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from reconkit import __version__
+from reconkit import ValidationError, __version__
 from reconkit.cli import (
     _COMMANDS,
     _FLAGS,
@@ -73,6 +73,17 @@ class TestRaster:
         with pytest.raises(Exception):
             read_raster(base)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_sample_beyond_float32_is_rejected_not_written_as_inf(self, tmp_path):
+        base = str(tmp_path / "img")
+        f32_max = float(np.finfo(np.float32).max)
+        write_raster(base, np.array([[-f32_max, f32_max]]))
+        assert np.array_equal(read_raster(base), [[-f32_max, f32_max]])
+        for value in (1e39, -1e39, 1e300):
+            with pytest.raises(ValidationError, match="float32 range"):
+                write_raster(str(tmp_path / "big"), np.array([[0.0, value]]))
+        assert not (tmp_path / "big.f32").exists()
+
 
 class TestPgm:
     def test_header_and_windowing(self, tmp_path):
@@ -90,6 +101,16 @@ class TestPgm:
         path = str(tmp_path / "flat.pgm")
         assert write_pgm(path, np.full((1, 2), 2.0**60)) == (2.0**60, 2.0**60)
         assert read_bytes(path) == b"P5\n2 1\n255\n\x00\x00"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_beyond_the_largest_double(self, tmp_path):
+        # hi - lo overflows to inf there
+        path = str(tmp_path / "wide.pgm")
+        big = np.finfo(np.float64).max
+        assert write_pgm(path, np.array([[-1e308, 0.0, 1e308]])) == (-1e308, 1e308)
+        assert read_bytes(path) == b"P5\n3 1\n255\n\x00\x80\xff"
+        write_pgm(path, np.array([[-big, big / 2, big]]))
+        assert read_bytes(path) == b"P5\n3 1\n255\n\x00\xbf\xff"
 
 
 class TestCsv:
@@ -456,7 +477,7 @@ class TestSimulate:
         args = build_parser().parse_args(["simulate", "--size", "48", "--snr-db", "20"])
         truth, _, data = cli._simulate(load_config(args))
         assert applies.count("mask*convolve_circular") == 1
-        assert np.array_equal(data.clean, data.op.apply(truth.data))
+        assert np.array_equal(data.clean, data.op.apply(truth))
 
     def test_blur_none_writes_a_constant_kernel_that_reconstruct_reads(self, tmp_path):
         out = tmp_path / "sim"
@@ -528,6 +549,25 @@ class TestReconstruct:
         assert all(np.isfinite(diag["objective_trace"]))
         err = capsys.readouterr().err
         assert "diagnostic" in err and "config error" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_estimate_beyond_float32_exits_3_and_writes_no_raster(self, tmp_path, capsys):
+        # four rising gd steps stay below the divergence rule but leave float32
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        rec = tmp_path / "rec"
+        code = main(
+            [
+                "reconstruct", "--data", str(sim), "--out", str(rec),
+                "--solver", "gd", "--step", "1e10", "--max-iter", "4",
+            ]
+        )
+        assert code == 3
+        assert os.listdir(rec) == ["diagnostic.json"]
+        diag = json.loads((rec / "diagnostic.json").read_text())
+        assert diag["error"] == "DivergenceError"
+        assert "recon leaves the float32 range" in diag["message"]
+        assert "diagnostic" in capsys.readouterr().err
 
     def test_diagnostic_goes_to_the_config_file_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

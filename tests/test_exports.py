@@ -24,7 +24,7 @@ def test_package_exports_only_module_exports():
 
 @pytest.mark.parametrize(
     "name, attr",
-    [("grids", "as_array"), ("grids", "bilinear_values"), ("phantoms", "render")],
+    [("grids", "gaussian_noise"), ("grids", "bilinear_values"), ("phantoms", "render")],
 )
 def test_helpers_are_declared_by_their_modules(name, attr):
     assert attr in importlib.import_module(f"reconkit.{name}").__all__

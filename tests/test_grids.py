@@ -1,4 +1,4 @@
-"""The raster container, the DFT convention, interpolation, and the noise stream.
+"""The raster check, the DFT convention, interpolation, and the noise stream.
 
 The DFT tests run ``op_dft2``, the package's one DFT, and compare it against
 a direct O(N^2) evaluation of the defining sums, so the fast path is checked
@@ -9,14 +9,28 @@ import numpy as np
 import pytest
 
 from reconkit import (
-    GridImage,
+    SHEPP_LOGAN,
+    RadonGeometry,
     ValidationError,
+    airy_psf,
+    analytic_sinogram,
     bilinear_values,
+    compressibility_study,
+    degrade,
+    fbp,
+    fourier_slice_check,
     gaussian_noise,
     normal_stream,
     op_dft2,
+    radon,
+    render,
+    shepp_logan,
+    transform_dct8,
+    transform_haar,
     uniform_stream,
+    wiener_deconvolve,
 )
+from reconkit.grids import _raster
 
 
 def dft2_direct(data):
@@ -29,34 +43,62 @@ def dft2_direct(data):
     return ek @ data.astype(complex) @ el.T
 
 
-class TestGridImage:
-    def test_holds_float64_copy(self):
-        raw = np.ones((3, 4), dtype=np.float32)
-        img = GridImage(raw)
-        assert img.data.dtype == np.float64
-        raw[0, 0] = 7.0
-        assert img.data[0, 0] == 1.0
+# each library function where a raster enters, called on ``x``
+ONES = np.ones((8, 8))
+ENTRY_POINTS = {
+    "radon": lambda x: radon(x, RadonGeometry(4, 8)),
+    "transform_haar": lambda x: transform_haar(x, 1),
+    "transform_dct8": lambda x: transform_dct8(x),
+    "fourier_slice_check": lambda x: fourier_slice_check(x, 0.0),
+    "wiener_deconvolve": lambda x: wiener_deconvolve(x, ONES, 0.1, ONES),
+    "degrade": lambda x: degrade(x, np.ones((1, 1)), ONES, 0.0, 0),
+    "compressibility_study": lambda x: compressibility_study(x, "haar", levels=1),
+}
 
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValidationError):
-            GridImage(np.zeros(5))
-        with pytest.raises(ValidationError):
-            GridImage(np.zeros((2, 2, 2)))
+# each library function that makes a raster, at 32 x 32
+IMG = normal_stream(1024, 1.0, 6).reshape(32, 32)
+MAKERS = {
+    "render": lambda: render(SHEPP_LOGAN, 32),
+    "shepp_logan": lambda: shepp_logan(32),
+    "gaussian_noise": lambda: gaussian_noise((32, 32), 1.0, 0),
+    "airy_psf": lambda: airy_psf(32, 0.2),
+    "transform_haar": lambda: transform_haar(IMG, 2),
+    "transform_dct8": lambda: transform_dct8(IMG),
+    "fbp": lambda: fbp(analytic_sinogram(SHEPP_LOGAN, RadonGeometry(8, 32), 32)),
+    "wiener_deconvolve": lambda: wiener_deconvolve(IMG, IMG, 0.1, np.ones((32, 32))),
+}
 
-    def test_rejects_nonfinite(self):
-        bad = np.zeros((2, 2))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValidationError):
-            GridImage(bad)
 
-    @pytest.mark.parametrize("cls, dtype", [(GridImage, np.float64)])
-    def test_each_raster_names_itself_and_keeps_its_dtype(self, cls, dtype):
-        name = cls.__name__
-        assert cls(np.ones((2, 3), dtype=np.float32)).data.dtype == dtype
-        with pytest.raises(ValidationError, match=rf"^{name}\.data must be a non-empty 2D array$"):
-            cls(np.zeros(5))
-        with pytest.raises(ValidationError, match=rf"^{name}\.data contains non-finite samples$"):
-            cls(np.full((2, 2), np.inf))
+class TestRaster:
+    def test_is_a_float64_array_of_any_real_input(self):
+        for raw in (np.ones((3, 4), dtype=np.float32), [[1, 2], [3, 4]]):
+            arr = _raster(raw, "caller")
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert np.array_equal(arr, np.asarray(raw, dtype=np.float64))
+
+    @pytest.mark.parametrize("name", list(MAKERS))
+    def test_each_maker_returns_a_float64_array(self, name):
+        out = MAKERS[name]()
+        assert type(out) is np.ndarray
+        assert out.dtype == np.float64 and out.shape == (32, 32)
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_each_entry_point_takes_float32_and_integer_rasters(self, name):
+        call = ENTRY_POINTS[name]
+        call(normal_stream(64, 1.0, 5).reshape(8, 8).astype(np.float32))
+        call(np.arange(64).reshape(8, 8) % 5)
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_each_entry_point_rejects_a_raster_that_is_not_2d(self, name):
+        for bad in (np.zeros(8), np.zeros((2, 2, 2)), np.zeros((0, 8))):
+            with pytest.raises(ValidationError, match=rf"^{name} expects a non-empty 2D raster$"):
+                ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_each_entry_point_rejects_nonfinite_samples(self, name):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match=rf"^{name} input contains non-finite samples$"):
+                ENTRY_POINTS[name](np.full((8, 8), value))
 
 
 class TestDft:
@@ -122,8 +164,8 @@ class TestBilinear:
 
     def test_midpoint_average(self):
         data = np.array([[0.0, 2.0], [4.0, 6.0]])
-        assert bilinear_values(GridImage(data), 0.5, 0.5) == pytest.approx(3.0)
-        assert bilinear_values(GridImage(data), 0.5, 0.0) == pytest.approx(1.0)
+        assert bilinear_values(data, 0.5, 0.5) == pytest.approx(3.0)
+        assert bilinear_values(data, 0.5, 0.0) == pytest.approx(1.0)
 
     def test_zero_outside_grid(self):
         data = np.ones((4, 4))
@@ -142,7 +184,7 @@ class TestBilinear:
 
     def test_single_column_grid(self):
         data = np.array([[2.0], [4.0]])
-        assert bilinear_values(GridImage(data), 0.0, 0.5) == pytest.approx(3.0)
+        assert bilinear_values(data, 0.0, 0.5) == pytest.approx(3.0)
 
     def test_complex_lookup_is_the_real_and_imaginary_lookups(self):
         re = normal_stream(30, 1.0, 111).reshape(5, 6)
@@ -199,8 +241,8 @@ class TestRandomStreams:
     def test_gaussian_noise_shape_and_determinism(self):
         g1 = gaussian_noise((4, 6), 0.5, 77)
         g2 = gaussian_noise((4, 6), 0.5, 77)
-        assert g1.data.shape == (4, 6)
-        assert np.array_equal(g1.data, g2.data)
+        assert isinstance(g1, np.ndarray) and g1.shape == (4, 6)
+        assert np.array_equal(g1, g2)
 
     def test_seed_validation(self):
         with pytest.raises(ValidationError):

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reconkit import (
-    GridImage,
     LinearMap,
     ValidationError,
     dot_test,
@@ -577,20 +576,20 @@ class TestMatrixAdapter:
 
 class TestHaar:
     def test_orthonormal_energy(self):
-        img = GridImage(normal_stream(256, 1.0, 400).reshape(16, 16))
+        img = normal_stream(256, 1.0, 400).reshape(16, 16)
         coeffs = transform_haar(img, 2)
-        assert abs(np.sum(coeffs.data**2) - np.sum(img.data**2)) < 1e-10
+        assert abs(np.sum(coeffs**2) - np.sum(img**2)) < 1e-10
 
     def test_round_trip(self):
-        img = GridImage(normal_stream(64, 1.0, 401).reshape(8, 8))
+        img = normal_stream(64, 1.0, 401).reshape(8, 8)
         back = transform_haar(transform_haar(img, 3), 3, inverse=True)
-        assert np.max(np.abs(back.data - img.data)) < 1e-12
+        assert np.max(np.abs(back - img)) < 1e-12
 
     def test_single_level_pairs(self):
         # rows patterned [a, a, b, b]: detail coefficients inside constant
         # pairs are exactly zero; averages land in the low-pass quadrant
-        img = GridImage(np.tile(np.array([[2.0, 2.0, 6.0, 6.0]]), (4, 1)))
-        out = transform_haar(img, 1).data
+        img = np.tile(np.array([[2.0, 2.0, 6.0, 6.0]]), (4, 1))
+        out = transform_haar(img, 1)
         expected = np.zeros((4, 4))
         expected[:2, 0] = 4.0
         expected[:2, 1] = 12.0
@@ -602,47 +601,65 @@ class TestHaar:
         e = np.zeros((n, n))
         for j in range(n * n):
             e.flat[j] = 1.0
-            mat[:, j] = transform_haar(GridImage(e), 3).data.ravel()
+            mat[:, j] = transform_haar(e, 3).ravel()
             e.flat[j] = 0.0
         assert np.max(np.abs(mat.T @ mat - np.eye(n * n))) < 1e-10
 
     def test_levels_validated(self):
         with pytest.raises(ValidationError):
-            transform_haar(GridImage(np.zeros((6, 6))), 2)  # 6 % 4 != 0
+            transform_haar(np.zeros((6, 6)), 2)  # 6 % 4 != 0
         with pytest.raises(ValidationError):
-            transform_haar(GridImage(np.zeros((8, 8))), 0)
+            transform_haar(np.zeros((8, 8)), 0)
+
+
+    def test_bare_array_in_and_out_leaves_the_input(self):
+        img = normal_stream(64, 1.0, 402).reshape(8, 8)
+        kept = img.copy()
+        coeffs = transform_haar(img, 3)
+        assert type(coeffs) is np.ndarray
+        assert np.array_equal(img, kept)
+        assert np.max(np.abs(transform_haar(coeffs, 3, inverse=True) - img)) < 1e-12
 
 
 class TestDct8:
     def test_matches_scipy_blockwise(self):
-        img = GridImage(normal_stream(256, 1.0, 410).reshape(16, 16))
-        mine = transform_dct8(img).data
+        img = normal_stream(256, 1.0, 410).reshape(16, 16)
+        mine = transform_dct8(img)
         ref = np.zeros((16, 16))
         for by in range(0, 16, 8):
             for bx in range(0, 16, 8):
                 ref[by : by + 8, bx : bx + 8] = scipy.fft.dctn(
-                    img.data[by : by + 8, bx : bx + 8], norm="ortho"
+                    img[by : by + 8, bx : bx + 8], norm="ortho"
                 )
         assert np.max(np.abs(mine - ref)) < 1e-10
 
     def test_round_trip_and_energy(self):
-        img = GridImage(normal_stream(1024, 1.0, 411).reshape(32, 32))
+        img = normal_stream(1024, 1.0, 411).reshape(32, 32)
         for coeffs in (transform_dct8(img), transform_haar(img, 4)):
-            assert abs(np.sum(coeffs.data**2) - np.sum(img.data**2)) < 1e-10
+            assert abs(np.sum(coeffs**2) - np.sum(img**2)) < 1e-10
         back = transform_dct8(transform_dct8(img), inverse=True)
-        assert np.max(np.abs(back.data - img.data)) < 1e-12
+        assert np.max(np.abs(back - img)) < 1e-12
 
     def test_requires_multiple_of_eight(self):
         with pytest.raises(ValidationError):
-            transform_dct8(GridImage(np.zeros((12, 12))))
+            transform_dct8(np.zeros((12, 12)))
 
     def test_constant_block_concentrates_dc(self):
-        img = GridImage(np.full((8, 8), 2.0))
-        coeffs = transform_dct8(img).data
+        img = np.full((8, 8), 2.0)
+        coeffs = transform_dct8(img)
         assert coeffs[0, 0] == pytest.approx(16.0)  # 2 * 8 with ortho scaling
         off = coeffs.copy()
         off[0, 0] = 0.0
         assert np.max(np.abs(off)) < 1e-12
+
+
+    def test_bare_array_in_and_out_leaves_the_input(self):
+        img = normal_stream(256, 1.0, 412).reshape(16, 16)
+        kept = img.copy()
+        coeffs = transform_dct8(img)
+        assert type(coeffs) is np.ndarray
+        assert np.array_equal(img, kept)
+        assert np.max(np.abs(transform_dct8(coeffs, inverse=True) - img)) < 1e-12
 
 
 class TestDiagnostics:

@@ -175,7 +175,7 @@ def test_library_covers_every_solver_and_selftest_operator():
     from reconkit.cli import _selftest_cases
 
     results = parity.library()
-    solvers = ("gd", "cg", "ista", "fista", "admm_abs", "admm_quadratic", "admm_student", "admm_tv")
+    solvers = ("gd", "cg", "ista", "fista", "admm_abs", "admm_quadratic", "admm_tv")
     parts = ("final", "objective_trace", "iterations")
     want = {f"solver {name} {part}" for name in solvers for part in parts}
     want |= {

@@ -12,7 +12,6 @@ from reconkit import (
     SHEPP_LOGAN,
     Ellipse,
     EllipsePhantom,
-    GridImage,
     RadonGeometry,
     ValidationError,
     airy_psf,
@@ -40,11 +39,11 @@ class TestShepp:
             c = size // 2
             # even sizes put pixel centers half a pixel off the origin
             x = (c - (size - 1) / 2.0) * (2.0 / size)
-            assert img.data[c, c] == point_eval(SHEPP_LOGAN, x, x)
+            assert img[c, c] == point_eval(SHEPP_LOGAN, x, x)
         assert point_eval(SHEPP_LOGAN, 0.0, 0.0) == pytest.approx(1.02)
 
     def test_corners_zero_and_range(self):
-        img = shepp_logan(64).data
+        img = shepp_logan(64)
         assert img[0, 0] == img[0, -1] == img[-1, 0] == img[-1, -1] == 0.0
         assert img.min() >= 0.0
         assert img.max() == pytest.approx(2.0)
@@ -53,8 +52,8 @@ class TestShepp:
         # box-downsampled 128 rendering equals the 64 rendering exactly on
         # pixels whose neighborhood is constant; boundary pixels carry the
         # whole difference (measured 0.16 relative, frozen below 0.2)
-        big = shepp_logan(128).data
-        small = shepp_logan(64).data
+        big = shepp_logan(128)
+        small = shepp_logan(64)
         ds = 0.25 * (big[0::2, 0::2] + big[1::2, 0::2] + big[0::2, 1::2] + big[1::2, 1::2])
         pad = np.pad(small, 1, mode="edge")
         flat = np.ones_like(small, dtype=bool)
@@ -106,19 +105,19 @@ class TestAnalyticSinogram:
 
 class TestAiry:
     def test_center_is_maximum(self):
-        psf = airy_psf(64, 0.2).data
+        psf = airy_psf(64, 0.2)
         assert psf.max() == psf[32, 32]
         assert np.all(psf >= 0.0)
 
     def test_unit_sum_and_symmetry(self):
-        psf = airy_psf(65, 0.15).data
+        psf = airy_psf(65, 0.15)
         assert psf.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(psf, psf.T, atol=1e-15)
         assert np.allclose(psf, psf[::-1, ::-1], atol=1e-15)
 
     def test_spectrum_low_pass(self):
         # frozen: energy two cutoffs out is ~6e-6 of DC, bound at 1%
-        psf = airy_psf(256, 0.1).data
+        psf = airy_psf(256, 0.1)
         spec = np.abs(np.fft.fft2(psf))
         fy = np.fft.fftfreq(256)[:, None]
         fx = np.fft.fftfreq(256)[None, :]
@@ -160,7 +159,7 @@ class TestDegrade:
         deg = degrade(img, ident, np.ones((32, 32), dtype=bool), 0.0, 0)
         # the circular convolution runs through the FFT, so identity
         # passthrough holds to round-off rather than bit-exactly
-        assert np.allclose(deg.measurements, img.data.ravel(), atol=1e-12)
+        assert np.allclose(deg.measurements, img.ravel(), atol=1e-12)
         assert np.isinf(deg.measurement_snr_db)
 
     def test_snr_calibration(self):
@@ -187,7 +186,7 @@ class TestDegrade:
         ker = gaussian_kernel(3, 0.8)
         mask = random_mask((32, 32), 0.4, seed=9)
         ref = degrade(img, ker, mask, 0.05, 10)
-        for image, seed in ((img.data, 10), (img.data.tolist(), 10), (img, np.uint64(10))):
+        for image, seed in ((img, 10), (img.tolist(), 10), (img, np.uint64(10))):
             deg = degrade(image, ker, mask, 0.05, seed)
             assert np.array_equal(deg.measurements, ref.measurements)
 
@@ -196,8 +195,8 @@ class TestDegrade:
         ker = gaussian_kernel(3, 0.8)
         mask = random_mask((32, 32), 0.4, seed=9)
         deg = degrade(img, ker, mask, 0.05, 10)
-        assert np.array_equal(deg.op.apply(img.data), deg.clean)
-        noise = gaussian_noise((32, 32), 0.05, 10).data[mask]
+        assert np.array_equal(deg.op.apply(img), deg.clean)
+        noise = gaussian_noise((32, 32), 0.05, 10)[mask]
         assert np.allclose(deg.measurements - deg.clean, noise)
 
     def test_validation(self):
@@ -256,8 +255,8 @@ class TestCompressibility:
         # -10 log10(1 - retained energy fraction)
         img = shepp_logan(64)
         for transform, coeffs in (
-            ("haar", transform_haar(img, 4).data),
-            ("dct8", transform_dct8(img).data),
+            ("haar", transform_haar(img, 4)),
+            ("dct8", transform_dct8(img)),
         ):
             rows = compressibility_study(img, transform, [0.05])
             flat = np.abs(coeffs.ravel())
@@ -275,6 +274,17 @@ class TestCompressibility:
             compressibility_study(img, "haar", [0.0])
         with pytest.raises(ValidationError):
             compressibility_study(img, "wavelet", [0.1])
+
+
+    @pytest.mark.parametrize("transform", ["haar", "dct8", "dft"])
+    def test_takes_a_bare_array(self, transform):
+        ys, xs = np.mgrid[0:32, 0:32]
+        img = np.cos(xs / 5.0) * np.sin(ys / 3.0) + (xs > ys)
+        rows = compressibility_study(img, transform, [0.05, 0.25, 1.0])
+        snrs = [snr for _, snr in rows]
+        assert [fr for fr, _ in rows] == [0.05, 0.25, 1.0]
+        assert 0.0 < snrs[0] < snrs[1] < snrs[2]
+        assert snrs[2] > 200.0  # every coefficient kept: exact up to roundoff
 
 
 class TestSparseInstance:

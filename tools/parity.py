@@ -129,9 +129,6 @@ def library() -> dict:
     op, g, grad = deg.op, deg.measurements, rk.op_grad(shape)
     quadratic = rk.Objective(op, g, "quadratic", 0.01, reg_op=grad)
     l1 = rk.Objective(op, g, "abs", 0.01)
-    # trees with Objective.student_r (default 1) weigh the student penalty 0.01 (1 + 1/2)
-    student_lam = 0.01 if hasattr(rk.Objective, "student_r") else 0.01 * 1.5
-    student = rk.Objective(op, g, "student", student_lam, reg_op=grad)
     tv = rk.Objective(op, g, "abs", 0.01, reg_op=grad)
     solves = {
         "gd": (rk.gradient_descent, quadratic, {"power_seed": 3}),
@@ -140,7 +137,6 @@ def library() -> dict:
         "fista": (rk.ista, l1, {"accelerate": True, "power_seed": 3}),
         "admm_abs": (rk.admm, l1, {"inner_iter": 10}),
         "admm_quadratic": (rk.admm, quadratic, {"inner_iter": 10}),
-        "admm_student": (rk.admm, student, {"inner_iter": 10}),
         "admm_tv": (rk.admm, tv, {"inner_iter": 10}),
     }
     results = {}
