@@ -43,6 +43,7 @@ import numpy as np
 from . import __version__
 from .direct import fbp
 from .errors import BreakdownError, DivergenceError, SingularityError, ValidationError
+from .grids import _raster, normal_stream
 from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
     RadonGeometry,
@@ -163,7 +164,7 @@ class SolverConfig:
     max_iter: int = _key(200, (lambda v: v >= 0, "must be >= 0"))
     tol: float = _key(1e-8, _NONNEGATIVE)
     inner_iter: int = _key(30, (lambda v: v >= 0, "must be >= 0"))
-    step: float | None = _key(None, _POSITIVE)  # gd only; None picks the safe auto step
+    step: float | None = _key(None, _POSITIVE)  # gd only; None is the auto step 0.9 / Lip
     power_seed: int | None = _key(None, _STREAM_SEED)
 
 
@@ -392,7 +393,7 @@ def _gd(cfg: ExperimentConfig, forward, data, shape, lam: float) -> SolveReport:
     obj = Objective(forward, data, "quadratic", lam, reg_op=op_grad(shape))
     return gradient_descent(
         obj,
-        step="auto" if cfg.solver.step is None else cfg.solver.step,
+        step=cfg.solver.step,
         max_iter=cfg.solver.max_iter,
         tol=cfg.solver.tol,
         power_seed=cfg.power_seed(),
@@ -485,6 +486,8 @@ def cmd_reconstruct(args) -> int:
         measurements = read_raster(os.path.join(data_dir, "measurements")).ravel()
     except FileNotFoundError as exc:
         raise ConfigError(f"data raster not found: {exc.filename}") from exc
+    # op_convolve checks the kernel and Objective the measurements
+    truth = _raster(truth, os.path.join(data_dir, "truth.f32"))
 
     forward = _blur_then_mask(embed_kernel(kernel, truth.shape), mask)
     report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
@@ -632,8 +635,6 @@ def _selftest_cases():
     ``selftest``, the operator dot-test acceptance gate and the normal-operator
     tests all read this one list.
     """
-    from .grids import normal_stream
-
     shape = (16, 16)
     kernel = embed_kernel(gaussian_kernel(5, 1.0), shape)
     w_real, w_other, w_imag = (normal_stream(256, 1.0, s).reshape(shape) for s in (10, 11, 12))

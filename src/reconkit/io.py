@@ -100,6 +100,8 @@ def read_raster(base: str) -> np.ndarray:
         height = int(fields["height"])
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad raster descriptor {txt_path}: {exc}") from exc
+    if width < 1 or height < 1:
+        raise ValidationError(f"bad raster descriptor {txt_path}: width and height must be >= 1")
     if fields.get("dtype") != "float32-le":
         raise ValidationError(f"unsupported raster dtype in {txt_path}")
     raw = np.fromfile(raw_path, dtype="<f4")

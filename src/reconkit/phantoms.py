@@ -314,7 +314,7 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
 
 
 def snr_db(truth, estimate) -> float:
-    """10 log10(||truth||^2 / ||truth - estimate||^2); +inf when exact."""
+    """10 log10(||truth||^2 / ||truth - estimate||^2); +inf when exact, -inf for a zero truth."""
     t = np.asarray(truth)
     e = np.asarray(estimate)
     if t.shape != e.shape:
@@ -323,7 +323,9 @@ def snr_db(truth, estimate) -> float:
     sig = float(np.vdot(t, t).real)
     if err == 0.0:
         return np.inf
-    return 10.0 * np.log10(sig / err)
+    ratio = sig / err
+    # a zero truth (or a ratio that underflows) has no finite SNR, and log10(0) warns
+    return 10.0 * np.log10(ratio) if ratio > 0.0 else -np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ the ``L f`` it already holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,14 +99,13 @@ class Objective:
 
 @dataclass
 class SolveReport:
-    """What a solver did: the estimate, traces, and the run configuration."""
+    """What a solver did: the estimate, its traces, the iteration count and the stop verdict."""
 
     final: np.ndarray
     objective_trace: np.ndarray
     residual_trace: np.ndarray
     iterations: int
     converged: bool
-    config: dict = field(default_factory=dict)
 
 
 def objective_value(obj: Objective, f) -> float:
@@ -170,7 +169,7 @@ def _start(obj: Objective, f0) -> np.ndarray:
 
 
 def _iterate(
-    f: np.ndarray, step: Callable, max_iter: int, label: str, config: dict, converged: bool = False
+    f: np.ndarray, step: Callable, max_iter: int, label: str, converged: bool = False
 ) -> SolveReport:
     """Run ``step`` from ``f`` until its stop rule holds or ``max_iter`` runs out.
 
@@ -195,7 +194,6 @@ def _iterate(
         residual_trace=np.asarray(residual),
         iterations=iterations,
         converged=converged,
-        config=config,
     )
 
 
@@ -244,9 +242,15 @@ def _auto_step(obj: Objective, seed) -> float:
 
 
 def _forward_backward(
-    obj: Objective, f: np.ndarray, accelerate: bool, label: str, config: dict
+    obj: Objective,
+    f: np.ndarray,
+    gamma: float,
+    accelerate: bool,
+    max_iter: int,
+    tol: float,
+    label: str,
 ) -> SolveReport:
-    """Iterate ``f <- prox(y - gamma * gradient)`` with the settings in ``config``.
+    """Iterate ``f <- prox(y - gamma * gradient)`` from ``f`` for at most ``max_iter`` steps.
 
     The gradient is the smooth part's at ``y``: all of a quadratic objective,
     which then has no prox, else the misfit 0.5 ||H y - g||^2, and the abs
@@ -256,7 +260,6 @@ def _forward_backward(
     objective change of at most ``tol``; without momentum, 5 rises in a row
     diverge.  The residual trace holds the step lengths ||f_{k+1} - f_k||.
     """
-    gamma, tol = config["gamma"], config["tol"]
     smooth = obj.penalty == "quadratic"  # then the gradient step covers all of J
     prox = _PENALTIES[obj.penalty][2]
     weight = gamma * obj.lam
@@ -300,41 +303,34 @@ def _forward_backward(
         prev = current
         return f_new, current, float(np.linalg.norm(change.ravel())), converged
 
-    return _iterate(f, step, config["max_iter"], label, config)
+    return _iterate(f, step, max_iter, label)
 
 
 def gradient_descent(
     obj: Objective,
     f0=None,
-    step="auto",
+    step: float | None = None,
     max_iter: int = 500,
     tol: float = 1e-8,
     power_seed=0,
 ) -> SolveReport:
     """Fixed-step descent on the quadratic objective.
 
-    ``step="auto"`` uses 0.9 / Lip with the Lipschitz constant estimated by
-    50 power iterations from a seeded start, which keeps the trace monotone.
+    ``step=None`` picks the auto step: 0.9 / Lip with the Lipschitz constant
+    estimated by 50 power iterations from a seeded start, which keeps the
+    trace monotone.  ``power_seed`` is checked even with a fixed step.
     """
     if obj.penalty != "quadratic":
         raise ValidationError("gradient_descent handles the quadratic penalty")
     f = _start(obj, f0)
-    if step == "auto":
+    if step is None:
         gamma = _auto_step(obj, power_seed)
     else:
         gamma = float(step)
         if not (gamma > 0 and np.isfinite(gamma)):
             raise ValidationError("step must be positive and finite")
-    config = {
-        "solver": "gradient_descent",
-        "step": "auto" if step == "auto" else gamma,
-        "gamma": gamma,
-        "max_iter": max_iter,
-        "tol": tol,
-        "power_seed": _seed_value(power_seed),
-        "lam": obj.lam,
-    }
-    return _forward_backward(obj, f, False, "gradient descent", config)
+        _seed_value(power_seed)
+    return _forward_backward(obj, f, gamma, False, max_iter, tol, "gradient descent")
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +399,7 @@ def conjugate_gradient_normal(
         f, _, residual, converged = cg_step(f, trace, where)
         return f, objective_value(obj, f), residual, converged
 
-    config = {
-        "solver": "conjugate_gradient_normal",
-        "max_iter": max_iter,
-        "tol": tol,
-        "lam": obj.lam,
-    }
-    return _iterate(f, step, max_iter, "conjugate gradients", config, converged)
+    return _iterate(f, step, max_iter, "conjugate gradients", converged)
 
 
 @dataclass
@@ -419,7 +409,6 @@ class NullspaceReport:
     inits: np.ndarray
     solutions: np.ndarray
     sse: np.ndarray
-    null_direction: np.ndarray
     reports: list
 
 
@@ -442,8 +431,7 @@ def nullspace_demo() -> NullspaceReport:
     ]
     solutions = np.array([rep.final for rep in reports])
     sse = np.array([float(np.sum((g - h @ sol) ** 2)) for sol in solutions])
-    null_dir = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
-    return NullspaceReport(inits, solutions, sse, null_dir, reports)
+    return NullspaceReport(inits, solutions, sse, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +496,8 @@ def ista(
         raise ValidationError("ista requires reg_op = identity (pass None)")
     f = _start(obj, f0)
     gamma = _auto_step(obj, power_seed)
-    config = {
-        "solver": "fista" if accelerate else "ista",
-        "gamma": gamma,
-        "max_iter": max_iter,
-        "tol": tol,
-        "power_seed": _seed_value(power_seed),
-        "lam": obj.lam,
-    }
-    return _forward_backward(obj, f, accelerate, config["solver"], config)
+    label = "fista" if accelerate else "ista"
+    return _forward_backward(obj, f, gamma, accelerate, max_iter, tol, label)
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +565,7 @@ def admm(
         value = _objective(obj, f, fid2, lf)
         return f, value, primal, primal <= tol and dual <= tol
 
-    config = {
-        "solver": "admm",
-        "rho": rho,
-        "max_iter": max_iter,
-        "tol": tol,
-        "inner_iter": inner_iter,
-        "inner_tol": inner_tol,
-        "lam": obj.lam,
-        "penalty": obj.penalty,
-    }
-    return _iterate(f, split_step, max_iter, "admm", config)
+    return _iterate(f, split_step, max_iter, "admm")
 
 
 # ---------------------------------------------------------------------------

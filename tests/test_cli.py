@@ -73,6 +73,15 @@ class TestRaster:
         with pytest.raises(Exception):
             read_raster(base)
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (-2, -2), (3, 0), (-1, 4)])
+    def test_dimensions_below_one_rejected(self, tmp_path, width, height):
+        base = str(tmp_path / "img")
+        with open(base + ".f32.txt", "w") as fh:
+            fh.write(f"width={width}\nheight={height}\ndtype=float32-le\n")
+        np.ones(abs(width * height), dtype="<f4").tofile(base + ".f32")
+        with pytest.raises(ValidationError, match="img.f32.txt: width and height must be >= 1"):
+            read_raster(base)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_sample_beyond_float32_is_rejected_not_written_as_inf(self, tmp_path):
         base = str(tmp_path / "img")
@@ -590,6 +599,31 @@ class TestReconstruct:
         assert main(["reconstruct", "--data", str(sim), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: data raster not found") and "mask.f32.txt" in err
+
+    def test_negative_raster_dimensions_exit_2(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        txt = sim / "truth.f32.txt"
+        text = txt.read_text().replace("width=32", "width=-32")
+        txt.write_text(text.replace("height=32", "height=-32"))
+        assert main(["reconstruct", "--data", str(sim), "--out", str(tmp_path / "rec")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: bad raster descriptor {txt}: width and height must be >= 1\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_truth_exits_2(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        truth = np.fromfile(sim / "truth.f32", dtype="<f4")
+        truth[5] = np.nan
+        truth.tofile(sim / "truth.f32")
+        rec = tmp_path / "rec"
+        assert main(["reconstruct", "--data", str(sim), "--out", str(rec)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {sim / 'truth.f32'} input contains non-finite samples\n"
+        )
+        assert not rec.exists()
 
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 ``compare`` is fed synthetic results, so no CLI call or git checkout runs.
 """
 
+import dataclasses
 import importlib.util
 import os
 
@@ -172,12 +173,15 @@ def test_library_report_compares_bytes_and_files_operator_cases_under_selftest()
 
 def test_library_covers_every_solver_and_selftest_operator():
     parity = load_parity()
+    from reconkit import SolveReport
     from reconkit.cli import _selftest_cases
 
     results = parity.library()
-    solvers = ("gd", "cg", "ista", "fista", "admm_abs", "admm_quadratic", "admm_tv")
-    parts = ("final", "objective_trace", "iterations")
-    want = {f"solver {name} {part}" for name in solvers for part in parts}
+    solvers = ("gd", "gd_fixed_step", "cg", "ista", "fista")
+    solvers += ("admm_abs", "admm_quadratic", "admm_tv")
+    # each solve's whole report
+    assert set(parity.REPORT_PARTS) == {f.name for f in dataclasses.fields(SolveReport)}
+    want = {f"solver {name} {part}" for name in solvers for part in parity.REPORT_PARTS}
     want |= {
         f"operator {name} {method}"
         for name, _, _ in _selftest_cases()

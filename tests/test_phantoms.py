@@ -230,6 +230,13 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             snr_db(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_snr_of_a_zero_truth_is_minus_inf_without_a_warning(self):
+        assert snr_db(np.zeros((4, 4)), np.ones((4, 4))) == -np.inf
+        mask = random_mask((8, 8), 0.5, seed=1)
+        deg = degrade(np.zeros((8, 8)), gaussian_kernel(3, 1.0), mask, 0.1, 2)
+        assert deg.measurement_snr_db == -np.inf
+
 
 class TestCompressibility:
     def test_full_fraction_round_trips(self):

@@ -144,6 +144,20 @@ class TestGradientDescent:
         with pytest.raises(ValidationError):
             gradient_descent(obj, step=-1.0)
 
+    def test_fixed_step_still_checks_the_power_seed(self):
+        obj = Objective(forward=op_matrix(np.eye(3)), data=np.zeros(3))
+        with pytest.raises(ValidationError, match="seed"):
+            gradient_descent(obj, step=0.1, power_seed=-1)
+
+    def test_auto_step_equals_its_value_passed_as_a_fixed_step(self):
+        h, g = dense_instance(10, 10, 112)
+        obj = Objective(forward=op_matrix(h), data=g, penalty="quadratic", lam=0.1)
+        auto = gradient_descent(obj, step=None, max_iter=40, tol=1e-14, power_seed=3)
+        fixed = gradient_descent(obj, step=variational._auto_step(obj, 3), max_iter=40, tol=1e-14)
+        assert np.array_equal(auto.final, fixed.final)
+        assert np.array_equal(auto.objective_trace, fixed.objective_trace)
+        assert auto.iterations == fixed.iterations
+
 
 class TestForwardApplyCount:
     @pytest.mark.parametrize(
@@ -253,7 +267,7 @@ class TestNullspaceDemo:
         assert np.max(np.abs(rep.solutions - expected)) < 0.02
         assert np.all(np.abs(rep.sse - 0.003333) < 5e-4)
 
-    def test_pairwise_differences_in_null_direction(self):
+    def test_pairwise_differences_lie_along_the_null_vector(self):
         rep = nullspace_demo()
         n_hat = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
         for i in range(3):
@@ -337,7 +351,7 @@ class TestIsta:
         inst = sparse_recovery_instance()
         obj = Objective(forward=inst.forward, data=inst.data, penalty="abs", lam=inst.lam)
         rep = ista(obj, max_iter=20000, tol=1e-300)
-        gamma = rep.config["gamma"]
+        gamma = variational._auto_step(obj, 0)
         f = rep.final
         grad = obj.forward.adjoint(obj.forward.apply(f) - obj.data)
         again = prox_apply("abs", f - gamma * grad, gamma * obj.lam)
@@ -369,11 +383,9 @@ class TestIsta:
         # the reference applies H at the momentum point every iteration
         h, g = dense_instance(12, 20, 135)
         lam = 0.1 * float(np.max(np.abs(h.T @ g)))
-        rep = ista(
-            Objective(forward=op_matrix(h), data=g, penalty="abs", lam=lam),
-            accelerate=True, max_iter=150, tol=0.0,
-        )
-        gamma = rep.config["gamma"]
+        obj = Objective(forward=op_matrix(h), data=g, penalty="abs", lam=lam)
+        rep = ista(obj, accelerate=True, max_iter=150, tol=0.0)
+        gamma = variational._auto_step(obj, 0)
         f = np.zeros(20)
         y, t = f, 1.0
         for _ in range(150):

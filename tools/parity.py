@@ -14,11 +14,12 @@ call it compares the exit code, stdout, stderr and the sha256 of every file
 the call wrote.
 
 Then one more fresh interpreter per tree computes ``library()``, and the two
-trees' arrays are compared byte for byte: each solver's final, objective
-trace and iteration count on one small problem; ``apply``, ``adjoint`` and
-``normal`` of every ``cli._selftest_cases`` operator; and ``op_radon``'s
-``apply``, ``adjoint`` and ``normal`` on the path that rebuilds its tables per
-call.
+trees' arrays are compared byte for byte: each solver's whole report (final,
+objective and residual traces, iteration count and ``converged``) on one
+small problem, gradient descent with both the auto and a fixed step;
+``apply``, ``adjoint`` and ``normal`` of every ``cli._selftest_cases``
+operator; and ``op_radon``'s ``apply``, ``adjoint`` and ``normal`` on the
+path that rebuilds its tables per call.
 
 On a mismatch it prints the maximum relative difference of each differing
 ``.f32`` raster or library array and exits 1; otherwise it exits 0.
@@ -50,6 +51,8 @@ REPO = os.path.dirname(TOOLS)
 sys.path.insert(0, REPO)
 from bench.workloads import WORKLOADS  # noqa: E402  (the benchmark's calls, read only)
 
+# every field of a SolveReport, compared per library solve
+REPORT_PARTS = ("final", "objective_trace", "residual_trace", "iterations", "converged")
 RUN = "import sys; from reconkit.cli import main; sys.exit(main(sys.argv[1:]))"
 LIBRARY = (
     "import sys; sys.path.insert(0, sys.argv[1]); import parity; parity.save_library(*sys.argv[2:])"
@@ -132,6 +135,7 @@ def library() -> dict:
     tv = rk.Objective(op, g, "abs", 0.01, reg_op=grad)
     solves = {
         "gd": (rk.gradient_descent, quadratic, {"power_seed": 3}),
+        "gd_fixed_step": (rk.gradient_descent, quadratic, {"step": 0.4}),
         "cg": (rk.conjugate_gradient_normal, quadratic, {}),
         "ista": (rk.ista, l1, {"power_seed": 3}),
         "fista": (rk.ista, l1, {"accelerate": True, "power_seed": 3}),
@@ -142,9 +146,8 @@ def library() -> dict:
     results = {}
     for name, (solve, obj, kwargs) in solves.items():
         solved = solve(obj, max_iter=30, **kwargs)
-        results[f"solver {name} final"] = solved.final
-        results[f"solver {name} objective_trace"] = solved.objective_trace
-        results[f"solver {name} iterations"] = np.array(solved.iterations)
+        for part in REPORT_PARTS:
+            results[f"solver {name} {part}"] = np.array(getattr(solved, part))
     for name, case, _ in _selftest_cases():
         x = field(case.domain_shape, case.domain_complex, 1)
         y = field(case.range_shape, case.range_complex, 3)
