@@ -479,15 +479,17 @@ def cmd_reconstruct(args) -> int:
     data_dir = args.data if getattr(args, "data", None) else cfg.out_dir
     if not os.path.isdir(data_dir):
         raise ConfigError(f"data directory not found: {data_dir}")
+    bases = [os.path.join(data_dir, name) for name in ("truth", "kernel", "mask", "measurements")]
     try:
-        truth = read_raster(os.path.join(data_dir, "truth"))
-        kernel = read_raster(os.path.join(data_dir, "kernel"))
-        mask = read_raster(os.path.join(data_dir, "mask")) > 0.5
-        measurements = read_raster(os.path.join(data_dir, "measurements")).ravel()
+        rasters = [read_raster(base) for base in bases]
     except FileNotFoundError as exc:
         raise ConfigError(f"data raster not found: {exc.filename}") from exc
-    # op_convolve checks the kernel and Objective the measurements
-    truth = _raster(truth, os.path.join(data_dir, "truth.f32"))
+    # each raster is checked once, as it enters, and a bad one is named by its file
+    truth, kernel, mask, measurements = (
+        _raster(raster, base + ".f32") for raster, base in zip(rasters, bases)
+    )
+    mask = mask > 0.5
+    measurements = measurements.ravel()
 
     forward = _blur_then_mask(embed_kernel(kernel, truth.shape), mask)
     report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
@@ -590,9 +592,9 @@ def cmd_fbp_vs_tv(args) -> int:
     truth = shepp_logan(size)
     sino = analytic_sinogram(SHEPP_LOGAN, geom, size)
 
-    fbp_img = fbp(sino, out_shape=(size, size))
+    fbp_img = fbp(sino, geom, out_shape=(size, size))
     radon_op = op_radon(geom, (size, size))
-    tv = _SOLVERS["admm_tv"](cfg, radon_op, sino.data, (size, size), cfg.solver.lam)
+    tv = _SOLVERS["admm_tv"](cfg, radon_op, sino, (size, size), cfg.solver.lam)
     snr_fbp = snr_db(truth, fbp_img)
     snr_tv = snr_db(truth, tv.final)
 
@@ -615,15 +617,15 @@ def cmd_nullspace_demo(args) -> int:
     cfg = load_config(args, writes=bool(args.out))
     report = nullspace_demo()
     print("start           solution                    sum sq error")
-    for init, sol, sse in zip(report.inits, report.solutions, report.sse):
+    for init, rep, sse in zip(report.inits, report.reports, report.sse):
         init_s = "(" + ", ".join(f"{v:g}" for v in init) + ")"
-        sol_s = "(" + ", ".join(f"{v:7.4f}" for v in sol) + ")"
+        sol_s = "(" + ", ".join(f"{v:7.4f}" for v in rep.final) + ")"
         print(f"{init_s:15s} {sol_s:27s} {sse:.6f}")
     if args.out:
         header = ["run", "f0_1", "f0_2", "f0_3", "f_1", "f_2", "f_3", "sse"]
         rows = [
-            (i, *report.inits[i], *report.solutions[i], report.sse[i])
-            for i in range(len(report.sse))
+            (i, *report.inits[i], *rep.final, report.sse[i])
+            for i, rep in enumerate(report.reports)
         ]
         _write_outputs(cfg, "nullspace-demo", tables=[("metrics.csv", header, rows)])
     return 0

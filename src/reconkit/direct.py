@@ -1,6 +1,10 @@
 """Direct (non-iterative) reconstruction: filtered back projection and Wiener
 deconvolution.
 
+A sinogram is a ``(n_angles, n_detectors)`` raster; ``fbp`` takes it beside
+the ``RadonGeometry`` that made it, as ``op_radon`` takes that geometry
+beside the image shape.
+
 The zero-filled inverse DFT of undersampled spectrum samples is the adjoint
 of ``op_compose(op_mask(mask, complex_field=True), op_dft2(shape))`` divided
 by ``H W``; it needs no function of its own.
@@ -12,7 +16,7 @@ import numpy as np
 
 from .errors import SingularityError, ValidationError
 from .grids import _raster
-from .operators import Sinogram
+from .operators import RadonGeometry
 
 __all__ = ["fbp", "wiener_deconvolve"]
 
@@ -24,22 +28,27 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def fbp(sino: Sinogram, out_shape=None) -> np.ndarray:
+def fbp(sino, geometry: RadonGeometry, out_shape=None) -> np.ndarray:
     """Filtered back projection of a parallel-beam sinogram.
 
+    ``sino`` is a raster of shape ``(geometry.n_angles, geometry.n_detectors)``.
     Per view: zero-pad the projection to the power of two at or above twice
     the detector count, multiply its DFT by the ramp ``|nu|``, invert, crop;
     then smear filtered values back along rays by linear interpolation on the
     detector axis.  The angular sum carries pi / n_angles and the detector
     pitch scales both the frequency axis and the interpolation; both come
-    from ``sino.geometry``, whose views are uniform over [0, pi).
+    from ``geometry``, whose views are uniform over [0, pi).
     """
-    geom = sino.geometry
-    n_angles, n_det, pitch = geom.n_angles, geom.n_detectors, geom.detector_pitch
+    data = _raster(sino, "fbp")
+    n_angles, n_det, pitch = geometry.n_angles, geometry.n_detectors, geometry.detector_pitch
+    if data.shape != (n_angles, n_det):
+        raise ValidationError(
+            f"fbp sinogram {data.shape} does not match geometry {(n_angles, n_det)}"
+        )
     ramp = np.abs(np.fft.fftfreq(_next_pow2(2 * n_det)))
 
     padded = np.zeros((n_angles, ramp.size), dtype=np.float64)
-    padded[:, :n_det] = sino.data
+    padded[:, :n_det] = data
     filtered = np.fft.ifft(np.fft.fft(padded, axis=1) * ramp[None, :], axis=1).real
     filtered = filtered[:, :n_det] / pitch
 
@@ -53,7 +62,7 @@ def fbp(sino: Sinogram, out_shape=None) -> np.ndarray:
 
     recon = np.zeros((h, w), dtype=np.float64)
     det_axis = np.arange(n_det, dtype=np.float64)
-    for a, theta in enumerate(geom.angles):
+    for a, theta in enumerate(geometry.angles):
         t = (xs[None, :] * np.cos(theta) + ys[:, None] * np.sin(theta)) / pitch
         recon += np.interp(t + det_center, det_axis, filtered[a], left=0.0, right=0.0)
     recon *= np.pi / n_angles

@@ -48,7 +48,6 @@ from .grids import (
 __all__ = [
     "LinearMap",
     "RadonGeometry",
-    "Sinogram",
     "dot_test",
     "normal_test",
     "random_mask",
@@ -61,7 +60,6 @@ __all__ = [
     "op_dft2",
     "op_grad",
     "op_radon",
-    "radon",
     "transform_haar",
     "transform_dct8",
     "fourier_slice_check",
@@ -470,23 +468,6 @@ class RadonGeometry:
         return (np.arange(self.n_detectors) - (self.n_detectors - 1) / 2.0) * self.detector_pitch
 
 
-@dataclass(frozen=True)
-class Sinogram:
-    """Projections indexed (angle, detector) over one parallel-beam geometry."""
-
-    data: np.ndarray
-    geometry: RadonGeometry
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        shape = (self.geometry.n_angles, self.geometry.n_detectors)
-        if data.shape != shape:
-            raise ValidationError(f"Sinogram data {data.shape} does not match geometry {shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("Sinogram.data contains non-finite samples")
-        object.__setattr__(self, "data", data)
-
-
 def _ray_points(theta: float, shape, offs: np.ndarray):
     """Sample coordinates for all rays of one view, at unit step along rays.
 
@@ -565,6 +546,9 @@ def _ray_sums(flat, starts, cols, vals):
 def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     """Discrete ray transform: bilinear sampling at unit step along rays.
 
+    It maps an ``image_shape`` raster to a sinogram: a plain
+    ``(n_angles, n_detectors)`` float64 raster indexed (angle, detector),
+    which carries no geometry; ``fbp`` takes the same ``geometry`` beside it.
     Each view is a table with one entry per (ray, pixel) pair: ``cols``
     (pixel ids) and ``vals`` (the pixel's bilinear corner weights summed
     along the ray), see ``_radon_view_table``.  Samples outside the image
@@ -650,12 +634,6 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
         normal_fn=normal,
         name="radon",
     )
-
-
-def radon(img, geometry: RadonGeometry) -> Sinogram:
-    """Apply the ray transform to an image and wrap the result."""
-    img = _raster(img, "radon")
-    return Sinogram(op_radon(geometry, img.shape).apply(img), geometry)
 
 
 # ---------------------------------------------------------------------------

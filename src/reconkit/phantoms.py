@@ -1,8 +1,9 @@
 """Analytic phantoms, degradation pipelines, and benchmark metrics.
 
-Phantoms are defined on the unit square [-1, 1]^2 with the +y axis along the
-row axis (pointing down), matching the ray-transform convention, and are
-rendered by point evaluation at pixel centers.
+A phantom is a tuple of ``Ellipse``, defined on the unit square [-1, 1]^2
+with the +y axis along the row axis (pointing down), matching the
+ray-transform convention; overlapping intensities add.  It is rendered by
+point evaluation at pixel centers.
 
 ``_blur_then_mask`` is the one measurement model (circular blur, then the
 sampling mask): ``degrade`` returns it with its measurements, and the CLI
@@ -20,7 +21,6 @@ from .grids import _raster, _seed_value, gaussian_noise, normal_stream, uniform_
 from .operators import (
     LinearMap,
     RadonGeometry,
-    Sinogram,
     embed_kernel,
     op_compose,
     op_convolve,
@@ -32,7 +32,6 @@ from .operators import (
 
 __all__ = [
     "Ellipse",
-    "EllipsePhantom",
     "SHEPP_LOGAN",
     "render",
     "shepp_logan",
@@ -69,18 +68,6 @@ class Ellipse:
                 raise ValidationError(f"Ellipse.{name} must be finite")
 
 
-@dataclass(frozen=True)
-class EllipsePhantom:
-    """A sum of ellipses; overlapping intensities add."""
-
-    ellipses: tuple
-
-    def __post_init__(self):
-        if len(self.ellipses) == 0:
-            raise ValidationError("EllipsePhantom needs at least one ellipse")
-        object.__setattr__(self, "ellipses", tuple(self.ellipses))
-
-
 # The standard Shepp and Logan (1974) ten-ellipse head set, parameters as
 # tabulated by Kak and Slaney: (cx, cy, a, b, rotation in degrees, intensity).
 _SHEPP_LOGAN_TABLE = (
@@ -96,20 +83,20 @@ _SHEPP_LOGAN_TABLE = (
     (0.06, -0.605, 0.023, 0.046, 0.0, 0.01),
 )
 
-SHEPP_LOGAN = EllipsePhantom(
-    tuple(
-        Ellipse(cx, cy, a, b, np.deg2rad(deg), rho)
-        for cx, cy, a, b, deg, rho in _SHEPP_LOGAN_TABLE
-    )
+SHEPP_LOGAN = tuple(
+    Ellipse(cx, cy, a, b, np.deg2rad(deg), rho) for cx, cy, a, b, deg, rho in _SHEPP_LOGAN_TABLE
 )
 
 
-def point_eval(phantom: EllipsePhantom, x, y):
-    """Sum of ellipse intensities covering the point(s) (x, y) in unit coords."""
+def point_eval(phantom, x, y):
+    """Sum of the intensities of the phantom's ellipses covering the point(s) (x, y).
+
+    ``phantom`` is any iterable of ``Ellipse``; (x, y) are in unit coords.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     total = np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
-    for e in phantom.ellipses:
+    for e in phantom:
         dx = x - e.cx
         dy = y - e.cy
         cos_p, sin_p = np.cos(e.phi), np.sin(e.phi)
@@ -121,8 +108,11 @@ def point_eval(phantom: EllipsePhantom, x, y):
     return total
 
 
-def render(phantom: EllipsePhantom, size: int) -> np.ndarray:
-    """Evaluate the phantom at pixel centers of a size x size grid."""
+def render(phantom, size: int) -> np.ndarray:
+    """Evaluate the phantom at pixel centers of a size x size grid.
+
+    An empty phantom renders zeros.
+    """
     if size < 2:
         raise ValidationError("render needs size >= 2")
     coords = (np.arange(size) - (size - 1) / 2.0) * (2.0 / size)
@@ -138,10 +128,12 @@ def shepp_logan(size: int) -> np.ndarray:
     return render(SHEPP_LOGAN, size)
 
 
-def analytic_sinogram(
-    phantom: EllipsePhantom, geometry: RadonGeometry, image_size: int
-) -> Sinogram:
+def analytic_sinogram(phantom, geometry: RadonGeometry, image_size: int) -> np.ndarray:
     """Exact line integrals of the phantom, in pixel units of an image_size grid.
+
+    Returns the ``(n_angles, n_detectors)`` sinogram raster of ``geometry``,
+    the raster ``op_radon(geometry, (image_size, image_size))`` approximates;
+    an empty phantom gives zeros.
 
     The chord of an ellipse along the line at angle t and offset s is
     2 a b sqrt(q - s'^2) / q with q = a^2 cos^2(t - phi) + b^2 sin^2(t - phi)
@@ -149,13 +141,14 @@ def analytic_sinogram(
     """
     if image_size < 2:
         raise ValidationError("analytic_sinogram needs image_size >= 2")
+    phantom = tuple(phantom)  # walked once per view
     scale = image_size / 2.0  # pixels per phantom unit
     offs = geometry.offsets / scale
     data = np.zeros((geometry.n_angles, geometry.n_detectors), dtype=np.float64)
     for i, theta in enumerate(geometry.angles):
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         row = np.zeros_like(offs)
-        for e in phantom.ellipses:
+        for e in phantom:
             t_rel = theta - e.phi
             q = (e.a * np.cos(t_rel)) ** 2 + (e.b * np.sin(t_rel)) ** 2
             s_rel = offs - (e.cx * cos_t + e.cy * sin_t)
@@ -163,7 +156,7 @@ def analytic_sinogram(
             chord = np.where(under > 0.0, 2.0 * e.a * e.b * np.sqrt(np.maximum(under, 0.0)) / q, 0.0)
             row += e.rho * chord
         data[i] = row * scale
-    return Sinogram(data, geometry)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -404,10 +404,13 @@ def conjugate_gradient_normal(
 
 @dataclass
 class NullspaceReport:
-    """Three least-squares solutions of one underdetermined 3x3 system."""
+    """Three least-squares solutions of one underdetermined 3x3 system.
+
+    ``reports[i].final`` is the solution CG reached from ``inits[i]``, and
+    ``sse[i]`` its sum of squared residuals.
+    """
 
     inits: np.ndarray
-    solutions: np.ndarray
     sse: np.ndarray
     reports: list
 
@@ -429,9 +432,8 @@ def nullspace_demo() -> NullspaceReport:
     reports = [
         conjugate_gradient_normal(obj, f0=f0, max_iter=50, tol=1e-12) for f0 in inits
     ]
-    solutions = np.array([rep.final for rep in reports])
-    sse = np.array([float(np.sum((g - h @ sol) ** 2)) for sol in solutions])
-    return NullspaceReport(inits, solutions, sse, reports)
+    sse = np.array([float(np.sum((g - h @ rep.final) ** 2)) for rep in reports])
+    return NullspaceReport(inits, sse, reports)
 
 
 # ---------------------------------------------------------------------------

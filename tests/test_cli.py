@@ -611,19 +611,43 @@ class TestReconstruct:
             f"config error: bad raster descriptor {txt}: width and height must be >= 1\n"
         )
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_truth_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def _reconstruct_with_nan(tmp_path, capsys, name, at):
+        """``reconstruct`` after a NaN replaces sample ``at(raw)`` of ``<name>.f32``'s ``raw``.
+
+        Checks that the call exits 2, names that file and writes nothing.
+        """
         sim = tmp_path / "sim"
         assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
-        truth = np.fromfile(sim / "truth.f32", dtype="<f4")
-        truth[5] = np.nan
-        truth.tofile(sim / "truth.f32")
+        path = sim / f"{name}.f32"
+        raw = np.fromfile(path, dtype="<f4")
+        raw[at(raw)] = np.nan
+        raw.tofile(path)
         rec = tmp_path / "rec"
         assert main(["reconstruct", "--data", str(sim), "--out", str(rec)]) == 2
         assert capsys.readouterr().err == (
-            f"config error: {sim / 'truth.f32'} input contains non-finite samples\n"
+            f"config error: {path} input contains non-finite samples\n"
         )
         assert not rec.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_truth_exits_2(self, tmp_path, capsys):
+        self._reconstruct_with_nan(tmp_path, capsys, "truth", lambda raw: 5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, at",
+        [
+            ("kernel", lambda raw: 5),
+            ("measurements", lambda raw: 5),
+            # a NaN in the mask is neither kept nor dropped: the mask is corrupt
+            ("mask", lambda raw: np.flatnonzero(raw == 0.0)[0]),
+            ("mask", lambda raw: np.flatnonzero(raw == 1.0)[0]),
+        ],
+        ids=["kernel", "measurements", "mask_in_place_of_0", "mask_in_place_of_1"],
+    )
+    def test_non_finite_input_raster_exits_2(self, tmp_path, capsys, name, at):
+        self._reconstruct_with_nan(tmp_path, capsys, name, at)
 
 
     @pytest.mark.parametrize(

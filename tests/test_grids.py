@@ -22,7 +22,6 @@ from reconkit import (
     gaussian_noise,
     normal_stream,
     op_dft2,
-    radon,
     render,
     shepp_logan,
     transform_dct8,
@@ -46,7 +45,7 @@ def dft2_direct(data):
 # each library function where a raster enters, called on ``x``
 ONES = np.ones((8, 8))
 ENTRY_POINTS = {
-    "radon": lambda x: radon(x, RadonGeometry(4, 8)),
+    "fbp": lambda x: fbp(x, RadonGeometry(8, 8)),
     "transform_haar": lambda x: transform_haar(x, 1),
     "transform_dct8": lambda x: transform_dct8(x),
     "fourier_slice_check": lambda x: fourier_slice_check(x, 0.0),
@@ -57,6 +56,7 @@ ENTRY_POINTS = {
 
 # each library function that makes a raster, at 32 x 32
 IMG = normal_stream(1024, 1.0, 6).reshape(32, 32)
+VIEWS = RadonGeometry(8, 32)
 MAKERS = {
     "render": lambda: render(SHEPP_LOGAN, 32),
     "shepp_logan": lambda: shepp_logan(32),
@@ -64,7 +64,7 @@ MAKERS = {
     "airy_psf": lambda: airy_psf(32, 0.2),
     "transform_haar": lambda: transform_haar(IMG, 2),
     "transform_dct8": lambda: transform_dct8(IMG),
-    "fbp": lambda: fbp(analytic_sinogram(SHEPP_LOGAN, RadonGeometry(8, 32), 32)),
+    "fbp": lambda: fbp(analytic_sinogram(SHEPP_LOGAN, VIEWS, 32), VIEWS),
     "wiener_deconvolve": lambda: wiener_deconvolve(IMG, IMG, 0.1, np.ones((32, 32))),
 }
 

@@ -264,7 +264,8 @@ class TestNullspaceDemo:
                 [-2.30, 4.3667, 5.3333],
             ]
         )
-        assert np.max(np.abs(rep.solutions - expected)) < 0.02
+        solutions = np.array([r.final for r in rep.reports])
+        assert np.max(np.abs(solutions - expected)) < 0.02
         assert np.all(np.abs(rep.sse - 0.003333) < 5e-4)
 
     def test_pairwise_differences_lie_along_the_null_vector(self):
@@ -272,7 +273,7 @@ class TestNullspaceDemo:
         n_hat = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
         for i in range(3):
             for j in range(i + 1, 3):
-                diff = rep.solutions[i] - rep.solutions[j]
+                diff = rep.reports[i].final - rep.reports[j].final
                 off = diff - np.dot(diff, n_hat) * n_hat
                 assert np.linalg.norm(off) < 1e-4 * max(np.linalg.norm(diff), 1.0)
 

@@ -125,9 +125,7 @@ def library() -> dict:
         return (x + 1j * rk.normal_stream(n, 1.0, seed + 1) if is_complex else x).reshape(shape)
 
     shape = (32, 32)
-    # trees older than random_mask build the same mask as a Mask record
-    random_mask = rk.random_mask if hasattr(rk, "random_mask") else rk.Mask.random
-    mask = random_mask(shape, 0.5, 1)
+    mask = rk.random_mask(shape, 0.5, 1)
     deg = rk.degrade(rk.shepp_logan(32), rk.gaussian_kernel(5, 1.0), mask, 0.05, 2)
     op, g, grad = deg.op, deg.measurements, rk.op_grad(shape)
     quadratic = rk.Objective(op, g, "quadratic", 0.01, reg_op=grad)
