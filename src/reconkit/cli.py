@@ -17,9 +17,10 @@ that path), and ``_SOLVERS``, ``_BLURS`` and ``_TRANSFORM_KINDS`` (the kinds
 behind ``--solver``, ``--blur`` and ``--transform``).  ``_write_outputs``
 writes every command's files.
 
-Exit codes: 0 on success, 2 for a malformed configuration or missing input
-data, 3 for a numerical failure (a diagnostic trace is written to the output
-directory and its path printed).
+Exit codes: 0 on success, 2 for a ``ValidationError`` (a malformed
+configuration, or input data that is missing or does not fit together), 3 for
+a ``DivergenceError``, a numerical failure (a diagnostic trace is written to
+the output directory and its path printed).
 
 Seeds: ``--seed`` sets the experiment seed (default 0).  Component streams
 derive from it as seed * 1000 + {1: mask, 2: noise, 3: power iteration}
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .direct import fbp
-from .errors import BreakdownError, DivergenceError, SingularityError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .grids import _raster, normal_stream
 from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
@@ -83,10 +84,6 @@ from .variational import (
     nullspace_demo,
     prox_apply,
 )
-
-
-class ConfigError(Exception):
-    """A config field is unknown, has the wrong type, or a bad value."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +205,29 @@ def _coerce(value, typ, path):
         return None if value is None else _coerce(value, inner, path)
     if dataclasses.is_dataclass(typ):
         if not isinstance(value, dict):
-            raise ConfigError(f"{path} must be a table of fields")
+            raise ValidationError(f"{path} must be a table of fields")
         return _from_dict(typ, value, path)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer")
+            raise ValidationError(f"{path} must be an integer")
         return value
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number")
+            raise ValidationError(f"{path} must be a number")
         try:
             return float(value)
         except OverflowError:
-            raise ConfigError(f"{path} is beyond the double range") from None
+            raise ValidationError(f"{path} is beyond the double range") from None
     if typ is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string")
+            raise ValidationError(f"{path} must be a string")
         return value
     if typing.get_origin(typ) is list:
         if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list")
+            raise ValidationError(f"{path} must be a list")
         (entry,) = typing.get_args(typ)
         return [_coerce(item, entry, f"{path}[{i}]") for i, item in enumerate(value)]
-    raise ConfigError(f"{path} has unsupported type {typ!r}")
+    raise ValidationError(f"{path} has unsupported type {typ!r}")
 
 
 def _from_dict(cls, data: dict, path: str = "config"):
@@ -238,7 +235,7 @@ def _from_dict(cls, data: dict, path: str = "config"):
     kwargs = {}
     for name, value in data.items():
         if name not in hints:
-            raise ConfigError(f"unknown field {path}.{name}")
+            raise ValidationError(f"unknown field {path}.{name}")
         kwargs[name] = _coerce(value, hints[name], f"{path}.{name}")
     return cls(**kwargs)
 
@@ -272,14 +269,14 @@ def load_config(args, base: dict | None = None, writes: bool = True) -> Experime
             with open(args.config) as fh:
                 file_part = json.load(fh)
         except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
+            raise ValidationError(f"config file not found: {args.config}")
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file cannot be read: {args.config}: {exc}")
+            raise ValidationError(f"config file cannot be read: {args.config}: {exc}")
         except ValueError as exc:
             # a JSONDecodeError, or an integer literal beyond int()'s digit limit
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+            raise ValidationError(f"config file is not valid JSON: {exc}")
         if not isinstance(file_part, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValidationError("config file must hold a JSON object")
     merged = _deep_merge(base or {}, file_part)
     merged = _deep_merge(merged, _flag_patch(args))
     cfg = config_from_dict(merged)
@@ -302,10 +299,10 @@ def _ruled_values(node, prefix: str = ""):
 def _validate_config(cfg: ExperimentConfig, writes: bool = True) -> None:
     for path, value, (check, text) in _ruled_values(cfg):
         if not check(value) and (writes or path != "out_dir"):
-            raise ConfigError(f"{path} {text.format(value)}")
+            raise ValidationError(f"{path} {text.format(value)}")
     # the one rule that spans fields: the blur kernel fits in the image
     if cfg.degradation.blur_size > cfg.phantom.size:
-        raise ConfigError(f"degradation.blur_size {_BLUR_SIZE}")
+        raise ValidationError(f"degradation.blur_size {_BLUR_SIZE}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +475,24 @@ def cmd_reconstruct(args) -> int:
     cfg = load_config(args)
     data_dir = args.data if getattr(args, "data", None) else cfg.out_dir
     if not os.path.isdir(data_dir):
-        raise ConfigError(f"data directory not found: {data_dir}")
+        raise ValidationError(f"data directory not found: {data_dir}")
     bases = [os.path.join(data_dir, name) for name in ("truth", "kernel", "mask", "measurements")]
     try:
         rasters = [read_raster(base) for base in bases]
     except FileNotFoundError as exc:
-        raise ConfigError(f"data raster not found: {exc.filename}") from exc
-    # each raster is checked once, as it enters, and a bad one is named by its file
-    truth, kernel, mask, measurements = (
-        _raster(raster, base + ".f32") for raster, base in zip(rasters, bases)
-    )
+        raise ValidationError(f"data raster not found: {exc.filename}") from exc
+    # each raster is checked as it enters, then against the truth; a bad one is named by its file
+    files = [base + ".f32" for base in bases]
+    truth, kernel, mask, measurements = (_raster(r, name) for r, name in zip(rasters, files))
+    if kernel.shape[0] > truth.shape[0] or kernel.shape[1] > truth.shape[1]:
+        raise ValidationError(f"{files[1]}: kernel {kernel.shape} exceeds the truth {truth.shape}")
+    if mask.shape != truth.shape:
+        raise ValidationError(f"{files[2]}: mask {mask.shape} differs from the truth {truth.shape}")
     mask = mask > 0.5
     measurements = measurements.ravel()
+    kept = np.count_nonzero(mask)
+    if measurements.size != kept:
+        raise ValidationError(f"{files[3]}: {measurements.size} samples; the mask keeps {kept}")
 
     forward = _blur_then_mask(embed_kernel(kernel, truth.shape), mask)
     report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
@@ -736,7 +739,11 @@ _FLAGS = {
     "--lambdas": (("solver", "lambdas"), {}),
     "--rho": (("solver", "rho"), {}),
     "--max-iter": (("solver", "max_iter"), {}),
-    "--step": (("solver", "step"), {"help": "fixed gradient-descent step (default: auto)"}),
+    "--step": (
+        ("solver", "step"),
+        {"help": "fixed gradient-descent step on 0.5 ||g - Hf||^2 + lam ||Lf||^2 / 2 "
+         "(default: auto)"},
+    ),
     "--transform": (("transform",), {"choices": _TRANSFORM_KINDS}),
     "--fractions": (("keep_fractions",), {}),
     "--levels": (("levels",), {}),
@@ -813,10 +820,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, BreakdownError, SingularityError) as exc:
+    except DivergenceError as exc:
         # every command that solves loads its config first, so this resolves
         # again to the out_dir its outputs would have gone to
         path = os.path.join(load_config(args).out_dir, "diagnostic.json")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularityError, ValidationError
+from .errors import ValidationError
 from .grids import _raster
 from .operators import RadonGeometry
 
@@ -91,7 +91,7 @@ def wiener_deconvolve(g, kernel, sigma: float, prior_spectrum) -> np.ndarray:
     if sigma == 0.0:
         floor = 1e-12 * np.max(np.abs(khat))
         if np.any(np.abs(khat) <= floor):
-            raise SingularityError(
+            raise ValidationError(
                 "exact inverse requested (sigma = 0) but the kernel spectrum has zero bins"
             )
     gain = prior * np.conj(khat) / (power * prior + sigma**2)

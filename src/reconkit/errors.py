@@ -1,19 +1,16 @@
 """Exception types shared across the package."""
 
-__all__ = ["BreakdownError", "DivergenceError", "SingularityError", "ValidationError"]
+__all__ = ["DivergenceError", "ValidationError"]
 
 
 class ValidationError(ValueError):
-    """Raised when an input violates a documented precondition."""
-
-
-class SingularityError(ArithmeticError):
-    """Raised when an exact inverse is requested for a singular system."""
+    """Raised when an input violates a documented precondition; the CLI exits 2."""
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterative solver detects a growing objective or an
-    iterate or residual that has left the finite range.
+    """Raised when an iterative solver detects a growing objective, an
+    iterate or residual that has left the finite range, or (in conjugate
+    gradients) a non-positive curvature direction; the CLI exits 3.
 
     Carries the objective trace recorded up to the failing iteration so the
     caller can inspect what happened.
@@ -23,6 +20,3 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.trace = trace
 
-
-class BreakdownError(RuntimeError):
-    """Raised when conjugate gradients meets a non-positive curvature direction."""

@@ -1,15 +1,12 @@
 """Penalized least-squares objectives and the iterative solvers for them.
 
-Objective conventions, fixed once for the whole package:
+Every objective has one form, ``J(f) = 0.5 ||g - H f||^2 + lam sum_n
+phi([L f]_n)``, with ``phi(u) = u^2 / 2`` for the quadratic penalty (whose
+gradient is ``H* (H f - g) + lam L* L f``) and ``phi(u) = |u|`` for abs.
 
-* quadratic penalty: ``J(f) = ||g - H f||^2 + lam ||L f||^2`` (the classic
-  smoothing form; its gradient is ``-2 H* g + 2 (H* H + lam L* L) f``);
-* abs penalty: ``J(f) = 0.5 ||g - H f||^2 + lam sum |[L f]_n|``.
-
-``_PENALTIES`` declares each penalty once: its misfit scale, its potential
-summed over ``L f``, and its prox.  A prox's weight is its step: each solver
-works it out once (gamma lam, or lam / rho) and an overflow is a
-DivergenceError.
+``_PENALTIES`` declares each penalty once: its potential ``sum phi`` over
+``L f``, and its prox.  A prox's weight is its step: each solver works it
+out once (gamma lam, or lam / rho) and an overflow is a DivergenceError.
 
 ``_iterate`` is the one solver loop: forward-backward splitting, CG on the
 normal equations and ADMM are each a step function with its own stop rule,
@@ -32,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BreakdownError, DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .grids import _seed_value, normal_stream
 from .operators import LinearMap, op_matrix
 from .phantoms import snr_db
@@ -120,16 +117,7 @@ def _sqnorm(x: np.ndarray) -> float:
 def _objective(obj: Objective, f: np.ndarray, fid2: float, lf=None) -> float:
     """``objective_value`` from the squared misfit ``||H f - g||^2`` (and ``L f``) at hand."""
     lf = obj.reg_apply(f) if lf is None else lf
-    scale, potential, _ = _PENALTIES[obj.penalty]
-    return scale * fid2 + obj.lam * potential(lf)
-
-
-def _quadratic_gradient(obj: Objective, f: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Gradient of the quadratic objective at ``f``, given its residual ``H f - g``."""
-    grad = 2.0 * obj.forward.adjoint(resid)
-    if obj.lam > 0:
-        grad = grad + 2.0 * obj.lam * obj.reg_normal(f)
-    return grad
+    return 0.5 * fid2 + obj.lam * _PENALTIES[obj.penalty][0](lf)
 
 
 def _normal_equations(obj: Objective, weight: float) -> Callable:
@@ -203,15 +191,14 @@ def _iterate(
 
 
 def _auto_step(obj: Objective, seed) -> float:
-    """The step 0.9 / Lip, Lip the top eigenvalue of ``scale (H* H + weight L* L)``.
+    """The step 0.9 / Lip, Lip the top eigenvalue of ``H* H + w L* L``.
 
-    ``(weight, scale)`` is ``(lam, 2)`` for the quadratic penalty and ``(0, 1)``
-    for abs.  It runs 50 power iterations from a seeded start; a zero operator
-    gets step 1, and an operator so small that the squares of ``H* H v``
-    underflow still gets its own step.
+    That is the Hessian of J's smooth part: ``w = lam`` for the quadratic
+    penalty and ``w = 0`` for abs.  It runs 50 power iterations from a seeded
+    start; a zero operator gets step 1, and an operator so small that the
+    squares of ``H* H v`` underflow still gets its own step.
     """
-    weight, scale = (obj.lam, 2.0) if obj.penalty == "quadratic" else (0.0, 1.0)
-    apply_normal = _normal_equations(obj, weight)
+    apply_normal = _normal_equations(obj, obj.lam if obj.penalty == "quadratic" else 0.0)
     shape = obj.forward.domain_shape
     n = int(np.prod(shape))
     v = normal_stream(n, 1.0, _seed_value(seed)).reshape(shape)
@@ -233,7 +220,7 @@ def _auto_step(obj: Objective, seed) -> float:
             # an overflow here would surface as an input error at the next apply
             raise DivergenceError("power iteration: the normal operator overflowed")
         v = w / top
-    return 0.9 / (scale * top)
+    return 0.9 / top
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +239,8 @@ def _forward_backward(
 ) -> SolveReport:
     """Iterate ``f <- prox(y - gamma * gradient)`` from ``f`` for at most ``max_iter`` steps.
 
-    The gradient is the smooth part's at ``y``: all of a quadratic objective,
-    which then has no prox, else the misfit 0.5 ||H y - g||^2, and the abs
+    The gradient is the smooth part's at ``y``: ``H* (H y - g)``, plus
+    ``lam L* L y`` for a quadratic objective, which then has no prox; the abs
     penalty's soft threshold, its ``_PENALTIES`` prox, runs with step ``gamma lam``.
     ``y`` is the last iterate, or with ``accelerate`` FISTA's momentum point,
     whose residual follows by linearity.  The run stops on a relative
@@ -261,7 +248,7 @@ def _forward_backward(
     diverge.  The residual trace holds the step lengths ||f_{k+1} - f_k||.
     """
     smooth = obj.penalty == "quadratic"  # then the gradient step covers all of J
-    prox = _PENALTIES[obj.penalty][2]
+    prox = _PENALTIES[obj.penalty][1]
     weight = gamma * obj.lam
     if not smooth and not np.isfinite(weight):
         raise DivergenceError(f"{label}: the prox step gamma lam overflowed (gamma {gamma:.3e})")
@@ -276,10 +263,11 @@ def _forward_backward(
             _check_finite(trace, where, y, resid_y)
         else:
             y, resid_y = f, resid
-        if smooth:
-            descent = y - gamma * _quadratic_gradient(obj, y, resid_y)
-        else:
-            descent = y - gamma * obj.forward.adjoint(resid_y)
+        grad = obj.forward.adjoint(resid_y)
+        if smooth and obj.lam > 0:
+            grad = grad + obj.lam * obj.reg_normal(y)
+        descent = y - gamma * grad
+        del grad  # not held through the forward apply below, the step's memory peak
         _check_finite(trace, where, descent)
         f_new = descent if smooth else prox(descent, weight)
         resid_new = obj.forward.apply(f_new) - obj.data
@@ -314,11 +302,12 @@ def gradient_descent(
     tol: float = 1e-8,
     power_seed=0,
 ) -> SolveReport:
-    """Fixed-step descent on the quadratic objective.
+    """Fixed-step descent on the quadratic objective 0.5 ||g - H f||^2 + lam ||L f||^2 / 2.
 
-    ``step=None`` picks the auto step: 0.9 / Lip with the Lipschitz constant
-    estimated by 50 power iterations from a seeded start, which keeps the
-    trace monotone.  ``power_seed`` is checked even with a fixed step.
+    Each step is ``f <- f - step (H* (H f - g) + lam L* L f)``.  ``step=None``
+    picks the auto step: 0.9 / Lip with the Lipschitz constant estimated by 50
+    power iterations from a seeded start, which keeps the trace monotone.
+    ``power_seed`` is checked even with a fixed step.
     """
     if obj.penalty != "quadratic":
         raise ValidationError("gradient_descent handles the quadratic penalty")
@@ -338,11 +327,16 @@ def gradient_descent(
 # ---------------------------------------------------------------------------
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _cg_quadratic(apply_a: Callable, b: np.ndarray, x: np.ndarray, tol: float, trace=()):
     """Plain CG for SPD (or consistent PSD) systems ``A x = b``, started at ``x``.
 
     Returns ``(step, r, converged)``: the start residual ``r = b - A x``,
-    whether it already meets the stop test ``||r|| <= tol * ||b||``, and
+    whether it already meets the stop test ``||r|| <= max(tol, eps) ||b||``
+    (``eps`` the float64 machine epsilon: a recurrence residual below it is
+    roundoff, and CG run past it diverges), and
     ``step(x, trace, where)``, which does one iteration and returns ``(x, r,
     ||r||, converged)``.  ``r`` is the recurrence residual, so a caller has
     ``A x = b - r`` without another apply.  ``trace`` is the caller's
@@ -353,14 +347,16 @@ def _cg_quadratic(apply_a: Callable, b: np.ndarray, x: np.ndarray, tol: float, t
     p = r.copy()
     rs = _sqnorm(r)
     _check_finite(trace, "conjugate gradients start", rs)
-    stop = tol * max(float(np.linalg.norm(b.ravel())), 1e-300)
+    stop = max(tol, _EPS) * max(float(np.linalg.norm(b.ravel())), 1e-300)
 
     def step(x, trace, where):
         nonlocal r, p, rs
         ap = apply_a(p)
         pap = float(np.vdot(p, ap).real)
         if pap <= 0.0:
-            raise BreakdownError("conjugate gradients hit a non-positive curvature direction")
+            raise DivergenceError(
+                f"{where}: non-positive curvature direction", trace=np.asarray(trace)
+            )
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
@@ -441,14 +437,13 @@ def nullspace_demo() -> NullspaceReport:
 # ---------------------------------------------------------------------------
 
 
-# penalty -> (misfit scale, potential summed over L f, prox(u, step)), for
-# J(f) = scale ||H f - g||^2 + lam potential(L f).  The prox minimizes
-# 0.5 (u - f)^2 + step phi(f) per element (phi = f^2 / 2 for quadratic, whose
-# misfit scale is 1); the solvers call it unchecked, having checked u and step.
+# penalty -> (potential sum_n phi(u_n), prox(u, step)), for
+# J(f) = 0.5 ||H f - g||^2 + lam potential(L f).  The prox minimizes
+# 0.5 (u - p)^2 + step phi(p) per element; the solvers call it unchecked,
+# having checked u and step.
 _PENALTIES = {
-    "quadratic": (1.0, _sqnorm, lambda u, step: u / (1.0 + step)),
+    "quadratic": (lambda lf: 0.5 * _sqnorm(lf), lambda u, step: u / (1.0 + step)),
     "abs": (
-        0.5,
         lambda lf: float(np.sum(np.abs(lf))),
         lambda u, step: np.sign(u) * np.maximum(np.abs(u) - step, 0.0),
     ),
@@ -469,7 +464,7 @@ def prox_apply(penalty: str, u, step: float) -> np.ndarray:
         raise ValidationError("prox_apply input contains non-finite samples")
     if not (step >= 0 and np.isfinite(step)):
         raise ValidationError("prox_apply step must be finite and >= 0")
-    return _PENALTIES[penalty][2](u, step)
+    return _PENALTIES[penalty][1](u, step)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +509,11 @@ def admm(
     max_iter: int = 200,
     tol: float = 1e-6,
     inner_iter: int = 30,
-    inner_tol: float = 1e-8,
 ) -> SolveReport:
-    """Scaled-dual ADMM on the split u = L f.
+    """Scaled-dual ADMM for J = 0.5 ||g - H f||^2 + lam sum phi(L f) on the split u = L f.
 
-    f-step: warm-started CG on (H* H + rho L* L) f = H* g + rho L* (u - a);
+    f-step: warm-started CG on (H* H + rho L* L) f = H* g + rho L* (u - a),
+    for at most ``inner_iter`` iterations or a relative residual of 1e-8;
     u-step: the prox of the potential with step lam / rho applied to L f + a;
     dual update: a += L f - u.  Converged when the primal residual
     ||L f - u|| and the dual residual rho ||L* (u - u_prev)|| are both at
@@ -533,7 +528,7 @@ def admm(
         raise ValidationError("rho must be positive and finite")
     f = _start(obj, f0)
 
-    prox = _PENALTIES[obj.penalty][2]
+    prox = _PENALTIES[obj.penalty][1]
     prox_step = obj.lam / rho
     if not np.isfinite(prox_step):
         raise DivergenceError(f"admm: the prox step lam / rho overflowed (rho {rho:.3e})")
@@ -547,7 +542,7 @@ def admm(
     def split_step(f, trace, where):
         nonlocal u, alpha
         rhs = hg + rho * obj.reg_adjoint(u - alpha)
-        cg_step, r, solved = _cg_quadratic(apply_a, rhs, f, inner_tol, trace)
+        cg_step, r, solved = _cg_quadratic(apply_a, rhs, f, 1e-8, trace)
         for it in range(1, inner_iter + 1):
             if solved:
                 break

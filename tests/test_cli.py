@@ -18,7 +18,6 @@ from reconkit.cli import (
     _COMMANDS,
     _FLAGS,
     _SEED_MAX,
-    ConfigError,
     ExperimentConfig,
     SolverConfig,
     _validate_config,
@@ -185,13 +184,13 @@ class TestConfig:
     def test_unknown_field_named(self):
         data = config_to_dict(ExperimentConfig())
         data["degradation"]["blur_sgima"] = 1.0
-        with pytest.raises(ConfigError, match=r"degradation\.blur_sgima"):
+        with pytest.raises(ValidationError, match=r"degradation\.blur_sgima"):
             config_from_dict(data)
 
     def test_type_mismatch_named(self):
         data = config_to_dict(ExperimentConfig())
         data["phantom"]["size"] = "big"
-        with pytest.raises(ConfigError, match=r"phantom\.size"):
+        with pytest.raises(ValidationError, match=r"phantom\.size"):
             config_from_dict(data)
 
     def test_unknown_config_field_exits_2(self, tmp_path, capsys):
@@ -628,6 +627,26 @@ class TestReconstruct:
         assert capsys.readouterr().err == (
             f"config error: {path} input contains non-finite samples\n"
         )
+        assert not rec.exists()
+
+    @pytest.mark.parametrize(
+        "name, raster, message",
+        [
+            ("kernel", np.ones((33, 3)), "kernel (33, 3) exceeds the truth (32, 32)"),
+            ("mask", np.ones((32, 30)), "mask (32, 30) differs from the truth (32, 32)"),
+            ("measurements", np.ones(5), "5 samples; the mask keeps 512"),
+        ],
+        ids=["kernel", "mask", "measurements"],
+    )
+    def test_raster_that_does_not_fit_exits_2_naming_its_file(
+        self, tmp_path, capsys, name, raster, message
+    ):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        write_raster(str(sim / name), raster)
+        rec = tmp_path / "rec"
+        assert main(["reconstruct", "--data", str(sim), "--out", str(rec)]) == 2
+        assert capsys.readouterr().err == f"config error: {sim / name}.f32: {message}\n"
         assert not rec.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

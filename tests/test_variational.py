@@ -11,7 +11,6 @@ import pytest
 
 from reconkit import (
     SHEPP_LOGAN,
-    BreakdownError,
     DivergenceError,
     LinearMap,
     Objective,
@@ -68,21 +67,21 @@ class TestObjective:
         g = np.array([1.0, 2.0])
         f = np.array([1.0, -1.0])
         quad = Objective(forward=h, data=g, penalty="quadratic", lam=0.5)
-        assert objective_value(quad, f) == pytest.approx((1 + 16) + 0.5 * 2, abs=1e-14)
+        assert objective_value(quad, f) == pytest.approx(0.5 * 17 + 0.5 * 2 / 2, abs=1e-14)
         l1 = Objective(forward=h, data=g, penalty="abs", lam=0.5)
         assert objective_value(l1, f) == pytest.approx(0.5 * 17 + 0.5 * 2, abs=1e-14)
 
 
 def quadratic_gradient(obj, f):
-    """The quadratic objective's gradient as the solvers take it, from the residual."""
-    return variational._quadratic_gradient(obj, f, obj.forward.apply(f) - obj.data)
+    """The quadratic objective's gradient as gradient descent takes it: one unit step's move."""
+    return f - gradient_descent(obj, f0=f, step=1.0, max_iter=1).final
 
 
 class TestGradient:
     def test_identity_closed_form(self):
         obj = Objective(forward=op_matrix(np.eye(5)), data=np.zeros(5), penalty="quadratic")
         f = np.arange(5.0)
-        assert np.allclose(quadratic_gradient(obj, f), 2.0 * f, atol=1e-14)
+        assert np.allclose(quadratic_gradient(obj, f), f, atol=1e-14)
 
     def test_zero_at_dense_minimizer(self):
         h, g = dense_instance(6, 6, 100, ridge=3.0)
@@ -197,7 +196,7 @@ class TestForwardApplyCount:
 
         counting = LinearMap((10,), (12,), forward, lambda y: h.T @ y, name="counting")
         obj = Objective(forward=counting, data=g, penalty="abs", lam=0.1)
-        rep = admm(obj, max_iter=7, inner_iter=3, inner_tol=0.0, tol=0.0)
+        rep = admm(obj, max_iter=7, inner_iter=3, tol=0.0)
         assert rep.iterations == 7
         assert len(applies) == 7 * (1 + 3)
 
@@ -250,8 +249,20 @@ class TestConjugateGradient:
         # which the pAp check catches
         bad = LinearMap((4,), (4,), lambda x: -x, lambda y: y, name="sign_flip")
         obj = Objective(forward=bad, data=np.ones(4), penalty="quadratic", lam=0.0)
-        with pytest.raises(BreakdownError):
+        with pytest.raises(DivergenceError, match="iteration 1: non-positive curvature") as err:
             conjugate_gradient_normal(obj, max_iter=10, tol=1e-12)
+        assert err.value.trace.size == 0  # it fails before its first objective
+
+    @pytest.mark.parametrize("max_iter", [3, 50])
+    def test_zero_tolerance_stops_at_the_roundoff_floor(self, max_iter):
+        # on the null-space demo's system the recurrence residual reaches
+        # roundoff by iteration 2; run past it, CG blows up or breaks down
+        h = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 0.0]])
+        obj = Objective(forward=op_matrix(h), data=np.array([3.0, -1.0, 2.1]))
+        want = conjugate_gradient_normal(obj, max_iter=50, tol=1e-12).final
+        rep = conjugate_gradient_normal(obj, max_iter=max_iter, tol=0.0)
+        assert rep.converged
+        assert np.allclose(rep.final, want, rtol=0.0, atol=1e-12)
 
 
 class TestNullspaceDemo:
@@ -297,7 +308,20 @@ class TestProx:
     @pytest.mark.parametrize("kind", ["quadratic", "abs"])
     def test_public_prox_is_the_unchecked_prox_after_its_checks(self, kind):
         u = normal_stream(64, 3.0, 17)
-        assert np.array_equal(prox_apply(kind, u, 0.7), variational._PENALTIES[kind][2](u, 0.7))
+        assert np.array_equal(prox_apply(kind, u, 0.7), variational._PENALTIES[kind][1](u, 0.7))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "abs"])
+    def test_prox_minimizes_its_potential(self, kind):
+        # prox(u, s) minimizes 0.5 (u - p)^2 + s potential(p) in each element,
+        # with the potential the objective itself sums over L f
+        potential, prox = variational._PENALTIES[kind]
+        u = normal_stream(32, 2.0, 18)
+        for s in (0.1, 0.7, 3.0):
+            for ui, pi in zip(u, prox(u, s)):
+                def cost(q):
+                    return 0.5 * (ui - q) ** 2 + s * potential(np.array([q]))
+
+                assert all(cost(pi + d) > cost(pi) for d in (1e-3, -1e-3, 0.1, -0.1))
 
     def test_solvers_do_not_recheck_their_prox_input(self, monkeypatch):
         # each solver checks the prox input itself, just before the prox
