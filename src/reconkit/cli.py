@@ -330,7 +330,7 @@ def _simulate(cfg: ExperimentConfig):
         sigma = float(cfg.degradation.noise_sigma)
     elif cfg.degradation.noise_snr_db is not None:
         # sigma hits the target expected measurement SNR: ||clean||^2 / (M sigma^2)
-        power = float(np.vdot(clean, clean).real)
+        power = float(np.vdot(clean, clean))
         sigma = float(
             np.sqrt(power / (clean.size * 10.0 ** (cfg.degradation.noise_snr_db / 10.0)))
         )
@@ -642,26 +642,24 @@ def _selftest_cases():
     """
     shape = (16, 16)
     kernel = embed_kernel(gaussian_kernel(5, 1.0), shape)
-    w_real, w_other, w_imag = (normal_stream(256, 1.0, s).reshape(shape) for s in (10, 11, 12))
+    w_real = normal_stream(256, 1.0, 10).reshape(shape)
     mask = random_mask(shape, 0.3, seed=3)
     cases = [
         ("mask", op_mask(mask), 1e-10),
         ("multiply_real", op_multiply(w_real), 1e-10),
-        ("multiply_complex", op_multiply(w_other + 1j * w_imag), 1e-10),
-        ("multiply_real_plus_imag", op_multiply(w_real + 1j * w_imag), 1e-10),
         ("convolve_circular", op_convolve(kernel), 1e-6),
         ("grad", op_grad(shape), 1e-10),
         ("dft2", op_dft2(shape), 1e-6),
         ("radon", op_radon(RadonGeometry(12, 16), shape), 1e-6),
         ("radon_24", op_radon(RadonGeometry(30, 33, 0.7), (24, 24)), 1e-6),
         ("radon_32", op_radon(RadonGeometry(45, 24, 1.3), (32, 32)), 1e-6),
-        ("mask_dft2", op_compose(op_mask(mask, complex_field=True), op_dft2(shape)), 1e-6),
+        ("mask_dft2", op_compose(op_mask(np.stack([mask, mask])), op_dft2(shape)), 1e-6),
         ("mask_convolve", op_compose(op_mask(mask), op_convolve(kernel)), 1e-6),
     ]
     compositions = [
         lambda m, c, w: op_compose(op_mask(m), op_convolve(c)),
         lambda m, c, w: op_compose(op_convolve(c), op_multiply(w)),
-        lambda m, c, w: op_compose(op_mask(m, complex_field=True), op_dft2(shape)),
+        lambda m, c, w: op_compose(op_mask(np.stack([m, m])), op_dft2(shape)),
         lambda m, c, w: op_compose(op_multiply(w), op_convolve(c)),
         lambda m, c, w: op_compose(op_compose(op_mask(m), op_convolve(c)), op_multiply(w)),
     ]
@@ -691,7 +689,7 @@ def _selftest_checks():
     yield "prox_abs", np.allclose(soft, manual, atol=1e-12), "prox_abs"
 
     dft = op_dft2(img.shape)
-    rt = (dft.adjoint(dft.apply(img)) / img.size).real
+    rt = dft.adjoint(dft.apply(img)) / img.size
     yield "dft_roundtrip", np.allclose(rt, img, atol=1e-10), "dft_roundtrip"
 
 

@@ -5,9 +5,10 @@ A sinogram is a ``(n_angles, n_detectors)`` raster; ``fbp`` takes it beside
 the ``RadonGeometry`` that made it, as ``op_radon`` takes that geometry
 beside the image shape.
 
-The zero-filled inverse DFT of undersampled spectrum samples is the adjoint
-of ``op_compose(op_mask(mask, complex_field=True), op_dft2(shape))`` divided
-by ``H W``; it needs no function of its own.
+The zero-filled inverse DFT of the spectrum samples ``v`` that a mask ``m``
+keeps, real parts then imaginary parts, is
+``op_compose(op_mask(np.stack([m, m])), op_dft2(shape)).adjoint(v) / (H W)``;
+it needs no function of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _raster
+from .grids import _raster, _real
 from .operators import RadonGeometry
 
 __all__ = ["fbp", "wiener_deconvolve"]
@@ -78,8 +79,8 @@ def wiener_deconvolve(g, kernel, sigma: float, prior_spectrum) -> np.ndarray:
     requires the kernel spectrum to be nowhere zero.
     """
     data = _raster(g, "wiener_deconvolve")
-    ker = np.asarray(kernel, dtype=np.float64)
-    prior = np.asarray(prior_spectrum, dtype=np.float64)
+    ker = _real(kernel, "wiener_deconvolve kernel")
+    prior = _real(prior_spectrum, "wiener_deconvolve prior_spectrum")
     if ker.shape != data.shape or prior.shape != data.shape:
         raise ValidationError("wiener_deconvolve kernel and prior must match the image grid")
     if np.any(prior <= 0) or not np.all(np.isfinite(prior)):

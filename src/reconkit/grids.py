@@ -24,9 +24,19 @@ __all__ = [
 ]
 
 
+def _real(x, who: str) -> np.ndarray:
+    """``x`` as a float64 array, or a ValidationError naming ``who`` if it is complex.
+
+    The check comes before the cast, which would drop the imaginary part.
+    """
+    if np.iscomplexobj(x):
+        raise ValidationError(f"{who} takes real values, not complex ones")
+    return np.asarray(x, dtype=np.float64)
+
+
 def _raster(x, who: str) -> np.ndarray:
-    """``x`` as a float64 raster: 2D, non-empty and finite, or a ValidationError naming ``who``."""
-    arr = np.asarray(x, dtype=np.float64)
+    """``x`` as a float64 raster: real, 2D, non-empty, finite, or a ValidationError for ``who``."""
+    arr = _real(x, who)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"{who} expects a non-empty 2D raster")
     if not np.all(np.isfinite(arr)):
@@ -80,8 +90,8 @@ def bilinear_values(img, xs, ys) -> np.ndarray:
     data = np.asarray(img)
     if data.ndim != 2:
         raise ValidationError("bilinear_values expects a 2D grid")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    xs = _real(xs, "bilinear_values xs")
+    ys = _real(ys, "bilinear_values ys")
     indices, weights = _bilinear_stencil(data.shape, xs, ys)
     flat = data.ravel()
     return sum(wgt * flat[idx] for idx, wgt in zip(indices, weights))

@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from .errors import ValidationError
+from .grids import _real
 
 __all__ = [
     "write_raster",
@@ -59,7 +60,7 @@ def write_raster(base: str, data) -> list[str]:
     A finite sample beyond float32's range is a ValidationError, never an
     ``inf`` on disk.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _real(data, "write_raster")
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
@@ -116,7 +117,7 @@ def write_pgm(path: str, data):
     The minimum maps to 0 and the maximum to 255.  A constant raster gets the
     window ``(v, v + 1)`` and maps to 0.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _real(data, "write_pgm")
     if arr.ndim != 2:
         raise ValidationError("write_pgm expects a 2D array")
     lo, hi = float(arr.min()), float(arr.max())

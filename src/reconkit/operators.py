@@ -1,14 +1,15 @@
 """Matrix-free linear operators implemented as apply/adjoint pairs.
 
-Every operator here satisfies the adjoint identity <Ax, y> = <x, A*y> (the
-inner product conjugates the second argument on complex grids), and the
-adjoints are exact transposes of the discrete forward maps, not separate
-discretizations.  ``dot_test`` is the ground-truth check and runs over every
-constructed operator in the test suite.
+Every operator maps real float64 arrays to real float64 arrays; a complex
+quantity such as a spectrum is the stack of its real and imaginary parts
+(``op_dft2``).  Every operator satisfies the adjoint identity <Ax, y> =
+<x, A*y>, and the adjoints are exact transposes of the discrete forward maps,
+not separate discretizations.  ``dot_test`` is the ground-truth check and
+runs over every constructed operator in the test suite.
 
 ``LinearMap.normal(x)`` applies the normal operator ``A* A`` that every
 variational solver spends its time in.  Operators with a fused form run it in
-one pass: the mask ANDs the input's bits with its all-ones-or-zero keep raster
+one pass: the mask ANDs the input's bits with its all-ones-or-zero keep array
 instead of gathering and scattering, convolution multiplies the spectrum by
 ``|k^|^2`` between one forward and one inverse FFT, the gradient applies
 the Neumann Laplacian stencil directly, and the ray transform gathers and
@@ -17,7 +18,7 @@ composition ``B after C`` runs ``C* (B* B) (C x)`` with the outer part's fused
 normal, so mask after blur costs two real FFT pairs and no gather.  Every
 other operator falls back to ``adjoint(apply(x))``.
 
-Shape, field and finiteness checks run once, at the outermost public call:
+Shape, realness and finiteness checks run once, at the outermost public call:
 compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
 
 The gradient and the convolution are bound by memory traffic, not
@@ -39,6 +40,7 @@ from .errors import ValidationError
 from .grids import (
     _bilinear_stencil,
     _raster,
+    _real,
     _seed_value,
     bilinear_values,
     normal_stream,
@@ -67,7 +69,10 @@ __all__ = [
 
 
 class LinearMap:
-    """A linear operator defined by an apply function and its exact adjoint.
+    """A linear operator on real arrays, defined by an apply function and its exact adjoint.
+
+    Both sides take real float64 arrays: complex input is a ValidationError
+    rather than a silently discarded imaginary part.
 
     Args:
         domain_shape: shape of valid inputs to ``apply``.
@@ -75,9 +80,11 @@ class LinearMap:
         apply_fn: forward action.
         adjoint_fn: adjoint action, the exact transpose of ``apply_fn``.
         normal_fn: optional fused ``A* A``; omitted means ``adjoint(apply)``.
-        domain_complex / range_complex: field of each side; real operators
-            reject complex input rather than silently discarding phase.
     """
+
+    # every operator is real; bench/tracing.py still reads these two to size its byte counts
+    domain_complex = False
+    range_complex = False
 
     def __init__(
         self,
@@ -87,8 +94,6 @@ class LinearMap:
         adjoint_fn: Callable[[np.ndarray], np.ndarray],
         *,
         normal_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        domain_complex: bool = False,
-        range_complex: bool = False,
         name: str = "linear_map",
     ):
         self.domain_shape = tuple(int(s) for s in domain_shape)
@@ -96,31 +101,26 @@ class LinearMap:
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self._normal_fn = normal_fn
-        self.domain_complex = bool(domain_complex)
-        self.range_complex = bool(range_complex)
         self.name = name
 
-    def _coerce(self, x, shape, is_complex, side):
+    def _coerce(self, x, shape, side):
         arr = np.asarray(x)
         if arr.shape != shape:
             raise ValidationError(
                 f"{self.name}: {side} shape {arr.shape} does not match {shape}"
             )
-        if is_complex:
-            arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        elif np.iscomplexobj(arr):
+        if np.iscomplexobj(arr):
             raise ValidationError(f"{self.name}: {side} input must be real")
-        else:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{self.name}: {side} input contains non-finite samples")
         return arr
 
     def apply(self, x) -> np.ndarray:
-        return self._apply(self._coerce(x, self.domain_shape, self.domain_complex, "domain"))
+        return self._apply(self._coerce(x, self.domain_shape, "domain"))
 
     def adjoint(self, y) -> np.ndarray:
-        return self._adjoint(self._coerce(y, self.range_shape, self.range_complex, "range"))
+        return self._adjoint(self._coerce(y, self.range_shape, "range"))
 
     def _normal(self, x) -> np.ndarray:
         """Unchecked ``A* A x``, for compositions that validated already."""
@@ -136,28 +136,23 @@ class LinearMap:
         """
         if self._normal_fn is None:
             return self.adjoint(self.apply(x))
-        return self._normal_fn(self._coerce(x, self.domain_shape, self.domain_complex, "domain"))
+        return self._normal_fn(self._coerce(x, self.domain_shape, "domain"))
 
     def __repr__(self):
         return f"LinearMap({self.name}: {self.domain_shape} -> {self.range_shape})"
 
 
-def _random_field(shape, is_complex, seed):
-    n = int(np.prod(shape))
-    if is_complex:
-        re = normal_stream(n, 1.0, seed)
-        im = normal_stream(n, 1.0, seed + 0x9E37)
-        return (re + 1j * im).reshape(shape)
-    return normal_stream(n, 1.0, seed).reshape(shape)
+def _random_field(shape, seed):
+    return normal_stream(int(np.prod(shape)), 1.0, seed).reshape(shape)
 
 
 def dot_test(op: LinearMap, trials: int = 100, seed=0) -> float:
-    """Max relative error of <Ax, y> vs <x, A*y> over seeded random trials."""
+    """Max relative error of <Ax, y> vs <x, A*y> over seeded real Gaussian trials."""
     base = _seed_value(seed)
     worst = 0.0
     for t in range(trials):
-        x = _random_field(op.domain_shape, op.domain_complex, base + 2 * t + 1)
-        y = _random_field(op.range_shape, op.range_complex, base + 2 * t + 2)
+        x = _random_field(op.domain_shape, base + 2 * t + 1)
+        y = _random_field(op.range_shape, base + 2 * t + 2)
         lhs = np.vdot(y.ravel(), op.apply(x).ravel())
         rhs = np.vdot(op.adjoint(y).ravel(), x.ravel())
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -166,11 +161,11 @@ def dot_test(op: LinearMap, trials: int = 100, seed=0) -> float:
 
 
 def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
-    """Max relative error of normal(x) vs adjoint(apply(x)) over seeded trials."""
+    """Max relative error of normal(x) vs adjoint(apply(x)) over seeded real Gaussian trials."""
     base = _seed_value(seed)
     worst = 0.0
     for t in range(trials):
-        x = _random_field(op.domain_shape, op.domain_complex, base + t + 1)
+        x = _random_field(op.domain_shape, base + t + 1)
         want = op.adjoint(op.apply(x))
         err = float(np.linalg.norm((op.normal(x) - want).ravel()))
         worst = max(worst, err / max(float(np.linalg.norm(want.ravel())), 1e-300))
@@ -178,7 +173,7 @@ def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sampling masks: a mask is a 2D boolean raster, True where an entry is kept
+# Sampling masks: a mask is a boolean array, True where an entry is kept
 # ---------------------------------------------------------------------------
 
 
@@ -194,44 +189,41 @@ def random_mask(shape, fraction: float, seed) -> np.ndarray:
     return keep.reshape(h, w)
 
 
-def op_mask(keep, *, complex_field: bool = False) -> LinearMap:
-    """Extract the entries a 2D raster keeps (read as bool) as a vector, in flat order.
+def op_mask(keep) -> LinearMap:
+    """Extract the entries a boolean array keeps (read as bool) as a vector, in flat order.
 
-    The adjoint scatters the vector back, with zeros elsewhere.
+    ``keep`` may have any shape: a (height, width) raster samples an image,
+    and ``np.stack([m, m])`` samples both parts of an ``op_dft2`` spectrum at
+    the frequencies ``m`` keeps.  The adjoint scatters the vector back, with
+    zeros elsewhere.
     """
     keep = np.asarray(keep, dtype=bool)
-    if keep.ndim != 2:
-        raise ValidationError("op_mask expects a 2D boolean raster")
     idx = np.flatnonzero(keep)
     if idx.size < 1:
         raise ValidationError("a mask must keep at least one entry")
-    h, w = keep.shape
-    dtype = np.complex128 if complex_field else np.float64
     # -1 (all bits set) where kept, 0 elsewhere, once per 64-bit word of x
-    bits = np.repeat(-keep.astype(np.int8), 2 if complex_field else 1, axis=1)
+    bits = -keep.astype(np.int8)
 
     def forward(x):
         return x.ravel()[idx]
 
     def backward(y):
-        out = np.zeros(h * w, dtype=dtype)
+        out = np.zeros(keep.size, dtype=np.float64)
         out[idx] = y
-        return out.reshape(h, w)
+        return out.reshape(keep.shape)
 
     def normal(x):
         # the AND keeps kept entries exactly (-0.0 included) and makes the
         # rest +0.0: np.where(keep, x, 0.0) bit for bit, in one integer pass
-        words = np.ascontiguousarray(x, dtype=dtype).view(np.int64)
-        return (words & bits).view(dtype)
+        words = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+        return (words & bits).view(np.float64)
 
     return LinearMap(
-        (h, w),
+        keep.shape,
         (idx.size,),
         forward,
         backward,
         normal_fn=normal,
-        domain_complex=complex_field,
-        range_complex=complex_field,
         name="mask",
     )
 
@@ -242,22 +234,20 @@ def op_mask(keep, *, complex_field: bool = False) -> LinearMap:
 
 
 def op_multiply(weights) -> LinearMap:
-    """Pointwise multiplication; the adjoint multiplies by the conjugate."""
+    """Pointwise multiplication by real weights, which is its own adjoint."""
     wgt = np.asarray(weights)
     if wgt.ndim != 2:
         raise ValidationError("op_multiply expects a 2D weight grid")
-    if not np.all(np.isfinite(wgt.real)) or not np.all(np.isfinite(np.imag(wgt))):
+    if np.iscomplexobj(wgt):
+        raise ValidationError("op_multiply weights must be real")
+    wgt = wgt.astype(np.float64)
+    if not np.all(np.isfinite(wgt)):
         raise ValidationError("op_multiply weights must be finite")
-    is_complex = np.iscomplexobj(wgt)
-    wgt = wgt.astype(np.complex128 if is_complex else np.float64)
-    conj = np.conj(wgt)
     return LinearMap(
         wgt.shape,
         wgt.shape,
         lambda x: wgt * x,
-        lambda y: conj * y,
-        domain_complex=is_complex,
-        range_complex=is_complex,
+        lambda y: wgt * y,
         name="multiply",
     )
 
@@ -269,7 +259,7 @@ def embed_kernel(kernel, shape) -> np.ndarray:
     given in centered (point-spread) form: convolving with it does not shift
     the image.
     """
-    ker = np.asarray(kernel, dtype=np.float64)
+    ker = _real(kernel, "embed_kernel")
     kh, kw = ker.shape
     h, w = int(shape[0]), int(shape[1])
     if kh > h or kw > w:
@@ -323,7 +313,7 @@ def op_convolve(kernel) -> LinearMap:
 
 
 def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """outer after inner; shapes and fields must chain.
+    """outer after inner; shapes must chain.
 
     The parts run unchecked: the composite validates its own input once.
     """
@@ -331,56 +321,56 @@ def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
         raise ValidationError(
             f"cannot compose: inner range {inner.range_shape} vs outer domain {outer.domain_shape}"
         )
-    if inner.range_complex != outer.domain_complex:
-        raise ValidationError("cannot compose: field mismatch between inner range and outer domain")
     return LinearMap(
         inner.domain_shape,
         outer.range_shape,
         lambda x: outer._apply(inner._apply(x)),
         lambda y: inner._adjoint(outer._adjoint(y)),
         normal_fn=lambda x: inner._adjoint(outer._normal(inner._apply(x))),
-        domain_complex=inner.domain_complex,
-        range_complex=outer.range_complex,
         name=f"{outer.name}*{inner.name}",
     )
 
 
 def op_matrix(a) -> LinearMap:
-    """Dense matrix as a LinearMap on flat vectors, mostly for small systems."""
+    """Dense real matrix as a LinearMap on flat vectors, mostly for small systems."""
     mat = np.asarray(a)
     if mat.ndim != 2:
         raise ValidationError("op_matrix expects a 2D matrix")
-    is_complex = np.iscomplexobj(mat)
-    mat = mat.astype(np.complex128 if is_complex else np.float64)
-    mat_h = mat.conj().T.copy()
+    if np.iscomplexobj(mat):
+        raise ValidationError("op_matrix expects a real matrix")
+    mat = mat.astype(np.float64)
+    mat_t = mat.T.copy()
     return LinearMap(
         (mat.shape[1],),
         (mat.shape[0],),
         lambda x: mat @ x,
-        lambda y: mat_h @ y,
-        domain_complex=is_complex,
-        range_complex=is_complex,
+        lambda y: mat_t @ y,
         name="matrix",
     )
 
 
 def op_dft2(shape) -> LinearMap:
-    """The package's one 2D DFT, on complex (height, width) grids.
+    """The package's one 2D DFT: a real (height, width) image to its spectrum's parts.
 
-    The forward transform is unnormalized, ``F[k, l] = sum_{n, m} x[n, m]
-    exp(-i 2 pi (k n / H + l m / W))``, so the adjoint is ``H W`` times the
-    inverse and the inverse DFT is ``adjoint(y) / (H W)``.
+    The spectrum is unnormalized, ``F[k, l] = sum_{n, m} x[n, m] exp(-i 2 pi
+    (k n / H + l m / W))``, and comes out as the real (2, height, width) stack
+    ``(Re F, Im F)``.  The adjoint maps a stack ``y`` to ``H W Re(ifft2(y[0] +
+    i y[1]))``, so the inverse DFT of an image's spectrum is ``adjoint(y) /
+    (H W)``.  A Fourier sampling model is
+    ``op_compose(op_mask(np.stack([m, m])), op_dft2(shape))``.
     """
     h, w = int(shape[0]), int(shape[1])
     n = h * w
 
+    def forward(x):
+        spectrum = np.fft.fft2(x)
+        return np.stack([spectrum.real, spectrum.imag])
+
     return LinearMap(
         (h, w),
-        (h, w),
-        lambda x: np.fft.fft2(x),
-        lambda y: n * np.fft.ifft2(y),
-        domain_complex=True,
-        range_complex=True,
+        (2, h, w),
+        forward,
+        lambda y: n * np.fft.ifft2(y[0] + 1j * y[1]).real,
         name="dft2",
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _raster, _seed_value, gaussian_noise, normal_stream, uniform_stream
+from .grids import _raster, _real, _seed_value, gaussian_noise, normal_stream, uniform_stream
 from .operators import (
     LinearMap,
     RadonGeometry,
@@ -93,8 +93,8 @@ def point_eval(phantom, x, y):
 
     ``phantom`` is any iterable of ``Ellipse``; (x, y) are in unit coords.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = _real(x, "point_eval x")
+    y = _real(y, "point_eval y")
     total = np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
     for e in phantom:
         dx = x - e.cx

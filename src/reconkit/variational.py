@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .grids import _seed_value, normal_stream
+from .grids import _real, _seed_value, normal_stream
 from .operators import LinearMap, op_matrix
 from .phantoms import snr_db
 
@@ -64,9 +64,7 @@ class Objective:
     reg_op: LinearMap | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if self.forward.domain_complex or self.forward.range_complex:
-            raise ValidationError("solvers operate on real-field operators")
+        data = _real(self.data, "Objective data")
         if data.shape != self.forward.range_shape:
             raise ValidationError(
                 f"data shape {data.shape} does not match forward range {self.forward.range_shape}"
@@ -80,8 +78,6 @@ class Objective:
         if self.reg_op is not None:
             if self.reg_op.domain_shape != self.forward.domain_shape:
                 raise ValidationError("reg_op domain must match the forward domain")
-            if self.reg_op.domain_complex or self.reg_op.range_complex:
-                raise ValidationError("reg_op must act on the real field")
         object.__setattr__(self, "data", data)
 
     def reg_apply(self, f: np.ndarray) -> np.ndarray:
@@ -106,12 +102,12 @@ class SolveReport:
 
 
 def objective_value(obj: Objective, f) -> float:
-    f = np.asarray(f, dtype=np.float64)
+    f = _real(f, "objective_value")
     return _objective(obj, f, _sqnorm(obj.forward.apply(f) - obj.data))
 
 
 def _sqnorm(x: np.ndarray) -> float:
-    return float(np.vdot(x, x).real)
+    return float(np.vdot(x, x))
 
 
 def _objective(obj: Objective, f: np.ndarray, fid2: float, lf=None) -> float:
@@ -150,7 +146,7 @@ def _check_finite(trace: list, where: str, *values) -> None:
 
 def _start(obj: Objective, f0) -> np.ndarray:
     """The checked start point: zeros, or a float64 copy of ``f0``."""
-    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(f0, dtype=np.float64)
+    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(_real(f0, "f0"))
     if f.shape != obj.forward.domain_shape:
         raise ValidationError("f0 shape does not match the operator domain")
     return f
@@ -352,7 +348,7 @@ def _cg_quadratic(apply_a: Callable, b: np.ndarray, x: np.ndarray, tol: float, t
     def step(x, trace, where):
         nonlocal r, p, rs
         ap = apply_a(p)
-        pap = float(np.vdot(p, ap).real)
+        pap = float(np.vdot(p, ap))
         if pap <= 0.0:
             raise DivergenceError(
                 f"{where}: non-positive curvature direction", trace=np.asarray(trace)
@@ -459,7 +455,7 @@ def prox_apply(penalty: str, u, step: float) -> np.ndarray:
     """
     if penalty not in _PENALTIES:
         raise ValidationError(f"unknown penalty {penalty!r}")
-    u = np.asarray(u, dtype=np.float64)
+    u = _real(u, "prox_apply")
     if not np.all(np.isfinite(u)):
         raise ValidationError("prox_apply input contains non-finite samples")
     if not (step >= 0 and np.isfinite(step)):

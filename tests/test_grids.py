@@ -2,14 +2,18 @@
 
 The DFT tests run ``op_dft2``, the package's one DFT, and compare it against
 a direct O(N^2) evaluation of the defining sums, so the fast path is checked
-against the formula rather than against itself.
+against the formula rather than against itself.  ``op_dft2`` returns the
+spectrum's real and imaginary parts stacked; ``spectrum`` joins them.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from reconkit import (
     SHEPP_LOGAN,
+    Objective,
     RadonGeometry,
     ValidationError,
     airy_psf,
@@ -17,17 +21,26 @@ from reconkit import (
     bilinear_values,
     compressibility_study,
     degrade,
+    embed_kernel,
     fbp,
     fourier_slice_check,
     gaussian_noise,
+    gradient_descent,
     normal_stream,
+    objective_value,
     op_dft2,
+    op_matrix,
+    op_multiply,
+    point_eval,
+    prox_apply,
     render,
     shepp_logan,
     transform_dct8,
     transform_haar,
     uniform_stream,
     wiener_deconvolve,
+    write_pgm,
+    write_raster,
 )
 from reconkit.grids import _raster
 
@@ -42,6 +55,10 @@ def dft2_direct(data):
     return ek @ data.astype(complex) @ el.T
 
 
+def spectrum(parts):
+    return parts[0] + 1j * parts[1]
+
+
 # each library function where a raster enters, called on ``x``
 ONES = np.ones((8, 8))
 ENTRY_POINTS = {
@@ -53,6 +70,26 @@ ENTRY_POINTS = {
     "degrade": lambda x: degrade(x, np.ones((1, 1)), ONES, 0.0, 0),
     "compressibility_study": lambda x: compressibility_study(x, "haar", levels=1),
 }
+
+# (name in the error, call on a complex 8 x 8 array x with scratch directory
+# tmp) for every library entry point that casts an array to float64
+QUADRATIC = Objective(op_multiply(ONES), ONES)
+REAL_ONLY = [
+    *((name, lambda x, tmp, call=call: call(x)) for name, call in ENTRY_POINTS.items()),
+    ("Objective data", lambda x, tmp: Objective(op_matrix(np.eye(3)), [1 + 2j, 0, 0])),
+    ("objective_value", lambda x, tmp: objective_value(QUADRATIC, x)),
+    ("f0", lambda x, tmp: gradient_descent(QUADRATIC, f0=x)),
+    ("prox_apply", lambda x, tmp: prox_apply("abs", x, 0.1)),
+    ("wiener_deconvolve kernel", lambda x, tmp: wiener_deconvolve(ONES, x, 0.1, ONES)),
+    ("wiener_deconvolve prior_spectrum", lambda x, tmp: wiener_deconvolve(ONES, ONES, 0.1, x)),
+    ("embed_kernel", lambda x, tmp: embed_kernel(x, (16, 16))),
+    ("write_raster", lambda x, tmp: write_raster(str(tmp / "raster"), x)),
+    ("write_pgm", lambda x, tmp: write_pgm(str(tmp / "preview.pgm"), x)),
+    ("bilinear_values xs", lambda x, tmp: bilinear_values(ONES, x, ONES)),
+    ("bilinear_values ys", lambda x, tmp: bilinear_values(ONES, ONES, x)),
+    ("point_eval x", lambda x, tmp: point_eval(SHEPP_LOGAN, x, 0.0)),
+    ("point_eval y", lambda x, tmp: point_eval(SHEPP_LOGAN, 0.0, x)),
+]
 
 # each library function that makes a raster, at 32 x 32
 IMG = normal_stream(1024, 1.0, 6).reshape(32, 32)
@@ -94,6 +131,16 @@ class TestRaster:
             with pytest.raises(ValidationError, match=rf"^{name} expects a non-empty 2D raster$"):
                 ENTRY_POINTS[name](bad)
 
+    @pytest.mark.parametrize("who,call", REAL_ONLY, ids=[who for who, _ in REAL_ONLY])
+    def test_each_float64_entry_point_rejects_complex_input(self, who, call, tmp_path):
+        # the check comes before the cast, which would warn and drop the imaginary part
+        x = normal_stream(64, 1.0, 8).reshape(8, 8) + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^{who} takes real values, not complex"):
+                call(x, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     def test_each_entry_point_rejects_nonfinite_samples(self, name):
         for value in (np.nan, np.inf):
@@ -104,7 +151,7 @@ class TestRaster:
 class TestDft:
     def test_matches_direct_sum(self):
         data = normal_stream(48, 1.0, 101).reshape(6, 8)
-        fast = op_dft2((6, 8)).apply(data)
+        fast = spectrum(op_dft2((6, 8)).apply(data))
         slow = dft2_direct(data)
         assert np.max(np.abs(fast - slow)) < 1e-9
 
@@ -115,19 +162,22 @@ class TestDft:
         assert np.max(np.abs(back - data)) < 1e-12
 
     def test_single_bin_inverse_is_unit_exponential(self):
-        # one unit in bin (0, 1): inverse holds e^{i 2π n/8} / 64 along rows
-        spec = np.zeros((8, 8), dtype=complex)
-        spec[0, 1] = 1.0
-        img = op_dft2((8, 8)).adjoint(spec) / 64.0
+        # one unit in bin (0, 1): inverse holds e^{i 2π n/8} / 64 along rows,
+        # whose real part the adjoint keeps; a unit in the imaginary part
+        # gives Re(i e^{i 2π n/8}) / 64
         cols = np.arange(8)
         expected = np.exp(2j * np.pi * cols / 8)[None, :] / 64.0 * np.ones((8, 1))
-        assert np.max(np.abs(img - expected)) < 1e-14
+        for part, want in ((0, expected.real), (1, (1j * expected).real)):
+            spec = np.zeros((2, 8, 8))
+            spec[part, 0, 1] = 1.0
+            img = op_dft2((8, 8)).adjoint(spec) / 64.0
+            assert np.max(np.abs(img - want)) < 1e-14
 
     def test_parseval_with_forward_normalization(self):
         # unnormalized forward: sum |X|^2 = N * sum |x|^2
         data = normal_stream(60, 1.0, 103).reshape(6, 10)
         spec = op_dft2((6, 10)).apply(data)
-        lhs = np.sum(np.abs(spec) ** 2)
+        lhs = np.sum(np.abs(spectrum(spec)) ** 2)
         rhs = data.size * np.sum(data**2)
         assert abs(lhs - rhs) / rhs < 1e-12
 
@@ -137,22 +187,22 @@ class TestDft:
         dy, dx = 3, 5
         shifted = np.roll(data, shift=(dy, dx), axis=(0, 1))
         dft = op_dft2((8, 8))
-        spec = dft.apply(data)
+        spec = spectrum(dft.apply(data))
         k = np.arange(8)[:, None]
         l = np.arange(8)[None, :]
         phase = np.exp(-2j * np.pi * (k * dy + l * dx) / 8.0)
-        assert np.max(np.abs(dft.apply(shifted) - spec * phase)) < 1e-9
+        assert np.max(np.abs(spectrum(dft.apply(shifted)) - spec * phase)) < 1e-9
 
     def test_unit_impulse_at_origin_gives_flat_spectrum(self):
         data = np.zeros((5, 9))
         data[0, 0] = 1.0
-        spec = op_dft2((5, 9)).apply(data)
+        spec = spectrum(op_dft2((5, 9)).apply(data))
         assert np.max(np.abs(spec - 1.0)) < 1e-13
 
-    def test_accepts_complex_grid_input(self):
+    def test_rejects_complex_grid_input(self):
         data = normal_stream(16, 1.0, 105).reshape(4, 4)
-        spec = op_dft2((4, 4)).apply(data.astype(complex))
-        assert np.max(np.abs(spec - dft2_direct(data))) < 1e-10
+        with pytest.raises(ValidationError, match="^dft2: domain input must be real$"):
+            op_dft2((4, 4)).apply(data.astype(complex))
 
 
 class TestBilinear:

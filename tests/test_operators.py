@@ -105,8 +105,6 @@ class TestMask:
             random_mask((4, 4), 0.0, seed=1)
         with pytest.raises(ValidationError, match="at least one entry"):
             op_mask(np.zeros((2, 2), dtype=bool))
-        with pytest.raises(ValidationError, match="2D"):
-            op_mask(np.ones(4, dtype=bool))
 
     def test_op_mask_gathers(self):
         data = np.arange(16, dtype=float).reshape(4, 4)
@@ -124,30 +122,33 @@ class TestMask:
         assert dot_test(op, trials=100, seed=1) < EXACT
 
     def test_dot_complex(self):
-        op = op_mask(random_mask((8, 8), 0.5, seed=4), complex_field=True)
+        # the mask of a complex spectrum: the same frequencies of its stacked parts
+        mask = random_mask((8, 8), 0.5, seed=4)
+        op = op_mask(np.stack([mask, mask]))
+        assert op.domain_shape == (2, 8, 8) and op.range_shape == (2 * np.count_nonzero(mask),)
         assert dot_test(op, trials=100, seed=2) < EXACT
 
-    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
-    def test_normal_is_where_bit_for_bit(self, complex_field):
+    def test_any_shape(self):
+        keep = np.array([True, False, True, True])
+        op = op_mask(keep)
+        assert np.array_equal(op.apply(np.arange(4.0)), [0.0, 2.0, 3.0])
+        assert np.array_equal(op.adjoint(np.ones(3)), keep.astype(float))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["real", "complex"])
+    def test_normal_is_where_bit_for_bit(self, stacked):
         keep = uniform_stream(63, 6).reshape(7, 9) < 0.5
-        assert_normal_is_where(keep, complex_field, seed=40)
+        assert_normal_is_where(np.stack([keep, keep]) if stacked else keep, seed=40)
 
 
-def assert_normal_is_where(keep, complex_field, seed):
+def assert_normal_is_where(keep, seed):
     """The fused mask normal equals ``np.where(keep, x, 0.0)``, zero signs included."""
-    n = keep.size
-    x = np.zeros(keep.shape, dtype=np.complex128 if complex_field else np.float64)
-    x.real = normal_stream(n, 1.0, seed).reshape(keep.shape)
-    x.real.flat[::3] = -0.0  # signed zeros on kept and dropped entries alike
-    if complex_field:
-        x.imag = normal_stream(n, 1.0, seed + 1).reshape(keep.shape)
-        x.imag.flat[1::3] = -0.0
-    got = op_mask(keep, complex_field=complex_field).normal(x)
+    x = normal_stream(keep.size, 1.0, seed).reshape(keep.shape)
+    x.flat[::3] = -0.0  # signed zeros on kept and dropped entries alike
+    got = op_mask(keep).normal(x)
     want = np.where(keep, x, 0.0)
     assert got.dtype == want.dtype
-    for part in (np.real, np.imag):
-        assert np.array_equal(part(got), part(want))
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -156,16 +157,17 @@ def assert_normal_is_where(keep, complex_field, seed):
     w=st.integers(1, 12),
     fraction=st.floats(0.0, 1.0),
     pick=st.integers(0, 143),
-    complex_field=st.booleans(),
+    stacked=st.booleans(),
 )
-@example(h=1, w=12, fraction=1.0, pick=0, complex_field=False)  # all kept
-@example(h=12, w=1, fraction=0.0, pick=5, complex_field=True)  # one kept
-@example(h=1, w=1, fraction=0.0, pick=0, complex_field=False)
-def test_generated_mask_normals_are_where_bit_for_bit(h, w, fraction, pick, complex_field):
-    # shapes from 1xN to Nx1; ``pick`` keeps one entry so the mask is never empty
+@example(h=1, w=12, fraction=1.0, pick=0, stacked=False)  # all kept
+@example(h=12, w=1, fraction=0.0, pick=5, stacked=True)  # one kept
+@example(h=1, w=1, fraction=0.0, pick=0, stacked=False)
+def test_generated_mask_normals_are_where_bit_for_bit(h, w, fraction, pick, stacked):
+    # shapes from 1xN to Nx1, and their (2, h, w) stacks as for a spectrum's
+    # parts; ``pick`` keeps one entry so the mask is never empty
     keep = uniform_stream(h * w, 7).reshape(h, w) < fraction
     keep.flat[pick % keep.size] = True
-    assert_normal_is_where(keep, complex_field, seed=41)
+    assert_normal_is_where(np.stack([keep, keep]) if stacked else keep, seed=41)
 
 
 class TestMultiply:
@@ -175,18 +177,19 @@ class TestMultiply:
         assert np.array_equal(op_multiply(w).apply(x), w * x)
 
     def test_adjoint_conjugates(self):
-        w = normal_stream(16, 1.0, 312).reshape(4, 4) + 1j * normal_stream(16, 1.0, 313).reshape(
-            4, 4
-        )
+        # real weights are their own conjugate
+        w = normal_stream(16, 1.0, 312).reshape(4, 4)
         op = op_multiply(w)
-        y = normal_stream(16, 1.0, 314).reshape(4, 4).astype(complex)
+        y = normal_stream(16, 1.0, 314).reshape(4, 4)
         assert np.allclose(op.adjoint(y), np.conj(w) * y, atol=1e-15)
 
     def test_dot(self):
         w = normal_stream(30, 1.0, 315).reshape(5, 6)
         assert dot_test(op_multiply(w), trials=100, seed=3) < EXACT
-        wc = w + 1j * normal_stream(30, 1.0, 316).reshape(5, 6)
-        assert dot_test(op_multiply(wc), trials=100, seed=4) < EXACT
+
+    def test_rejects_complex_weights(self):
+        with pytest.raises(ValidationError, match="op_multiply weights must be real"):
+            op_multiply(np.ones((3, 3)) + 1j)
 
 
 class TestConvolveCircular:
@@ -221,8 +224,8 @@ class TestConvolveCircular:
         x = normal_stream(64, 1.0, 325).reshape(8, 8)
         y = op_convolve(kernel).apply(x)
         dft = op_dft2((8, 8))
-        lhs = dft.apply(y)
-        rhs = dft.apply(kernel) * dft.apply(x)
+        lhs = spectrum(dft.apply(y))
+        rhs = spectrum(dft.apply(kernel)) * spectrum(dft.apply(x))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_dot(self):
@@ -329,26 +332,24 @@ def reference_convolve(kernel):
     )
 
 
-def signed_field(shape, is_complex, seed):
+def signed_field(shape, seed):
     """A random field with +0.0 and -0.0 entries mixed in."""
-    x = _random_field(shape, is_complex, seed)
-    for part in (x.real, x.imag) if is_complex else (x,):
-        part.flat[::3] = -0.0
-        part.flat[1::5] = 0.0
+    x = _random_field(shape, seed)
+    x.flat[::3] = -0.0
+    x.flat[1::5] = 0.0
     return x
 
 
 def assert_bit_equal(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
-    for part in (np.real, np.imag):
-        assert np.array_equal(part(got), part(want))
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def assert_matches_reference(op, reference, seed):
     """apply, adjoint and normal equal the oracle bit for bit, inputs untouched."""
-    x = signed_field(op.domain_shape, op.domain_complex, seed)
-    y = signed_field(op.range_shape, op.range_complex, seed + 1)
+    x = signed_field(op.domain_shape, seed)
+    y = signed_field(op.range_shape, seed + 1)
     for method, oracle, arg in zip((op.apply, op.adjoint, op.normal), reference, (x, y, x)):
         before = arg.copy()
         assert_bit_equal(method(arg), oracle(before))
@@ -357,7 +358,7 @@ def assert_matches_reference(op, reference, seed):
 
 def convolve_case(shape, seed):
     """(op_convolve, its oracle) for a random real kernel on ``shape``."""
-    kernel = _random_field(shape, False, seed)
+    kernel = _random_field(shape, seed)
     return op_convolve(kernel), reference_convolve(kernel)
 
 
@@ -385,10 +386,17 @@ def test_generated_stencils_are_bit_exact(h, w):
     assert_matches_reference(op, reference, seed=366)
 
 
+def spectrum(parts):
+    """The complex spectrum whose real and imaginary parts ``op_dft2`` stacks."""
+    return parts[0] + 1j * parts[1]
+
+
 class TestDft2Operator:
     def test_forward_matches_fft(self):
-        x = normal_stream(48, 1.0, 350).reshape(6, 8).astype(complex)
-        assert np.allclose(op_dft2((6, 8)).apply(x), np.fft.fft2(x), atol=1e-10)
+        x = normal_stream(48, 1.0, 350).reshape(6, 8)
+        parts = op_dft2((6, 8)).apply(x)
+        assert parts.shape == (2, 6, 8) and parts.dtype == np.float64
+        assert np.allclose(spectrum(parts), np.fft.fft2(x), atol=1e-10)
 
     def test_dot(self):
         assert dot_test(op_dft2((8, 8)), trials=100, seed=8) < FFTTOL
@@ -396,15 +404,15 @@ class TestDft2Operator:
     def test_unitary_up_to_scale(self):
         # A* A = N I for the unnormalized transform
         op = op_dft2((4, 6))
-        x = normal_stream(24, 1.0, 351).reshape(4, 6).astype(complex)
+        x = normal_stream(24, 1.0, 351).reshape(4, 6)
         assert np.allclose(op.adjoint(op.apply(x)), 24.0 * x, atol=1e-10)
 
 
 class TestCompose:
     def test_mri_style_composition(self):
         mask = random_mask((8, 8), 0.4, seed=11)
-        op = op_compose(op_mask(mask, complex_field=True), op_dft2((8, 8)))
-        assert op.domain_shape == (8, 8) and op.range_shape == (np.count_nonzero(mask),)
+        op = op_compose(op_mask(np.stack([mask, mask])), op_dft2((8, 8)))
+        assert op.domain_shape == (8, 8) and op.range_shape == (2 * np.count_nonzero(mask),)
         assert dot_test(op, trials=100, seed=9) < FFTTOL
 
     def test_five_random_compositions(self):
@@ -435,7 +443,8 @@ class TestCompose:
             op_compose(op_multiply(np.ones((3, 3))), op_multiply(np.ones((4, 4))))
 
     def test_field_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
+        # a spectrum's (2, h, w) stack of parts does not feed an image operator
+        with pytest.raises(ValidationError, match="cannot compose"):
             op_compose(op_multiply(np.ones((4, 4))), op_dft2((4, 4)))
 
 
@@ -459,7 +468,7 @@ NORMAL_CASES = _normal_cases()
 class TestNormal:
     def test_matches_adjoint_of_apply(self, name, op, tol):
         for trial in range(3):
-            x = _random_field(op.domain_shape, op.domain_complex, 420 + trial)
+            x = _random_field(op.domain_shape, 420 + trial)
             want = op.adjoint(op.apply(x))
             got = op.normal(x)
             assert got.shape == op.domain_shape
@@ -468,51 +477,53 @@ class TestNormal:
 
     def test_self_adjoint(self, name, op, tol):
         for trial in range(10):
-            x = _random_field(op.domain_shape, op.domain_complex, 430 + 2 * trial)
-            y = _random_field(op.domain_shape, op.domain_complex, 431 + 2 * trial)
+            x = _random_field(op.domain_shape, 430 + 2 * trial)
+            y = _random_field(op.domain_shape, 431 + 2 * trial)
             lhs = np.vdot(y.ravel(), op.normal(x).ravel())
             rhs = np.vdot(op.normal(y).ravel(), x.ravel())
             assert abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _generated_part(kind, shape, complex_field, seed):
+def _generated_part(kind, shape, seed):
     """One operator of ``kind`` on ``shape`` and its ``_selftest_cases`` tolerance."""
     if kind == "multiply":
-        return op_multiply(_random_field(shape, complex_field, seed)), EXACT
+        return op_multiply(_random_field(shape, seed)), EXACT
     if kind == "convolve_circular":
-        return op_convolve(_random_field(shape, False, seed)), FFTTOL
+        return op_convolve(_random_field(shape, seed)), FFTTOL
     if kind == "dft2":
         return op_dft2(shape), FFTTOL
     if kind == "mask":
-        return op_mask(random_mask(shape, 0.5, seed), complex_field=complex_field), EXACT
+        # after dft2, the same frequencies of both of the spectrum's parts
+        return op_mask(np.broadcast_to(random_mask(shape[-2:], 0.5, seed), shape)), EXACT
     return op_grad(shape), EXACT
 
 
 @st.composite
 def _generated_chains(draw):
-    """``(h, w, complex_field, kinds, seed)``: operator kinds, innermost first."""
-    complex_field = draw(st.booleans())
-    # dft2 is complex-only, convolution and grad real-only; the inner kinds map
-    # (h, w) to itself
-    inner = ["dft2", "multiply"] if complex_field else ["multiply", "convolve_circular"]
-    outer = [None, "mask"] + ([] if complex_field else ["grad"])
+    """``(h, w, kinds, seed)``: operator kinds, innermost first."""
+    # the image kinds map (h, w) to itself; dft2 maps it to the (2, h, w)
+    # spectrum parts, which only a mask can follow
+    spectral = draw(st.booleans())
+    outer = [None, "mask"] + ([] if spectral else ["grad"])
     last = draw(st.sampled_from(outer))
-    kinds = draw(st.lists(st.sampled_from(inner), min_size=0 if last else 1, max_size=2))
-    kinds += [last] if last else []
+    image = ["multiply", "convolve_circular"]
+    least = 0 if last or spectral else 1
+    kinds = draw(st.lists(st.sampled_from(image), min_size=least, max_size=2))
+    kinds += (["dft2"] if spectral else []) + ([last] if last else [])
     h, w, seed = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 2**16))
-    return h, w, complex_field, kinds, seed
+    return h, w, kinds, seed
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(chain=_generated_chains())
-@example(chain=(1, 9, False, ["convolve_circular", "grad"], 3))
-@example(chain=(9, 1, True, ["dft2", "multiply", "mask"], 4))
-@example(chain=(7, 5, False, ["multiply", "convolve_circular", "mask"], 6))
+@example(chain=(1, 9, ["convolve_circular", "grad"], 3))
+@example(chain=(9, 1, ["multiply", "dft2", "mask"], 4))
+@example(chain=(7, 5, ["multiply", "convolve_circular", "mask"], 6))
 def test_generated_operators_pair_and_fuse_their_normals(chain):
-    h, w, complex_field, kinds, seed = chain
-    op, tol = _generated_part(kinds[0], (h, w), complex_field, seed)
+    h, w, kinds, seed = chain
+    op, tol = _generated_part(kinds[0], (h, w), seed)
     for k, kind in enumerate(kinds[1:], start=1):
-        outer, outer_tol = _generated_part(kind, (h, w), complex_field, seed + k)
+        outer, outer_tol = _generated_part(kind, op.range_shape, seed + k)
         op, tol = op_compose(outer, op), max(tol, outer_tol)
     assert dot_test(op, trials=25, seed=seed) <= tol
     assert normal_test(op, seed=seed) <= 1e-12
@@ -572,6 +583,10 @@ class TestMatrixAdapter:
         assert np.allclose(op.apply(x), a @ x, atol=1e-13)
         assert np.allclose(op.adjoint(y), a.T @ y, atol=1e-13)
         assert dot_test(op, trials=100, seed=10) < EXACT
+
+    def test_rejects_a_complex_matrix(self):
+        with pytest.raises(ValidationError, match="op_matrix expects a real matrix"):
+            op_matrix(np.eye(3) * 1j)
 
 
 class TestHaar:
