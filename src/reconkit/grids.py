@@ -1,4 +1,4 @@
-"""Raster checks, interpolation, and seeded noise.
+"""Raster checks and seeded noise.
 
 Conventions used throughout the package:
 
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "bilinear_values",
     "gaussian_noise",
     "normal_stream",
     "uniform_stream",
@@ -50,51 +49,6 @@ def _seed_value(seed) -> int:
         if 0 <= value < 2**64:
             return value
     raise ValidationError("seed must be an integer in [0, 2**64)")
-
-
-# ---------------------------------------------------------------------------
-# Interpolation
-# ---------------------------------------------------------------------------
-
-
-def _bilinear_stencil(shape, xs, ys):
-    """Corner indices and weights of the bilinear stencil at each sample.
-
-    The one bilinear stencil: lookups gather through it, and the ray
-    transform's adjoint scatters through it, so that adjoint is the exact
-    transpose by construction.  Out-of-grid samples get zero weight.
-    """
-    h, w = shape
-    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xc).astype(np.int64), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(np.int64), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xc - x0
-    fy = yc - y0
-    corners = ((1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy)
-    weights = tuple(np.where(inside, c, 0.0) for c in corners)
-    indices = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
-    return indices, weights
-
-
-def bilinear_values(img, xs, ys) -> np.ndarray:
-    """Vectorized bilinear lookup in a real or complex grid, with a zero boundary.
-
-    ``img`` is a 2D array; ``xs`` indexes columns and ``ys`` rows.  Exact
-    pixel centers return the stored value; queries outside [0, W-1] x
-    [0, H-1] return 0.
-    """
-    data = np.asarray(img)
-    if data.ndim != 2:
-        raise ValidationError("bilinear_values expects a 2D grid")
-    xs = _real(xs, "bilinear_values xs")
-    ys = _real(ys, "bilinear_values ys")
-    indices, weights = _bilinear_stencil(data.shape, xs, ys)
-    flat = data.ravel()
-    return sum(wgt * flat[idx] for idx, wgt in zip(indices, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -308,12 +308,12 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
 
 def snr_db(truth, estimate) -> float:
     """10 log10(||truth||^2 / ||truth - estimate||^2); +inf when exact, -inf for a zero truth."""
-    t = np.asarray(truth)
-    e = np.asarray(estimate)
+    t = _real(truth, "snr_db truth")
+    e = _real(estimate, "snr_db estimate")
     if t.shape != e.shape:
         raise ValidationError(f"snr_db shape mismatch: {t.shape} vs {e.shape}")
-    err = float(np.vdot(t - e, t - e).real)
-    sig = float(np.vdot(t, t).real)
+    err = float(np.vdot(t - e, t - e))
+    sig = float(np.vdot(t, t))
     if err == 0.0:
         return np.inf
     ratio = sig / err

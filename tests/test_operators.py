@@ -245,6 +245,11 @@ class TestConvolveCircular:
         with pytest.raises(ValidationError, match="op_convolve kernel must be real"):
             op_convolve(kernel)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_an_empty_kernel(self, shape):
+        with pytest.raises(ValidationError, match="^op_convolve kernel must not be empty$"):
+            op_convolve(np.zeros(shape))
+
 
 class TestEmbedKernel:
     def test_center_moves_to_origin(self):
@@ -406,6 +411,11 @@ class TestDft2Operator:
         op = op_dft2((4, 6))
         x = normal_stream(24, 1.0, 351).reshape(4, 6)
         assert np.allclose(op.adjoint(op.apply(x)), 24.0 * x, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (-1, 4)])
+    def test_rejects_a_non_positive_shape(self, shape):
+        with pytest.raises(ValidationError, match=r"^op_dft2 needs a positive \(height, width\)$"):
+            op_dft2(shape)
 
 
 class TestCompose:
@@ -587,6 +597,11 @@ class TestMatrixAdapter:
     def test_rejects_a_complex_matrix(self):
         with pytest.raises(ValidationError, match="op_matrix expects a real matrix"):
             op_matrix(np.eye(3) * 1j)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_matrix(self, bad):
+        with pytest.raises(ValidationError, match="^op_matrix entries must be finite$"):
+            op_matrix([[bad, 1.0], [0.0, 1.0]])
 
 
 class TestHaar:

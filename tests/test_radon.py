@@ -26,7 +26,8 @@ from reconkit import (
     shepp_logan,
 )
 from reconkit import operators
-from reconkit.grids import _bilinear_stencil, normal_stream
+from reconkit.grids import normal_stream
+from reconkit.operators import _bilinear_stencil
 
 DISK = (Ellipse(0.0, 0.0, 0.6, 0.6, 0.0, 1.0),)
 
@@ -44,6 +45,15 @@ class TestGeometry:
             RadonGeometry(8, 0)
         with pytest.raises(ValidationError):
             RadonGeometry(8, 8, detector_pitch=0.0)
+
+    @pytest.mark.parametrize("counts", [(2.5, 16), (4, 16.0), (True, 16), (4, False), ("4", 16)])
+    def test_rejects_counts_that_are_not_integers(self, counts):
+        with pytest.raises(ValidationError, match="^RadonGeometry counts must be integers$"):
+            RadonGeometry(*counts)
+
+    def test_takes_numpy_integer_counts(self):
+        geom = RadonGeometry(np.int64(4), np.int32(16))
+        assert op_radon(geom, (16, 16)).range_shape == (4, 16)
 
     def test_sinogram_validation(self):
         # fbp takes a sinogram raster beside its geometry, and their shapes must agree
@@ -365,6 +375,11 @@ class TestFourierSlice:
     def test_square_required(self):
         with pytest.raises(ValidationError):
             fourier_slice_check(np.zeros((8, 10)), 0.0)
+
+    def test_exact_reference_tightens_with_the_grid(self):
+        # both sides are exact sums, so the mismatch is the projector's own
+        # bilinear error, which halves with each doubling of the grid
+        assert fourier_slice_check(shepp_logan(256), np.pi / 4) < 5e-3
 
     def test_windowed_image_tightens_agreement(self):
         img = shepp_logan(64)
