@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _raster, _real
+from .grids import _raster, _real, _shape
 from .operators import RadonGeometry
 
 __all__ = ["fbp", "wiener_deconvolve"]
@@ -53,9 +53,7 @@ def fbp(sino, geometry: RadonGeometry, out_shape=None) -> np.ndarray:
     filtered = np.fft.ifft(np.fft.fft(padded, axis=1) * ramp[None, :], axis=1).real
     filtered = filtered[:, :n_det] / pitch
 
-    if out_shape is None:
-        out_shape = (n_det, n_det)
-    h, w = int(out_shape[0]), int(out_shape[1])
+    h, w = (n_det, n_det) if out_shape is None else _shape(out_shape, "fbp out_shape")
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     xs = np.arange(w) - cx
     ys = np.arange(h) - cy

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * a raster is a plain (height, width) float64 ``np.ndarray``, row-major,
   pixel (row, col) = (y, x), with the row axis pointing down; ``_raster``
-  checks one where it enters the library;
+  checks one where it enters the library, and ``_shape`` or ``_count``
+  checks a grid shape, size or count where it enters;
 * random streams come from splitmix64 (64-bit state) mapped through a
   Box-Muller transform, so a seed, an integer in [0, 2**64), pins the stream
   bit for bit.
@@ -43,6 +44,23 @@ def _raster(x, who: str) -> np.ndarray:
     return arr
 
 
+def _count(value, who: str, least: int = 1) -> int:
+    """``value`` as an int: an integer, not a bool, of at least ``least``, or a ValidationError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValidationError(f"{who} must be an integer >= {least}")
+
+
+def _shape(shape, who: str, least: int = 1) -> tuple[int, int]:
+    """``shape`` as a (height, width) pair of ``_count``s, or a ValidationError for ``who``."""
+    try:
+        h, w = shape
+        return _count(h, who, least), _count(w, who, least)
+    except (TypeError, ValueError):  # not a pair, or _count's ValidationError
+        pair = f"a (height, width) pair of integers >= {least}"
+        raise ValidationError(f"{who} must be {pair}") from None
+
+
 def _seed_value(seed) -> int:
     if isinstance(seed, (int, np.integer)):
         value = int(seed)
@@ -75,8 +93,7 @@ def _splitmix64(seed: int, count: int) -> np.ndarray:
 
 def uniform_stream(count: int, seed) -> np.ndarray:
     """Deterministic uniforms on the open interval (0, 1)."""
-    if count < 0:
-        raise ValidationError("uniform_stream count must be nonnegative")
+    count = _count(count, "uniform_stream count", 0)
     bits = _splitmix64(_seed_value(seed), count)
     # top 53 bits, offset by half an ulp so 0 and 1 are never produced
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
@@ -89,8 +106,7 @@ def normal_stream(count: int, sigma: float, seed) -> np.ndarray:
     u1 = stream[:k] and u2 = stream[k:2k] give the cosine branch followed by
     the sine branch, truncated to ``count`` samples.
     """
-    if count < 0:
-        raise ValidationError("normal_stream count must be nonnegative")
+    count = _count(count, "normal_stream count", 0)
     if not (sigma >= 0 and np.isfinite(sigma)):
         raise ValidationError("normal_stream sigma must be finite and >= 0")
     if count == 0:
@@ -107,7 +123,5 @@ def normal_stream(count: int, sigma: float, seed) -> np.ndarray:
 
 def gaussian_noise(shape: tuple[int, int], sigma: float, seed) -> np.ndarray:
     """A (height, width) raster of i.i.d. N(0, sigma^2) samples."""
-    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-        raise ValidationError("gaussian_noise shape must be (height, width)")
-    h, w = int(shape[0]), int(shape[1])
+    h, w = _shape(shape, "gaussian_noise shape")
     return normal_stream(h * w, sigma, seed).reshape(h, w)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _raster, _real, _seed_value, normal_stream, uniform_stream
+from .grids import _count, _raster, _seed_value, _shape, normal_stream, uniform_stream
 
 __all__ = [
     "LinearMap",
@@ -140,6 +140,7 @@ def _random_field(shape, seed):
 
 def dot_test(op: LinearMap, trials: int = 100, seed=0) -> float:
     """Max relative error of <Ax, y> vs <x, A*y> over seeded real Gaussian trials."""
+    trials = _count(trials, "dot_test trials")
     base = _seed_value(seed)
     worst = 0.0
     for t in range(trials):
@@ -154,6 +155,7 @@ def dot_test(op: LinearMap, trials: int = 100, seed=0) -> float:
 
 def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
     """Max relative error of normal(x) vs adjoint(apply(x)) over seeded real Gaussian trials."""
+    trials = _count(trials, "normal_test trials")
     base = _seed_value(seed)
     worst = 0.0
     for t in range(trials):
@@ -173,7 +175,7 @@ def random_mask(shape, fraction: float, seed) -> np.ndarray:
     """A (height, width) boolean raster keeping a deterministic pseudo-random fraction."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError("random_mask fraction must be in (0, 1]")
-    h, w = int(shape[0]), int(shape[1])
+    h, w = _shape(shape, "random_mask shape")
     n = h * w
     order = np.argsort(uniform_stream(n, seed), kind="stable")
     keep = np.zeros(n, dtype=bool)
@@ -227,14 +229,7 @@ def op_mask(keep) -> LinearMap:
 
 def op_multiply(weights) -> LinearMap:
     """Pointwise multiplication by real weights, which is its own adjoint."""
-    wgt = np.asarray(weights)
-    if wgt.ndim != 2:
-        raise ValidationError("op_multiply expects a 2D weight grid")
-    if np.iscomplexobj(wgt):
-        raise ValidationError("op_multiply weights must be real")
-    wgt = wgt.astype(np.float64)
-    if not np.all(np.isfinite(wgt)):
-        raise ValidationError("op_multiply weights must be finite")
+    wgt = _raster(weights, "op_multiply").copy()  # a copy: later edits to weights do not leak in
     return LinearMap(
         wgt.shape,
         wgt.shape,
@@ -251,9 +246,9 @@ def embed_kernel(kernel, shape) -> np.ndarray:
     given in centered (point-spread) form: convolving with it does not shift
     the image.
     """
-    ker = _real(kernel, "embed_kernel")
+    ker = _raster(kernel, "embed_kernel")
     kh, kw = ker.shape
-    h, w = int(shape[0]), int(shape[1])
+    h, w = _shape(shape, "embed_kernel shape")
     if kh > h or kw > w:
         raise ValidationError("embed_kernel target grid is smaller than the kernel")
     out = np.zeros((h, w), dtype=np.float64)
@@ -268,15 +263,7 @@ def op_convolve(kernel) -> LinearMap:
     (0, 0), and the operator diagonalizes in the DFT basis (use
     ``embed_kernel`` for centered point-spread kernels).
     """
-    ker = np.asarray(kernel)
-    if ker.ndim != 2:
-        raise ValidationError("op_convolve kernel must be 2D")
-    if np.iscomplexobj(ker):
-        raise ValidationError("op_convolve kernel must be real")
-    if ker.size == 0:
-        raise ValidationError("op_convolve kernel must not be empty")
-    if not np.all(np.isfinite(ker)):
-        raise ValidationError("op_convolve kernel must be finite")
+    ker = _raster(kernel, "op_convolve")
     width = ker.shape[1]
     khat = np.fft.rfft2(ker)
     khat_conj = np.conj(khat)
@@ -327,14 +314,7 @@ def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
 
 def op_matrix(a) -> LinearMap:
     """Dense real matrix as a LinearMap on flat vectors, mostly for small systems."""
-    mat = np.asarray(a)
-    if mat.ndim != 2:
-        raise ValidationError("op_matrix expects a 2D matrix")
-    if np.iscomplexobj(mat):
-        raise ValidationError("op_matrix expects a real matrix")
-    mat = mat.astype(np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("op_matrix entries must be finite")
+    mat = _raster(a, "op_matrix").copy()  # a copy: later edits to a do not leak in
     mat_t = mat.T.copy()
     return LinearMap(
         (mat.shape[1],),
@@ -355,9 +335,7 @@ def op_dft2(shape) -> LinearMap:
     (H W)``.  A Fourier sampling model is
     ``op_compose(op_mask(np.stack([m, m])), op_dft2(shape))``.
     """
-    h, w = int(shape[0]), int(shape[1])
-    if h < 1 or w < 1:
-        raise ValidationError("op_dft2 needs a positive (height, width)")
+    h, w = _shape(shape, "op_dft2 shape")
     n = h * w
 
     def forward(x):
@@ -387,9 +365,7 @@ def op_grad(shape) -> LinearMap:
     contiguous: the horizontal one is ``flat[1:] - flat[:-1]`` with its
     row-end entries ``[w-1::w]`` set to 0.
     """
-    h, w = int(shape[0]), int(shape[1])
-    if h < 1 or w < 1:
-        raise ValidationError("op_grad needs a positive (height, width)")
+    h, w = _shape(shape, "op_grad shape")
     n = h * w
 
     def forward(x):
@@ -441,11 +417,8 @@ class RadonGeometry:
     detector_pitch: float = 1.0
 
     def __post_init__(self):
-        for count in (self.n_angles, self.n_detectors):
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValidationError("RadonGeometry counts must be integers")
-        if self.n_angles < 1 or self.n_detectors < 1:
-            raise ValidationError("RadonGeometry needs at least one angle and one detector")
+        for name in ("n_angles", "n_detectors"):
+            _count(getattr(self, name), f"RadonGeometry {name}")
         if not (self.detector_pitch > 0 and np.isfinite(self.detector_pitch)):
             raise ValidationError("RadonGeometry detector_pitch must be positive")
 
@@ -589,9 +562,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     adjoint and normal agree bit for bit across them, the normal equals
     ``adjoint(apply(x))`` bit for bit, and repeated calls are identical.
     """
-    h, w = int(image_shape[0]), int(image_shape[1])
-    if h < 2 or w < 2:
-        raise ValidationError("op_radon needs an image of at least 2x2 pixels")
+    h, w = _shape(image_shape, "op_radon image_shape", 2)
     angles, offs = geometry.angles, geometry.offsets
     n_angles, n_det = geometry.n_angles, geometry.n_detectors
     span = int(np.ceil(np.hypot(h, w))) + 1
@@ -681,8 +652,7 @@ def transform_haar(img, levels: int, inverse: bool = False) -> np.ndarray:
     block.  Energy is preserved exactly up to roundoff.
     """
     data = _raster(img, "transform_haar").copy()
-    if levels < 1:
-        raise ValidationError("transform_haar needs levels >= 1")
+    levels = _count(levels, "transform_haar levels")
     h, w = data.shape
     if h % (1 << levels) or w % (1 << levels):
         raise ValidationError(

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _raster, _real, _seed_value, gaussian_noise, normal_stream, uniform_stream
+from .grids import (
+    _count,
+    _raster,
+    _real,
+    _seed_value,
+    gaussian_noise,
+    normal_stream,
+    uniform_stream,
+)
 from .operators import (
     LinearMap,
     RadonGeometry,
@@ -113,8 +121,7 @@ def render(phantom, size: int) -> np.ndarray:
 
     An empty phantom renders zeros.
     """
-    if size < 2:
-        raise ValidationError("render needs size >= 2")
+    size = _count(size, "render size", 2)
     coords = (np.arange(size) - (size - 1) / 2.0) * (2.0 / size)
     xs = coords[None, :]
     ys = coords[:, None]
@@ -123,9 +130,7 @@ def render(phantom, size: int) -> np.ndarray:
 
 def shepp_logan(size: int) -> np.ndarray:
     """The standard head phantom rendered at the requested size."""
-    if size < 32:
-        raise ValidationError("shepp_logan needs size >= 32")
-    return render(SHEPP_LOGAN, size)
+    return render(SHEPP_LOGAN, _count(size, "shepp_logan size", 32))
 
 
 def analytic_sinogram(phantom, geometry: RadonGeometry, image_size: int) -> np.ndarray:
@@ -139,8 +144,7 @@ def analytic_sinogram(phantom, geometry: RadonGeometry, image_size: int) -> np.n
     2 a b sqrt(q - s'^2) / q with q = a^2 cos^2(t - phi) + b^2 sin^2(t - phi)
     and s' the offset measured from the ellipse center; intensities add.
     """
-    if image_size < 2:
-        raise ValidationError("analytic_sinogram needs image_size >= 2")
+    image_size = _count(image_size, "analytic_sinogram image_size", 2)
     phantom = tuple(phantom)  # walked once per view
     scale = image_size / 2.0  # pixels per phantom unit
     offs = geometry.offsets / scale
@@ -215,8 +219,7 @@ def airy_psf(size: int, cutoff: float) -> np.ndarray:
     r = pi * cutoff * distance.  The kernel is normalized to unit sum and its
     center sample carries the r -> 0 limit, 1, before normalization.
     """
-    if size < 1:
-        raise ValidationError("airy_psf needs size >= 1")
+    size = _count(size, "airy_psf size")
     if not (0.0 < cutoff <= 0.5):
         raise ValidationError("cutoff must lie in (0, 0.5] cycles per pixel")
     center = (size - 1) / 2.0
@@ -231,8 +234,9 @@ def airy_psf(size: int, cutoff: float) -> np.ndarray:
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Separable Gaussian blur kernel, normalized to unit sum."""
-    if size < 1 or size % 2 == 0:
-        raise ValidationError("gaussian_kernel size must be odd and >= 1")
+    size = _count(size, "gaussian_kernel size")
+    if size % 2 == 0:
+        raise ValidationError("gaussian_kernel size must be odd")
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ValidationError("gaussian_kernel sigma must be positive")
     coords = np.arange(size) - (size - 1) / 2.0
@@ -312,6 +316,8 @@ def snr_db(truth, estimate) -> float:
     e = _real(estimate, "snr_db estimate")
     if t.shape != e.shape:
         raise ValidationError(f"snr_db shape mismatch: {t.shape} vs {e.shape}")
+    if t.size == 0:
+        raise ValidationError("snr_db needs at least one sample")
     err = float(np.vdot(t - e, t - e))
     sig = float(np.vdot(t, t))
     if err == 0.0:
@@ -393,7 +399,9 @@ def sparse_recovery_instance(m: int = 8, n: int = 32, sparsity: int = 2, seed=8)
     Deterministic given the seed; ``lam = 0.005 ||H* g||_inf`` is small
     enough that the l1 solution recovers the support.
     """
-    if not (0 < sparsity <= m < n):
+    m, n = _count(m, "sparse_recovery_instance m"), _count(n, "sparse_recovery_instance n")
+    sparsity = _count(sparsity, "sparse_recovery_instance sparsity")
+    if not sparsity <= m < n:
         raise ValidationError("need sparsity <= m < n")
     h = normal_stream(m * n, 1.0, seed).reshape(m, n) / np.sqrt(m)
     order = np.argsort(uniform_stream(n, seed + 1), kind="stable")

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .grids import _real, _seed_value, normal_stream
+from .grids import _count, _real, _seed_value, normal_stream
 from .operators import LinearMap, op_matrix
 from .phantoms import snr_db
 
@@ -164,6 +164,7 @@ def _iterate(
     ``converged`` is the start's verdict: a start that already meets the stop
     rule runs no iteration.
     """
+    max_iter = _count(max_iter, f"{label} max_iter", 0)
     objective: list[float] = []
     residual: list[float] = []
     iterations = 0
@@ -522,6 +523,7 @@ def admm(
     """
     if not (rho > 0 and np.isfinite(rho)):
         raise ValidationError("rho must be positive and finite")
+    inner_iter = _count(inner_iter, "admm inner_iter", 0)
     f = _start(obj, f0)
 
     prox = _PENALTIES[obj.penalty][1]

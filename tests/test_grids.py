@@ -1,5 +1,5 @@
-"""The raster check, the DFT convention, the ray transform's bilinear stencil,
-and the noise stream.
+"""The raster, shape and count checks, the DFT convention, the ray
+transform's bilinear stencil, and the noise stream.
 
 The DFT tests run ``op_dft2``, the package's one DFT, and compare it against
 a direct O(N^2) evaluation of the defining sums, so the fast path is checked
@@ -7,6 +7,7 @@ against the formula rather than against itself.  ``op_dft2`` returns the
 spectrum's real and imaginary parts stacked; ``spectrum`` joins them.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -19,23 +20,33 @@ from reconkit import (
     ValidationError,
     airy_psf,
     analytic_sinogram,
+    admm,
     compressibility_study,
+    conjugate_gradient_normal,
     degrade,
+    dot_test,
     embed_kernel,
     fbp,
     fourier_slice_check,
+    gaussian_kernel,
     gaussian_noise,
     gradient_descent,
+    ista,
     normal_stream,
+    normal_test,
     objective_value,
     op_dft2,
+    op_grad,
     op_matrix,
     op_multiply,
+    op_radon,
     point_eval,
     prox_apply,
+    random_mask,
     render,
     shepp_logan,
     snr_db,
+    sparse_recovery_instance,
     transform_dct8,
     transform_haar,
     uniform_stream,
@@ -43,7 +54,7 @@ from reconkit import (
     write_pgm,
     write_raster,
 )
-from reconkit.grids import _raster
+from reconkit.grids import _raster, _shape
 from reconkit.operators import _bilinear_stencil
 
 
@@ -148,6 +159,106 @@ class TestRaster:
         for value in (np.nan, np.inf):
             with pytest.raises(ValidationError, match=rf"^{name} input contains non-finite samples$"):
                 ENTRY_POINTS[name](np.full((8, 8), value))
+
+
+# (argument name in the error, least value, call with the argument set to v)
+# for every count that enters the library
+L1 = Objective(op_multiply(ONES), ONES, penalty="abs", lam=0.1)
+COUNTS = [
+    ("RadonGeometry n_angles", 1, lambda v: RadonGeometry(v, 8)),
+    ("RadonGeometry n_detectors", 1, lambda v: RadonGeometry(8, v)),
+    ("transform_haar levels", 1, lambda v: transform_haar(ONES, v)),
+    ("render size", 2, lambda v: render(SHEPP_LOGAN, v)),
+    ("shepp_logan size", 32, lambda v: shepp_logan(v)),
+    ("analytic_sinogram image_size", 2, lambda v: analytic_sinogram(SHEPP_LOGAN, VIEWS, v)),
+    ("airy_psf size", 1, lambda v: airy_psf(v, 0.2)),
+    ("gaussian_kernel size", 1, lambda v: gaussian_kernel(v, 1.0)),
+    ("uniform_stream count", 0, lambda v: uniform_stream(v, 0)),
+    ("normal_stream count", 0, lambda v: normal_stream(v, 1.0, 0)),
+    ("dot_test trials", 1, lambda v: dot_test(op_dft2((4, 4)), trials=v)),
+    ("normal_test trials", 1, lambda v: normal_test(op_dft2((4, 4)), trials=v)),
+    ("sparse_recovery_instance m", 1, lambda v: sparse_recovery_instance(m=v)),
+    ("sparse_recovery_instance n", 1, lambda v: sparse_recovery_instance(n=v)),
+    ("sparse_recovery_instance sparsity", 1, lambda v: sparse_recovery_instance(sparsity=v)),
+    ("gradient descent max_iter", 0, lambda v: gradient_descent(QUADRATIC, max_iter=v)),
+    ("conjugate gradients max_iter", 0, lambda v: conjugate_gradient_normal(QUADRATIC, max_iter=v)),
+    ("ista max_iter", 0, lambda v: ista(L1, max_iter=v)),
+    ("fista max_iter", 0, lambda v: ista(L1, accelerate=True, max_iter=v)),
+    ("admm max_iter", 0, lambda v: admm(QUADRATIC, max_iter=v)),
+    ("admm inner_iter", 0, lambda v: admm(QUADRATIC, inner_iter=v)),
+]
+
+# the same for every (height, width) shape that enters the library
+SHAPES = [
+    ("op_dft2 shape", 1, op_dft2),
+    ("op_grad shape", 1, op_grad),
+    ("op_radon image_shape", 2, lambda s: op_radon(VIEWS, s)),
+    ("random_mask shape", 1, lambda s: random_mask(s, 0.5, 0)),
+    ("embed_kernel shape", 1, lambda s: embed_kernel(np.ones((1, 1)), s)),
+    ("gaussian_noise shape", 1, lambda s: gaussian_noise(s, 1.0, 0)),
+    ("fbp out_shape", 1, lambda s: fbp(ONES, RadonGeometry(8, 8), out_shape=s)),
+]
+
+RASTER = "{} expects a non-empty 2D raster"
+
+# (test id, exact message, call) for every entry check: a fractional value, a
+# value below the least and a bool for each count and shape, and arrays that
+# are not non-empty finite 2D rasters
+ENTRY_CHECKS = [
+    *(
+        (f"{who}={label}", f"{who} must be an integer >= {least}", lambda c=call, v=v: c(v))
+        for who, least, call in COUNTS
+        for label, v in (("fraction", least + 0.5), ("below", least - 1), ("bool", True))
+    ),
+    *(
+        (
+            f"{who}={label}",
+            f"{who} must be a (height, width) pair of integers >= {least}",
+            lambda c=call, s=s: c(s),
+        )
+        for who, least, call in SHAPES
+        for label, s in (
+            ("fraction", (least + 0.5, 8)),
+            ("below", (8, least - 1)),
+            ("bool", (True, 8)),
+        )
+    ),
+    ("embed_kernel=1d", RASTER.format("embed_kernel"), lambda: embed_kernel(np.ones(3), (8, 8))),
+    (
+        "embed_kernel=nan",
+        "embed_kernel input contains non-finite samples",
+        lambda: embed_kernel(np.full((3, 3), np.nan), (8, 8)),
+    ),
+    ("op_matrix=empty", RASTER.format("op_matrix"), lambda: op_matrix(np.zeros((0, 3)))),
+    ("op_multiply=empty", RASTER.format("op_multiply"), lambda: op_multiply(np.zeros((0, 3)))),
+    ("snr_db=empty", "snr_db needs at least one sample", lambda: snr_db(np.zeros(0), np.zeros(0))),
+]
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize(
+        "want,call", [row[1:] for row in ENTRY_CHECKS], ids=[row[0] for row in ENTRY_CHECKS]
+    )
+    def test_rejects_with_a_message_naming_the_argument(self, want, call):
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            call()
+
+    def test_a_shape_is_any_pair_of_integers(self):
+        raster = np.ones((3, 4))
+        for pair in ((3, 4), [3, 4], np.array([3, 4]), raster.shape, raster.data.shape):
+            assert _shape(pair, "caller") == (3, 4)
+            assert all(type(v) is int for v in _shape(pair, "caller"))
+
+    def test_multiply_and_matrix_keep_their_own_copy(self):
+        weights, matrix = np.ones((3, 3)), np.eye(3)
+        multiply, dense = op_multiply(weights), op_matrix(matrix)
+        weights[:] = 5.0
+        matrix[:] = 7.0
+        x = normal_stream(9, 1.0, 9).reshape(3, 3)
+        assert np.array_equal(multiply.apply(x), x)
+        assert np.array_equal(multiply.adjoint(x), x)
+        assert np.array_equal(dense.apply(x[0]), x[0])
+        assert np.array_equal(dense.adjoint(x[0]), x[0])
 
 
 class TestDft:
