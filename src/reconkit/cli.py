@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .direct import fbp
 from .errors import DivergenceError, ValidationError
-from .grids import _raster, normal_stream
+from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _raster, normal_stream
 from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
     RadonGeometry,
@@ -63,6 +63,7 @@ from .operators import (
 )
 from .phantoms import (
     SHEPP_LOGAN,
+    _AIRY_CUTOFF,
     _TRANSFORMS,
     _add_noise,
     _blur_then_mask,
@@ -97,7 +98,8 @@ def _key(default, rule, each=None):
     A value that fails ``check`` is reported as the leaf's path and ``text``,
     in which ``{!r}`` stands for the value.  ``each`` is the rule of each entry
     of a list leaf, named ``path[i]``.  A None value, which only an ``X | None``
-    annotation admits, is not checked.
+    annotation admits, is not checked.  A real-number leaf shares its rule
+    with the library argument it feeds (``grids._POSITIVE``, for one).
     """
     metadata = {"rule": rule, "each": each}
     if isinstance(default, list):
@@ -110,9 +112,6 @@ _SEED_MAX = (2**64 - 4) // 1000
 _TRANSFORM_KINDS = (*_TRANSFORMS, "all")  # "all" runs each of phantoms._TRANSFORMS
 
 _UNSUPPORTED = "{!r} is not supported"
-_POSITIVE = (lambda v: v > 0 and np.isfinite(v), "must be positive and finite")
-_NONNEGATIVE = (lambda v: v >= 0 and np.isfinite(v), "must be finite and >= 0")
-_FRACTION = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _STREAM_SEED = (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64) when given")
 _BLUR_SIZE = "must be odd and lie in [1, phantom.size]"
 
@@ -134,11 +133,9 @@ class DegradationConfig:
     blur: str = _key("gaussian", (lambda v: v in _BLURS, _UNSUPPORTED))
     blur_size: int = _key(5, (lambda v: v >= 1 and v % 2 == 1, _BLUR_SIZE))
     blur_sigma: float = _key(1.0, _POSITIVE)
-    airy_cutoff: float = _key(
-        0.2, (lambda v: 0.0 < v <= 0.5, "must lie in (0, 0.5] cycles per pixel")
-    )
+    airy_cutoff: float = _key(0.2, _AIRY_CUTOFF)
     mask_fraction: float = _key(0.5, _FRACTION)
-    noise_snr_db: float | None = _key(20.0, (np.isfinite, "must be finite"))
+    noise_snr_db: float | None = _key(20.0, _FINITE)
     noise_sigma: float | None = _key(None, _NONNEGATIVE)  # when set, wins over noise_snr_db
     mask_seed: int | None = _key(None, _STREAM_SEED)
     noise_seed: int | None = _key(None, _STREAM_SEED)

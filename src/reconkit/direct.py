@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _raster, _real, _shape
+from .grids import _NONNEGATIVE, _number, _raster, _shape
 from .operators import RadonGeometry
 
 __all__ = ["fbp", "wiener_deconvolve"]
@@ -77,14 +77,13 @@ def wiener_deconvolve(g, kernel, sigma: float, prior_spectrum) -> np.ndarray:
     requires the kernel spectrum to be nowhere zero.
     """
     data = _raster(g, "wiener_deconvolve")
-    ker = _real(kernel, "wiener_deconvolve kernel")
-    prior = _real(prior_spectrum, "wiener_deconvolve prior_spectrum")
+    ker = _raster(kernel, "wiener_deconvolve kernel")
+    prior = _raster(prior_spectrum, "wiener_deconvolve prior_spectrum")
     if ker.shape != data.shape or prior.shape != data.shape:
         raise ValidationError("wiener_deconvolve kernel and prior must match the image grid")
-    if np.any(prior <= 0) or not np.all(np.isfinite(prior)):
-        raise ValidationError("prior_spectrum must be strictly positive and finite")
-    if not (sigma >= 0 and np.isfinite(sigma)):
-        raise ValidationError("sigma must be finite and >= 0")
+    if np.any(prior <= 0):
+        raise ValidationError("prior_spectrum must be strictly positive")
+    sigma = _number(sigma, "wiener_deconvolve sigma", _NONNEGATIVE)
     khat = np.fft.fft2(ker)
     power = np.abs(khat) ** 2
     if sigma == 0.0:

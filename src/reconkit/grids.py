@@ -6,6 +6,8 @@ Conventions used throughout the package:
   pixel (row, col) = (y, x), with the row axis pointing down; ``_raster``
   checks one where it enters the library, and ``_shape`` or ``_count``
   checks a grid shape, size or count where it enters;
+* a real number enters through ``_number`` and one of the rules below,
+  which the CLI's config leaves read too;
 * random streams come from splitmix64 (64-bit state) mapped through a
   Box-Muller transform, so a seed, an integer in [0, 2**64), pins the stream
   bit for bit.
@@ -49,6 +51,26 @@ def _count(value, who: str, least: int = 1) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise ValidationError(f"{who} must be an integer >= {least}")
+
+
+# the rules a real number may have to meet: (check, the text after its name)
+_FINITE = (np.isfinite, "must be finite")
+_POSITIVE = (lambda v: v > 0 and np.isfinite(v), "must be positive and finite")
+_NONNEGATIVE = (lambda v: v >= 0 and np.isfinite(v), "must be finite and >= 0")
+_FRACTION = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+
+
+def _number(value, who: str, rule=_FINITE) -> float:
+    """``value`` as a float: a real number, not a bool, that meets ``rule``, or a ValidationError."""
+    check, text = rule
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the double range, which no rule admits
+            number = np.inf
+        if check(number):
+            return number
+    raise ValidationError(f"{who} {text}")
 
 
 def _shape(shape, who: str, least: int = 1) -> tuple[int, int]:
@@ -107,8 +129,7 @@ def normal_stream(count: int, sigma: float, seed) -> np.ndarray:
     the sine branch, truncated to ``count`` samples.
     """
     count = _count(count, "normal_stream count", 0)
-    if not (sigma >= 0 and np.isfinite(sigma)):
-        raise ValidationError("normal_stream sigma must be finite and >= 0")
+    sigma = _number(sigma, "normal_stream sigma", _NONNEGATIVE)
     if count == 0:
         return np.zeros(0)
     if sigma == 0.0:

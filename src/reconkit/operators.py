@@ -37,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _count, _raster, _seed_value, _shape, normal_stream, uniform_stream
+from .grids import _FRACTION, _POSITIVE, _count, _number, _raster, _seed_value, _shape
+from .grids import normal_stream, uniform_stream
 
 __all__ = [
     "LinearMap",
@@ -88,8 +89,8 @@ class LinearMap:
         normal_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "linear_map",
     ):
-        self.domain_shape = tuple(int(s) for s in domain_shape)
-        self.range_shape = tuple(int(s) for s in range_shape)
+        self.domain_shape = tuple(_count(s, "LinearMap domain_shape") for s in domain_shape)
+        self.range_shape = tuple(_count(s, "LinearMap range_shape") for s in range_shape)
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self._normal_fn = normal_fn
@@ -124,7 +125,8 @@ class LinearMap:
         """``A* A x`` with the domain input validated once.
 
         Runs the fused normal when the operator has one; otherwise it is
-        ``adjoint(apply(x))`` through the public methods.
+        ``adjoint(apply(x))`` through the public methods, so the range
+        intermediate ``apply(x)`` is checked as an adjoint input.
         """
         if self._normal_fn is None:
             return self.adjoint(self.apply(x))
@@ -173,8 +175,7 @@ def normal_test(op: LinearMap, trials: int = 3, seed=0) -> float:
 
 def random_mask(shape, fraction: float, seed) -> np.ndarray:
     """A (height, width) boolean raster keeping a deterministic pseudo-random fraction."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError("random_mask fraction must be in (0, 1]")
+    fraction = _number(fraction, "random_mask fraction", _FRACTION)
     h, w = _shape(shape, "random_mask shape")
     n = h * w
     order = np.argsort(uniform_stream(n, seed), kind="stable")
@@ -419,8 +420,7 @@ class RadonGeometry:
     def __post_init__(self):
         for name in ("n_angles", "n_detectors"):
             _count(getattr(self, name), f"RadonGeometry {name}")
-        if not (self.detector_pitch > 0 and np.isfinite(self.detector_pitch)):
-            raise ValidationError("RadonGeometry detector_pitch must be positive")
+        _number(self.detector_pitch, "RadonGeometry detector_pitch", _POSITIVE)
 
     @property
     def angles(self) -> np.ndarray:

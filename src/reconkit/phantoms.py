@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import (
-    _count,
-    _raster,
-    _real,
-    _seed_value,
-    gaussian_noise,
-    normal_stream,
-    uniform_stream,
-)
+from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _count, _number, _raster, _real
+from .grids import _seed_value, gaussian_noise, normal_stream, uniform_stream
 from .operators import (
     LinearMap,
     RadonGeometry,
@@ -69,11 +62,9 @@ class Ellipse:
     rho: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValidationError("Ellipse semi-axes must be positive")
-        for name in ("cx", "cy", "phi", "rho"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"Ellipse.{name} must be finite")
+        for name in ("cx", "cy", "a", "b", "phi", "rho"):
+            rule = _POSITIVE if name in ("a", "b") else _FINITE
+            _number(getattr(self, name), f"Ellipse {name}", rule)
 
 
 # The standard Shepp and Logan (1974) ten-ellipse head set, parameters as
@@ -211,6 +202,10 @@ def bessel_j1(x) -> np.ndarray:
     return out
 
 
+# the cutoff's rule, which degradation.airy_cutoff reads too
+_AIRY_CUTOFF = (lambda v: 0.0 < v <= 0.5, "must lie in (0, 0.5] cycles per pixel")
+
+
 def airy_psf(size: int, cutoff: float) -> np.ndarray:
     """Diffraction point-spread (2 J1(r) / r)^2 with a chosen spectral cutoff.
 
@@ -220,8 +215,7 @@ def airy_psf(size: int, cutoff: float) -> np.ndarray:
     center sample carries the r -> 0 limit, 1, before normalization.
     """
     size = _count(size, "airy_psf size")
-    if not (0.0 < cutoff <= 0.5):
-        raise ValidationError("cutoff must lie in (0, 0.5] cycles per pixel")
+    cutoff = _number(cutoff, "airy_psf cutoff", _AIRY_CUTOFF)
     center = (size - 1) / 2.0
     coords = np.arange(size) - center
     rr = np.hypot(coords[None, :], coords[:, None])
@@ -237,8 +231,7 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     size = _count(size, "gaussian_kernel size")
     if size % 2 == 0:
         raise ValidationError("gaussian_kernel size must be odd")
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise ValidationError("gaussian_kernel sigma must be positive")
+    sigma = _number(sigma, "gaussian_kernel sigma", _POSITIVE)
     coords = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-0.5 * (coords / sigma) ** 2)
     kernel = np.outer(g, g)
@@ -290,8 +283,7 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
     The noise is a seeded raster over the whole grid, sampled through the
     boolean ``mask`` in flat order, as ``op`` samples the image.
     """
-    if not (sigma >= 0 and np.isfinite(sigma)):
-        raise ValidationError("degrade sigma must be finite and >= 0")
+    sigma = _number(sigma, "degrade sigma", _NONNEGATIVE)
     # checked here: a zero sigma draws no stream, so the stream never sees the seed
     _seed_value(seed)
     measurements = clean + gaussian_noise(mask.shape, sigma, seed)[mask]
@@ -299,7 +291,7 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
         measurements=measurements,
         op=op,
         mask=mask,
-        sigma=float(sigma),
+        sigma=sigma,
         clean=clean,
         measurement_snr_db=snr_db(clean, measurements),
     )
@@ -356,12 +348,10 @@ def compressibility_study(
     names in ``_TRANSFORMS``; coefficient ranking is deterministic (stable
     sort on magnitude).
     """
-    fractions = [float(fr) for fr in keep_fractions]
+    who = "compressibility_study keep fraction"
+    fractions = [_number(fr, who, _FRACTION) for fr in keep_fractions]
     if not fractions:
         raise ValidationError("compressibility_study needs at least one fraction")
-    for fr in fractions:
-        if not 0.0 < fr <= 1.0:
-            raise ValidationError("keep fractions must lie in (0, 1]")
     if transform not in _TRANSFORMS:
         raise ValidationError(f"unknown transform {transform!r}")
     analyze, synthesize = _TRANSFORMS[transform]

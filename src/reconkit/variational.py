@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .grids import _count, _real, _seed_value, normal_stream
+from .grids import _NONNEGATIVE, _POSITIVE, _count, _number, _real, _seed_value, normal_stream
 from .operators import LinearMap, op_matrix
 from .phantoms import snr_db
 
@@ -64,17 +64,10 @@ class Objective:
     reg_op: LinearMap | None = None
 
     def __post_init__(self):
-        data = _real(self.data, "Objective data")
-        if data.shape != self.forward.range_shape:
-            raise ValidationError(
-                f"data shape {data.shape} does not match forward range {self.forward.range_shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("objective data contains non-finite samples")
+        data = self.forward._coerce(self.data, self.forward.range_shape, "data")
+        object.__setattr__(self, "lam", _number(self.lam, "Objective lam", _NONNEGATIVE))
         if self.penalty not in _PENALTIES:
             raise ValidationError(f"unknown penalty {self.penalty!r}")
-        if not (self.lam >= 0 and np.isfinite(self.lam)):
-            raise ValidationError("lam must be finite and >= 0")
         if self.reg_op is not None:
             if self.reg_op.domain_shape != self.forward.domain_shape:
                 raise ValidationError("reg_op domain must match the forward domain")
@@ -146,10 +139,9 @@ def _check_finite(trace: list, where: str, *values) -> None:
 
 def _start(obj: Objective, f0) -> np.ndarray:
     """The checked start point: zeros, or a float64 copy of ``f0``."""
-    f = np.zeros(obj.forward.domain_shape) if f0 is None else np.array(_real(f0, "f0"))
-    if f.shape != obj.forward.domain_shape:
-        raise ValidationError("f0 shape does not match the operator domain")
-    return f
+    if f0 is None:
+        return np.zeros(obj.forward.domain_shape)
+    return obj.forward._coerce(f0, obj.forward.domain_shape, "f0").copy()
 
 
 def _iterate(
@@ -244,6 +236,7 @@ def _forward_backward(
     objective change of at most ``tol``; without momentum, 5 rises in a row
     diverge.  The residual trace holds the step lengths ||f_{k+1} - f_k||.
     """
+    tol = _number(tol, f"{label} tol", _NONNEGATIVE)
     smooth = obj.penalty == "quadratic"  # then the gradient step covers all of J
     prox = _PENALTIES[obj.penalty][1]
     weight = gamma * obj.lam
@@ -312,9 +305,7 @@ def gradient_descent(
     if step is None:
         gamma = _auto_step(obj, power_seed)
     else:
-        gamma = float(step)
-        if not (gamma > 0 and np.isfinite(gamma)):
-            raise ValidationError("step must be positive and finite")
+        gamma = _number(step, "gradient descent step", _POSITIVE)
         _seed_value(power_seed)
     return _forward_backward(obj, f, gamma, False, max_iter, tol, "gradient descent")
 
@@ -384,6 +375,7 @@ def conjugate_gradient_normal(
     if obj.penalty != "quadratic":
         raise ValidationError("conjugate_gradient_normal handles the quadratic penalty")
     f = _start(obj, f0)
+    tol = _number(tol, "conjugate gradients tol", _NONNEGATIVE)
     cg_step, _, converged = _cg_quadratic(
         _normal_equations(obj, obj.lam), obj.forward.adjoint(obj.data), f, tol
     )
@@ -459,8 +451,7 @@ def prox_apply(penalty: str, u, step: float) -> np.ndarray:
     u = _real(u, "prox_apply")
     if not np.all(np.isfinite(u)):
         raise ValidationError("prox_apply input contains non-finite samples")
-    if not (step >= 0 and np.isfinite(step)):
-        raise ValidationError("prox_apply step must be finite and >= 0")
+    step = _number(step, "prox_apply step", _NONNEGATIVE)
     return _PENALTIES[penalty][1](u, step)
 
 
@@ -521,8 +512,8 @@ def admm(
     grows: about 2e-6 relative at rho = 1e12, and meaningless by 1e20.  The
     iterates and the stop rule do not read it.
     """
-    if not (rho > 0 and np.isfinite(rho)):
-        raise ValidationError("rho must be positive and finite")
+    rho = _number(rho, "admm rho", _POSITIVE)
+    tol = _number(tol, "admm tol", _NONNEGATIVE)
     inner_iter = _count(inner_iter, "admm inner_iter", 0)
     f = _start(obj, f0)
 
@@ -587,12 +578,9 @@ def lambda_sweep(
     the callable (seed it).  Returns the per-weight SNR table, the argmax
     (the first weight on a tie) and the reconstruction it produced.
     """
-    lams = [float(l) for l in lambdas]
+    lams = [_number(lam, "lambda_sweep weight", _NONNEGATIVE) for lam in lambdas]
     if not lams:
         raise ValidationError("lambda_sweep needs at least one weight")
-    for lam in lams:
-        if not (lam >= 0 and np.isfinite(lam)):
-            raise ValidationError("sweep weights must be finite and >= 0")
     rows = []
     best = None  # (lam, snr, estimate); a tie keeps the earlier weight
     for lam in lams:

@@ -1,4 +1,4 @@
-"""The raster, shape and count checks, the DFT convention, the ray
+"""The raster, shape, count and number checks, the DFT convention, the ray
 transform's bilinear stencil, and the noise stream.
 
 The DFT tests run ``op_dft2``, the package's one DFT, and compare it against
@@ -7,6 +7,7 @@ against the formula rather than against itself.  ``op_dft2`` returns the
 spectrum's real and imaginary parts stacked; ``spectrum`` joins them.
 """
 
+import dataclasses
 import re
 import warnings
 
@@ -15,6 +16,7 @@ import pytest
 
 from reconkit import (
     SHEPP_LOGAN,
+    LinearMap,
     Objective,
     RadonGeometry,
     ValidationError,
@@ -32,6 +34,7 @@ from reconkit import (
     gaussian_noise,
     gradient_descent,
     ista,
+    lambda_sweep,
     normal_stream,
     normal_test,
     objective_value,
@@ -54,8 +57,9 @@ from reconkit import (
     write_pgm,
     write_raster,
 )
-from reconkit.grids import _raster, _shape
+from reconkit.grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _raster, _shape
 from reconkit.operators import _bilinear_stencil
+from reconkit.phantoms import _AIRY_CUTOFF
 
 
 def dft2_direct(data):
@@ -89,9 +93,7 @@ ENTRY_POINTS = {
 QUADRATIC = Objective(op_multiply(ONES), ONES)
 REAL_ONLY = [
     *((name, lambda x, tmp, call=call: call(x)) for name, call in ENTRY_POINTS.items()),
-    ("Objective data", lambda x, tmp: Objective(op_matrix(np.eye(3)), [1 + 2j, 0, 0])),
     ("objective_value", lambda x, tmp: objective_value(QUADRATIC, x)),
-    ("f0", lambda x, tmp: gradient_descent(QUADRATIC, f0=x)),
     ("prox_apply", lambda x, tmp: prox_apply("abs", x, 0.1)),
     ("wiener_deconvolve kernel", lambda x, tmp: wiener_deconvolve(ONES, x, 0.1, ONES)),
     ("wiener_deconvolve prior_spectrum", lambda x, tmp: wiener_deconvolve(ONES, ONES, 0.1, x)),
@@ -102,6 +104,17 @@ REAL_ONLY = [
     ("snr_db estimate", lambda x, tmp: snr_db(ONES, x)),
     ("point_eval x", lambda x, tmp: point_eval(SHEPP_LOGAN, x, 0.0)),
     ("point_eval y", lambda x, tmp: point_eval(SHEPP_LOGAN, 0.0, x)),
+]
+
+# (name, the operator's message, call on a complex 8 x 8 array x) for each
+# array a solve hands its operator, which checks it as an input of its own
+OPERATOR_INPUTS = [
+    (
+        "Objective data",
+        "matrix: data input must be real",
+        lambda x: Objective(op_matrix(np.eye(3)), [1 + 2j, 0, 0]),
+    ),
+    ("f0", "multiply: f0 input must be real", lambda x: gradient_descent(QUADRATIC, f0=x)),
 ]
 
 # each library function that makes a raster, at 32 x 32
@@ -154,6 +167,16 @@ class TestRaster:
                 call(x, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "want,call", [row[1:] for row in OPERATOR_INPUTS], ids=[row[0] for row in OPERATOR_INPUTS]
+    )
+    def test_each_solver_array_rejects_complex_input_as_its_operator_does(self, want, call):
+        x = normal_stream(64, 1.0, 8).reshape(8, 8) + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+                call(x)
+
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     def test_each_entry_point_rejects_nonfinite_samples(self, name):
         for value in (np.nan, np.inf):
@@ -186,6 +209,58 @@ COUNTS = [
     ("fista max_iter", 0, lambda v: ista(L1, accelerate=True, max_iter=v)),
     ("admm max_iter", 0, lambda v: admm(QUADRATIC, max_iter=v)),
     ("admm inner_iter", 0, lambda v: admm(QUADRATIC, inner_iter=v)),
+    ("LinearMap domain_shape", 1, lambda v: LinearMap((v, 3), (2,), np.sin, np.sin)),
+    ("LinearMap range_shape", 1, lambda v: LinearMap((3,), (v,), np.sin, np.sin)),
+]
+
+# (argument name in the error, its rule, a value outside the rule, call with the
+# argument set to v) for every real number that enters the library
+ELLIPSE = SHEPP_LOGAN[0]
+NUMBERS = [
+    ("Objective lam", _NONNEGATIVE, -1.0, lambda v: Objective(op_multiply(ONES), ONES, lam=v)),
+    ("gradient descent step", _POSITIVE, 0.0, lambda v: gradient_descent(QUADRATIC, step=v)),
+    ("admm rho", _POSITIVE, 0.0, lambda v: admm(L1, rho=v)),
+    ("prox_apply step", _NONNEGATIVE, -1.0, lambda v: prox_apply("abs", ONES, v)),
+    ("lambda_sweep weight", _NONNEGATIVE, -1.0, lambda v: lambda_sweep(np.sin, ONES, [v])),
+    ("normal_stream sigma", _NONNEGATIVE, -1.0, lambda v: normal_stream(4, v, 0)),
+    ("degrade sigma", _NONNEGATIVE, -1.0, lambda v: degrade(ONES, np.ones((1, 1)), ONES, v, 0)),
+    (
+        "wiener_deconvolve sigma",
+        _NONNEGATIVE,
+        -1.0,
+        lambda v: wiener_deconvolve(ONES, ONES, v, ONES),
+    ),
+    ("gaussian_kernel sigma", _POSITIVE, 0.0, lambda v: gaussian_kernel(3, v)),
+    ("airy_psf cutoff", _AIRY_CUTOFF, 0.75, lambda v: airy_psf(5, v)),
+    ("random_mask fraction", _FRACTION, 1.5, lambda v: random_mask((8, 8), v, 0)),
+    (
+        "compressibility_study keep fraction",
+        _FRACTION,
+        1.5,
+        lambda v: compressibility_study(ONES, "haar", [v], levels=1),
+    ),
+    ("RadonGeometry detector_pitch", _POSITIVE, 0.0, lambda v: RadonGeometry(8, 8, v)),
+    *(
+        (f"Ellipse {name}", rule, outside, lambda v, n=name: dataclasses.replace(ELLIPSE, **{n: v}))
+        for name, rule, outside in (
+            ("cx", _FINITE, np.inf),
+            ("cy", _FINITE, np.inf),
+            ("a", _POSITIVE, 0.0),
+            ("b", _POSITIVE, 0.0),
+            ("phi", _FINITE, np.inf),
+            ("rho", _FINITE, np.inf),
+        )
+    ),
+    ("gradient descent tol", _NONNEGATIVE, -1.0, lambda v: gradient_descent(QUADRATIC, tol=v)),
+    (
+        "conjugate gradients tol",
+        _NONNEGATIVE,
+        -1.0,
+        lambda v: conjugate_gradient_normal(QUADRATIC, tol=v),
+    ),
+    ("ista tol", _NONNEGATIVE, -1.0, lambda v: ista(L1, tol=v)),
+    ("fista tol", _NONNEGATIVE, -1.0, lambda v: ista(L1, accelerate=True, tol=v)),
+    ("admm tol", _NONNEGATIVE, -1.0, lambda v: admm(QUADRATIC, tol=v)),
 ]
 
 # the same for every (height, width) shape that enters the library
@@ -202,8 +277,9 @@ SHAPES = [
 RASTER = "{} expects a non-empty 2D raster"
 
 # (test id, exact message, call) for every entry check: a fractional value, a
-# value below the least and a bool for each count and shape, and arrays that
-# are not non-empty finite 2D rasters
+# value below the least and a bool for each count and shape, a string, a bool,
+# NaN and a value outside the rule for each real number, and arrays that are
+# not non-empty finite 2D rasters
 ENTRY_CHECKS = [
     *(
         (f"{who}={label}", f"{who} must be an integer >= {least}", lambda c=call, v=v: c(v))
@@ -223,11 +299,21 @@ ENTRY_CHECKS = [
             ("bool", (True, 8)),
         )
     ),
+    *(
+        (f"{who}={label}", f"{who} {rule[1]}", lambda c=call, v=v: c(v))
+        for who, rule, outside, call in NUMBERS
+        for label, v in (("string", "0.5"), ("bool", True), ("nan", np.nan), ("outside", outside))
+    ),
     ("embed_kernel=1d", RASTER.format("embed_kernel"), lambda: embed_kernel(np.ones(3), (8, 8))),
     (
         "embed_kernel=nan",
         "embed_kernel input contains non-finite samples",
         lambda: embed_kernel(np.full((3, 3), np.nan), (8, 8)),
+    ),
+    (
+        "wiener_deconvolve kernel=nan",
+        "wiener_deconvolve kernel input contains non-finite samples",
+        lambda: wiener_deconvolve(ONES, np.full((8, 8), np.nan), 0.1, ONES),
     ),
     ("op_matrix=empty", RASTER.format("op_matrix"), lambda: op_matrix(np.zeros((0, 3)))),
     ("op_multiply=empty", RASTER.format("op_multiply"), lambda: op_multiply(np.zeros((0, 3)))),

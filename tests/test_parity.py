@@ -179,6 +179,8 @@ def test_library_covers_every_solver_and_selftest_operator():
     results = parity.library()
     solvers = ("gd", "gd_fixed_step", "cg", "ista", "fista")
     solvers += ("admm_abs", "admm_quadratic", "admm_tv")
+    # each solver again from a given start, once float32
+    solvers += ("gd_warm", "cg_warm", "cg_warm_float32", "ista_warm", "fista_warm", "admm_tv_warm")
     # each solve's whole report
     assert set(parity.REPORT_PARTS) == {f.name for f in dataclasses.fields(SolveReport)}
     want = {f"solver {name} {part}" for name in solvers for part in parity.REPORT_PARTS}

@@ -16,7 +16,8 @@ the call wrote.
 Then one more fresh interpreter per tree computes ``library()``, and the two
 trees' arrays are compared byte for byte: each solver's whole report (final,
 objective and residual traces, iteration count and ``converged``) on one
-small problem, gradient descent with both the auto and a fixed step;
+small problem, gradient descent with both the auto and a fixed step, and
+each solver again from a fixed non-zero start (once as a float32 array);
 ``apply``, ``adjoint`` and ``normal`` of every ``cli._selftest_cases``
 operator; and ``op_radon``'s ``apply``, ``adjoint`` and ``normal`` on the
 path that rebuilds its tables per call.
@@ -130,6 +131,7 @@ def library() -> dict:
     quadratic = rk.Objective(op, g, "quadratic", 0.01, reg_op=grad)
     l1 = rk.Objective(op, g, "abs", 0.01)
     tv = rk.Objective(op, g, "abs", 0.01, reg_op=grad)
+    warm = 0.5 * field(shape, 5)  # a given start runs the f0 check and copy; None skips them
     solves = {
         "gd": (rk.gradient_descent, quadratic, {"power_seed": 3}),
         "gd_fixed_step": (rk.gradient_descent, quadratic, {"step": 0.4}),
@@ -139,6 +141,14 @@ def library() -> dict:
         "admm_abs": (rk.admm, l1, {"inner_iter": 10}),
         "admm_quadratic": (rk.admm, quadratic, {"inner_iter": 10}),
         "admm_tv": (rk.admm, tv, {"inner_iter": 10}),
+        "gd_warm": (rk.gradient_descent, quadratic, {"f0": warm, "power_seed": 3}),
+        "cg_warm": (rk.conjugate_gradient_normal, quadratic, {"f0": warm}),
+        "cg_warm_float32": (
+            rk.conjugate_gradient_normal, quadratic, {"f0": warm.astype(np.float32)}
+        ),
+        "ista_warm": (rk.ista, l1, {"f0": warm, "power_seed": 3}),
+        "fista_warm": (rk.ista, l1, {"f0": warm, "accelerate": True, "power_seed": 3}),
+        "admm_tv_warm": (rk.admm, tv, {"f0": warm, "inner_iter": 10}),
     }
     results = {}
     for name, (solve, obj, kwargs) in solves.items():
