@@ -1,13 +1,15 @@
 """Command-line entry point: one binary with experiment subcommands.
 
 Configuration lives in a JSON file (nested key/value sections); any flag
-given on the command line overrides the corresponding config value.  Unknown
-config fields are rejected by name.  Every command echoes its effective
-configuration, the seeds it used, and the package version into
-``manifest.json`` in the output directory, and writes canonical float
-rasters (see ``reconkit.io``) next to PGM previews and CSV metric tables.
+given on the command line overrides the corresponding config value.  One pass
+builds the config: ``_section`` walks its dataclasses, rejecting an unknown
+field by name, and ``_leaf`` reads each leaf, given or default, once, so a
+wrong type and a broken rule both read ``{path} {text}``.  Every command
+echoes its effective configuration, the seeds it used, and the package
+version into ``manifest.json`` in the output directory, and writes canonical
+float rasters (see ``reconkit.io``) next to PGM previews and CSV metric tables.
 
-Each choice is declared once, and the parser, the config check and the
+Each choice is declared once, and the parser, the config reader and the
 commands read it there: each config leaf's rule beside its default (``_key``),
 ``_COMMANDS`` (subcommand -> help and its flags beyond
 ``--config``/``--out``/``--seed``; the handler of ``a-b`` is ``cmd_a_b``),
@@ -30,7 +32,6 @@ unless the config pins them explicitly.
 import argparse
 import dataclasses
 import functools
-import inspect
 import json
 import os
 import pathlib
@@ -44,7 +45,7 @@ import numpy as np
 from . import __version__
 from .direct import fbp
 from .errors import DivergenceError, ValidationError
-from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _raster, normal_stream
+from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _number, _raster, normal_stream
 from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
     RadonGeometry,
@@ -95,11 +96,11 @@ from .variational import (
 def _key(default, rule, each=None):
     """A config leaf: its default and its rule, ``(check, text)``.
 
-    A value that fails ``check`` is reported as the leaf's path and ``text``,
-    in which ``{!r}`` stands for the value.  ``each`` is the rule of each entry
-    of a list leaf, named ``path[i]``.  A None value, which only an ``X | None``
-    annotation admits, is not checked.  A real-number leaf shares its rule
-    with the library argument it feeds (``grids._POSITIVE``, for one).
+    A value of the wrong type or one that fails ``check`` reads as the leaf's
+    path and ``text`` (``{!r}`` stands for the value), so ``text`` names the
+    type.  ``each`` is the rule of each entry of a list leaf, named ``path[i]``.
+    A None value, which only an ``X | None`` annotation admits, is not checked.
+    A real-number leaf shares its rule with the library argument it feeds.
     """
     metadata = {"rule": rule, "each": each}
     if isinstance(default, list):
@@ -112,8 +113,9 @@ _SEED_MAX = (2**64 - 4) // 1000
 _TRANSFORM_KINDS = (*_TRANSFORMS, "all")  # "all" runs each of phantoms._TRANSFORMS
 
 _UNSUPPORTED = "{!r} is not supported"
-_STREAM_SEED = (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64) when given")
-_BLUR_SIZE = "must be odd and lie in [1, phantom.size]"
+_STREAM_SEED = (lambda v: 0 <= v < 2**64, "must be an integer in [0, 2**64) when given")
+_BLUR_SIZE = "must be an odd integer in [1, phantom.size]"
+_OUT_DIR = "must name a directory, not {!r}"
 
 
 def _can_be_directory(path: str) -> bool:
@@ -125,7 +127,7 @@ def _can_be_directory(path: str) -> bool:
 @dataclass
 class PhantomConfig:
     kind: str = _key("shepp_logan", (lambda v: v == "shepp_logan", _UNSUPPORTED))
-    size: int = _key(128, (lambda v: v >= 32, "must be >= 32"))
+    size: int = _key(128, (lambda v: v >= 32, "must be an integer >= 32"))
 
 
 @dataclass
@@ -143,9 +145,9 @@ class DegradationConfig:
 
 @dataclass
 class GeometryConfig:
-    n_angles: int = _key(30, (lambda v: v >= 1, "must be >= 1"))
+    n_angles: int = _key(30, (lambda v: v >= 1, "must be an integer >= 1"))
     # defaults to the image size
-    n_detectors: int | None = _key(None, (lambda v: v >= 1, "must be >= 1 when given"))
+    n_detectors: int | None = _key(None, (lambda v: v >= 1, "must be an integer >= 1 when given"))
     detector_pitch: float = _key(1.0, _POSITIVE)
 
 
@@ -153,11 +155,13 @@ class GeometryConfig:
 class SolverConfig:
     kind: str = _key("cg_tikhonov", (lambda v: v in _SOLVERS, _UNSUPPORTED))
     lam: float = _key(0.1, _NONNEGATIVE)
-    lambdas: list[float] | None = _key(None, (len, "must hold at least one weight"), _NONNEGATIVE)
+    lambdas: list[float] | None = _key(
+        None, (len, "must be a list of at least one weight"), each=_NONNEGATIVE
+    )
     rho: float = _key(1.0, _POSITIVE)
-    max_iter: int = _key(200, (lambda v: v >= 0, "must be >= 0"))
+    max_iter: int = _key(200, (lambda v: v >= 0, "must be an integer >= 0"))
     tol: float = _key(1e-8, _NONNEGATIVE)
-    inner_iter: int = _key(30, (lambda v: v >= 0, "must be >= 0"))
+    inner_iter: int = _key(30, (lambda v: v >= 0, "must be an integer >= 0"))
     step: float | None = _key(None, _POSITIVE)  # gd only; None is the auto step 0.9 / Lip
     power_seed: int | None = _key(None, _STREAM_SEED)
 
@@ -170,11 +174,11 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     transform: str = _key("haar", (lambda v: v in _TRANSFORM_KINDS, _UNSUPPORTED))
     keep_fractions: list[float] = _key(
-        [0.01, 0.05, 0.1, 0.25], (len, "must hold at least one fraction"), each=_FRACTION
+        [0.01, 0.05, 0.1, 0.25], (len, "must be a list of at least one fraction"), each=_FRACTION
     )
-    levels: int = _key(4, (lambda v: v >= 1, "must be >= 1"))
-    out_dir: str = _key("out", (_can_be_directory, "must name a directory, not {!r}"))
-    seed: int = _key(0, (lambda v: 0 <= v <= _SEED_MAX, f"must lie in [0, {_SEED_MAX}]"))
+    levels: int = _key(4, (lambda v: v >= 1, "must be an integer >= 1"))
+    out_dir: str = _key("out", (_can_be_directory, _OUT_DIR))
+    seed: int = _key(0, (lambda v: 0 <= v <= _SEED_MAX, f"must be an integer in [0, {_SEED_MAX}]"))
 
     def mask_seed(self) -> int:
         s = self.degradation.mask_seed
@@ -196,45 +200,51 @@ def _drop_none(typ):
     return typ
 
 
-def _coerce(value, typ, path):
+def _leaf(value, typ, path: str, rule, each=None):
+    """``value`` as the config leaf at ``path``, annotated ``typ``, or a ValidationError.
+
+    A float goes through ``grids._number``, which also takes an int; any other
+    value must have the annotated type (a bool is no integer) and then meet
+    ``rule``.  Either failure reads ``"{path} {text}"``.  A list's entries are
+    read in turn, as ``path[i]`` under ``each``.
+    """
     inner = _drop_none(typ)
-    if inner is not typ:
-        return None if value is None else _coerce(value, inner, path)
-    if dataclasses.is_dataclass(typ):
-        if not isinstance(value, dict):
-            raise ValidationError(f"{path} must be a table of fields")
-        return _from_dict(typ, value, path)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{path} must be an integer")
-        return value
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{path} must be a number")
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValidationError(f"{path} is beyond the double range") from None
-    if typ is str:
-        if not isinstance(value, str):
-            raise ValidationError(f"{path} must be a string")
-        return value
-    if typing.get_origin(typ) is list:
-        if not isinstance(value, list):
-            raise ValidationError(f"{path} must be a list")
-        (entry,) = typing.get_args(typ)
-        return [_coerce(item, entry, f"{path}[{i}]") for i, item in enumerate(value)]
-    raise ValidationError(f"{path} has unsupported type {typ!r}")
+    if value is None and inner is not typ:
+        return None
+    if inner is float:
+        return _number(value, path, rule)
+    check, text = rule
+    kind = typing.get_origin(inner) or inner
+    if type(value) is not kind or not check(value):
+        raise ValidationError(f"{path} {text.format(value)}")
+    if kind is list:
+        (entry,) = typing.get_args(inner)
+        return [_leaf(v, entry, f"{path}[{i}]", each) for i, v in enumerate(value)]
+    return value
 
 
-def _from_dict(cls, data: dict, path: str = "config"):
-    hints = inspect.get_annotations(cls)
-    kwargs = {}
-    for name, value in data.items():
-        if name not in hints:
-            raise ValidationError(f"unknown field {path}.{name}")
-        kwargs[name] = _coerce(value, hints[name], f"{path}.{name}")
-    return cls(**kwargs)
+def _section(cls, data, writes: bool, path: str = ""):
+    """The config section ``cls`` at ``path`` from the table ``data``, each leaf read once."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path or 'config'} must be a table of fields")
+    prefix = path + "." if path else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in data:
+        if name not in fields:
+            raise ValidationError(f"unknown field {prefix}{name}")
+    defaults = cls()
+    values = {}
+    for f in fields.values():
+        key = prefix + f.name
+        if dataclasses.is_dataclass(f.type):
+            values[f.name] = _section(f.type, data.get(f.name, {}), writes, key)
+            continue
+        rule = f.metadata["rule"]
+        if key == "out_dir" and not writes:  # a call that writes no file
+            rule = (lambda v: True, _OUT_DIR)
+        value = data.get(f.name, getattr(defaults, f.name))
+        values[f.name] = _leaf(value, f.type, key, rule, f.metadata["each"])
+    return cls(**values)
 
 
 def _deep_merge(base: dict, patch: dict) -> dict:
@@ -251,8 +261,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    return _from_dict(ExperimentConfig, data)
+def config_from_dict(data: dict, writes: bool = True) -> ExperimentConfig:
+    """The defaults patched by ``data``, every leaf checked; ``writes=False``,
+    for a call that writes no file, leaves ``out_dir``'s rule unchecked."""
+    cfg = _section(ExperimentConfig, data, writes)
+    # the one rule that spans fields: the blur kernel fits in the image
+    if cfg.degradation.blur_size > cfg.phantom.size:
+        raise ValidationError(f"degradation.blur_size {_BLUR_SIZE}")
+    return cfg
 
 
 def load_config(args, base: dict | None = None, writes: bool = True) -> ExperimentConfig:
@@ -275,31 +291,7 @@ def load_config(args, base: dict | None = None, writes: bool = True) -> Experime
         if not isinstance(file_part, dict):
             raise ValidationError("config file must hold a JSON object")
     merged = _deep_merge(base or {}, file_part)
-    merged = _deep_merge(merged, _flag_patch(args))
-    cfg = config_from_dict(merged)
-    _validate_config(cfg, writes)
-    return cfg
-
-
-def _ruled_values(node, prefix: str = ""):
-    """Yield ``(path, value, rule)`` for each set leaf of a config and each list entry."""
-    for f in dataclasses.fields(node):
-        value, path = getattr(node, f.name), prefix + f.name
-        if dataclasses.is_dataclass(value):
-            yield from _ruled_values(value, path + ".")
-        elif value is not None:
-            yield path, value, f.metadata["rule"]
-            if f.metadata["each"]:
-                yield from ((f"{path}[{i}]", v, f.metadata["each"]) for i, v in enumerate(value))
-
-
-def _validate_config(cfg: ExperimentConfig, writes: bool = True) -> None:
-    for path, value, (check, text) in _ruled_values(cfg):
-        if not check(value) and (writes or path != "out_dir"):
-            raise ValidationError(f"{path} {text.format(value)}")
-    # the one rule that spans fields: the blur kernel fits in the image
-    if cfg.degradation.blur_size > cfg.phantom.size:
-        raise ValidationError(f"degradation.blur_size {_BLUR_SIZE}")
+    return config_from_dict(_deep_merge(merged, _flag_patch(args)), writes)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +741,7 @@ def _arg_type(path: tuple):
     """The argparse type of a flag that overrides the config leaf at ``path``."""
     typ = ExperimentConfig
     for name in path:
-        typ = _drop_none(inspect.get_annotations(typ)[name])
+        typ = _drop_none(typing.get_type_hints(typ)[name])
     return _float_list if typing.get_origin(typ) is list else typ
 
 

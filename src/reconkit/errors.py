@@ -10,7 +10,8 @@ class ValidationError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when an iterative solver detects a growing objective, an
     iterate or residual that has left the finite range, or (in conjugate
-    gradients) a non-positive curvature direction; the CLI exits 3.
+    gradients) a non-positive curvature direction, and when an operator's
+    ``apply`` overflows inside its ``normal``; the CLI exits 3.
 
     Carries the objective trace recorded up to the failing iteration so the
     caller can inspect what happened.

@@ -84,7 +84,8 @@ def _shape(shape, who: str, least: int = 1) -> tuple[int, int]:
 
 
 def _seed_value(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
+    """``seed`` as an int: an integer, not a bool, in [0, 2**64), or a ValidationError."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         value = int(seed)
         if 0 <= value < 2**64:
             return value
@@ -130,6 +131,7 @@ def normal_stream(count: int, sigma: float, seed) -> np.ndarray:
     """
     count = _count(count, "normal_stream count", 0)
     sigma = _number(sigma, "normal_stream sigma", _NONNEGATIVE)
+    seed = _seed_value(seed)  # checked even where no stream is drawn
     if count == 0:
         return np.zeros(0)
     if sigma == 0.0:

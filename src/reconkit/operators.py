@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .grids import _FRACTION, _POSITIVE, _count, _number, _raster, _seed_value, _shape
 from .grids import normal_stream, uniform_stream
 
@@ -125,11 +125,14 @@ class LinearMap:
         """``A* A x`` with the domain input validated once.
 
         Runs the fused normal when the operator has one; otherwise it is
-        ``adjoint(apply(x))`` through the public methods, so the range
-        intermediate ``apply(x)`` is checked as an adjoint input.
+        ``adjoint(apply(x))`` through the public methods.  An intermediate
+        ``apply(x)`` that overflows is a numerical failure, not bad input.
         """
         if self._normal_fn is None:
-            return self.adjoint(self.apply(x))
+            y = self.apply(x)
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(f"{self.name}: apply leaves the finite range inside normal")
+            return self.adjoint(y)
         return self._normal_fn(self._coerce(x, self.domain_shape, "domain"))
 
     def __repr__(self):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _count, _number, _raster, _real
-from .grids import _seed_value, gaussian_noise, normal_stream, uniform_stream
+from .grids import gaussian_noise, normal_stream, uniform_stream
 from .operators import (
     LinearMap,
     RadonGeometry,
@@ -265,8 +265,8 @@ def degrade(img, blur_kernel, mask, sigma: float, seed) -> Degraded:
 
     ``img`` is a raster and ``mask`` a raster of its shape, read as bool.
     ``blur_kernel`` is a small centered kernel; it is embedded on the image
-    grid with its center at the origin so the blur does not shift content.  The returned operator is ``_blur_then_mask``'s mask `o`
-    convolve, ready for reconstruction.
+    grid with its center at the origin so the blur does not shift content.
+    The returned operator, mask after blur, is ready for reconstruction.
     """
     data = _raster(img, "degrade")
     mask = np.asarray(mask, dtype=bool)
@@ -284,8 +284,6 @@ def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> De
     boolean ``mask`` in flat order, as ``op`` samples the image.
     """
     sigma = _number(sigma, "degrade sigma", _NONNEGATIVE)
-    # checked here: a zero sigma draws no stream, so the stream never sees the seed
-    _seed_value(seed)
     measurements = clean + gaussian_noise(mask.shape, sigma, seed)[mask]
     return Degraded(
         measurements=measurements,

@@ -190,7 +190,7 @@ def _auto_step(obj: Objective, seed) -> float:
     apply_normal = _normal_equations(obj, obj.lam if obj.penalty == "quadratic" else 0.0)
     shape = obj.forward.domain_shape
     n = int(np.prod(shape))
-    v = normal_stream(n, 1.0, _seed_value(seed)).reshape(shape)
+    v = normal_stream(n, 1.0, seed).reshape(shape)
     norm = float(np.linalg.norm(v.ravel()))
     if norm == 0.0:
         return 1.0

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from reconkit.cli import (
     _SEED_MAX,
     ExperimentConfig,
     SolverConfig,
-    _validate_config,
     build_parser,
     config_from_dict,
     config_to_dict,
@@ -129,8 +129,9 @@ class TestCsv:
         assert text == "metric,value\nsnr,inf\nok,true\nx,0.1\n"
 
 
-# one config that breaks each rule of the config check, and the key its error
-# names (with the rule's wording where one key has two rules, so each id is unique)
+# one config that breaks each rule of the config check, the key its error names
+# (with the rule's wording where one key has two rules), and the test id where it
+# is not that key: the wording the case was first written against
 CONFIG_RULES = [
     ({"phantom": {"kind": "disk"}}, "phantom.kind"),
     ({"phantom": {"size": 16}}, "phantom.size"),
@@ -148,7 +149,11 @@ CONFIG_RULES = [
     ({"solver": {"kind": "deep_net"}}, "solver.kind"),
     ({"solver": {"lam": -1.0}}, "solver.lam"),
     ({"solver": {"lam": float("nan")}}, "solver.lam must be finite"),
-    ({"solver": {"lam": 10**400}}, "solver.lam is beyond the double range"),
+    (
+        {"solver": {"lam": 10**400}},
+        "solver.lam must be finite and >= 0",
+        "solver.lam is beyond the double range",
+    ),
     ({"solver": {"rho": -1.0}}, "solver.rho"),
     ({"solver": {"max_iter": -5}}, "solver.max_iter"),
     ({"solver": {"inner_iter": -1}}, "solver.inner_iter"),
@@ -164,9 +169,13 @@ CONFIG_RULES = [
     ({"levels": 0}, "levels"),
     ({"keep_fractions": [0.5, 1.5]}, "keep_fractions"),
     ({"keep_fractions": [0.5, "x"]}, "keep_fractions[1]"),
-    ({"keep_fractions": []}, "keep_fractions must hold at least one"),
-    ({"seed": -1}, "seed must lie in"),
-    ({"seed": 2**64 - 1}, "seed must lie in"),
+    (
+        {"keep_fractions": []},
+        "keep_fractions must be a list of at least one",
+        "keep_fractions must hold at least one",
+    ),
+    ({"seed": -1}, "seed must be an integer in", "seed must lie in0"),
+    ({"seed": 2**64 - 1}, "seed must be an integer in", "seed must lie in1"),
     ({"degradation": {"mask_seed": -1}}, "degradation.mask_seed"),
     ({"degradation": {"noise_seed": -1}}, "degradation.noise_seed"),
     ({"solver": {"power_seed": -1}}, "solver.power_seed"),
@@ -242,7 +251,9 @@ class TestConfig:
         assert code == 2
         assert "solver.lambdas" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("patch, key", CONFIG_RULES, ids=[key for _, key in CONFIG_RULES])
+    @pytest.mark.parametrize(
+        "patch, key", [row[:2] for row in CONFIG_RULES], ids=[row[-1] for row in CONFIG_RULES]
+    )
     def test_each_config_rule_exits_2_naming_its_key(self, tmp_path, capsys, patch, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(patch))
@@ -256,7 +267,7 @@ class TestConfig:
             (["compare-l2-l1"], {"solver": {"lambdas": []}}, "solver.lambdas"),
             (["compare-l2-l1", "--lambdas", ""], {}, "solver.lambdas"),
             (["compress-study"], {"keep_fractions": [True, 0.1]}, "keep_fractions[0]"),
-            (["compress-study", "--levels", "0"], {}, "levels must be >= 1"),
+            (["compress-study", "--levels", "0"], {}, "levels must be an integer >= 1"),
         ],
         ids=["empty_lambdas_in_config", "empty_lambdas_flag", "boolean_keep_fraction", "zero_levels_flag"],
     )
@@ -267,9 +278,33 @@ class TestConfig:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"phantom": {"size": 16}}, "phantom.size must be an integer >= 32"),
+            ({"keep_fractions": "x"}, "keep_fractions must be a list of at least one fraction"),
+            ({"solver": {"lambdas": "x"}}, "solver.lambdas must be a list of at least one weight"),
+            ({"phantom": {"size": None}}, "phantom.size must be an integer >= 32"),
+            ({"phantom": 3}, "phantom must be a table of fields"),
+            ({"solver": {"kidn": "gd"}}, "unknown field solver.kidn"),
+            (3, "config must be a table of fields"),
+        ],
+        ids=[
+            "broken_rule",
+            "string_for_fractions",
+            "string_for_lambdas",
+            "null_for_size",
+            "number_for_section",
+            "unknown_key",
+            "number_for_config",
+        ],
+    )
+    def test_builds_only_checked_configs(self, data, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
+
     def test_largest_seed_is_the_last_whose_stream_seeds_fit_64_bits(self):
         cfg = config_from_dict({"seed": _SEED_MAX})
-        _validate_config(cfg)
         assert max(cfg.mask_seed(), cfg.noise_seed(), cfg.power_seed()) < 2**64
         assert (_SEED_MAX + 1) * 1000 + 3 >= 2**64
 
@@ -340,6 +375,15 @@ def _leaf_fields(node, prefix=""):
 LEAVES = dict(_leaf_fields(ExperimentConfig()))
 
 
+def _patch(path, value):
+    """The config table that sets the leaf at dotted ``path`` to ``value``."""
+    *sections, name = path.split(".")
+    patch = {name: value}
+    for section in reversed(sections):
+        patch = {section: patch}
+    return patch
+
+
 class TestLeafRules:
     def test_every_leaf_declares_a_rule_and_has_a_bad_value(self):
         for path, f in LEAVES.items():
@@ -348,17 +392,13 @@ class TestLeafRules:
         assert set(BAD_LEAF_VALUES) == set(LEAVES)
 
     def test_defaults_pass(self):
-        _validate_config(ExperimentConfig())
+        assert config_from_dict({}) == ExperimentConfig()
         assert load_config(build_parser().parse_args(["phantom"])) == ExperimentConfig()
 
     @pytest.mark.parametrize("path", sorted(LEAVES))
     def test_bad_value_exits_2_naming_the_leaf(self, tmp_path, monkeypatch, capsys, path):
-        *sections, name = path.split(".")
-        patch = {name: BAD_LEAF_VALUES[path]}
-        for section in reversed(sections):
-            patch = {section: patch}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(patch))
+        cfg_path.write_text(json.dumps(_patch(path, BAD_LEAF_VALUES[path])))
         run = tmp_path / "run"
         run.mkdir()
         monkeypatch.chdir(run)
@@ -366,6 +406,23 @@ class TestLeafRules:
         assert main(["phantom", "--config", str(cfg_path)]) == 2
         assert re.search(rf"config error: {re.escape(path)}[ \[]", capsys.readouterr().err)
         assert os.listdir(run) == []
+
+    @pytest.mark.parametrize("path", sorted(LEAVES))
+    def test_a_wrong_type_reads_as_the_broken_rule(self, tmp_path, monkeypatch, capsys, path):
+        # a bool, a value of another JSON type and a null where the annotation
+        # admits none all exit 2 with the leaf's one message, as its bad value does
+        f = LEAVES[path]
+        wrong = [True, 3 if f.type is str else "3"]
+        if type(None) not in typing.get_args(f.type):
+            wrong.append(None)
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        for value in (*wrong, BAD_LEAF_VALUES[path]):
+            cfg_path.write_text(json.dumps(_patch(path, value)))
+            assert main(["phantom", "--config", str(cfg_path)]) == 2, value
+            text = f.metadata["rule"][1].format(value)
+            assert capsys.readouterr().err == f"config error: {path} {text}\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "argv, key",

@@ -276,10 +276,20 @@ SHAPES = [
 
 RASTER = "{} expects a non-empty 2D raster"
 
+# every seeded entry point, called with the seed set to v
+SEEDS = [
+    ("uniform_stream", lambda v: uniform_stream(4, v)),
+    ("normal_stream", lambda v: normal_stream(4, 1.0, v)),
+    ("normal_stream sigma=0", lambda v: normal_stream(4, 0.0, v)),  # draws no stream
+    ("random_mask", lambda v: random_mask((8, 8), 0.5, v)),
+    ("dot_test", lambda v: dot_test(op_dft2((4, 4)), seed=v)),
+    ("degrade", lambda v: degrade(ONES, np.ones((1, 1)), ONES, 0.1, v)),
+]
+
 # (test id, exact message, call) for every entry check: a fractional value, a
 # value below the least and a bool for each count and shape, a string, a bool,
-# NaN and a value outside the rule for each real number, and arrays that are
-# not non-empty finite 2D rasters
+# NaN and a value outside the rule for each real number, a bool for each seed,
+# and arrays that are not non-empty finite 2D rasters
 ENTRY_CHECKS = [
     *(
         (f"{who}={label}", f"{who} must be an integer >= {least}", lambda c=call, v=v: c(v))
@@ -303,6 +313,10 @@ ENTRY_CHECKS = [
         (f"{who}={label}", f"{who} {rule[1]}", lambda c=call, v=v: c(v))
         for who, rule, outside, call in NUMBERS
         for label, v in (("string", "0.5"), ("bool", True), ("nan", np.nan), ("outside", outside))
+    ),
+    *(
+        (f"{who} seed=bool", "seed must be an integer in [0, 2**64)", lambda c=call: c(True))
+        for who, call in SEEDS
     ),
     ("embed_kernel=1d", RASTER.format("embed_kernel"), lambda: embed_kernel(np.ones(3), (8, 8))),
     (

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reconkit import (
+    DivergenceError,
     LinearMap,
     ValidationError,
     dot_test,
@@ -70,6 +71,19 @@ class TestLinearMapContract:
         bad[1, 1] = np.inf
         with pytest.raises(ValidationError):
             op.apply(bad)
+
+    @pytest.mark.parametrize(
+        "op, x",
+        [
+            (op_matrix(np.full((3, 3), 1e308)), np.ones(3)),
+            (op_multiply(np.full((2, 2), 1e308)), np.full((2, 2), 10.0)),
+        ],
+        ids=["matrix", "multiply"],
+    )
+    def test_overflow_inside_normal_is_a_divergence_naming_the_operator(self, op, x):
+        # apply(x) leaves the finite range from finite input: a numerical failure
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=f"^{op.name}: "):
+            op.normal(x)
 
     def test_compose_matches_the_matrix_product(self):
         a = normal_stream(12, 1.0, 300).reshape(3, 4)

@@ -7,11 +7,12 @@ Extracts ``src/`` of ``<commit>`` with ``git archive`` into a temporary
 directory and runs a fixed matrix of ``reconkit`` CLI calls against each
 tree's ``src/``, each call in a fresh interpreter.  The matrix starts with
 the benchmark workloads' own calls, read from ``bench.workloads`` at two
-seeds.  Both trees run the same argv from a run directory of their own, with
-the same relative output paths, so ``manifest.json`` (which echoes the output
-directory) and the stdout lines that name it compare byte for byte.  For each
-call it compares the exit code, stdout, stderr and the sha256 of every file
-the call wrote.
+seeds, and ends with calls that break a config rule, whose exit code and
+error text compare like any other output.  Both trees run the same argv from
+a run directory of their own, with the same relative output paths, so
+``manifest.json`` (which echoes the output directory) and the stdout lines
+that name it compare byte for byte.  For each call it compares the exit
+code, stdout, stderr and the sha256 of every file the call wrote.
 
 Then one more fresh interpreter per tree computes ``library()``, and the two
 trees' arrays are compared byte for byte: each solver's whole report (final,
@@ -88,6 +89,12 @@ def matrix() -> list:
          "--step", "1e150", "--out", "step_1e150"],
         # the radon geometry path at an odd view count
         ["fbp-vs-tv", "--size", "48", "--angles", "17", "--max-iter", "5", "--out", "fbp_48_17"],
+        # calls that break a config rule and exit 2, so the error texts compare too
+        ["phantom", "--size", "16", "--out", "bad_size"],
+        ["compress-study", "--levels", "0", "--out", "bad_levels"],
+        ["reconstruct", "--solver", "gd", "--step", "inf", "--out", "bad_step"],
+        ["compare-l2-l1", "--lambdas=0.1,-1", "--out", "bad_lambda"],
+        ["fbp-vs-tv", "--angles", "0", "--out", "bad_angles"],
     ]
     return calls
 
