@@ -223,7 +223,8 @@ def _built_forward(geom, shape, x):
 
 
 def _assert_views_match_built(op, geom, shape, seed=41):
-    # ray by ray: a view turned the wrong way reverses its detector order
+    # ray by ray: a view turned the wrong way reverses its detector order, and a
+    # reflection without the transpose permutation samples the source's pixels
     x = normal_stream(shape[0] * shape[1], 1.0, seed).reshape(shape)
     want = _built_forward(geom, shape, x)
     got = op.apply(x)
@@ -256,14 +257,16 @@ class TestDerivedViews:
     @pytest.mark.parametrize(
         "geom, shape, builds",
         [
-            (RadonGeometry(30, 64), (64, 64), 15),
+            (RadonGeometry(30, 64), (64, 64), 8),
+            (RadonGeometry(40, 32), (32, 32), 11),
+            (RadonGeometry(2, 16), (16, 16), 1),
             (RadonGeometry(31, 64), (64, 64), 31),
             (RadonGeometry(30, 64), (48, 64), 30),
         ],
-        ids=["square_even", "odd_views", "non_square"],
+        ids=["square_even", "self_reflecting", "two_views", "odd_views", "non_square"],
     )
     @pytest.mark.parametrize("budget", [None, 0], ids=["cached", "over_budget"])
-    def test_builds_half_the_views_only_on_square_even_geometries(
+    def test_builds_only_the_views_to_pi_over_4_on_square_even_geometries(
         self, monkeypatch, geom, shape, builds, budget
     ):
         calls = []
@@ -283,8 +286,10 @@ class TestDerivedViews:
         op.normal(x)
         per_apply = 1 if budget is None else 3
         assert len(calls) == builds * per_apply
-        # only the views in [0, pi/2) are built when the others are derived
+        # only the views in [0, pi/4] are built when the others are derived
         assert sorted(set(calls)) == sorted(geom.angles[:builds])
+        if builds < geom.n_angles:
+            assert geom.angles[builds - 1] <= np.pi / 4 < geom.angles[builds]
 
 
 def _stencil_matrix(geom, shape):
@@ -318,7 +323,8 @@ def _generated_geometries(test):
     test = example(h=2, w=2, n_det=2, pitch=2.5, n_angles=4)(test)  # every ray misses
     test = example(h=9, w=2, n_det=12, pitch=1.0, n_angles=40)(test)
     test = example(h=2, w=9, n_det=5, pitch=0.7, n_angles=13)(test)
-    test = example(h=7, w=7, n_det=9, pitch=0.8, n_angles=10)(test)  # views derived by the turn
+    test = example(h=7, w=7, n_det=9, pitch=0.8, n_angles=10)(test)  # the turn and the reflection
+    test = example(h=6, w=6, n_det=7, pitch=1.1, n_angles=8)(test)  # pi/4 reflects onto itself
     test = given(**_GEOMETRIES)(test)
     return settings(max_examples=25, derandomize=True, deadline=None, database=None)(test)
 
