@@ -48,6 +48,7 @@ from .errors import DivergenceError, ValidationError
 from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _number, _raster, normal_stream
 from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
+    LinearMap,
     RadonGeometry,
     dot_test,
     embed_kernel,
@@ -66,8 +67,6 @@ from .phantoms import (
     SHEPP_LOGAN,
     _AIRY_CUTOFF,
     _TRANSFORMS,
-    _add_noise,
-    _blur_then_mask,
     airy_psf,
     analytic_sinogram,
     compressibility_study,
@@ -307,13 +306,33 @@ _BLURS = {
 }
 
 
+def _blur_then_mask(kernel: np.ndarray, mask: np.ndarray) -> LinearMap:
+    """The measurement model: circular blur by the centered ``kernel``, then the mask.
+
+    The kernel is embedded on the mask's grid with its center at the origin,
+    so the blur does not shift content.
+    """
+    return op_compose(op_mask(mask), op_convolve(embed_kernel(kernel, mask.shape)))
+
+
+@dataclass
+class _Degraded:
+    """Measurements from blur + mask + noise, with the operator that made them."""
+
+    measurements: np.ndarray
+    op: LinearMap
+    mask: np.ndarray
+    sigma: float
+    clean: np.ndarray
+    measurement_snr_db: float
+
+
 def _simulate(cfg: ExperimentConfig):
-    """Phantom, blur, mask, and noise per the config; returns truth and data."""
+    """Phantom, blur, mask, and noise per the config; returns truth, kernel and data."""
     truth = shepp_logan(cfg.phantom.size)
     kernel = _BLURS[cfg.degradation.blur](cfg.degradation)
     mask = random_mask(truth.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
-    embedded = embed_kernel(kernel, truth.shape)
-    op = _blur_then_mask(embedded, mask)
+    op = _blur_then_mask(kernel, mask)
     clean = op.apply(truth)
     if cfg.degradation.noise_sigma is not None:
         sigma = float(cfg.degradation.noise_sigma)
@@ -325,7 +344,10 @@ def _simulate(cfg: ExperimentConfig):
         )
     else:
         sigma = 0.0
-    return truth, kernel, _add_noise(clean, op, mask, sigma, cfg.noise_seed())
+    # seeded noise over the whole grid, kept through the mask in flat order as op keeps pixels
+    measurements = clean + normal_stream(mask.size, sigma, cfg.noise_seed())[mask.ravel()]
+    data = _Degraded(measurements, op, mask, sigma, clean, snr_db(clean, measurements))
+    return truth, kernel, data
 
 
 def _write_outputs(cfg: ExperimentConfig, command: str, images=(), tables=(), extra=None):
@@ -466,10 +488,16 @@ def cmd_reconstruct(args) -> int:
     if not os.path.isdir(data_dir):
         raise ValidationError(f"data directory not found: {data_dir}")
     bases = [os.path.join(data_dir, name) for name in ("truth", "kernel", "mask", "measurements")]
-    try:
-        rasters = [read_raster(base) for base in bases]
-    except FileNotFoundError as exc:
-        raise ValidationError(f"data raster not found: {exc.filename}") from exc
+    rasters = []
+    for base in bases:
+        try:
+            rasters.append(read_raster(base))
+        except FileNotFoundError as exc:
+            raise ValidationError(f"data raster not found: {exc.filename}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            # only the descriptor is read as text, so a decode error names it
+            file = getattr(exc, "filename", None) or base + ".f32.txt"
+            raise ValidationError(f"data raster cannot be read: {file}: {exc}") from exc
     # each raster is checked as it enters, then against the truth; a bad one is named by its file
     files = [base + ".f32" for base in bases]
     truth, kernel, mask, measurements = (_raster(r, name) for r, name in zip(rasters, files))
@@ -483,7 +511,7 @@ def cmd_reconstruct(args) -> int:
     if measurements.size != kept:
         raise ValidationError(f"{files[3]}: {measurements.size} samples; the mask keeps {kept}")
 
-    forward = _blur_then_mask(embed_kernel(kernel, truth.shape), mask)
+    forward = _blur_then_mask(kernel, mask)
     report = _SOLVERS[cfg.solver.kind](cfg, forward, measurements, truth.shape, cfg.solver.lam)
     recon = report.final
     snr = snr_db(truth, recon)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "gaussian_noise",
     "normal_stream",
     "uniform_stream",
 ]
@@ -143,8 +142,3 @@ def normal_stream(count: int, sigma: float, seed) -> np.ndarray:
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
     return sigma * z[:count]
 
-
-def gaussian_noise(shape: tuple[int, int], sigma: float, seed) -> np.ndarray:
-    """A (height, width) raster of i.i.d. N(0, sigma^2) samples."""
-    h, w = _shape(shape, "gaussian_noise shape")
-    return normal_stream(h * w, sigma, seed).reshape(h, w)

@@ -1,13 +1,12 @@
-"""Analytic phantoms, degradation pipelines, and benchmark metrics.
+"""Analytic phantoms, blur kernels, and benchmark metrics.
 
 A phantom is a tuple of ``Ellipse``, defined on the unit square [-1, 1]^2
 with the +y axis along the row axis (pointing down), matching the
 ray-transform convention; overlapping intensities add.  It is rendered by
 point evaluation at pixel centers.
 
-``_blur_then_mask`` is the one measurement model (circular blur, then the
-sampling mask): ``degrade`` returns it with its measurements, and the CLI
-builds the operator it simulates and reconstructs with through it.
+A measurement model is built from the operators, not here: blur-then-mask is
+``op_compose(op_mask(mask), op_convolve(embed_kernel(kernel, shape)))``.
 """
 
 from __future__ import annotations
@@ -17,36 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _count, _number, _raster, _real
-from .grids import gaussian_noise, normal_stream, uniform_stream
-from .operators import (
-    LinearMap,
-    RadonGeometry,
-    embed_kernel,
-    op_compose,
-    op_convolve,
-    op_mask,
-    op_matrix,
-    transform_dct8,
-    transform_haar,
-)
+from .grids import _FINITE, _FRACTION, _POSITIVE, _count, _number, _raster, _real
+from .operators import RadonGeometry, transform_dct8, transform_haar
 
 __all__ = [
     "Ellipse",
     "SHEPP_LOGAN",
     "render",
     "shepp_logan",
-    "point_eval",
     "analytic_sinogram",
     "airy_psf",
-    "bessel_j1",
-    "Degraded",
-    "degrade",
     "gaussian_kernel",
     "snr_db",
     "compressibility_study",
-    "SparseInstance",
-    "sparse_recovery_instance",
 ]
 
 
@@ -87,14 +69,18 @@ SHEPP_LOGAN = tuple(
 )
 
 
-def point_eval(phantom, x, y):
-    """Sum of the intensities of the phantom's ellipses covering the point(s) (x, y).
+def render(phantom, size: int) -> np.ndarray:
+    """Evaluate the phantom at pixel centers of a size x size grid.
 
-    ``phantom`` is any iterable of ``Ellipse``; (x, y) are in unit coords.
+    ``phantom`` is any iterable of ``Ellipse``; a pixel holds the sum of the
+    intensities of the ellipses covering its center.  An empty phantom
+    renders zeros.
     """
-    x = _real(x, "point_eval x")
-    y = _real(y, "point_eval y")
-    total = np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
+    size = _count(size, "render size", 2)
+    coords = (np.arange(size) - (size - 1) / 2.0) * (2.0 / size)
+    x = coords[None, :]
+    y = coords[:, None]
+    total = np.zeros((size, size), dtype=np.float64)
     for e in phantom:
         dx = x - e.cx
         dy = y - e.cy
@@ -102,21 +88,7 @@ def point_eval(phantom, x, y):
         u = (dx * cos_p + dy * sin_p) / e.a
         v = (-dx * sin_p + dy * cos_p) / e.b
         total += np.where(u * u + v * v <= 1.0, e.rho, 0.0)
-    if total.ndim == 0:
-        return float(total)
     return total
-
-
-def render(phantom, size: int) -> np.ndarray:
-    """Evaluate the phantom at pixel centers of a size x size grid.
-
-    An empty phantom renders zeros.
-    """
-    size = _count(size, "render size", 2)
-    coords = (np.arange(size) - (size - 1) / 2.0) * (2.0 / size)
-    xs = coords[None, :]
-    ys = coords[:, None]
-    return point_eval(phantom, xs, ys)
 
 
 def shepp_logan(size: int) -> np.ndarray:
@@ -159,14 +131,13 @@ def analytic_sinogram(phantom, geometry: RadonGeometry, image_size: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def bessel_j1(x) -> np.ndarray:
-    """Bessel function of the first kind, order one.
+def _bessel_j1(x: np.ndarray) -> np.ndarray:
+    """Bessel function of the first kind, order one, of a float64 array.
 
     Rational approximation below |x| = 8 and the asymptotic cosine form
     above it (Abramowitz and Stegun 9.4.4 / 9.4.6 coefficients); absolute
     error stays below 1e-7.
     """
-    x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
     small = ax < 8.0
 
@@ -196,10 +167,7 @@ def bessel_j1(x) -> np.ndarray:
     )
     large_val = np.sqrt(0.636619772 / axs) * (np.cos(xx) * p1 - z * np.sin(xx) * p2) * np.sign(x)
 
-    out = np.where(small, small_val, large_val)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(small, small_val, large_val)
 
 
 # the cutoff's rule, which degradation.airy_cutoff reads too
@@ -221,7 +189,7 @@ def airy_psf(size: int, cutoff: float) -> np.ndarray:
     rr = np.hypot(coords[None, :], coords[:, None])
     r = np.pi * cutoff * rr
     safe = np.where(r < 1e-12, 1.0, r)
-    amp = np.where(r < 1e-12, 1.0, 2.0 * bessel_j1(safe) / safe)
+    amp = np.where(r < 1e-12, 1.0, 2.0 * _bessel_j1(safe) / safe)
     kernel = amp**2
     return kernel / kernel.sum()
 
@@ -236,63 +204,6 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     g = np.exp(-0.5 * (coords / sigma) ** 2)
     kernel = np.outer(g, g)
     return kernel / kernel.sum()
-
-
-# ---------------------------------------------------------------------------
-# Degradation pipeline
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Degraded:
-    """Measurements from blur + mask + noise, with the operator that made them."""
-
-    measurements: np.ndarray
-    op: LinearMap
-    mask: np.ndarray
-    sigma: float
-    clean: np.ndarray
-    measurement_snr_db: float
-
-
-def _blur_then_mask(kernel: np.ndarray, mask: np.ndarray) -> LinearMap:
-    """The measurement model: circular blur by an embedded kernel, then the mask."""
-    return op_compose(op_mask(mask), op_convolve(kernel))
-
-
-def degrade(img, blur_kernel, mask, sigma: float, seed) -> Degraded:
-    """Blur circularly, subsample through the mask, add seeded white noise.
-
-    ``img`` is a raster and ``mask`` a raster of its shape, read as bool.
-    ``blur_kernel`` is a small centered kernel; it is embedded on the image
-    grid with its center at the origin so the blur does not shift content.
-    The returned operator, mask after blur, is ready for reconstruction.
-    """
-    data = _raster(img, "degrade")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != data.shape:
-        raise ValidationError("mask shape must match the image")
-    kernel = embed_kernel(blur_kernel, data.shape)
-    op = _blur_then_mask(kernel, mask)
-    return _add_noise(op.apply(data), op, mask, sigma, seed)
-
-
-def _add_noise(clean, op: LinearMap, mask: np.ndarray, sigma: float, seed) -> Degraded:
-    """The noise half of ``degrade``, for clean measurements ``op`` already made.
-
-    The noise is a seeded raster over the whole grid, sampled through the
-    boolean ``mask`` in flat order, as ``op`` samples the image.
-    """
-    sigma = _number(sigma, "degrade sigma", _NONNEGATIVE)
-    measurements = clean + gaussian_noise(mask.shape, sigma, seed)[mask]
-    return Degraded(
-        measurements=measurements,
-        op=op,
-        mask=mask,
-        sigma=sigma,
-        clean=clean,
-        measurement_snr_db=snr_db(clean, measurements),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +277,3 @@ def compressibility_study(
         recon = synthesize(kept.reshape(coeffs.shape), levels)
         rows.append((fr, snr_db(img, recon)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# A small sparse-recovery benchmark instance
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SparseInstance:
-    forward: LinearMap
-    data: np.ndarray
-    truth: np.ndarray
-    lam: float
-
-
-def sparse_recovery_instance(m: int = 8, n: int = 32, sparsity: int = 2, seed=8) -> SparseInstance:
-    """A Gaussian sensing matrix with a sparse target and noiseless data.
-
-    Deterministic given the seed; ``lam = 0.005 ||H* g||_inf`` is small
-    enough that the l1 solution recovers the support.
-    """
-    m, n = _count(m, "sparse_recovery_instance m"), _count(n, "sparse_recovery_instance n")
-    sparsity = _count(sparsity, "sparse_recovery_instance sparsity")
-    if not sparsity <= m < n:
-        raise ValidationError("need sparsity <= m < n")
-    h = normal_stream(m * n, 1.0, seed).reshape(m, n) / np.sqrt(m)
-    order = np.argsort(uniform_stream(n, seed + 1), kind="stable")
-    support = np.sort(order[:sparsity])
-    truth = np.zeros(n)
-    signs = np.where(uniform_stream(sparsity, seed + 2) < 0.5, -1.0, 1.0)
-    truth[support] = signs * (1.0 + uniform_stream(sparsity, seed + 3))
-    g = h @ truth
-    lam = 0.005 * float(np.max(np.abs(h.T @ g)))
-    return SparseInstance(forward=op_matrix(h), data=g, truth=truth, lam=lam)

@@ -32,13 +32,14 @@ from reconkit import (
     op_radon,
     shepp_logan,
     snr_db,
-    sparse_recovery_instance,
     transform_dct8,
     transform_haar,
     wiener_deconvolve,
 )
 from reconkit.cli import _selftest_cases, main
 from reconkit.grids import normal_stream
+
+from problems import sparse_recovery_instance
 
 
 def report(num, name, ok, detail):

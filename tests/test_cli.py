@@ -14,11 +14,12 @@ import typing
 import numpy as np
 import pytest
 
-from reconkit import ValidationError, __version__
+from reconkit import ValidationError, __version__, normal_stream
 from reconkit.cli import (
     _COMMANDS,
     _FLAGS,
     _SEED_MAX,
+    _simulate,
     ExperimentConfig,
     SolverConfig,
     build_parser,
@@ -465,6 +466,11 @@ class TestLeafRules:
         assert sorted(os.listdir(tmp_path)) == ["afile", "small"]
 
 
+def simulated(size=32, **degradation):
+    """``_simulate``'s truth, kernel and data for a ``size`` phantom and these degradation keys."""
+    return _simulate(config_from_dict({"phantom": {"size": size}, "degradation": degradation}))
+
+
 class TestSimulate:
     def run(self, out, seed="7", extra=()):
         args = ["simulate", "--size", "48", "--seed", seed, "--out", str(out)]
@@ -543,6 +549,30 @@ class TestSimulate:
         truth, _, data = cli._simulate(load_config(args))
         assert applies.count("mask*convolve_circular") == 1
         assert np.array_equal(data.clean, data.op.apply(truth))
+
+    def test_identity_blur_full_mask_noiseless(self):
+        truth, _, data = simulated(blur="none", mask_fraction=1.0, noise_sigma=0.0)
+        # the circular convolution runs through the FFT, so identity
+        # passthrough holds to round-off rather than bit-exactly
+        assert np.allclose(data.measurements, truth.ravel(), atol=1e-12)
+        assert np.isinf(data.measurement_snr_db)
+
+    def test_snr_target_is_met(self):
+        _, _, data = simulated(size=64, noise_snr_db=20.0)
+        assert abs(data.measurement_snr_db - 20.0) < 0.5
+
+    def test_noise_seed_alone_moves_the_measurements(self):
+        a, b, c = (simulated(noise_sigma=0.05, noise_seed=s)[2] for s in (10, 10, 11))
+        assert np.array_equal(a.measurements, b.measurements)
+        assert np.array_equal(a.clean, c.clean)
+        assert not np.array_equal(a.measurements, c.measurements)
+
+    def test_noise_is_a_seeded_raster_kept_through_the_mask(self):
+        truth, _, data = simulated(noise_sigma=0.05, noise_seed=10)
+        assert np.array_equal(data.op.apply(truth), data.clean)
+        # the noise raster over the whole grid, read through the mask in raster order
+        noise = normal_stream(32 * 32, 0.05, 10).reshape(32, 32)[data.mask]
+        assert np.allclose(data.measurements - data.clean, noise)
 
     def test_blur_none_writes_a_constant_kernel_that_reconstruct_reads(self, tmp_path):
         out = tmp_path / "sim"
@@ -655,6 +685,23 @@ class TestReconstruct:
         assert main(["reconstruct", "--data", str(sim), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: data raster not found") and "mask.f32.txt" in err
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "samples_directory"])
+    @pytest.mark.parametrize("name", ["truth", "kernel", "mask", "measurements"])
+    def test_unreadable_data_raster_exits_2(self, tmp_path, capsys, name, kind):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--size", "32", "--out", str(sim)]) == 0
+        bad = sim / (f"{name}.f32" if kind == "samples_directory" else f"{name}.f32.txt")
+        if kind == "not_utf8":
+            bad.write_bytes(b"\xff\xfewidth=32\n")
+        else:
+            bad.unlink()
+            bad.mkdir()
+        rec = tmp_path / "rec"
+        assert main(["reconstruct", "--data", str(sim), "--out", str(rec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: data raster cannot be read: {bad}: ")
+        assert not rec.exists()
 
     def test_negative_raster_dimensions_exit_2(self, tmp_path, capsys):
         sim = tmp_path / "sim"

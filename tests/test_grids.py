@@ -25,31 +25,28 @@ from reconkit import (
     admm,
     compressibility_study,
     conjugate_gradient_normal,
-    degrade,
     dot_test,
     embed_kernel,
     fbp,
     fourier_slice_check,
     gaussian_kernel,
-    gaussian_noise,
     gradient_descent,
     ista,
     lambda_sweep,
     normal_stream,
     normal_test,
     objective_value,
+    op_convolve,
     op_dft2,
     op_grad,
     op_matrix,
     op_multiply,
     op_radon,
-    point_eval,
     prox_apply,
     random_mask,
     render,
     shepp_logan,
     snr_db,
-    sparse_recovery_instance,
     transform_dct8,
     transform_haar,
     uniform_stream,
@@ -84,8 +81,10 @@ ENTRY_POINTS = {
     "transform_dct8": lambda x: transform_dct8(x),
     "fourier_slice_check": lambda x: fourier_slice_check(x, 0.0),
     "wiener_deconvolve": lambda x: wiener_deconvolve(x, ONES, 0.1, ONES),
-    "degrade": lambda x: degrade(x, np.ones((1, 1)), ONES, 0.0, 0),
     "compressibility_study": lambda x: compressibility_study(x, "haar", levels=1),
+    "op_convolve": lambda x: op_convolve(x),
+    "op_matrix": lambda x: op_matrix(x),
+    "op_multiply": lambda x: op_multiply(x),
 }
 
 # (name in the error, call on a complex 8 x 8 array x with scratch directory
@@ -102,8 +101,6 @@ REAL_ONLY = [
     ("write_pgm", lambda x, tmp: write_pgm(str(tmp / "preview.pgm"), x)),
     ("snr_db truth", lambda x, tmp: snr_db(x, ONES)),
     ("snr_db estimate", lambda x, tmp: snr_db(ONES, x)),
-    ("point_eval x", lambda x, tmp: point_eval(SHEPP_LOGAN, x, 0.0)),
-    ("point_eval y", lambda x, tmp: point_eval(SHEPP_LOGAN, 0.0, x)),
 ]
 
 # (name, the operator's message, call on a complex 8 x 8 array x) for each
@@ -123,8 +120,9 @@ VIEWS = RadonGeometry(8, 32)
 MAKERS = {
     "render": lambda: render(SHEPP_LOGAN, 32),
     "shepp_logan": lambda: shepp_logan(32),
-    "gaussian_noise": lambda: gaussian_noise((32, 32), 1.0, 0),
     "airy_psf": lambda: airy_psf(32, 0.2),
+    "embed_kernel": lambda: embed_kernel(np.ones((3, 3)), (32, 32)),
+    "analytic_sinogram": lambda: analytic_sinogram(SHEPP_LOGAN, RadonGeometry(32, 32), 32),
     "transform_haar": lambda: transform_haar(IMG, 2),
     "transform_dct8": lambda: transform_dct8(IMG),
     "fbp": lambda: fbp(analytic_sinogram(SHEPP_LOGAN, VIEWS, 32), VIEWS),
@@ -200,9 +198,6 @@ COUNTS = [
     ("normal_stream count", 0, lambda v: normal_stream(v, 1.0, 0)),
     ("dot_test trials", 1, lambda v: dot_test(op_dft2((4, 4)), trials=v)),
     ("normal_test trials", 1, lambda v: normal_test(op_dft2((4, 4)), trials=v)),
-    ("sparse_recovery_instance m", 1, lambda v: sparse_recovery_instance(m=v)),
-    ("sparse_recovery_instance n", 1, lambda v: sparse_recovery_instance(n=v)),
-    ("sparse_recovery_instance sparsity", 1, lambda v: sparse_recovery_instance(sparsity=v)),
     ("gradient descent max_iter", 0, lambda v: gradient_descent(QUADRATIC, max_iter=v)),
     ("conjugate gradients max_iter", 0, lambda v: conjugate_gradient_normal(QUADRATIC, max_iter=v)),
     ("ista max_iter", 0, lambda v: ista(L1, max_iter=v)),
@@ -223,7 +218,6 @@ NUMBERS = [
     ("prox_apply step", _NONNEGATIVE, -1.0, lambda v: prox_apply("abs", ONES, v)),
     ("lambda_sweep weight", _NONNEGATIVE, -1.0, lambda v: lambda_sweep(np.sin, ONES, [v])),
     ("normal_stream sigma", _NONNEGATIVE, -1.0, lambda v: normal_stream(4, v, 0)),
-    ("degrade sigma", _NONNEGATIVE, -1.0, lambda v: degrade(ONES, np.ones((1, 1)), ONES, v, 0)),
     (
         "wiener_deconvolve sigma",
         _NONNEGATIVE,
@@ -270,7 +264,6 @@ SHAPES = [
     ("op_radon image_shape", 2, lambda s: op_radon(VIEWS, s)),
     ("random_mask shape", 1, lambda s: random_mask(s, 0.5, 0)),
     ("embed_kernel shape", 1, lambda s: embed_kernel(np.ones((1, 1)), s)),
-    ("gaussian_noise shape", 1, lambda s: gaussian_noise(s, 1.0, 0)),
     ("fbp out_shape", 1, lambda s: fbp(ONES, RadonGeometry(8, 8), out_shape=s)),
 ]
 
@@ -283,7 +276,10 @@ SEEDS = [
     ("normal_stream sigma=0", lambda v: normal_stream(4, 0.0, v)),  # draws no stream
     ("random_mask", lambda v: random_mask((8, 8), 0.5, v)),
     ("dot_test", lambda v: dot_test(op_dft2((4, 4)), seed=v)),
-    ("degrade", lambda v: degrade(ONES, np.ones((1, 1)), ONES, 0.1, v)),
+    ("normal_test", lambda v: normal_test(op_dft2((4, 4)), seed=v)),
+    ("gradient descent", lambda v: gradient_descent(QUADRATIC, power_seed=v)),
+    ("ista", lambda v: ista(L1, power_seed=v)),
+    ("fista", lambda v: ista(L1, accelerate=True, power_seed=v)),
 ]
 
 # (test id, exact message, call) for every entry check: a fractional value, a
@@ -493,12 +489,6 @@ class TestRandomStreams:
     def test_normal_odd_count(self):
         # odd lengths truncate the cos/sin pair layout without error
         assert normal_stream(7, 1.0, 5).shape == (7,)
-
-    def test_gaussian_noise_shape_and_determinism(self):
-        g1 = gaussian_noise((4, 6), 0.5, 77)
-        g2 = gaussian_noise((4, 6), 0.5, 77)
-        assert isinstance(g1, np.ndarray) and g1.shape == (4, 6)
-        assert np.array_equal(g1, g2)
 
     def test_seed_validation(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,4 @@
-"""Phantoms, degradation pipeline, metrics, and the compressibility study.
+"""Phantoms, blur kernels, metrics, and the compressibility study.
 
 scipy.special supplies the Bessel oracle; everything else is checked against
 closed forms or frozen measurements.
@@ -15,31 +15,24 @@ from reconkit import (
     ValidationError,
     airy_psf,
     analytic_sinogram,
-    bessel_j1,
     compressibility_study,
-    degrade,
     gaussian_kernel,
-    gaussian_noise,
-    point_eval,
-    random_mask,
     render,
     shepp_logan,
     snr_db,
-    sparse_recovery_instance,
     transform_dct8,
     transform_haar,
 )
+from reconkit.phantoms import _bessel_j1
 
 
 class TestShepp:
-    def test_center_matches_point_oracle(self):
+    def test_center_is_the_skull_plus_brain_intensity(self):
+        # near the origin only the skull (2.0) and brain (-0.98) ellipses overlap
         for size in (64, 128, 256):
-            img = shepp_logan(size)
             c = size // 2
-            # even sizes put pixel centers half a pixel off the origin
-            x = (c - (size - 1) / 2.0) * (2.0 / size)
-            assert img[c, c] == point_eval(SHEPP_LOGAN, x, x)
-        assert point_eval(SHEPP_LOGAN, 0.0, 0.0) == pytest.approx(1.02)
+            assert shepp_logan(size)[c, c] == pytest.approx(1.02)
+        assert render(SHEPP_LOGAN, 33)[16, 16] == pytest.approx(1.02)  # pixel 16 is the origin
 
     def test_corners_zero_and_range(self):
         img = shepp_logan(64)
@@ -67,11 +60,12 @@ class TestShepp:
         with pytest.raises(ValidationError):
             shepp_logan(16)
 
-    def test_point_eval_respects_rotation(self):
+    def test_render_respects_rotation(self):
+        # at size 33 pixel 16 sits on the origin and pixel 16 + k at k * 2 / 33
         tilted = (Ellipse(0.0, 0.0, 0.5, 0.1, np.pi / 4, 1.0),)
-        on_axis = 0.3 / np.sqrt(2.0)
-        assert point_eval(tilted, on_axis, on_axis) == 1.0
-        assert point_eval(tilted, on_axis, -on_axis) == 0.0
+        img = render(tilted, 33)
+        assert img[16 + 4, 16 + 4] == 1.0  # on the major axis, 0.34 from the center
+        assert img[16 - 4, 16 + 4] == 0.0  # on the minor axis, as far out
 
     def test_ellipse_validation(self):
         with pytest.raises(ValidationError):
@@ -145,9 +139,9 @@ class TestAiry:
 
     def test_bessel_j1_against_scipy(self):
         x = np.linspace(0.0, 60.0, 120001)
-        assert np.max(np.abs(bessel_j1(x) - scipy.special.j1(x))) < 1e-7
+        assert np.max(np.abs(_bessel_j1(x) - scipy.special.j1(x))) < 1e-7
         neg = np.linspace(-30.0, 0.0, 30001)
-        assert np.max(np.abs(bessel_j1(neg) - scipy.special.j1(neg))) < 1e-7
+        assert np.max(np.abs(_bessel_j1(neg) - scipy.special.j1(neg))) < 1e-7
 
 
 class TestGaussianKernel:
@@ -163,64 +157,6 @@ class TestGaussianKernel:
             gaussian_kernel(4, 1.0)  # needs an odd size
         with pytest.raises(ValidationError):
             gaussian_kernel(5, 0.0)
-
-
-class TestDegrade:
-    def test_identity_blur_full_mask_noiseless(self):
-        img = shepp_logan(32)
-        ident = np.array([[1.0]])
-        deg = degrade(img, ident, np.ones((32, 32), dtype=bool), 0.0, 0)
-        # the circular convolution runs through the FFT, so identity
-        # passthrough holds to round-off rather than bit-exactly
-        assert np.allclose(deg.measurements, img.ravel(), atol=1e-12)
-        assert np.isinf(deg.measurement_snr_db)
-
-    def test_snr_calibration(self):
-        img = shepp_logan(64)
-        mask = random_mask((64, 64), 0.5, seed=3)
-        ker = gaussian_kernel(5, 1.0)
-        clean = degrade(img, ker, mask, 0.0, 4).clean
-        sigma = float(np.sqrt(np.mean(clean**2) / 10.0**2.0))
-        deg = degrade(img, ker, mask, sigma, 4)
-        assert abs(deg.measurement_snr_db - 20.0) < 0.5
-
-    def test_deterministic(self):
-        img = shepp_logan(32)
-        ker = gaussian_kernel(3, 0.8)
-        mask = random_mask((32, 32), 0.4, seed=9)
-        a = degrade(img, ker, mask, 0.05, 10)
-        b = degrade(img, ker, mask, 0.05, 10)
-        assert np.array_equal(a.measurements, b.measurements)
-        c = degrade(img, ker, mask, 0.05, 11)
-        assert not np.array_equal(a.measurements, c.measurements)
-
-    def test_takes_any_image_and_seed_form(self):
-        img = shepp_logan(32)
-        ker = gaussian_kernel(3, 0.8)
-        mask = random_mask((32, 32), 0.4, seed=9)
-        ref = degrade(img, ker, mask, 0.05, 10)
-        for image, seed in ((img, 10), (img.tolist(), 10), (img, np.uint64(10))):
-            deg = degrade(image, ker, mask, 0.05, seed)
-            assert np.array_equal(deg.measurements, ref.measurements)
-
-    def test_operator_reproduces_clean_part(self):
-        img = shepp_logan(32)
-        ker = gaussian_kernel(3, 0.8)
-        mask = random_mask((32, 32), 0.4, seed=9)
-        deg = degrade(img, ker, mask, 0.05, 10)
-        assert np.array_equal(deg.op.apply(img), deg.clean)
-        noise = gaussian_noise((32, 32), 0.05, 10)[mask]
-        assert np.allclose(deg.measurements - deg.clean, noise)
-
-    def test_validation(self):
-        img = shepp_logan(32)
-        with pytest.raises(ValidationError):
-            degrade(img, np.array([[1.0]]), np.ones((16, 16), dtype=bool), 0.0, 0)
-        with pytest.raises(ValidationError):
-            degrade(img, np.array([[1.0]]), np.ones((32, 32), dtype=bool), -1.0, 0)
-        with pytest.raises(ValidationError, match="seed"):
-            # sigma 0 draws no noise stream, and the seed is still checked
-            degrade(img, np.array([[1.0]]), np.ones((32, 32), dtype=bool), 0.0, -1)
 
 
 class TestMetrics:
@@ -246,9 +182,6 @@ class TestMetrics:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_snr_of_a_zero_truth_is_minus_inf_without_a_warning(self):
         assert snr_db(np.zeros((4, 4)), np.ones((4, 4))) == -np.inf
-        mask = random_mask((8, 8), 0.5, seed=1)
-        deg = degrade(np.zeros((8, 8)), gaussian_kernel(3, 1.0), mask, 0.1, 2)
-        assert deg.measurement_snr_db == -np.inf
 
 
 class TestCompressibility:
@@ -305,26 +238,3 @@ class TestCompressibility:
         assert [fr for fr, _ in rows] == [0.05, 0.25, 1.0]
         assert 0.0 < snrs[0] < snrs[1] < snrs[2]
         assert snrs[2] > 200.0  # every coefficient kept: exact up to roundoff
-
-
-class TestSparseInstance:
-    def test_shapes_and_determinism(self):
-        a = sparse_recovery_instance()
-        b = sparse_recovery_instance()
-        assert a.forward.domain_shape == (32,)
-        assert a.forward.range_shape == (8,)
-        assert np.array_equal(a.truth, b.truth)
-        assert np.array_equal(a.data, b.data)
-        assert a.lam == b.lam
-
-    def test_truth_sparsity_and_consistency(self):
-        inst = sparse_recovery_instance(m=10, n=40, sparsity=3, seed=2)
-        assert int(np.sum(inst.truth != 0)) == 3
-        assert np.allclose(inst.data, inst.forward.apply(inst.truth))
-        assert inst.lam > 0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            sparse_recovery_instance(m=8, n=8)
-        with pytest.raises(ValidationError):
-            sparse_recovery_instance(m=4, n=16, sparsity=5)

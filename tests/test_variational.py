@@ -19,7 +19,7 @@ from reconkit import (
     admm,
     analytic_sinogram,
     conjugate_gradient_normal,
-    degrade,
+    embed_kernel,
     gaussian_kernel,
     gradient_descent,
     ista,
@@ -27,7 +27,10 @@ from reconkit import (
     normal_stream,
     nullspace_demo,
     objective_value,
+    op_compose,
+    op_convolve,
     op_grad,
+    op_mask,
     op_matrix,
     op_multiply,
     op_radon,
@@ -35,9 +38,10 @@ from reconkit import (
     random_mask,
     shepp_logan,
     snr_db,
-    sparse_recovery_instance,
 )
 from reconkit import variational
+
+from problems import sparse_recovery_instance
 
 
 def dense_instance(m, n, seed, ridge=0.0):
@@ -351,6 +355,29 @@ def correlated_lasso_instance():
     return Objective(forward=op_matrix(h), data=g, penalty="abs", lam=lam)
 
 
+class TestSparseInstance:
+    def test_shapes_and_determinism(self):
+        a = sparse_recovery_instance()
+        b = sparse_recovery_instance()
+        assert a.forward.domain_shape == (32,)
+        assert a.forward.range_shape == (8,)
+        assert np.array_equal(a.truth, b.truth)
+        assert np.array_equal(a.data, b.data)
+        assert a.lam == b.lam
+
+    def test_truth_sparsity_and_consistency(self):
+        inst = sparse_recovery_instance(m=10, n=40, sparsity=3, seed=2)
+        assert int(np.sum(inst.truth != 0)) == 3
+        assert np.allclose(inst.data, inst.forward.apply(inst.truth))
+        assert inst.lam > 0
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            sparse_recovery_instance(m=8, n=8)
+        with pytest.raises(ValidationError):
+            sparse_recovery_instance(m=4, n=16, sparsity=5)
+
+
 class TestIsta:
     def test_recovers_sparse_support(self):
         inst = sparse_recovery_instance()
@@ -577,12 +604,21 @@ class TestAdmm:
             admm(quad, rho=0.0)
 
 
+def blurred_masked(img, kernel, mask, sigma, seed):
+    """Circular blur by the centered ``kernel`` then ``mask``, and its data with seeded noise.
+
+    The noise is a raster over the whole grid, kept through the mask in flat
+    order as the operator keeps pixels.
+    """
+    op = op_compose(op_mask(mask), op_convolve(embed_kernel(kernel, img.shape)))
+    return op, op.apply(img) + normal_stream(mask.size, sigma, seed)[mask.ravel()]
+
+
 def deblur_objective(penalty, lam):
     img = shepp_logan(32)
-    deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
-    return Objective(
-        forward=deg.op, data=deg.measurements, penalty=penalty, lam=lam, reg_op=op_grad((32, 32))
-    )
+    mask = random_mask((32, 32), 0.5, seed=21)
+    op, g = blurred_masked(img, gaussian_kernel(5, 1.0), mask, 0.1, 22)
+    return Objective(forward=op, data=g, penalty=penalty, lam=lam, reg_op=op_grad((32, 32)))
 
 
 def fewview_objective():
@@ -680,12 +716,13 @@ class TestLambdaSweep:
 
     def test_deterministic(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
+        mask = random_mask((32, 32), 0.5, seed=21)
+        op, g = blurred_masked(img, gaussian_kernel(5, 1.0), mask, 0.1, 22)
         grad = op_grad((32, 32))
 
         def run(lam):
             obj = Objective(
-                forward=deg.op, data=deg.measurements, penalty="quadratic",
+                forward=op, data=g, penalty="quadratic",
                 lam=lam, reg_op=grad,
             )
             return conjugate_gradient_normal(obj, max_iter=100, tol=1e-8).final
@@ -697,12 +734,13 @@ class TestLambdaSweep:
 
     def test_best_estimate_is_the_best_weights_reconstruction(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
+        mask = random_mask((32, 32), 0.5, seed=21)
+        op, g = blurred_masked(img, gaussian_kernel(5, 1.0), mask, 0.1, 22)
         grad = op_grad((32, 32))
 
         def run(lam):
             obj = Objective(
-                forward=deg.op, data=deg.measurements, penalty="quadratic",
+                forward=op, data=g, penalty="quadratic",
                 lam=lam, reg_op=grad,
             )
             return conjugate_gradient_normal(obj, max_iter=100, tol=1e-8).final
@@ -719,12 +757,13 @@ class TestLambdaSweep:
 
     def test_interior_weight_beats_endpoints(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(5, 1.0), random_mask((32, 32), 0.5, seed=21), 0.1, 22)
+        mask = random_mask((32, 32), 0.5, seed=21)
+        op, g = blurred_masked(img, gaussian_kernel(5, 1.0), mask, 0.1, 22)
         grad = op_grad((32, 32))
 
         def run(lam):
             obj = Objective(
-                forward=deg.op, data=deg.measurements, penalty="quadratic",
+                forward=op, data=g, penalty="quadratic",
                 lam=lam, reg_op=grad,
             )
             return conjugate_gradient_normal(obj, max_iter=400, tol=1e-10).final
@@ -737,12 +776,13 @@ class TestLambdaSweep:
 
     def test_small_weight_limit_matches_unregularized(self):
         img = shepp_logan(32)
-        deg = degrade(img, gaussian_kernel(3, 0.5), np.ones((32, 32), dtype=bool), 1e-4, 23)
+        full = np.ones((32, 32), dtype=bool)
+        op, g = blurred_masked(img, gaussian_kernel(3, 0.5), full, 1e-4, 23)
         grad = op_grad((32, 32))
 
         def solve(lam, reg):
             obj = Objective(
-                forward=deg.op, data=deg.measurements, penalty="quadratic",
+                forward=op, data=g, penalty="quadratic",
                 lam=lam, reg_op=reg,
             )
             return conjugate_gradient_normal(obj, max_iter=2000, tol=1e-13).final

@@ -133,8 +133,11 @@ def library() -> dict:
 
     shape = (32, 32)
     mask = rk.random_mask(shape, 0.5, 1)
-    deg = rk.degrade(rk.shepp_logan(32), rk.gaussian_kernel(5, 1.0), mask, 0.05, 2)
-    op, g, grad = deg.op, deg.measurements, rk.op_grad(shape)
+    # blur then mask plus seeded noise, from names public at every compared commit
+    blur = rk.op_convolve(rk.embed_kernel(rk.gaussian_kernel(5, 1.0), shape))
+    op = rk.op_compose(rk.op_mask(mask), blur)
+    g = op.apply(rk.shepp_logan(32)) + rk.normal_stream(mask.size, 0.05, 2)[mask.ravel()]
+    grad = rk.op_grad(shape)
     quadratic = rk.Objective(op, g, "quadratic", 0.01, reg_op=grad)
     l1 = rk.Objective(op, g, "abs", 0.01)
     tv = rk.Objective(op, g, "abs", 0.01, reg_op=grad)
