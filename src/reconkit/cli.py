@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .direct import fbp
 from .errors import DivergenceError, ValidationError
-from .grids import _FINITE, _FRACTION, _NONNEGATIVE, _POSITIVE, _number, _raster, normal_stream
+from .grids import _FRACTION, _NONNEGATIVE, _POSITIVE, _number, _raster, normal_stream
 from .io import _beyond_f32, read_raster, write_csv, write_manifest, write_pgm, write_raster
 from .operators import (
     LinearMap,
@@ -115,6 +115,8 @@ _UNSUPPORTED = "{!r} is not supported"
 _STREAM_SEED = (lambda v: 0 <= v < 2**64, "must be an integer in [0, 2**64) when given")
 _BLUR_SIZE = "must be an odd integer in [1, phantom.size]"
 _OUT_DIR = "must name a directory, not {!r}"
+# sigma divides by 10 ** (snr / 10), which overflows or reaches 0 past about 3000 dB
+_SNR_DB = (lambda v: -300 <= v <= 300, "must lie in [-300, 300] dB")
 
 
 def _can_be_directory(path: str) -> bool:
@@ -136,7 +138,7 @@ class DegradationConfig:
     blur_sigma: float = _key(1.0, _POSITIVE)
     airy_cutoff: float = _key(0.2, _AIRY_CUTOFF)
     mask_fraction: float = _key(0.5, _FRACTION)
-    noise_snr_db: float | None = _key(20.0, _FINITE)
+    noise_snr_db: float | None = _key(20.0, _SNR_DB)
     noise_sigma: float | None = _key(None, _NONNEGATIVE)  # when set, wins over noise_snr_db
     mask_seed: int | None = _key(None, _STREAM_SEED)
     noise_seed: int | None = _key(None, _STREAM_SEED)
@@ -672,6 +674,8 @@ def _selftest_cases():
         ("radon_32", op_radon(RadonGeometry(45, 24, 1.3), (32, 32)), 1e-6),
         ("mask_dft2", op_compose(op_mask(np.stack([mask, mask])), op_dft2(shape)), 1e-6),
         ("mask_convolve", op_compose(op_mask(mask), op_convolve(kernel)), 1e-6),
+        # each orthonormal transform compress-study runs, at 2 Haar levels
+        *((f"transform_{name}", build(shape, 2), 1e-10) for name, build in _TRANSFORMS.items()),
     ]
     compositions = [
         lambda m, c, w: op_compose(op_mask(m), op_convolve(c)),

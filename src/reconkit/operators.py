@@ -5,7 +5,8 @@ quantity such as a spectrum is the stack of its real and imaginary parts
 (``op_dft2``).  Every operator satisfies the adjoint identity <Ax, y> =
 <x, A*y>, and the adjoints are exact transposes of the discrete forward maps,
 not separate discretizations.  ``dot_test`` is the ground-truth check and
-runs over every constructed operator in the test suite.
+runs over every constructed operator in the test suite.  The transforms
+``op_haar`` and ``op_dct8`` are orthonormal, ``W* W = I``: each adjoint inverts.
 
 ``LinearMap.normal(x)`` applies the normal operator ``A* A`` that every
 variational solver spends its time in.  Operators with a fused form run it in
@@ -58,8 +59,8 @@ __all__ = [
     "op_dft2",
     "op_grad",
     "op_radon",
-    "transform_haar",
-    "transform_dct8",
+    "op_haar",
+    "op_dct8",
     "fourier_slice_check",
 ]
 
@@ -669,37 +670,34 @@ def _haar_rows_inv(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def transform_haar(img, levels: int, inverse: bool = False) -> np.ndarray:
-    """Orthonormal separable Haar analysis (or synthesis) over ``levels``.
+def op_haar(shape, levels: int) -> LinearMap:
+    """Orthonormal separable Haar analysis over ``levels``; the adjoint is the synthesis.
 
     Each level splits the current low-pass block into average and detail
     halves along rows then columns; deeper levels recurse on the top-left
-    block.  Energy is preserved exactly up to roundoff.
+    block.  Both sides of the (height, width) ``shape`` must divide by
+    ``2**levels``.
     """
-    data = _raster(img, "transform_haar").copy()
-    levels = _count(levels, "transform_haar levels")
-    h, w = data.shape
+    h, w = _shape(shape, "op_haar shape")
+    levels = _count(levels, "op_haar levels")
     if h % (1 << levels) or w % (1 << levels):
-        raise ValidationError(
-            f"image {h}x{w} is not divisible by 2^{levels} along both axes"
-        )
-    if not inverse:
-        ch, cw = h, w
-        for _ in range(levels):
-            block = data[:ch, :cw]
-            block = _haar_rows(block)
-            block = _haar_rows(block.T).T
-            data[:ch, :cw] = block
-            ch //= 2
-            cw //= 2
-    else:
-        for lev in reversed(range(levels)):
-            ch, cw = h >> lev, w >> lev
-            block = data[:ch, :cw]
-            block = _haar_rows_inv(block.T).T
-            block = _haar_rows_inv(block)
-            data[:ch, :cw] = block
-    return data
+        raise ValidationError(f"op_haar shape {h}x{w} does not divide by 2^{levels} on both axes")
+
+    corners = [(h >> lev, w >> lev) for lev in range(levels)]  # each level's low-pass block
+
+    def forward(x):
+        data = x.copy()
+        for ch, cw in corners:
+            data[:ch, :cw] = _haar_rows(_haar_rows(data[:ch, :cw]).T).T
+        return data
+
+    def backward(c):
+        data = c.copy()
+        for ch, cw in reversed(corners):
+            data[:ch, :cw] = _haar_rows_inv(_haar_rows_inv(data[:ch, :cw].T).T)
+        return data
+
+    return LinearMap((h, w), (h, w), forward, backward, name="haar")
 
 
 def _dct8_matrix() -> np.ndarray:
@@ -715,18 +713,20 @@ def _dct8_matrix() -> np.ndarray:
 _DCT8 = _dct8_matrix()
 
 
-def transform_dct8(img, inverse: bool = False) -> np.ndarray:
-    """Orthonormal 8x8 block DCT-II (or its inverse)."""
-    img = _raster(img, "transform_dct8")
-    h, w = img.shape
+def op_dct8(shape) -> LinearMap:
+    """Orthonormal 8x8 block DCT-II; the adjoint is its inverse, block by block."""
+    h, w = _shape(shape, "op_dct8 shape")
     if h % 8 or w % 8:
-        raise ValidationError(f"image {h}x{w} is not divisible into 8x8 blocks")
-    blocks = img.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    if inverse:
-        out = np.einsum("ki,abij,lj->abkl", _DCT8.T, blocks, _DCT8.T, optimize=True)
-    else:
-        out = np.einsum("ki,abij,lj->abkl", _DCT8, blocks, _DCT8, optimize=True)
-    return out.transpose(0, 2, 1, 3).reshape(h, w)
+        raise ValidationError(f"op_dct8 shape {h}x{w} is not divisible into 8x8 blocks")
+
+    def blockwise(x, mat):
+        blocks = x.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+        out = np.einsum("ki,abij,lj->abkl", mat, blocks, mat, optimize=True)
+        return out.transpose(0, 2, 1, 3).reshape(h, w)
+
+    return LinearMap(
+        (h, w), (h, w), lambda x: blockwise(x, _DCT8), lambda c: blockwise(c, _DCT8.T), name="dct8"
+    )
 
 
 # ---------------------------------------------------------------------------

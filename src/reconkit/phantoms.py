@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import _FINITE, _FRACTION, _POSITIVE, _count, _number, _raster, _real
-from .operators import RadonGeometry, transform_dct8, transform_haar
+from .operators import RadonGeometry, op_compose, op_dct8, op_dft2, op_haar, op_multiply
 
 __all__ = [
     "Ellipse",
@@ -233,29 +233,27 @@ def snr_db(truth, estimate) -> float:
 # ---------------------------------------------------------------------------
 
 
-# transform name -> (analysis of an image, synthesis of its coefficients), both
-# given the Haar level count; compress-study's "all" runs them in this order
+# transform name -> builder (shape, Haar level count) -> LinearMap; every entry
+# is orthonormal, W* W = I, so its adjoint is its inverse: the DFT is scaled by
+# 1 / sqrt(H W) to be unitary.  compress-study's "all" runs them in this order
 _TRANSFORMS = {
-    "haar": (
-        lambda img, levels: transform_haar(img, levels),
-        lambda c, levels: transform_haar(c, levels, inverse=True),
+    "haar": op_haar,
+    "dct8": lambda shape, levels: op_dct8(shape),
+    "dft": lambda shape, levels: op_compose(
+        op_dft2(shape), op_multiply(np.full(shape, 1.0 / np.sqrt(shape[0] * shape[1])))
     ),
-    "dct8": (
-        lambda img, levels: transform_dct8(img),
-        lambda c, levels: transform_dct8(c, inverse=True),
-    ),
-    "dft": (lambda img, levels: np.fft.fft2(img), lambda c, levels: np.fft.ifft2(c).real),
 }
 
 
 def compressibility_study(
     img, transform: str = "haar", keep_fractions=(0.01, 0.05, 0.1, 0.25), levels: int = 4
 ):
-    """Keep the largest-magnitude fraction of coefficients, invert, and score.
+    """Keep the largest-magnitude fraction of coefficients, synthesize, and score.
 
-    ``img`` is a raster.  Returns [(fraction, snr_db)] rows.  Transforms: the
-    names in ``_TRANSFORMS``; coefficient ranking is deterministic (stable
-    sort on magnitude).
+    ``img`` is a raster.  Returns [(fraction, snr_db)] rows.  ``transform``
+    names an operator in ``_TRANSFORMS``.  Pixel positions rank, in a stable
+    sort, by the norm of their entries across the range's leading parts (a
+    DFT frequency by its complex magnitude); the adjoint synthesizes the kept.
     """
     who = "compressibility_study keep fraction"
     fractions = [_number(fr, who, _FRACTION) for fr in keep_fractions]
@@ -263,17 +261,15 @@ def compressibility_study(
         raise ValidationError("compressibility_study needs at least one fraction")
     if transform not in _TRANSFORMS:
         raise ValidationError(f"unknown transform {transform!r}")
-    analyze, synthesize = _TRANSFORMS[transform]
 
     img = _raster(img, "compressibility_study")
-    coeffs = analyze(img, levels)
-    flat = coeffs.ravel()
-    order = np.argsort(-np.abs(flat), kind="stable")
+    op = _TRANSFORMS[transform](img.shape, levels)
+    parts = op.apply(img).reshape(-1, img.size)  # (leading parts, pixel positions)
+    order = np.argsort(-np.abs(np.hypot.reduce(parts, axis=0)), kind="stable")
     rows = []
     for fr in fractions:
-        k = max(1, int(round(fr * flat.size)))
-        kept = np.zeros_like(flat)
-        kept[order[:k]] = flat[order[:k]]
-        recon = synthesize(kept.reshape(coeffs.shape), levels)
-        rows.append((fr, snr_db(img, recon)))
+        k = max(1, int(round(fr * img.size)))
+        kept = np.zeros_like(parts)
+        kept[:, order[:k]] = parts[:, order[:k]]
+        rows.append((fr, snr_db(img, op.adjoint(kept.reshape(op.range_shape)))))
     return rows

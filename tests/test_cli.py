@@ -147,6 +147,16 @@ CONFIG_RULES = [
     ({"degradation": {"noise_sigma": -1.0}}, "degradation.noise_sigma"),
     ({"degradation": {"noise_sigma": float("inf")}}, "degradation.noise_sigma"),
     ({"degradation": {"noise_snr_db": float("nan")}}, "degradation.noise_snr_db"),
+    (
+        {"degradation": {"noise_snr_db": 4000.0}},
+        "degradation.noise_snr_db must lie in [-300, 300] dB",
+        "degradation.noise_snr_db=4000",
+    ),
+    (
+        {"degradation": {"noise_snr_db": -4000.0}},
+        "degradation.noise_snr_db must lie in [-300, 300] dB",
+        "degradation.noise_snr_db=-4000",
+    ),
     ({"solver": {"kind": "deep_net"}}, "solver.kind"),
     ({"solver": {"lam": -1.0}}, "solver.lam"),
     ({"solver": {"lam": float("nan")}}, "solver.lam must be finite"),
@@ -433,8 +443,19 @@ class TestLeafRules:
             (["compare-l2-l1", "--lambdas=0.1,nan"], "solver.lambdas[1]"),
             (["compress-study", "--fractions", ""], "keep_fractions"),
             (["phantom", "--out", ""], "out_dir"),
+            # beyond these, the noise level's 10 ** (snr / 10) overflows or reaches 0
+            (["simulate", "--snr-db", "4000"], "degradation.noise_snr_db"),
+            (["simulate", "--snr-db", "-4000"], "degradation.noise_snr_db"),
         ],
-        ids=["infinite_step", "negative_lambda", "nan_lambda", "empty_fractions", "empty_out"],
+        ids=[
+            "infinite_step",
+            "negative_lambda",
+            "nan_lambda",
+            "empty_fractions",
+            "empty_out",
+            "huge_snr",
+            "huge_negative_snr",
+        ],
     )
     def test_bad_flag_value_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, argv, key):
         monkeypatch.chdir(tmp_path)

@@ -59,8 +59,10 @@ PUBLIC = [
     "objective_value",
     "op_compose",
     "op_convolve",
+    "op_dct8",
     "op_dft2",
     "op_grad",
+    "op_haar",
     "op_mask",
     "op_matrix",
     "op_multiply",
@@ -71,8 +73,6 @@ PUBLIC = [
     "render",
     "shepp_logan",
     "snr_db",
-    "transform_dct8",
-    "transform_haar",
     "uniform_stream",
     "wiener_deconvolve",
     "write_csv",

@@ -37,8 +37,10 @@ from reconkit import (
     normal_test,
     objective_value,
     op_convolve,
+    op_dct8,
     op_dft2,
     op_grad,
+    op_haar,
     op_matrix,
     op_multiply,
     op_radon,
@@ -47,8 +49,6 @@ from reconkit import (
     render,
     shepp_logan,
     snr_db,
-    transform_dct8,
-    transform_haar,
     uniform_stream,
     wiener_deconvolve,
     write_pgm,
@@ -77,8 +77,6 @@ def spectrum(parts):
 ONES = np.ones((8, 8))
 ENTRY_POINTS = {
     "fbp": lambda x: fbp(x, RadonGeometry(8, 8)),
-    "transform_haar": lambda x: transform_haar(x, 1),
-    "transform_dct8": lambda x: transform_dct8(x),
     "fourier_slice_check": lambda x: fourier_slice_check(x, 0.0),
     "wiener_deconvolve": lambda x: wiener_deconvolve(x, ONES, 0.1, ONES),
     "compressibility_study": lambda x: compressibility_study(x, "haar", levels=1),
@@ -123,8 +121,8 @@ MAKERS = {
     "airy_psf": lambda: airy_psf(32, 0.2),
     "embed_kernel": lambda: embed_kernel(np.ones((3, 3)), (32, 32)),
     "analytic_sinogram": lambda: analytic_sinogram(SHEPP_LOGAN, RadonGeometry(32, 32), 32),
-    "transform_haar": lambda: transform_haar(IMG, 2),
-    "transform_dct8": lambda: transform_dct8(IMG),
+    "op_haar": lambda: op_haar((32, 32), 2).apply(IMG),
+    "op_dct8": lambda: op_dct8((32, 32)).apply(IMG),
     "fbp": lambda: fbp(analytic_sinogram(SHEPP_LOGAN, VIEWS, 32), VIEWS),
     "wiener_deconvolve": lambda: wiener_deconvolve(IMG, IMG, 0.1, np.ones((32, 32))),
 }
@@ -188,7 +186,7 @@ L1 = Objective(op_multiply(ONES), ONES, penalty="abs", lam=0.1)
 COUNTS = [
     ("RadonGeometry n_angles", 1, lambda v: RadonGeometry(v, 8)),
     ("RadonGeometry n_detectors", 1, lambda v: RadonGeometry(8, v)),
-    ("transform_haar levels", 1, lambda v: transform_haar(ONES, v)),
+    ("op_haar levels", 1, lambda v: op_haar((8, 8), v)),
     ("render size", 2, lambda v: render(SHEPP_LOGAN, v)),
     ("shepp_logan size", 32, lambda v: shepp_logan(v)),
     ("analytic_sinogram image_size", 2, lambda v: analytic_sinogram(SHEPP_LOGAN, VIEWS, v)),
@@ -262,6 +260,8 @@ SHAPES = [
     ("op_dft2 shape", 1, op_dft2),
     ("op_grad shape", 1, op_grad),
     ("op_radon image_shape", 2, lambda s: op_radon(VIEWS, s)),
+    ("op_haar shape", 1, lambda s: op_haar(s, 1)),
+    ("op_dct8 shape", 1, op_dct8),
     ("random_mask shape", 1, lambda s: random_mask(s, 0.5, 0)),
     ("embed_kernel shape", 1, lambda s: embed_kernel(np.ones((1, 1)), s)),
     ("fbp out_shape", 1, lambda s: fbp(ONES, RadonGeometry(8, 8), out_shape=s)),

@@ -5,6 +5,8 @@ seeded random trials) and an independent oracle (dense matrix, brute-force
 spatial sum, or a library transform) for the forward action itself.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -22,14 +24,14 @@ from reconkit import (
     normal_test,
     op_compose,
     op_convolve,
+    op_dct8,
     op_dft2,
     op_grad,
+    op_haar,
     op_mask,
     op_matrix,
     op_multiply,
     random_mask,
-    transform_dct8,
-    transform_haar,
     uniform_stream,
 )
 from reconkit.cli import _selftest_cases
@@ -622,54 +624,51 @@ class TestMatrixAdapter:
 class TestHaar:
     def test_orthonormal_energy(self):
         img = normal_stream(256, 1.0, 400).reshape(16, 16)
-        coeffs = transform_haar(img, 2)
+        coeffs = op_haar((16, 16), 2).apply(img)
         assert abs(np.sum(coeffs**2) - np.sum(img**2)) < 1e-10
 
     def test_round_trip(self):
         img = normal_stream(64, 1.0, 401).reshape(8, 8)
-        back = transform_haar(transform_haar(img, 3), 3, inverse=True)
+        haar = op_haar((8, 8), 3)
+        back = haar.adjoint(haar.apply(img))
         assert np.max(np.abs(back - img)) < 1e-12
 
     def test_single_level_pairs(self):
         # rows patterned [a, a, b, b]: detail coefficients inside constant
         # pairs are exactly zero; averages land in the low-pass quadrant
         img = np.tile(np.array([[2.0, 2.0, 6.0, 6.0]]), (4, 1))
-        out = transform_haar(img, 1)
+        out = op_haar((4, 4), 1).apply(img)
         expected = np.zeros((4, 4))
         expected[:2, 0] = 4.0
         expected[:2, 1] = 12.0
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_dense_matrix_is_orthonormal(self):
-        n = 8
-        mat = np.zeros((n * n, n * n))
-        e = np.zeros((n, n))
-        for j in range(n * n):
-            e.flat[j] = 1.0
-            mat[:, j] = transform_haar(e, 3).ravel()
-            e.flat[j] = 0.0
-        assert np.max(np.abs(mat.T @ mat - np.eye(n * n))) < 1e-10
+        mat = dense_matrix(op_haar((8, 8), 3))
+        assert np.max(np.abs(mat.T @ mat - np.eye(64))) < 1e-10
 
     def test_levels_validated(self):
+        with pytest.raises(ValidationError, match="does not divide by 2"):
+            op_haar((6, 6), 2)  # 6 % 4 != 0
         with pytest.raises(ValidationError):
-            transform_haar(np.zeros((6, 6)), 2)  # 6 % 4 != 0
-        with pytest.raises(ValidationError):
-            transform_haar(np.zeros((8, 8)), 0)
-
+            op_haar((8, 8), 0)
 
     def test_bare_array_in_and_out_leaves_the_input(self):
         img = normal_stream(64, 1.0, 402).reshape(8, 8)
         kept = img.copy()
-        coeffs = transform_haar(img, 3)
+        haar = op_haar((8, 8), 3)
+        coeffs = haar.apply(img)
         assert type(coeffs) is np.ndarray
         assert np.array_equal(img, kept)
-        assert np.max(np.abs(transform_haar(coeffs, 3, inverse=True) - img)) < 1e-12
+        kept = coeffs.copy()
+        assert np.max(np.abs(haar.adjoint(coeffs) - img)) < 1e-12
+        assert np.array_equal(coeffs, kept)  # the synthesis works on a copy too
 
 
 class TestDct8:
     def test_matches_scipy_blockwise(self):
         img = normal_stream(256, 1.0, 410).reshape(16, 16)
-        mine = transform_dct8(img)
+        mine = op_dct8((16, 16)).apply(img)
         ref = np.zeros((16, 16))
         for by in range(0, 16, 8):
             for bx in range(0, 16, 8):
@@ -680,31 +679,59 @@ class TestDct8:
 
     def test_round_trip_and_energy(self):
         img = normal_stream(1024, 1.0, 411).reshape(32, 32)
-        for coeffs in (transform_dct8(img), transform_haar(img, 4)):
-            assert abs(np.sum(coeffs**2) - np.sum(img**2)) < 1e-10
-        back = transform_dct8(transform_dct8(img), inverse=True)
+        dct = op_dct8((32, 32))
+        for op in (dct, op_haar((32, 32), 4)):
+            assert abs(np.sum(op.apply(img) ** 2) - np.sum(img**2)) < 1e-10
+        back = dct.adjoint(dct.apply(img))
         assert np.max(np.abs(back - img)) < 1e-12
 
     def test_requires_multiple_of_eight(self):
-        with pytest.raises(ValidationError):
-            transform_dct8(np.zeros((12, 12)))
+        with pytest.raises(ValidationError, match="not divisible into 8x8 blocks"):
+            op_dct8((12, 12))
 
     def test_constant_block_concentrates_dc(self):
         img = np.full((8, 8), 2.0)
-        coeffs = transform_dct8(img)
+        coeffs = op_dct8((8, 8)).apply(img)
         assert coeffs[0, 0] == pytest.approx(16.0)  # 2 * 8 with ortho scaling
         off = coeffs.copy()
         off[0, 0] = 0.0
         assert np.max(np.abs(off)) < 1e-12
 
-
     def test_bare_array_in_and_out_leaves_the_input(self):
         img = normal_stream(256, 1.0, 412).reshape(16, 16)
         kept = img.copy()
-        coeffs = transform_dct8(img)
+        dct = op_dct8((16, 16))
+        coeffs = dct.apply(img)
         assert type(coeffs) is np.ndarray
         assert np.array_equal(img, kept)
-        assert np.max(np.abs(transform_dct8(coeffs, inverse=True) - img)) < 1e-12
+        assert np.max(np.abs(dct.adjoint(coeffs) - img)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,op", [("haar", op_haar((8, 8), 1)), ("dct8", op_dct8((8, 8)))], ids=["haar", "dct8"]
+)
+class TestTransformInputs:
+    """A transform checks its raster as an operator input, on either side."""
+
+    def test_takes_float32_and_integer_rasters(self, name, op):
+        img = normal_stream(64, 1.0, 5).reshape(8, 8)
+        for call in (op.apply, op.adjoint):
+            narrow = img.astype(np.float32)
+            assert np.array_equal(call(narrow), call(narrow.astype(np.float64)))
+            ints = np.arange(64).reshape(8, 8) % 5
+            assert np.array_equal(call(ints), call(ints.astype(np.float64)))
+
+    def test_rejects_a_wrong_shape_complex_or_non_finite_input(self, name, op):
+        nonfinite = np.zeros((8, 8))
+        nonfinite[2, 3] = np.inf
+        for side, call in (("domain", op.apply), ("range", op.adjoint)):
+            for bad, text in (
+                (np.zeros(8), f"{side} shape (8,) does not match (8, 8)"),
+                (np.zeros((8, 8)) + 1j, f"{side} input must be real"),
+                (nonfinite, f"{side} input contains non-finite samples"),
+            ):
+                with pytest.raises(ValidationError, match=f"^{re.escape(f'{name}: {text}')}$"):
+                    call(bad)
 
 
 class TestDiagnostics:

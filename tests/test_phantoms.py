@@ -17,11 +17,11 @@ from reconkit import (
     analytic_sinogram,
     compressibility_study,
     gaussian_kernel,
+    op_dct8,
+    op_haar,
     render,
     shepp_logan,
     snr_db,
-    transform_dct8,
-    transform_haar,
 )
 from reconkit.phantoms import _bessel_j1
 
@@ -208,8 +208,8 @@ class TestCompressibility:
         # -10 log10(1 - retained energy fraction)
         img = shepp_logan(64)
         for transform, coeffs in (
-            ("haar", transform_haar(img, 4)),
-            ("dct8", transform_dct8(img)),
+            ("haar", op_haar(img.shape, 4).apply(img)),
+            ("dct8", op_dct8(img.shape).apply(img)),
         ):
             rows = compressibility_study(img, transform, [0.05])
             flat = np.abs(coeffs.ravel())
@@ -218,6 +218,30 @@ class TestCompressibility:
             retained = np.sum(flat[order[:k]] ** 2) / np.sum(flat**2)
             expected = -10.0 * np.log10(1.0 - retained)
             assert abs(rows[0][1] - expected) < 1e-6
+
+    @pytest.mark.parametrize("size", [128, 96])
+    def test_dft_rows_match_a_direct_fft_reference(self, size):
+        # keep the largest complex magnitudes of np.fft.fft2, in a stable
+        # ranking, and score ifft2(...).real; the operator route scales by
+        # 1 / sqrt(H W), exact when that is a power of two
+        img = shepp_logan(size)
+        fractions = (0.01, 0.05, 0.1, 0.25, 1.0)
+        spectrum = np.fft.fft2(img).ravel()
+        order = np.argsort(-np.abs(spectrum), kind="stable")
+        want = []
+        for fr in fractions:
+            k = max(1, int(round(fr * spectrum.size)))
+            kept = np.zeros_like(spectrum)
+            kept[order[:k]] = spectrum[order[:k]]
+            want.append(snr_db(img, np.fft.ifft2(kept.reshape(img.shape)).real))
+        got = [snr for _, snr in compressibility_study(img, "dft", fractions)]
+        if size == 128:
+            assert got == want
+        else:
+            # full keep is exact only up to roundoff, near 300 dB either way
+            assert got[-1] > 250.0 and want[-1] > 250.0
+            for g, w in zip(got[:-1], want[:-1]):
+                assert abs(g - w) <= 1e-12 * abs(w)
 
     def test_validation(self):
         img = shepp_logan(32)

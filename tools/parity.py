@@ -77,6 +77,10 @@ def matrix() -> list:
                 ])
     calls += [
         ["compress-study", "--transform", "all", "--out", "compress_all"],
+        # 96 is no power of two, so the unitary DFT's 1 / 96 scaling rounds; that
+        # shows in the full keep's roundoff-limited SNR, not in the ranked ones
+        ["compress-study", "--size", "96", "--transform", "all",
+         "--fractions", "0.01,0.05,0.1,0.25,1", "--out", "compress_96"],
         ["nullspace-demo", "--out", "nullspace"],
         ["selftest"],
         ["phantom", "--size", "64", "--out", "phantom"],
