@@ -14,10 +14,11 @@ one pass: the mask ANDs the input's bits with its all-ones-or-zero keep array
 instead of gathering and scattering, convolution multiplies the spectrum by
 ``|k^|^2`` between one forward and one inverse FFT, the gradient applies
 the Neumann Laplacian stencil directly, and the ray transform gathers and
-scatters through each view's table in turn, so each table streams once.  On a
-square image with an even view count, the ray transform builds only the views
-in [0, pi/4] and derives the others by mapping a built table's pixel ids
-through the transpose reflection and a 90-degree turn.  A
+scatters through each table in turn, so each table streams once.  On a square
+image with an even view count, the ray transform builds only the views in
+[0, pi/4] and derives the others by mapping a built table's pixel ids through
+the transpose reflection and a 90-degree turn; a built view and the views it
+gives share one table and run as one gather and one scatter.  A
 composition ``B after C`` runs ``C* (B* B) (C x)`` with the outer part's fused
 normal, so mask after blur costs two real FFT pairs and no gather.  Every
 other operator falls back to ``adjoint(apply(x))``.
@@ -483,15 +484,17 @@ def _bilinear_stencil(shape, xs, ys):
 
 
 # Cache the tables only while the geometry has at most 2^21 ray samples;
-# larger geometries rebuild one view per call instead of exhausting memory.
+# larger geometries rebuild one group of views at a time on every call
+# instead of exhausting memory.
 # Neighbouring samples of a ray share a corner, so a ray holds at most about
 # 3 entries per sample (2.3 seen on one ray, 1.4-1.6 over whole geometries):
 # under ~100 MB for 3 * 2^21 entries of 16 bytes.  ``cols`` stays int64: the
 # gather and bincount would otherwise cast an int32 table to a fresh
-# table-sized temporary on every apply.  A derived view holds only its own
-# ``cols`` and shares the rest of its source's table, so at 64^2 with 30 views
-# the kept tables take 2.49 MB (8 built views), against 2.98 MB when the views
-# in (pi/4, pi/2) are built too (15 built views).
+# table-sized temporary on every apply.  A reflection group keeps one
+# ``(rays, counts, starts, vals)`` table and one row of ``cols`` per view, the
+# derived rows written in place, so at 64^2 with 30 views the kept tables take
+# 2.49 MB (8 groups), against 2.98 MB when the views in (pi/4, pi/2) are built
+# too (15 built views).
 _RADON_CACHE_BUDGET = 1 << 21
 
 # A pixel is a live bilinear corner of a sample only if it lies less than one
@@ -535,10 +538,10 @@ def _radon_view_table(theta: float, shape, offs: np.ndarray):
 
 
 def _ray_sums(flat, starts, cols, vals):
-    """The line integral of each ray with entries in one view's table."""
+    """The line integral of each ray with entries in a table, per row of ``cols``."""
     samples = flat.take(cols)
     samples *= vals
-    return np.add.reduceat(samples, starts)
+    return np.add.reduceat(samples, starts, axis=-1)
 
 
 def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
@@ -555,7 +558,7 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     forward sums each ray's gathered ``vals * x[cols]`` with
     ``np.add.reduceat``; the adjoint scatters ``vals * y[ray]`` with
     ``np.bincount``, so it is the exact transpose of the same table.  The
-    fused normal does both per view, streaming each table once.
+    fused normal does both, streaming each table once.
 
     On a square image with an even view count ``n``, view ``k + n/2`` is
     view ``k`` turned +90 degrees on the pixel grid, and view ``n/2 - k``
@@ -569,15 +572,23 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
     reflects onto itself, so each view is run once.  A derived view shares
     its source's ``rays``, ``counts``, ``starts`` and ``vals`` and maps only
     ``cols``, so it sums each ray in its source's order and agrees with the
-    table built at its own angle to roundoff.  Odd view counts and
-    non-square images build every view, in view order.
+    table built at its own angle to roundoff.
+
+    A built view and the views it gives form a reflection group of 4 views,
+    or of 2 for view 0 and the view at ``pi/4``: one shared table and a
+    ``(views, entries)`` array of ``cols``.  The forward, adjoint and normal
+    run each group as one gather (``take``, ``*= vals``, ``reduceat`` along
+    the rows) and one scatter (``repeat``, ``*= vals``, and one ``bincount``
+    over all its rows), so at 64^2 with 30 views a normal makes 8 passes, not
+    30.  Odd view counts and non-square images build every view, in view
+    order, each a group of one.
 
     Iterative solvers apply the same operator thousands of times, so every
-    view's table is kept when the geometry is small enough; otherwise each
-    call rebuilds the built views one at a time and derives the others.
-    Both paths run the same per-view tables in the same order, so apply,
-    adjoint and normal agree bit for bit across them, the normal equals
-    ``adjoint(apply(x))`` bit for bit, and repeated calls are identical.
+    group's table is kept when the geometry is small enough; otherwise each
+    call rebuilds the groups one at a time.  Both paths run the same groups
+    in the same order, so apply, adjoint and normal agree bit for bit across
+    them, the normal equals ``adjoint(apply(x))`` bit for bit, and repeated
+    calls are identical.
     """
     h, w = _shape(image_shape, "op_radon image_shape", 2)
     angles, offs = geometry.angles, geometry.offsets
@@ -593,20 +604,31 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
         turn_reflect = turn[reflect]
     tables: list = []
 
+    def build(k, perms):
+        # view k's table, with its cols and their images under perms as rows;
+        # returning frees the built cols before the next view's table is built.
+        # The pixel ids are in range, and mode="raise" would buffer each row.
+        rays, counts, starts, built, vals = _radon_view_table(angles[k], (h, w), offs)
+        cols = np.empty((1 + len(perms), built.size), dtype=np.int64)
+        cols[0] = built
+        for perm, row in zip(perms, cols[1:]):
+            np.take(perm, built, out=row, mode="clip")
+        return rays, counts, starts, cols, vals
+
     def views():
-        # (view index, rays, counts, starts, cols, vals), each derived view after its source
+        # (view indices, rays, counts, starts, cols, vals) per built view, with
+        # a row of cols for it and for each view derived from it
         for k in range(n_angles // 4 + 1 if derive else n_angles):
-            rays, counts, starts, cols, vals = _radon_view_table(angles[k], (h, w), offs)
-            yield k, rays, counts, starts, cols, vals
             if not derive:
-                continue
-            yield k + half, rays, counts, starts, turn[cols], vals
-            if 0 < k < half - k:
-                yield half - k, rays, counts, starts, reflect[cols], vals
-                yield n_angles - k, rays, counts, starts, turn_reflect[cols], vals
+                index, perms = [k], ()
+            elif 0 < k < half - k:
+                index, perms = [k, k + half, half - k, n_angles - k], (turn, reflect, turn_reflect)
+            else:
+                index, perms = [k, k + half], (turn,)
+            yield (np.array(index)[:, None], *build(k, perms))
 
     def blocks():
-        # the kept tables under the budget, else each view rebuilt in turn
+        # the kept tables under the budget, else each group rebuilt in turn
         if not cached:
             return views()
         if not tables:
@@ -614,21 +636,21 @@ def op_radon(geometry: RadonGeometry, image_shape) -> LinearMap:
         return tables
 
     def scatter(out, ray_values, counts, cols, vals):
-        contrib = ray_values.repeat(counts)
+        contrib = ray_values.repeat(counts, axis=-1)
         contrib *= vals
-        out += np.bincount(cols, weights=contrib, minlength=h * w)
+        out += np.bincount(cols.ravel(), weights=contrib.ravel(), minlength=h * w)
 
     def forward(x):
         flat = x.ravel()
         out = np.zeros((n_angles, n_det), dtype=np.float64)
-        for a, rays, _, starts, cols, vals in blocks():
-            out[a, rays] = _ray_sums(flat, starts, cols, vals)
+        for index, rays, _, starts, cols, vals in blocks():
+            out[index, rays] = _ray_sums(flat, starts, cols, vals)
         return out
 
     def backward(y):
         out = np.zeros(h * w, dtype=np.float64)
-        for a, rays, counts, _, cols, vals in blocks():
-            scatter(out, y[a, rays], counts, cols, vals)
+        for index, rays, counts, _, cols, vals in blocks():
+            scatter(out, y[index, rays], counts, cols, vals)
         return out.reshape(h, w)
 
     def normal(x):

@@ -190,5 +190,7 @@ def test_library_covers_every_solver_and_selftest_operator():
         for method in ("apply", "adjoint", "normal")
     }
     assert set(results) == want | {
-        f"radon over-budget {method}" for method in ("apply", "adjoint", "normal")
+        f"radon {path} {method}"
+        for path in ("cached", "over-budget")
+        for method in ("apply", "adjoint", "normal")
     }
