@@ -25,8 +25,7 @@ a ``DivergenceError``, a numerical failure (a diagnostic trace is written to
 the output directory and its path printed).
 
 Seeds: ``--seed`` sets the experiment seed (default 0).  Component streams
-derive from it as seed * 1000 + {1: mask, 2: noise, 3: power iteration}
-unless the config pins them explicitly.
+derive from it as seed * 1000 + {1: mask, 2: noise, 3: power iteration}.
 """
 
 import argparse
@@ -65,7 +64,6 @@ from .operators import (
 )
 from .phantoms import (
     SHEPP_LOGAN,
-    _AIRY_CUTOFF,
     _TRANSFORMS,
     airy_psf,
     analytic_sinogram,
@@ -112,8 +110,6 @@ _SEED_MAX = (2**64 - 4) // 1000
 _TRANSFORM_KINDS = (*_TRANSFORMS, "all")  # "all" runs each of phantoms._TRANSFORMS
 
 _UNSUPPORTED = "{!r} is not supported"
-_STREAM_SEED = (lambda v: 0 <= v < 2**64, "must be an integer in [0, 2**64) when given")
-_BLUR_SIZE = "must be an odd integer in [1, phantom.size]"
 _OUT_DIR = "must name a directory, not {!r}"
 # sigma divides by 10 ** (snr / 10), which overflows or reaches 0 past about 3000 dB
 _SNR_DB = (lambda v: -300 <= v <= 300, "must lie in [-300, 300] dB")
@@ -127,21 +123,15 @@ def _can_be_directory(path: str) -> bool:
 
 @dataclass
 class PhantomConfig:
-    kind: str = _key("shepp_logan", (lambda v: v == "shepp_logan", _UNSUPPORTED))
     size: int = _key(128, (lambda v: v >= 32, "must be an integer >= 32"))
 
 
 @dataclass
 class DegradationConfig:
     blur: str = _key("gaussian", (lambda v: v in _BLURS, _UNSUPPORTED))
-    blur_size: int = _key(5, (lambda v: v >= 1 and v % 2 == 1, _BLUR_SIZE))
-    blur_sigma: float = _key(1.0, _POSITIVE)
-    airy_cutoff: float = _key(0.2, _AIRY_CUTOFF)
     mask_fraction: float = _key(0.5, _FRACTION)
     noise_snr_db: float | None = _key(20.0, _SNR_DB)
     noise_sigma: float | None = _key(None, _NONNEGATIVE)  # when set, wins over noise_snr_db
-    mask_seed: int | None = _key(None, _STREAM_SEED)
-    noise_seed: int | None = _key(None, _STREAM_SEED)
 
 
 @dataclass
@@ -164,7 +154,6 @@ class SolverConfig:
     tol: float = _key(1e-8, _NONNEGATIVE)
     inner_iter: int = _key(30, (lambda v: v >= 0, "must be an integer >= 0"))
     step: float | None = _key(None, _POSITIVE)  # gd only; None is the auto step 0.9 / Lip
-    power_seed: int | None = _key(None, _STREAM_SEED)
 
 
 @dataclass
@@ -182,16 +171,13 @@ class ExperimentConfig:
     seed: int = _key(0, (lambda v: 0 <= v <= _SEED_MAX, f"must be an integer in [0, {_SEED_MAX}]"))
 
     def mask_seed(self) -> int:
-        s = self.degradation.mask_seed
-        return self.seed * 1000 + 1 if s is None else s
+        return self.seed * 1000 + 1
 
     def noise_seed(self) -> int:
-        s = self.degradation.noise_seed
-        return self.seed * 1000 + 2 if s is None else s
+        return self.seed * 1000 + 2
 
     def power_seed(self) -> int:
-        s = self.solver.power_seed
-        return self.seed * 1000 + 3 if s is None else s
+        return self.seed * 1000 + 3
 
 
 def _drop_none(typ):
@@ -265,11 +251,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(data: dict, writes: bool = True) -> ExperimentConfig:
     """The defaults patched by ``data``, every leaf checked; ``writes=False``,
     for a call that writes no file, leaves ``out_dir``'s rule unchecked."""
-    cfg = _section(ExperimentConfig, data, writes)
-    # the one rule that spans fields: the blur kernel fits in the image
-    if cfg.degradation.blur_size > cfg.phantom.size:
-        raise ValidationError(f"degradation.blur_size {_BLUR_SIZE}")
-    return cfg
+    return _section(ExperimentConfig, data, writes)
 
 
 def load_config(args, base: dict | None = None, writes: bool = True) -> ExperimentConfig:
@@ -300,11 +282,11 @@ def load_config(args, base: dict | None = None, writes: bool = True) -> Experime
 # ---------------------------------------------------------------------------
 
 
-# degradation.blur -> kernel builder from the degradation section
+# degradation.blur -> its 5x5 kernel builder (the identity blur is 1x1)
 _BLURS = {
-    "gaussian": lambda deg: gaussian_kernel(deg.blur_size, deg.blur_sigma),
-    "airy": lambda deg: airy_psf(deg.blur_size, deg.airy_cutoff),
-    "none": lambda deg: np.array([[1.0]]),
+    "gaussian": lambda: gaussian_kernel(5, 1.0),
+    "airy": lambda: airy_psf(5, 0.2),
+    "none": lambda: np.array([[1.0]]),
 }
 
 
@@ -332,7 +314,7 @@ class _Degraded:
 def _simulate(cfg: ExperimentConfig):
     """Phantom, blur, mask, and noise per the config; returns truth, kernel and data."""
     truth = shepp_logan(cfg.phantom.size)
-    kernel = _BLURS[cfg.degradation.blur](cfg.degradation)
+    kernel = _BLURS[cfg.degradation.blur]()
     mask = random_mask(truth.shape, cfg.degradation.mask_fraction, cfg.mask_seed())
     op = _blur_then_mask(kernel, mask)
     clean = op.apply(truth)

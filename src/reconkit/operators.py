@@ -702,7 +702,8 @@ def op_haar(shape, levels: int) -> LinearMap:
     """
     h, w = _shape(shape, "op_haar shape")
     levels = _count(levels, "op_haar levels")
-    if h % (1 << levels) or w % (1 << levels):
+    # past min(h, w).bit_length() no 2^levels divides, and the shift would build a huge integer
+    if levels > min(h, w).bit_length() or h % (1 << levels) or w % (1 << levels):
         raise ValidationError(f"op_haar shape {h}x{w} does not divide by 2^{levels} on both axes")
 
     corners = [(h >> lev, w >> lev) for lev in range(levels)]  # each level's low-pass block

@@ -118,7 +118,8 @@ def analytic_sinogram(phantom, geometry: RadonGeometry, image_size: int) -> np.n
         for e in phantom:
             t_rel = theta - e.phi
             q = (e.a * np.cos(t_rel)) ** 2 + (e.b * np.sin(t_rel)) ** 2
-            s_rel = offs - (e.cx * cos_t + e.cy * sin_t)
+            # clamped past the ellipse, where the chord stays 0, so the square cannot overflow
+            s_rel = np.minimum(np.abs(offs - (e.cx * cos_t + e.cy * sin_t)), 2.0 * np.sqrt(q))
             under = q - s_rel**2
             chord = np.where(under > 0.0, 2.0 * e.a * e.b * np.sqrt(np.maximum(under, 0.0)) / q, 0.0)
             row += e.rho * chord
@@ -170,7 +171,7 @@ def _bessel_j1(x: np.ndarray) -> np.ndarray:
     return np.where(small, small_val, large_val)
 
 
-# the cutoff's rule, which degradation.airy_cutoff reads too
+# airy_psf's cutoff rule
 _AIRY_CUTOFF = (lambda v: 0.0 < v <= 0.5, "must lie in (0, 0.5] cycles per pixel")
 
 

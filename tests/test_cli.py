@@ -14,7 +14,14 @@ import typing
 import numpy as np
 import pytest
 
-from reconkit import ValidationError, __version__, normal_stream
+from reconkit import (
+    ValidationError,
+    __version__,
+    airy_psf,
+    gaussian_kernel,
+    normal_stream,
+    random_mask,
+)
 from reconkit.cli import (
     _COMMANDS,
     _FLAGS,
@@ -134,15 +141,8 @@ class TestCsv:
 # (with the rule's wording where one key has two rules), and the test id where it
 # is not that key: the wording the case was first written against
 CONFIG_RULES = [
-    ({"phantom": {"kind": "disk"}}, "phantom.kind"),
     ({"phantom": {"size": 16}}, "phantom.size"),
     ({"degradation": {"blur": "motion"}}, "degradation.blur"),
-    ({"degradation": {"blur_sigma": -1.0}}, "degradation.blur_sigma"),
-    ({"degradation": {"blur_size": 0}}, "degradation.blur_size"),
-    ({"degradation": {"blur_size": 4}}, "degradation.blur_size"),
-    ({"phantom": {"size": 32}, "degradation": {"blur_size": 33}}, "degradation.blur_size"),
-    ({"degradation": {"airy_cutoff": 0.0}}, "degradation.airy_cutoff"),
-    ({"degradation": {"airy_cutoff": -1.0}}, "degradation.airy_cutoff"),
     ({"degradation": {"mask_fraction": 0.0}}, "degradation.mask_fraction"),
     ({"degradation": {"noise_sigma": -1.0}}, "degradation.noise_sigma"),
     ({"degradation": {"noise_sigma": float("inf")}}, "degradation.noise_sigma"),
@@ -187,9 +187,6 @@ CONFIG_RULES = [
     ),
     ({"seed": -1}, "seed must be an integer in", "seed must lie in0"),
     ({"seed": 2**64 - 1}, "seed must be an integer in", "seed must lie in1"),
-    ({"degradation": {"mask_seed": -1}}, "degradation.mask_seed"),
-    ({"degradation": {"noise_seed": -1}}, "degradation.noise_seed"),
-    ({"solver": {"power_seed": -1}}, "solver.power_seed"),
 ]
 
 
@@ -314,6 +311,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("stream, index", [("mask", 1), ("noise", 2), ("power", 3)])
+    def test_each_stream_seed_derives_from_the_experiment_seed(self, stream, index):
+        for seed in (0, 7, _SEED_MAX):
+            cfg = config_from_dict({"seed": seed})
+            assert getattr(cfg, f"{stream}_seed")() == seed * 1000 + index
+
     def test_largest_seed_is_the_last_whose_stream_seeds_fit_64_bits(self):
         cfg = config_from_dict({"seed": _SEED_MAX})
         assert max(cfg.mask_seed(), cfg.noise_seed(), cfg.power_seed()) < 2**64
@@ -342,17 +345,11 @@ class TestConfig:
 
 # a value that breaks the declared rule of each leaf of ExperimentConfig, by dotted path
 BAD_LEAF_VALUES = {
-    "phantom.kind": "disk",
     "phantom.size": 31,
     "degradation.blur": "motion",
-    "degradation.blur_size": 6,
-    "degradation.blur_sigma": 0.0,
-    "degradation.airy_cutoff": 0.75,
     "degradation.mask_fraction": 1.5,
     "degradation.noise_snr_db": float("inf"),
     "degradation.noise_sigma": float("nan"),
-    "degradation.mask_seed": 2**64,
-    "degradation.noise_seed": 2**64,
     "geometry.n_angles": -1,
     "geometry.n_detectors": -3,
     "geometry.detector_pitch": 0.0,
@@ -364,7 +361,6 @@ BAD_LEAF_VALUES = {
     "solver.tol": float("nan"),
     "solver.inner_iter": -2,
     "solver.step": float("nan"),
-    "solver.power_seed": 2**64,
     "transform": "wavelet",
     "keep_fractions": [],
     "levels": -1,
@@ -384,6 +380,19 @@ def _leaf_fields(node, prefix=""):
 
 
 LEAVES = dict(_leaf_fields(ExperimentConfig()))
+
+# settings that are constants, not config keys, each at its constant's value (the
+# streams at seed 0's): the blur is a fixed 5x5 kernel, the streams derive from
+# the seed, and the phantom is Shepp-Logan
+REMOVED_KEYS = {
+    "phantom.kind": "shepp_logan",
+    "degradation.blur_size": 5,
+    "degradation.blur_sigma": 1.0,
+    "degradation.airy_cutoff": 0.2,
+    "degradation.mask_seed": 1,
+    "degradation.noise_seed": 2,
+    "solver.power_seed": 3,
+}
 
 
 def _patch(path, value):
@@ -418,6 +427,19 @@ class TestLeafRules:
         assert re.search(rf"config error: {re.escape(path)}[ \[]", capsys.readouterr().err)
         assert os.listdir(run) == []
 
+    def test_no_removed_key_is_a_leaf(self):
+        assert len(LEAVES) == 21
+        assert not REMOVED_KEYS.keys() & LEAVES.keys()
+
+    @pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
+    def test_a_removed_key_is_an_unknown_field(self, tmp_path, monkeypatch, capsys, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_patch(path, REMOVED_KEYS[path])))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--size", "32", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown field {path}\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("path", sorted(LEAVES))
     def test_a_wrong_type_reads_as_the_broken_rule(self, tmp_path, monkeypatch, capsys, path):
         # a bool, a value of another JSON type and a null where the annotation
@@ -446,6 +468,8 @@ class TestLeafRules:
             # beyond these, the noise level's 10 ** (snr / 10) overflows or reaches 0
             (["simulate", "--snr-db", "4000"], "degradation.noise_snr_db"),
             (["simulate", "--snr-db", "-4000"], "degradation.noise_snr_db"),
+            # 2^levels is never built for a level count beyond the image's bit length
+            (["compress-study", "--size", "32", "--levels", str(2**40)], "op_haar shape 32x32"),
         ],
         ids=[
             "infinite_step",
@@ -455,6 +479,7 @@ class TestLeafRules:
             "empty_out",
             "huge_snr",
             "huge_negative_snr",
+            "huge_levels",
         ],
     )
     def test_bad_flag_value_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, argv, key):
@@ -582,17 +607,39 @@ class TestSimulate:
         _, _, data = simulated(size=64, noise_snr_db=20.0)
         assert abs(data.measurement_snr_db - 20.0) < 0.5
 
-    def test_noise_seed_alone_moves_the_measurements(self):
-        a, b, c = (simulated(noise_sigma=0.05, noise_seed=s)[2] for s in (10, 10, 11))
+    def test_the_seed_moves_the_mask_and_the_noise_together(self):
+        def run(seed):
+            cfg = {"phantom": {"size": 32}, "degradation": {"noise_sigma": 0.05}, "seed": seed}
+            return _simulate(config_from_dict(cfg))
+
+        (truth_a, _, a), (_, _, b), (truth_c, _, c) = run(10), run(10), run(11)
+        assert np.array_equal(a.mask, b.mask)
         assert np.array_equal(a.measurements, b.measurements)
-        assert np.array_equal(a.clean, c.clean)
-        assert not np.array_equal(a.measurements, c.measurements)
+        assert np.array_equal(truth_a, truth_c)
+        assert not np.array_equal(a.mask, c.mask)
+
+    def test_the_mask_is_drawn_from_the_seeds_mask_stream(self):
+        cfg = config_from_dict({"phantom": {"size": 32}, "seed": 10})
+        _, _, data = _simulate(cfg)
+        expected = random_mask((32, 32), cfg.degradation.mask_fraction, 10 * 1000 + 1)
+        assert np.array_equal(data.mask, expected)
+
+    @pytest.mark.parametrize(
+        "blur, kernel",
+        [("gaussian", gaussian_kernel(5, 1.0)), ("airy", airy_psf(5, 0.2))],
+        ids=["gaussian", "airy"],
+    )
+    def test_each_blur_is_its_fixed_5x5_kernel(self, blur, kernel):
+        _, made, _ = simulated(blur=blur)
+        assert np.array_equal(made, kernel)
 
     def test_noise_is_a_seeded_raster_kept_through_the_mask(self):
-        truth, _, data = simulated(noise_sigma=0.05, noise_seed=10)
+        cfg = {"phantom": {"size": 32}, "degradation": {"noise_sigma": 0.05}, "seed": 10}
+        truth, _, data = _simulate(config_from_dict(cfg))
         assert np.array_equal(data.op.apply(truth), data.clean)
-        # the noise raster over the whole grid, read through the mask in raster order
-        noise = normal_stream(32 * 32, 0.05, 10).reshape(32, 32)[data.mask]
+        # the noise raster over the whole grid, from the seed's noise stream 10 * 1000 + 2,
+        # read through the mask in raster order
+        noise = normal_stream(32 * 32, 0.05, 10002).reshape(32, 32)[data.mask]
         assert np.allclose(data.measurements - data.clean, noise)
 
     def test_blur_none_writes_a_constant_kernel_that_reconstruct_reads(self, tmp_path):
@@ -836,6 +883,16 @@ class TestFbpVsTv:
         assert manifest["converged"] is False
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["fbp", "tv_admm"]
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_huge_detector_pitch_runs_without_overflow(self, tmp_path, monkeypatch):
+        # rays that miss the phantom by 1e300 pixels: their squared offsets overflowed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"geometry": {"detector_pitch": 1e300}}))
+        monkeypatch.chdir(tmp_path)
+        argv = ["fbp-vs-tv", "--size", "32", "--angles", "8", "--max-iter", "3"]
+        assert main(argv + ["--config", str(cfg_path), "--out", "fvt"]) == 0
 
 
 class TestStudyCommands:

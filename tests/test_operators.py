@@ -652,6 +652,18 @@ class TestHaar:
             op_haar((6, 6), 2)  # 6 % 4 != 0
         with pytest.raises(ValidationError):
             op_haar((8, 8), 0)
+        # 1 << 2**40 would be a 128 GiB integer; a count past the shape's bit length
+        # is rejected before any shift, with the same message as 6 levels on 32x32
+        for levels in (6, 2**40):
+            with pytest.raises(ValidationError, match=rf"^op_haar shape 32x32 .* 2\^{levels} on"):
+                op_haar((32, 32), levels)
+
+    @pytest.mark.parametrize("shape, deepest", [((32, 32), 5), ((16, 64), 4), ((8, 24), 3)])
+    def test_the_deepest_level_count_builds_and_one_more_is_rejected(self, shape, deepest):
+        mat = dense_matrix(op_haar(shape, deepest))
+        assert np.max(np.abs(mat.T @ mat - np.eye(mat.shape[1]))) < 1e-10
+        with pytest.raises(ValidationError, match=rf"does not divide by 2\^{deepest + 1} on"):
+            op_haar(shape, deepest + 1)
 
     def test_bare_array_in_and_out_leaves_the_input(self):
         img = normal_stream(64, 1.0, 402).reshape(8, 8)

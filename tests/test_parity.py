@@ -5,6 +5,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -25,11 +26,19 @@ def write_f32(path, values):
     np.asarray(values, dtype="<f4").tofile(path)
 
 
+def write_json(path, payload):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
 def test_compare_names_each_kind_of_difference(tmp_path):
     parity = load_parity()
     base_dir, head_dir = str(tmp_path / "commit"), str(tmp_path / "working")
     write_f32(os.path.join(base_dir, "rec", "recon.f32"), [1.0, -2.0, 4.0])
     write_f32(os.path.join(head_dir, "rec", "recon.f32"), [1.0, -2.0, 3.0])
+    write_json(os.path.join(base_dir, "rec", "manifest.json"), {"config": {"a": 1, "old": 2}})
+    write_json(os.path.join(head_dir, "rec", "manifest.json"), {"config": {"a": 1}, "new": 3})
     calls = [
         ["same", "--out", "same"],
         ["exit"],
@@ -53,11 +62,44 @@ def test_compare_names_each_kind_of_difference(tmp_path):
         "exit: exit code 0 -> 3",
         "talk: stdout differs",
         "talk: stderr differs",
-        "rec --out rec: manifest.json differs",
+        "rec --out rec: manifest.json config.old only in the commit",
+        "rec --out rec: manifest.json new only in the working tree",
         "rec --out rec: new.csv written only in the working tree",
         "rec --out rec: old.csv written only in the commit",
         "rec --out rec: recon.f32 differs, max relative difference 2.500e-01",
     ]
+
+
+def test_a_changed_manifest_value_is_named_by_its_path(tmp_path):
+    parity = load_parity()
+    base_dir, head_dir = str(tmp_path / "commit"), str(tmp_path / "working")
+    manifest = {"config": {"solver": {"lam": 0.1, "lambdas": [1, 2]}}, "seeds": {"seed": 0}}
+    changed = {"config": {"solver": {"lam": 0.2, "lambdas": [1, 3]}}, "seeds": {"seed": 0}}
+    write_json(os.path.join(base_dir, "run", "manifest.json"), manifest)
+    write_json(os.path.join(head_dir, "run", "manifest.json"), changed)
+    calls = [["run", "--out", "run"]]
+    base = [(0, b"", b"", {"manifest.json": "1"})]
+    head = [(0, b"", b"", {"manifest.json": "2"})]
+    assert parity.compare(calls, base, head, base_dir, head_dir) == [
+        "run --out run: manifest.json config.solver.lam differs",
+        "run --out run: manifest.json config.solver.lambdas differs",
+    ]
+    # bytes that differ where the JSON values do not are still reported
+    write_json(os.path.join(head_dir, "run", "manifest.json"), manifest)
+    with open(os.path.join(head_dir, "run", "manifest.json"), "a") as fh:
+        fh.write("\n")
+    assert parity.compare(calls, base, head, base_dir, head_dir) == [
+        "run --out run: manifest.json differs"
+    ]
+
+
+def test_a_section_replaced_by_a_value_is_named_once():
+    parity = load_parity()
+    base = {"config": {"solver": {"lam": 0.1}}, "seed": 0}
+    head = {"config": {"solver": 0.1}, "seed": 0}
+    assert parity._json_changes(base, head) == ["config.solver differs"]
+    assert parity._json_changes(head, base) == ["config.solver differs"]
+    assert parity._json_changes(base, base) == []
 
 
 def test_identical_results_report_nothing(tmp_path):

@@ -109,6 +109,38 @@ class TestAnalyticLineIntegrals:
         assert sino[centre + 16] == 0.0
         assert sino[centre + 17] == 0.0
 
+    @pytest.mark.parametrize(
+        "size, geometry",
+        [
+            (64, RadonGeometry(30, 91)),
+            (24, RadonGeometry(30, 35, 0.7)),
+            (32, RadonGeometry(45, 33, 1.3)),
+            (48, RadonGeometry(17, 68)),
+        ],
+        ids=["64x30", "24x30_pitch_0.7", "32x45_pitch_1.3", "48x17"],
+    )
+    def test_clamping_past_each_ellipse_keeps_every_line_integral(self, size, geometry):
+        # the chord formula without the clamp, where no offset is large enough to overflow
+        scale = size / 2.0
+        offs = geometry.offsets / scale
+        expected = np.zeros((geometry.n_angles, geometry.n_detectors))
+        for i, theta in enumerate(geometry.angles):
+            for e in SHEPP_LOGAN:
+                t_rel = theta - e.phi
+                q = (e.a * np.cos(t_rel)) ** 2 + (e.b * np.sin(t_rel)) ** 2
+                s_rel = offs - (e.cx * np.cos(theta) + e.cy * np.sin(theta))
+                under = q - s_rel**2
+                root = np.sqrt(np.maximum(under, 0.0))
+                expected[i] += e.rho * np.where(under > 0.0, 2.0 * e.a * e.b * root / q, 0.0)
+            expected[i] *= scale
+        assert np.array_equal(analytic_sinogram(SHEPP_LOGAN, geometry, size), expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_detector_pitch_misses_every_ellipse_without_overflow(self):
+        # past a pitch of about 1e155 the squared offset of each ray overflowed
+        sino = analytic_sinogram(SHEPP_LOGAN, RadonGeometry(4, 8, 1e300), 32)
+        assert np.array_equal(sino, np.zeros((4, 8)))
+
 
 class TestAiry:
     def test_center_is_maximum(self):

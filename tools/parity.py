@@ -12,7 +12,9 @@ error text compare like any other output.  Both trees run the same argv from
 a run directory of their own, with the same relative output paths, so
 ``manifest.json`` (which echoes the output directory) and the stdout lines
 that name it compare byte for byte.  For each call it compares the exit
-code, stdout, stderr and the sha256 of every file the call wrote.
+code, stdout, stderr and the sha256 of every file the call wrote; a
+``manifest.json`` that differs is named by each JSON path, such as
+``config.seed``, that only one tree wrote or that the two wrote differently.
 
 Then one more fresh interpreter per tree computes ``library()``, and the two
 trees' arrays are compared byte for byte: each solver's whole report (final,
@@ -42,6 +44,7 @@ import argparse
 import csv
 import difflib
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -241,13 +244,36 @@ def compare(calls: list, base: list, head: list, base_dir: str, head_dir: str) -
                 side = "commit" if name not in h_files else "working tree"
                 problems.append(f"{label}: {name} written only in the {side}")
                 continue
-            line = f"{label}: {name} differs"
-            if name.endswith(".f32"):
-                out = _out_dir(argv)
-                a, b = (os.path.join(d, out, name) for d in (base_dir, head_dir))
-                line += f", {_max_rel_diff(a, b)}"
-            problems.append(line)
+            a, b = (os.path.join(d, _out_dir(argv), name) for d in (base_dir, head_dir))
+            if name == "manifest.json":
+                changes = _json_changes(_read_json(a), _read_json(b)) or ["differs"]
+                problems += [f"{label}: {name} {change}" for change in changes]
+            elif name.endswith(".f32"):
+                problems.append(f"{label}: {name} differs, {_max_rel_diff(a, b)}")
+            else:
+                problems.append(f"{label}: {name} differs")
     return problems
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _json_changes(base, head, path: str = "") -> list:
+    """``{path} only in the commit``, ``... only in the working tree`` or ``{path} differs``
+    for each dotted path below which two JSON values differ; a list is one value."""
+    if not (isinstance(base, dict) and isinstance(head, dict)):
+        same = json.dumps(base, sort_keys=True) == json.dumps(head, sort_keys=True)
+        return [] if same else [f"{path} differs"]
+    changes = []
+    for key in sorted(base.keys() | head.keys()):
+        sub = f"{path}.{key}" if path else key
+        if key not in head or key not in base:
+            changes.append(f"{sub} only in the {'commit' if key in base else 'working tree'}")
+        else:
+            changes += _json_changes(base[key], head[key], sub)
+    return changes
 
 
 def _label(argv: list) -> str:
