@@ -23,8 +23,16 @@ composition ``B after C`` runs ``C* (B* B) (C x)`` with the outer part's fused
 normal, so mask after blur costs two real FFT pairs and no gather.  Every
 other operator falls back to ``adjoint(apply(x))``.
 
+The unchecked ``LinearMap._conormal(y)`` applies the co-normal ``A A*`` on the
+range side, which has the same top eigenvalue as ``A* A``.  A convolution
+commutes with its adjoint, so its co-normal is its normal; a composition ``B
+after C`` runs ``B (C C*) (B* y)`` with the inner part's fused co-normal, so
+mask after blur costs one scatter, one real FFT pair and one gather.  Every
+other operator falls back to ``apply(adjoint(y))``.
+
 Shape, realness and finiteness checks run once, at the outermost public call:
-compositions chain their parts' unchecked ``_apply``/``_adjoint``/``_normal``.
+compositions chain their parts' unchecked ``_apply``, ``_adjoint``, ``_normal``
+and ``_conormal``.
 
 The gradient and the convolution are bound by memory traffic, not
 arithmetic.  The gradient differences the flat raster with contiguous
@@ -36,6 +44,7 @@ keeps scratch buffers, so every ``LinearMap`` is reentrant.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,6 +87,7 @@ class LinearMap:
         apply_fn: forward action.
         adjoint_fn: adjoint action, the exact transpose of ``apply_fn``.
         normal_fn: optional fused ``A* A``; omitted means ``adjoint(apply)``.
+        conormal_fn: optional fused ``A A*``; omitted means ``apply(adjoint)``.
     """
 
     # every operator is real; bench/tracing.py still reads these two to size its byte counts
@@ -92,6 +102,7 @@ class LinearMap:
         adjoint_fn: Callable[[np.ndarray], np.ndarray],
         *,
         normal_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        conormal_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "linear_map",
     ):
         self.domain_shape = tuple(_count(s, "LinearMap domain_shape") for s in domain_shape)
@@ -99,6 +110,7 @@ class LinearMap:
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self._normal_fn = normal_fn
+        self._conormal_fn = conormal_fn
         self.name = name
 
     def _coerce(self, x, shape, side):
@@ -125,6 +137,12 @@ class LinearMap:
         if self._normal_fn is None:
             return self._adjoint(self._apply(x))
         return self._normal_fn(x)
+
+    def _conormal(self, y) -> np.ndarray:
+        """Unchecked ``A A* y``, for callers that validated already."""
+        if self._conormal_fn is None:
+            return self._apply(self._adjoint(y))
+        return self._conormal_fn(y)
 
     def normal(self, x) -> np.ndarray:
         """``A* A x`` with the domain input validated once.
@@ -293,6 +311,7 @@ def op_convolve(kernel) -> LinearMap:
         lambda x: filtered(x, khat),
         lambda y: filtered(y, khat_conj),
         normal_fn=lambda x: filtered(x, power),
+        conormal_fn=lambda y: filtered(y, power),
         name="convolve_circular",
     )
 
@@ -317,6 +336,7 @@ def op_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
         lambda x: outer._apply(inner._apply(x)),
         lambda y: inner._adjoint(outer._adjoint(y)),
         normal_fn=lambda x: inner._adjoint(outer._normal(inner._apply(x))),
+        conormal_fn=lambda y: outer._apply(inner._conormal(outer._adjoint(y))),
         name=f"{outer.name}*{inner.name}",
     )
 
@@ -428,7 +448,10 @@ class RadonGeometry:
     def __post_init__(self):
         for name in ("n_angles", "n_detectors"):
             _count(getattr(self, name), f"RadonGeometry {name}")
-        _number(self.detector_pitch, "RadonGeometry detector_pitch", _POSITIVE)
+        pitch = _number(self.detector_pitch, "RadonGeometry detector_pitch", _POSITIVE)
+        # the offsets span n_detectors - 1 pitches; an int compares with a float exactly
+        if self.n_detectors > sys.float_info.max / pitch:
+            raise ValidationError("RadonGeometry detector_pitch times n_detectors must be finite")
 
     @property
     def angles(self) -> np.ndarray:

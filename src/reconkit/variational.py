@@ -14,7 +14,7 @@ and ``_iterate`` keeps the traces and builds every ``SolveReport``.
 ``_forward_backward`` is the one first-order step: a gradient step, then no
 prox (gradient descent) or the soft threshold (ISTA, and FISTA at a momentum
 point); it reuses the objective's residual ``H f - g``, so each iteration
-applies ``H`` once.
+applies ``H`` once, and it builds the descent point in the adjoint's output.
 ``_cg_quadratic`` is the one CG kernel: it checks the start and returns the
 CG step, which ``conjugate_gradient_normal`` runs through ``_iterate`` and
 ADMM's f-step runs for at most ``inner_iter`` iterations.  ADMM's objective
@@ -183,33 +183,55 @@ def _auto_step(obj: Objective, seed) -> float:
     """The step 0.9 / Lip, Lip the top eigenvalue of ``H* H + w L* L``.
 
     That is the Hessian of J's smooth part: ``w = lam`` for the quadratic
-    penalty and ``w = 0`` for abs.  It runs 50 power iterations from a seeded
-    start; a zero operator gets step 1, and an operator so small that the
-    squares of ``H* H v`` underflow still gets its own step.
+    penalty and ``w = 0`` for abs.  It runs 50 power iterations from a seeded,
+    normalized start ``v``.  With ``w > 0`` they run on the domain side: ``v
+    <- M v / ||M v||`` for ``M = H* H + w L* L``, and Lip is the last ``||M
+    v||``.  With ``w = 0`` they run on the range side, through the co-normal
+    ``H H*`` (one FFT pair for mask after blur, against two for ``H* H``):
+    from ``y = H v``, ``y <- q / t`` with ``q = H H* y`` and ``t = sqrt(<y,
+    q>)``.  There ``y`` stays ``H v`` and ``t`` is ``||H* H v||`` for the
+    domain side's ``v``, so both sides give the same estimate to roundoff.  A
+    zero operator gets step 1, and an operator so small that the products
+    in ``t`` underflow still gets its own step.
     """
-    apply_normal = _normal_equations(obj, obj.lam if obj.penalty == "quadratic" else 0.0)
+    weight = obj.lam if obj.penalty == "quadratic" else 0.0
     shape = obj.forward.domain_shape
-    n = int(np.prod(shape))
-    v = normal_stream(n, 1.0, seed).reshape(shape)
+    v = normal_stream(int(np.prod(shape)), 1.0, seed).reshape(shape)
     norm = float(np.linalg.norm(v.ravel()))
     if norm == 0.0:
         return 1.0
     v = v / norm
+    if weight > 0:
+        power, x = _normal_equations(obj, weight), v
+    else:
+        power, x = obj.forward._conormal, obj.forward.apply(v)
     top = 0.0
     for _ in range(50):
-        w = apply_normal(v)
-        top = float(np.linalg.norm(w.ravel()))
+        w = power(x)
+        top = _root_inner(w if weight > 0 else x, w)  # ||M v||, or sqrt(<y, H H* y>)
         if top == 0.0:
-            # the squares of a tiny w underflow: take the norm of w / max|w|
-            peak = float(np.max(np.abs(w)))
-            if peak == 0.0:
-                return 1.0
-            top = peak * float(np.linalg.norm(w.ravel() / peak))
+            return 1.0
         if not np.isfinite(top):
-            # an overflow here would surface as an input error at the next apply
+            # an overflow, or the NaN it leaves, must not become the step
             raise DivergenceError("power iteration: the normal operator overflowed")
-        v = w / top
+        x = w / top
     return 0.9 / top
+
+
+def _root_inner(u: np.ndarray, w: np.ndarray) -> float:
+    """``sqrt(<u, w>)`` for a pair with ``<u, w> >= 0``; 0 when ``w`` is 0 or orthogonal to ``u``.
+
+    When the products of a tiny ``u`` and ``w`` underflow, each is scaled to
+    a peak of 1 first.
+    """
+    top = float(np.sqrt(abs(np.vdot(u, w))))
+    if top == 0.0:
+        peak_u, peak_w = float(np.max(np.abs(u))), float(np.max(np.abs(w)))
+        if peak_w == 0.0:
+            return 0.0
+        scaled = abs(np.vdot(u / peak_u, w / peak_w))
+        top = float(np.sqrt(peak_u) * np.sqrt(peak_w) * np.sqrt(scaled))
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +275,26 @@ def _forward_backward(
             _check_finite(trace, where, y, resid_y)
         else:
             y, resid_y = f, resid
-        grad = obj.forward.adjoint(resid_y)
+        # the gradient, then y - gamma * gradient, in the adjoint's own output;
+        # that may be resid_y itself, which the rest of the step does not read
+        descent = obj.forward.adjoint(resid_y)
         if smooth and obj.lam > 0:
-            grad = grad + obj.lam * obj.reg_normal(y)
-        descent = y - gamma * grad
-        del grad  # not held through the forward apply below, the step's memory peak
+            descent += obj.lam * obj.reg_normal(y)
+        descent *= gamma
+        np.subtract(y, descent, out=descent)
         _check_finite(trace, where, descent)
         f_new = descent if smooth else prox(descent, weight)
+        del descent  # not held through the forward apply below, the step's memory peak
         resid_new = obj.forward.apply(f_new) - obj.data
         change = f_new - f
         if accelerate:
             t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             beta = (t - 1.0) / t_new
-            y = f_new + beta * change
-            resid_y = resid_new + beta * (resid_new - resid)
+            y = beta * change
+            y += f_new
+            resid_y = resid_new - resid
+            resid_y *= beta
+            resid_y += resid_new
             t = t_new
         resid = resid_new
         current = _objective(obj, f_new, _sqnorm(resid))
@@ -426,16 +454,22 @@ def nullspace_demo() -> NullspaceReport:
 # ---------------------------------------------------------------------------
 
 
+def _soft_threshold(u: np.ndarray, step: float) -> np.ndarray:
+    """``sign(u) max(|u| - step, 0)`` bit for bit, in a new array and one temporary."""
+    out = np.abs(u, out=np.empty_like(u))  # an array even for a 0-d u
+    out -= step
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(u)
+    return out
+
+
 # penalty -> (potential sum_n phi(u_n), prox(u, step)), for
 # J(f) = 0.5 ||H f - g||^2 + lam potential(L f).  The prox minimizes
 # 0.5 (u - p)^2 + step phi(p) per element; the solvers call it unchecked,
 # having checked u and step.
 _PENALTIES = {
     "quadratic": (lambda lf: 0.5 * _sqnorm(lf), lambda u, step: u / (1.0 + step)),
-    "abs": (
-        lambda lf: float(np.sum(np.abs(lf))),
-        lambda u, step: np.sign(u) * np.maximum(np.abs(u) - step, 0.0),
-    ),
+    "abs": (lambda lf: float(np.sum(np.abs(lf))), _soft_threshold),
 }
 
 
@@ -470,10 +504,10 @@ def ista(
 ) -> SolveReport:
     """Proximal gradient descent for 0.5 ||g - H f||^2 + lam ||f||_1.
 
-    The gradient step is 0.9 / Lip with Lip estimated by power iteration on
-    H* H; the prox step is the soft threshold.  ``accelerate`` switches on
-    the momentum sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2; the plain
-    iteration keeps the objective trace monotone.
+    The gradient step is 0.9 / Lip with Lip, the top eigenvalue of H* H,
+    estimated by power iteration on H H*; the prox step is the soft threshold.
+    ``accelerate`` switches on the momentum sequence t_{k+1} = (1 + sqrt(1 +
+    4 t_k^2)) / 2; the plain iteration keeps the objective trace monotone.
     """
     if obj.penalty != "abs":
         raise ValidationError("ista handles the abs penalty")

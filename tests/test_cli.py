@@ -894,6 +894,14 @@ class TestFbpVsTv:
         argv = ["fbp-vs-tv", "--size", "32", "--angles", "8", "--max-iter", "3"]
         assert main(argv + ["--config", str(cfg_path), "--out", "fvt"]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_pitch_whose_detector_span_overflows_exits_2(self, tmp_path, capsys):
+        # 64 detectors 1.7e308 apart: their offsets overflowed to inf
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"geometry": {"detector_pitch": 1.7e308}}))
+        assert main(["fbp-vs-tv", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "detector_pitch times n_detectors must be finite" in capsys.readouterr().err
+
 
 class TestStudyCommands:
     def test_compress_study_keeping_everything_is_lossless(self, tmp_path):

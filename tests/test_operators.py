@@ -511,6 +511,45 @@ class TestNormal:
             assert abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1e-300)
 
 
+SELFTEST_CASES = _selftest_cases()
+
+
+@pytest.mark.parametrize("name,op,tol", SELFTEST_CASES, ids=[c[0] for c in SELFTEST_CASES])
+def test_conormal_matches_apply_of_adjoint(name, op, tol):
+    # A A* on the range side, fused or not, is the plain composition
+    for trial in range(3):
+        y = _random_field(op.range_shape, 440 + trial)
+        want = op.apply(op.adjoint(y))
+        got = op._conormal(y)
+        assert got.shape == op.range_shape
+        scale = max(float(np.linalg.norm(want.ravel())), 1e-300)
+        assert float(np.linalg.norm((got - want).ravel())) <= 1e-12 * scale
+
+
+def test_mask_after_blur_conormal_is_one_real_fft_pair(monkeypatch):
+    # one scatter, one filtered pass and one gather; A* A costs two pairs
+    shape = (16, 16)
+    op = op_compose(
+        op_mask(random_mask(shape, 0.3, seed=3)),
+        op_convolve(embed_kernel(gaussian_kernel(5, 1.0), shape)),
+    )
+    y = _random_field(op.range_shape, 450)
+    calls = []
+    for fn in ("rfft", "irfft"):
+        original = getattr(np.fft, fn)
+
+        def counted(*args, _fn=fn, _original=original, **kwargs):
+            calls.append(_fn)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fn, counted)
+    op._conormal(y)
+    assert sorted(calls) == ["irfft", "rfft"]
+    calls.clear()
+    op.normal(_random_field(op.domain_shape, 451))
+    assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"]
+
+
 def _generated_part(kind, shape, seed):
     """One operator of ``kind`` on ``shape`` and its ``_selftest_cases`` tolerance."""
     if kind == "multiply":
@@ -554,6 +593,10 @@ def test_generated_operators_pair_and_fuse_their_normals(chain):
         op, tol = op_compose(outer, op), max(tol, outer_tol)
     assert dot_test(op, trials=25, seed=seed) <= tol
     assert normal_test(op, seed=seed) <= 1e-12
+    y = _random_field(op.range_shape, seed)
+    want = op.apply(op.adjoint(y))
+    err = float(np.linalg.norm((op._conormal(y) - want).ravel()))
+    assert err <= 1e-12 * max(float(np.linalg.norm(want.ravel())), 1e-300)
 
 
 class TestValidateOnce:

@@ -47,6 +47,14 @@ class TestGeometry:
         with pytest.raises(ValidationError):
             RadonGeometry(8, 8, detector_pitch=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_detector_span_must_be_finite(self):
+        big = np.finfo(np.float64).max
+        assert np.all(np.isfinite(RadonGeometry(2, 64, big / 64).offsets))
+        for n_detectors, pitch in ((64, 1.7e308), (65, big / 64), (10**400, 1.0)):
+            with pytest.raises(ValidationError, match="detector_pitch times n_detectors"):
+                RadonGeometry(2, n_detectors, pitch)
+
     @pytest.mark.parametrize("counts", [(2.5, 16), (4, 16.0), (True, 16), (4, False), ("4", 16)])
     def test_rejects_counts_that_are_not_integers(self, counts):
         with pytest.raises(ValidationError, match="^RadonGeometry n_(angles|detectors) must be an integer >= 1$"):

@@ -40,6 +40,7 @@ from reconkit import (
     snr_db,
 )
 from reconkit import variational
+from reconkit.cli import _BLURS, _blur_then_mask
 
 from problems import sparse_recovery_instance
 
@@ -164,16 +165,19 @@ class TestGradientDescent:
 
 class TestForwardApplyCount:
     @pytest.mark.parametrize(
-        "solve, penalty",
+        "solve, penalty, power_applies",
         [
-            (lambda obj: gradient_descent(obj, max_iter=20, tol=0.0), "quadratic"),
-            (lambda obj: ista(obj, max_iter=20, tol=0.0), "abs"),
-            (lambda obj: ista(obj, accelerate=True, max_iter=20, tol=0.0), "abs"),
+            (lambda obj: gradient_descent(obj, max_iter=20, tol=0.0), "quadratic", 50),
+            (lambda obj: ista(obj, max_iter=20, tol=0.0), "abs", 51),
+            (lambda obj: ista(obj, accelerate=True, max_iter=20, tol=0.0), "abs", 51),
         ],
         ids=["gradient_descent", "ista", "fista"],
     )
-    def test_one_forward_apply_per_iteration(self, solve, penalty):
-        # the gradient reuses the residual H f - g of the previous objective
+    def test_one_forward_apply_per_iteration(self, solve, penalty, power_applies):
+        # the gradient reuses the residual H f - g of the previous objective.
+        # The step's 50 power iterations apply H once each: on the domain side
+        # in H* H for gradient descent (lam > 0), and on the range side in the
+        # unfused H H* for abs, after the start H v
         h, g = dense_instance(12, 10, 130)
         applies = []
 
@@ -184,8 +188,8 @@ class TestForwardApplyCount:
         counting = LinearMap((10,), (12,), forward, lambda y: h.T @ y, name="counting")
         rep = solve(Objective(forward=counting, data=g, penalty=penalty, lam=0.1))
         assert rep.iterations == 20
-        power_iterations, start_objective = 50, 1
-        assert len(applies) == power_iterations + start_objective + rep.iterations
+        start_objective = 1
+        assert len(applies) == power_applies + start_objective + rep.iterations
 
     def test_admm_objective_costs_no_apply(self):
         # no fused normal, so every CG apply of H* H + rho I is counted: one
@@ -308,6 +312,18 @@ class TestProx:
             prox_apply("abs", np.array([np.inf]), 1.0)
         with pytest.raises(ValidationError):
             prox_apply("abs", np.array([1.0]), -1.0)
+
+    @pytest.mark.parametrize("step", [0.0, 0.5, 2.0])
+    def test_soft_threshold_is_the_textbook_formula_bit_for_bit(self, step):
+        # signed zeros, |u| = step exactly, and both sides of it
+        u = np.concatenate([[0.0, -0.0, 0.5, -0.5, 2.0, -2.0, 1e-300], normal_stream(64, 2.0, 19)])
+        before = u.copy()
+        got = prox_apply("abs", u, step)
+        want = np.sign(u) * np.maximum(np.abs(u) - step, 0.0)
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == before.tobytes()
+        assert variational._PENALTIES["abs"][1](u, step).tobytes() == want.tobytes()
+        assert u.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", ["quadratic", "abs"])
     def test_public_prox_is_the_unchecked_prox_after_its_checks(self, kind):
@@ -448,6 +464,19 @@ class TestIsta:
             f, t = f_new, t_new
         assert np.linalg.norm(rep.final - f) <= 1e-12 * np.linalg.norm(f)
 
+    @pytest.mark.parametrize("accelerate", [False, True], ids=["ista", "fista"])
+    def test_an_adjoint_that_returns_its_input_is_not_overwritten(self, accelerate):
+        # the step builds its descent point in the adjoint's output, which here
+        # is the residual at y itself
+        g = normal_stream(16, 1.0, 136)
+        identity = LinearMap((16,), (16,), lambda x: x, lambda y: y, name="identity")
+        reps = [
+            ista(Objective(op, g, "abs", 0.1), accelerate=accelerate, max_iter=20, tol=0.0)
+            for op in (identity, op_matrix(np.eye(16)))
+        ]
+        assert np.array_equal(reps[0].final, reps[1].final)
+        assert np.array_equal(reps[0].objective_trace, reps[1].objective_trace)
+
 
 class TestNumericalFailuresAreDivergences:
     """Overflow inside a solver raises DivergenceError, never an input error."""
@@ -487,7 +516,46 @@ class TestNumericalFailuresAreDivergences:
             ista(obj, accelerate=accelerate, max_iter=5)
 
 
+def domain_side_step(obj, seed):
+    """The auto step by 50 power iterations on the domain side, on ``H* H`` alone."""
+    shape = obj.forward.domain_shape
+    v = normal_stream(int(np.prod(shape)), 1.0, seed).reshape(shape)
+    v = v / np.linalg.norm(v.ravel())
+    for _ in range(50):
+        w = obj.forward.adjoint(obj.forward.apply(v))
+        top = float(np.linalg.norm(w.ravel()))
+        v = w / top
+    return 0.9 / top
+
+
+def _mask_after_blur(blur, size):
+    # the CLI's measurement model, with its fixed 5x5 kernels
+    return _blur_then_mask(_BLURS[blur](), random_mask((size, size), 0.5, seed=size))
+
+
+RANGE_SIDE_CASES = {
+    **{
+        f"mask_{blur}_{size}": (lambda blur=blur, size=size: _mask_after_blur(blur, size))
+        for blur in ("gaussian", "airy")
+        for size in (32, 64)
+    },
+    "matrix_wide": lambda: op_matrix(normal_stream(12 * 30, 1.0, 150).reshape(12, 30)),
+    "matrix_tall": lambda: op_matrix(normal_stream(30 * 12, 1.0, 151).reshape(30, 12)),
+    "multiply": lambda: op_multiply(normal_stream(64, 1.0, 152).reshape(8, 8)),
+}
+
+
 class TestAutoStep:
+    @pytest.mark.parametrize("build", RANGE_SIDE_CASES.values(), ids=RANGE_SIDE_CASES.keys())
+    @pytest.mark.parametrize("penalty", ["abs", "quadratic"])
+    def test_range_side_step_matches_the_domain_side(self, build, penalty):
+        # with no L* L term the power iteration runs on H H*; its y stays H v
+        # and its estimate ||H* H v||, so the step is the domain side's to roundoff
+        forward = build()
+        obj = Objective(forward, np.zeros(forward.range_shape), penalty, 0.0)
+        want = domain_side_step(obj, 3)
+        assert variational._auto_step(obj, 3) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("solver", ["ista", "gradient_descent"])
     def test_power_iteration_underflow_keeps_the_operator_step(self, solver):
         # the squares of H* H v underflow; the step must still be 0.9 / Lip

@@ -20,7 +20,9 @@ Then one more fresh interpreter per tree computes ``library()``, and the two
 trees' arrays are compared byte for byte: each solver's whole report (final,
 objective and residual traces, iteration count and ``converged``) on one
 small problem, gradient descent with both the auto and a fixed step, and
-each solver again from a fixed non-zero start (once as a float32 array);
+each solver again from a fixed non-zero start (once as a float32 array); the
+auto step itself on that problem, for the abs penalty (``w = 0``, the range
+side) and the quadratic one (``w > 0``, the domain side);
 ``apply``, ``adjoint`` and ``normal`` of every ``cli._selftest_cases``
 operator; and ``op_radon``'s ``apply``, ``adjoint`` and ``normal`` at the
 ``fewview_tomo`` workload's geometry, where it keeps its tables, and on the
@@ -168,7 +170,11 @@ def library() -> dict:
         "fista_warm": (rk.ista, l1, {"f0": warm, "accelerate": True, "power_seed": 3}),
         "admm_tv_warm": (rk.admm, tv, {"f0": warm, "inner_iter": 10}),
     }
-    results = {}
+    # the auto step on its own, so a change to it shows before the solves it feeds
+    results = {
+        f"auto_step {name}": np.array(rk.variational._auto_step(obj, 3))
+        for name, obj in (("abs", l1), ("quadratic", quadratic))
+    }
     for name, (solve, obj, kwargs) in solves.items():
         solved = solve(obj, max_iter=30, **kwargs)
         for part in REPORT_PARTS:
